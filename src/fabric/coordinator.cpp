@@ -361,10 +361,45 @@ testbed::CampaignReport Coordinator::run(
                 conns.end());
   }
 
+  // Answer every handshake still in flight before shutting down: a worker
+  // that connected while the rest of the fleet finished the campaign still
+  // gets its hello_ok or reject, so the joined/rejected counts and a
+  // mismatched worker's loud failure never depend on scheduling. A peer
+  // that stays silent for a whole lease timeout is dropped.
+  const std::uint64_t handshake_deadline =
+      now_ms() + config_.lease.lease_timeout_ms;
+  for (std::unique_ptr<Conn>& conn : conns) {
+    while (!conn->dead && conn->state == Conn::State::handshaking) {
+      const std::uint64_t now = now_ms();
+      pollfd fd{conn->transport->fd(), POLLIN, 0};
+      const int ready = ::poll(
+          &fd, 1,
+          now >= handshake_deadline
+              ? 0
+              : static_cast<int>(std::min<std::uint64_t>(
+                    handshake_deadline - now, 60'000)));
+      expects(ready >= 0 || errno == EINTR, "fabric coordinator: poll failed");
+      if (ready < 0) continue;
+      if (ready == 0) {
+        log("worker " + std::to_string(conn->id) +
+            " never sent its hello; dropping it");
+        break;
+      }
+      try {
+        handle_frame(*conn);
+      } catch (const sim::ContractViolation& violation) {
+        log(std::string("worker ") + std::to_string(conn->id) +
+            " sent a torn or invalid frame: " + violation.what());
+        bury(*conn, "is being dropped after a torn frame");
+      }
+    }
+  }
+
   // Campaign complete: release the fleet (best effort — a worker killed
   // between its last shard and here is indistinguishable from one that
   // left) and seal the merge + checkpoint.
   for (std::unique_ptr<Conn>& conn : conns) {
+    if (conn->dead) continue;  // rejected during the handshake drain
     try {
       write_frame(*conn->transport, FrameType::shutdown);
     } catch (const sim::ContractViolation&) {
@@ -373,6 +408,7 @@ testbed::CampaignReport Coordinator::run(
   }
   frontier.finalize();
   report.stage.merge = frontier.fold_seconds();
+  report.frontier.high_water = frontier.high_water();
   if (checkpoint != nullptr) {
     checkpoint.reset();  // flush before the compaction rewrite
     report::compact_checkpoint(spec.checkpoint_path);

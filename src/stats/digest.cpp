@@ -89,6 +89,7 @@ void MergingDigest::merge(MergingDigest&& other) {
   // the frontier fold relies on the donor shrinking to its footprint floor.
   other.centroids_ = {};
   other.buffer_ = {};
+  other.scratch_ = {};
   other.compacted_ = true;
   other.count_ = 0;
   other.sum_ = 0;
@@ -100,23 +101,39 @@ void MergingDigest::merge(MergingDigest&& other) {
 void MergingDigest::compress() const {
   if (buffer_.empty() && compacted_) return;
   compacted_ = true;
-  std::vector<Centroid> points;
-  points.reserve(centroids_.size() + buffer_.size());
-  points.insert(points.end(), centroids_.begin(), centroids_.end());
-  for (const double x : buffer_) points.push_back(Centroid{x, 1});
+  // Gather every point in place: our centroids, any merged-in digest's
+  // centroids, then the buffered samples as unit-weight points. The
+  // reserve grows the list to its exact high-water size once.
+  centroids_.reserve(centroids_.size() + buffer_.size());
+  for (const double x : buffer_) centroids_.push_back(Centroid{x, 1});
   buffer_.clear();
-  if (points.empty()) {
-    centroids_.clear();
-    return;
+  if (centroids_.empty()) return;
+
+  // Order the points by mean, ties in insertion order, so the compaction
+  // is a pure function of the insertion sequence. A merge() presents two
+  // ascending runs (ours, then the donor's compacted list), and a stable
+  // merge of two ascending runs *is* their stable sort — the same bits
+  // without stable_sort's temporary buffer. Anything else (raw buffered
+  // samples, or a compacted list that rounding left non-monotone) takes
+  // the stable_sort fallback.
+  const auto by_mean = [](const Centroid& a, const Centroid& b) {
+    return a.mean < b.mean;
+  };
+  const auto split =
+      std::is_sorted_until(centroids_.begin(), centroids_.end(), by_mean);
+  if (split != centroids_.end()) {
+    if (std::is_sorted(split, centroids_.end(), by_mean)) {
+      scratch_.resize(centroids_.size());
+      std::merge(centroids_.begin(), split, split, centroids_.end(),
+                 scratch_.begin(), by_mean);
+      centroids_.swap(scratch_);
+      scratch_.clear();  // keeps capacity; copies of the digest stay cheap
+    } else {
+      std::stable_sort(centroids_.begin(), centroids_.end(), by_mean);
+    }
   }
-  // Stable sort keeps equal-mean points in insertion order: the compaction
-  // result is a pure function of the insertion sequence.
-  std::stable_sort(points.begin(), points.end(),
-                   [](const Centroid& a, const Centroid& b) {
-                     return a.mean < b.mean;
-                   });
   double total = 0;
-  for (const Centroid& p : points) total += p.weight;
+  for (const Centroid& p : centroids_) total += p.weight;
 
   // k1 scale function (Dunning's merging t-digest): a centroid may span at
   // most one unit of k(q) = (δ/2π)·asin(2q−1). The full k range is δ/2 and
@@ -130,12 +147,13 @@ void MergingDigest::compress() const {
     return k_scale * std::asin(std::clamp(2.0 * q - 1.0, -1.0, 1.0));
   };
 
-  std::vector<Centroid> merged;
-  merged.reserve(compression_ + 8);
-  Centroid current = points.front();
+  // One pass, compacting in place: every closed centroid consumed at least
+  // one point, so the write position never passes the read position.
+  std::size_t closed = 0;
+  Centroid current = centroids_.front();
   double weight_before = 0;  // total weight strictly left of `current`
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    const Centroid& next = points[i];
+  for (std::size_t i = 1; i < centroids_.size(); ++i) {
+    const Centroid next = centroids_[i];
     const double proposed = current.weight + next.weight;
     const double k_left = k_of(weight_before / total);
     const double k_right = k_of((weight_before + proposed) / total);
@@ -148,12 +166,12 @@ void MergingDigest::compress() const {
       current.weight = proposed;
     } else {
       weight_before += current.weight;
-      merged.push_back(current);
+      centroids_[closed++] = current;
       current = next;
     }
   }
-  merged.push_back(current);
-  centroids_ = std::move(merged);
+  centroids_[closed++] = current;
+  centroids_.resize(closed);
 }
 
 DigestSnapshot MergingDigest::snapshot() const {

@@ -112,8 +112,10 @@ class MergingDigest {
     double weight = 0;
   };
 
-  /// Merges buffered samples into the centroid list (stable sort + single
-  /// merge pass under the k2 weight bound).
+  /// Merges buffered samples into the centroid list (order by mean with
+  /// ties in insertion order, then one in-place pass under the k1 bound).
+  /// A merge of two compacted lists allocates nothing once the vectors
+  /// have grown.
   void compress() const;
 
   std::size_t compression_;
@@ -121,6 +123,7 @@ class MergingDigest {
   // insert buffer first; both stores are cache, not observable state.
   mutable std::vector<Centroid> centroids_;  // sorted by mean once compressed
   mutable std::vector<double> buffer_;
+  mutable std::vector<Centroid> scratch_;  // compress()'s two-run merge target
   mutable bool compacted_ = true;  // centroids_ already under the k2 bound
   std::uint64_t count_ = 0;
   double sum_ = 0;

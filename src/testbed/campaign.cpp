@@ -903,9 +903,23 @@ CampaignReport Campaign::run(std::size_t workers) {
     if (spec_.max_shards > 0 && pending.size() == spec_.max_shards) break;
   }
 
+  // Never spawn more threads than pending shards: a tiny incremental tick
+  // (or a fully-restored rerun) must not pay pool spin-up for workers that
+  // would find the claim cursor already exhausted.
+  workers = std::min(workers, std::max<std::size_t>(pending.size(), 1));
+  // Claims are *batched* — one fetch_add leases `batch` consecutive
+  // sequences — so a million-shard sweep performs O(shards / batch) RMWs on
+  // the shared cursor line instead of one per shard. Batches stay small
+  // enough that tail imbalance is at most one batch per worker.
+  const std::size_t batch = std::clamp<std::size_t>(
+      pending.size() / (workers * 8), std::size_t{1}, std::size_t{16});
+
   // Frontier setup: classify every index so the in-order fold knows what
   // to wait for (fresh), what to pull from the compacted checkpoint
-  // (restored) and what to step over (the capped tail).
+  // (restored) and what to step over (the capped tail). The park bound is
+  // two claim batches per worker: room for the whole pool to keep parking
+  // while one worker folds, and a cap on the held map when the producers
+  // outrun that single folder.
   std::unique_ptr<MergeFrontier> frontier;
   if (frontier_mode) {
     std::vector<MergeFrontier::Slot> slots(shard_count,
@@ -927,15 +941,19 @@ CampaignReport Campaign::run(std::size_t workers) {
               "campaign frontier: compacted checkpoint out of order");
       return shard_result_from_checkpoint(std::move(record));
     };
-    frontier = std::make_unique<MergeFrontier>(std::move(slots),
-                                               std::move(feed),
-                                               report.frontier);
+    frontier = std::make_unique<MergeFrontier>(
+        std::move(slots), std::move(feed), report.frontier,
+        /*park_bound=*/2 * workers * batch);
   }
+  // Seals the fold: drains the restored/skipped tail and records the
+  // fold's telemetry.
+  const auto finish_frontier = [&] {
+    if (frontier == nullptr) return;
+    frontier->finalize();
+    report.stage.merge = frontier->fold_seconds();
+    report.frontier.high_water = frontier->high_water();
+  };
 
-  // Never spawn more threads than pending shards: a tiny incremental tick
-  // (or a fully-restored rerun) must not pay pool spin-up for workers that
-  // would find the claim cursor already exhausted.
-  workers = std::min(workers, std::max<std::size_t>(pending.size(), 1));
   std::vector<std::exception_ptr> failures(pending.size());
 
   if (workers <= 1) {
@@ -958,22 +976,13 @@ CampaignReport Campaign::run(std::size_t workers) {
                                          checkpoint, &report.stage, context);
       }
     }
-    if (frontier != nullptr) {
-      frontier->finalize();
-      report.stage.merge = frontier->fold_seconds();
-    }
+    finish_frontier();
     return report;
   }
 
   // Work-stealing by atomic cursor: each worker owns the slots it claims,
   // so no locking is needed; determinism comes from per-shard seeding, not
-  // from the claim order. Claims are *batched* — one fetch_add leases
-  // `batch` consecutive sequences — so a million-shard sweep performs
-  // O(shards / batch) RMWs on the shared line instead of one per shard.
-  // Batches stay small enough that tail imbalance is at most one batch per
-  // worker.
-  const std::size_t batch = std::clamp<std::size_t>(
-      pending.size() / (workers * 8), std::size_t{1}, std::size_t{16});
+  // from the claim order.
   ClaimCursor cursor;
   std::vector<WorkerLane> lanes(workers);
   std::vector<std::thread> pool;
@@ -998,10 +1007,11 @@ CampaignReport Campaign::run(std::size_t workers) {
                                            checkpoint, &lane.stage, context);
             ++lane.shards_run;
             if (frontier != nullptr) {
-              // Retire into the in-order fold (never blocks: either this
-              // worker advances the cursor or the result parks until the
-              // cursor arrives); the shard's digests are freed as soon as
-              // the fold consumes them.
+              // Retire into the in-order fold: the result parks, and this
+              // worker folds every ready shard only if no other worker is
+              // folding. It waits only while another worker folds and the
+              // park bound is full. The shard's digests are freed as soon
+              // as the fold consumes them.
               frontier->submit(index, std::move(result));
             } else {
               report.shards[index] = std::move(result);
@@ -1017,10 +1027,7 @@ CampaignReport Campaign::run(std::size_t workers) {
     });
   }
   for (std::thread& worker : pool) worker.join();
-  if (frontier != nullptr) {
-    frontier->finalize();
-    report.stage.merge = frontier->fold_seconds();
-  }
+  finish_frontier();
   for (const WorkerLane& lane : lanes) {
     report.stage.build += lane.stage.build;
     report.stage.simulate += lane.stage.simulate;

@@ -188,8 +188,8 @@ struct StageSeconds {
   /// blocks, checkpoint append) + shard_finished delivery.
   double sink = 0;
   /// In-order frontier fold of completed shards into the campaign
-  /// accumulators (retain_shards=false only; runs on whichever worker
-  /// advances the fold cursor).
+  /// accumulators (retain_shards=false only). One worker folds at a time,
+  /// outside the frontier lock, so this is serial fold time.
   double merge = 0;
   /// Checkpoint load, validation and compaction (serial, resume only).
   double restore = 0;
@@ -261,6 +261,10 @@ struct CampaignReport {
     double sim_seconds = 0;
     /// Per-workload digest accumulators (ascending ToolKind slots).
     report::WorkloadFold workloads;
+    /// Peak number of out-of-order shards the frontier held at once
+    /// (MergeFrontier::high_water): the report-memory cost of completion
+    /// skew.
+    std::size_t high_water = 0;
   } frontier;
 
   /// Concatenation of a per-shard sample vector across shards, in scenario

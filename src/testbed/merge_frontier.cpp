@@ -27,59 +27,99 @@ ShardResult shard_result_from_checkpoint(report::ShardCheckpoint&& record) {
 
 MergeFrontier::MergeFrontier(std::vector<Slot> slots,
                              std::function<ShardResult(std::size_t)> feed,
-                             CampaignReport::FoldedTotals& totals)
-    : slots_(std::move(slots)), feed_(std::move(feed)), totals_(totals) {
+                             CampaignReport::FoldedTotals& totals,
+                             std::size_t park_bound)
+    : slots_(std::move(slots)),
+      feed_(std::move(feed)),
+      totals_(totals),
+      park_bound_(park_bound) {
   // Fold any leading restored/skipped run right away: the cursor must
   // always rest on a fresh slot (or the end), or a resumed tick's fresh
   // results would all park behind a restored prefix no submit can match.
-  const std::lock_guard<std::mutex> lock(mu_);
-  advance_locked();
+  std::unique_lock<std::mutex> lock(mu_);
+  fold_ready(lock);
 }
 
 void MergeFrontier::submit(std::size_t index, ShardResult&& result) {
-  const std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   expects(index < slots_.size() && slots_[index] == Slot::fresh,
           "MergeFrontier::submit on a non-pending slot");
+  // The shard at the cursor never waits: parking it is what lets the
+  // folder move on.
+  room_.wait(lock, [&] {
+    return !folding_ || park_bound_ == 0 || held_.size() < park_bound_ ||
+           index == cursor_ || fold_error_ != nullptr;
+  });
+  if (fold_error_ != nullptr) return;  // finalize() reports the failure
   held_.emplace(index, std::move(result));
   high_water_ = std::max(high_water_, held_.size());
-  advance_locked();
+  if (!folding_) fold_ready(lock);
 }
 
 void MergeFrontier::abandon(std::size_t index) {
-  const std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   expects(index < slots_.size() && slots_[index] == Slot::fresh,
           "MergeFrontier::abandon on a non-pending slot");
+  if (fold_error_ != nullptr) return;
   slots_[index] = Slot::skipped;
-  advance_locked();
+  if (!folding_) fold_ready(lock);
 }
 
 void MergeFrontier::finalize() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  advance_locked();
+  std::unique_lock<std::mutex> lock(mu_);
+  room_.wait(lock, [&] { return !folding_; });
+  if (fold_error_ != nullptr) std::rethrow_exception(fold_error_);
+  fold_ready(lock);
   expects(cursor_ == slots_.size() && held_.empty(),
           "MergeFrontier::finalize with unfolded shards");
 }
 
-void MergeFrontier::advance_locked() {
-  while (cursor_ < slots_.size()) {
-    switch (slots_[cursor_]) {
-      case Slot::skipped:
+// The fold loop, entered with `lock` held, no fold running and no earlier
+// fold failed: the caller is the folder until the cursor rests on a shard
+// nobody has delivered.
+void MergeFrontier::fold_ready(std::unique_lock<std::mutex>& lock) {
+  folding_ = true;
+  try {
+    while (true) {
+      // Under the lock: advance the cursor over the ready run, moving its
+      // fresh results out of held_. Slots in [begin, cursor_) are settled,
+      // so nobody writes them while the unlocked fold below reads them.
+      const std::size_t begin = cursor_;
+      while (cursor_ < slots_.size()) {
+        if (slots_[cursor_] == Slot::fresh) {
+          const auto it = held_.find(cursor_);
+          if (it == held_.end()) break;  // a producer still owns this index
+          ready_.push_back(std::move(it->second));
+          held_.erase(it);
+        }
         ++cursor_;
-        break;
-      case Slot::restored:
-        fold(feed_(cursor_));
-        ++cursor_;
-        break;
-      case Slot::fresh: {
-        const auto it = held_.find(cursor_);
-        if (it == held_.end()) return;  // a producer still owns this index
-        fold(std::move(it->second));
-        held_.erase(it);
-        ++cursor_;
-        break;
       }
+      const std::size_t end = cursor_;
+      if (begin == end) break;
+      if (!ready_.empty()) room_.notify_all();
+
+      lock.unlock();
+      std::size_t next = 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (slots_[i] == Slot::restored) {
+          fold(feed_(i));
+        } else if (slots_[i] == Slot::fresh) {
+          fold(std::move(ready_[next++]));
+        }
+      }
+      ready_.clear();
+      lock.lock();
     }
+  } catch (...) {
+    ready_.clear();
+    if (!lock.owns_lock()) lock.lock();
+    fold_error_ = std::current_exception();
+    folding_ = false;
+    room_.notify_all();
+    throw;
   }
+  folding_ = false;
+  room_.notify_all();
 }
 
 // The one fold step: counters in ascending scenario order (so double sums

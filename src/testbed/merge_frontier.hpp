@@ -19,13 +19,31 @@
 // streaming ckpt2 records to a coordinator: the frontier never sees the
 // difference.
 //
-// submit()/abandon() never block: the caller either advances the cursor
-// itself (folding under the mutex) or parks its result and returns, so the
-// frontier cannot deadlock against the JSONL reorder window (both are
-// drained in the same ascending order by whoever holds the release point).
+// One folder at a time, outside the lock. submit()/abandon() only park
+// their result under the mutex. If no fold is running, the caller becomes
+// the *folder*: it repeatedly moves the contiguous run of ready results at
+// the cursor out of the held map (under the lock), folds that run with the
+// lock released, and relocks, until nothing at the cursor is ready. Every
+// other producer parks and returns at once while a fold runs, so a long
+// fold never stalls the pool. Only the folder advances the cursor, calls
+// `feed` and writes the totals, and the mutex hand-off between successive
+// folders orders their writes, so the fold order stays strictly ascending.
+//
+// Bounded parking: a producer can outrun the single folder, so a submitter
+// waits on a condition variable while *another* thread is folding and the
+// held map has reached the park bound (Campaign::run derives it as
+// 2 × workers × claim batch; 0 means unbounded). It resumes as soon as the
+// folder drains its next run. A submitter never waits for a lower index
+// that is still missing — only for an active folder, which always finishes
+// its run — so the frontier cannot deadlock against the JSONL reorder
+// window (both drain in the same ascending order). If a fold throws, the
+// folder rethrows to its caller, the frontier stops folding, waiting
+// submitters wake, and finalize() rethrows the same failure.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -55,12 +73,17 @@ class MergeFrontier {
 
   /// `feed` returns the next restored shard from the (ascending, unique)
   /// compacted checkpoint; called exactly once per `restored` slot, in
-  /// ascending index order, under the frontier lock.
+  /// ascending index order, by the active folder only (never concurrently,
+  /// outside the frontier lock). `park_bound` caps the held map while
+  /// another thread folds (see the file comment); 0 never waits.
   MergeFrontier(std::vector<Slot> slots,
                 std::function<ShardResult(std::size_t)> feed,
-                CampaignReport::FoldedTotals& totals);
+                CampaignReport::FoldedTotals& totals,
+                std::size_t park_bound = 0);
 
-  /// Folds a freshly-completed shard, or parks it until the cursor arrives.
+  /// Parks a freshly-completed shard, then folds every ready shard if no
+  /// other thread is folding. Waits only while another thread folds and
+  /// the park bound is reached.
   void submit(std::size_t index, ShardResult&& result);
 
   /// Releases a failed shard's slot so the fold cannot stall on it (the
@@ -68,28 +91,34 @@ class MergeFrontier {
   void abandon(std::size_t index);
 
   /// Drains any skipped/restored tail after the producers stop; every fresh
-  /// slot must have been submitted or abandoned by then.
+  /// slot must have been submitted or abandoned by then. Rethrows the
+  /// failure of an earlier fold.
   void finalize();
 
   /// Peak number of out-of-order shards parked at once (memory telemetry).
   [[nodiscard]] std::size_t high_water() const { return high_water_; }
 
   /// Wall seconds the fold steps consumed (StageSeconds::merge). Read after
-  /// finalize() — the fold runs under the frontier lock on whichever
-  /// producer advances the cursor, so the sum is cross-producer like
-  /// build/sink.
+  /// finalize(). Folds run one at a time, outside the frontier lock, on
+  /// whichever producer became the folder, so this is the serial fold time
+  /// — not a sum over overlapping producers.
   [[nodiscard]] double fold_seconds() const { return fold_seconds_; }
 
  private:
-  void advance_locked();
+  void fold_ready(std::unique_lock<std::mutex>& lock);
   void fold(ShardResult&& result);
 
   std::mutex mu_;
+  std::condition_variable room_;  // held_ shrank, or the folder stopped
   std::vector<Slot> slots_;
   std::function<ShardResult(std::size_t)> feed_;
   CampaignReport::FoldedTotals& totals_;
+  std::size_t park_bound_;
   std::map<std::size_t, ShardResult> held_;
+  std::vector<ShardResult> ready_;  // the run being folded; folder-only
   std::size_t cursor_ = 0;
+  bool folding_ = false;
+  std::exception_ptr fold_error_;
   std::size_t high_water_ = 0;
   double fold_seconds_ = 0;
 };

@@ -11,18 +11,22 @@
 #include <malloc.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "report/jsonl_sink.hpp"
 #include "sim/contracts.hpp"
 #include "testbed/campaign.hpp"
+#include "testbed/merge_frontier.hpp"
 
 namespace {
 // Atomic live/peak byte tracking: campaign workers allocate concurrently.
@@ -238,7 +242,8 @@ TEST(FrontierCampaign, FoldMatchesBufferedMergeOnSmallGrid) {
 }
 
 /// The tentpole acceptance pin: 10^4 shards, frontier fold vs buffered
-/// merge, 1 AND 8 workers — all four bit-identical.
+/// merge, 1 AND 8 workers — all four bit-identical. With 8 workers the
+/// pool races to park results and to become the single folder.
 TEST(FrontierCampaign, TenThousandShardsBitIdenticalToBufferedMerge) {
   Campaign sizing(scaled_spec(10000, /*retain_shards=*/true));
   ASSERT_EQ(sizing.scenario_count(), 10000u);
@@ -250,6 +255,16 @@ TEST(FrontierCampaign, TenThousandShardsBitIdenticalToBufferedMerge) {
   const CampaignReport frontier_pool =
       Campaign(scaled_spec(10000, /*retain_shards=*/false)).run(8);
   expect_reports_bit_identical(frontier_pool, buffered);
+  expect_reports_bit_identical(frontier_pool, frontier_serial);
+
+  // One thread never runs ahead of its own fold. The pool's peak is not
+  // held to the park bound: it also counts results parked ahead of a gap,
+  // which nobody waits on, so a descheduled worker holding the cursor
+  // shard lets the others park hundreds on an oversubscribed host. The
+  // MergeFrontierUnit tests below pin the bound itself.
+  EXPECT_EQ(frontier_serial.frontier.high_water, 1u);
+  EXPECT_GE(frontier_pool.frontier.high_water, 1u);
+  EXPECT_LT(frontier_pool.frontier.high_water, frontier_pool.shard_count());
 }
 
 TEST(FrontierCampaign, KillResumeMidFrontierBitIdentical) {
@@ -375,6 +390,128 @@ TEST(FrontierCampaign, CompletedShardsReleaseDigestMemory) {
   // closer to 1/50 (O(workers) shards live at once instead of all 2000).
   EXPECT_GT(buffered_peak, kShards * 4096);
   EXPECT_LT(frontier_peak, buffered_peak / 4);
+}
+
+// ------------------------------------------------------ MergeFrontier unit
+
+using Slot = MergeFrontier::Slot;
+
+/// A shard whose counters identify it, so the folded totals show exactly
+/// which shards the fold consumed.
+ShardResult numbered_shard(std::size_t index) {
+  ShardResult result;
+  result.completed = true;
+  result.scenario_index = index;
+  result.probes_sent = index;
+  return result;
+}
+
+/// A restored-slot feed that blocks inside the fold — with the frontier
+/// lock released — until the test opens it, then returns (or throws).
+struct GatedFeed {
+  std::promise<void> entered;
+  std::promise<void> open;
+  std::shared_future<void> opened = open.get_future().share();
+  bool fail = false;
+
+  std::function<ShardResult(std::size_t)> callback() {
+    return [this](std::size_t index) {
+      entered.set_value();
+      opened.wait();
+      sim::expects(!fail, "GatedFeed: corrupt restored record");
+      return numbered_shard(index);
+    };
+  }
+};
+
+TEST(MergeFrontierUnit, SubmitsParkedAheadOfAGapNeverBlock) {
+  // Index 0 is the gap. Four threads park 1..40 with a park bound of 2:
+  // nobody is folding, so none of them may wait — a submitter never waits
+  // for a lower index that is still missing.
+  constexpr std::size_t kShards = 41;
+  CampaignReport::FoldedTotals totals;
+  MergeFrontier frontier(std::vector<Slot>(kShards, Slot::fresh),
+                         [](std::size_t) -> ShardResult {
+                           ADD_FAILURE() << "no restored slots to feed";
+                           return {};
+                         },
+                         totals, /*park_bound=*/2);
+  std::vector<std::thread> producers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    producers.emplace_back([&frontier, t] {
+      for (std::size_t i = 1 + t; i < kShards; i += 4) {
+        frontier.submit(i, numbered_shard(i));
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  EXPECT_EQ(totals.completed, 0u);
+  EXPECT_EQ(frontier.high_water(), kShards - 1);
+
+  frontier.submit(0, numbered_shard(0));  // closes the gap: all fold
+  frontier.finalize();
+  EXPECT_EQ(totals.completed, kShards);
+  EXPECT_EQ(totals.probes, kShards * (kShards - 1) / 2);
+}
+
+TEST(MergeFrontierUnit, SubmitterHeldAtTheParkBoundResumesOnceTheFolderDrains) {
+  // 0 fresh, 1 restored (its feed blocks mid-fold), 2..4 fresh; bound 2.
+  GatedFeed feed;
+  CampaignReport::FoldedTotals totals;
+  MergeFrontier frontier(
+      {Slot::fresh, Slot::restored, Slot::fresh, Slot::fresh, Slot::fresh},
+      feed.callback(), totals, /*park_bound=*/2);
+  std::thread folder([&] { frontier.submit(0, numbered_shard(0)); });
+  feed.entered.get_future().wait();  // the folder is inside the fold
+
+  // Two results park without waiting while the fold runs...
+  frontier.submit(2, numbered_shard(2));
+  frontier.submit(3, numbered_shard(3));
+  // ...the third meets the bound and must wait for the folder.
+  std::atomic<bool> returned{false};
+  std::thread held([&] {
+    frontier.submit(4, numbered_shard(4));
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load());
+
+  feed.open.set_value();
+  folder.join();
+  held.join();
+  EXPECT_TRUE(returned.load());
+  frontier.finalize();
+  EXPECT_EQ(totals.completed, 5u);
+  EXPECT_EQ(totals.probes, 0u + 1 + 2 + 3 + 4);
+  EXPECT_EQ(frontier.high_water(), 2u);
+}
+
+TEST(MergeFrontierUnit, ThrowingFeedReachesTheFolderAndNothingHangs) {
+  GatedFeed feed;
+  feed.fail = true;
+  CampaignReport::FoldedTotals totals;
+  MergeFrontier frontier(
+      {Slot::fresh, Slot::restored, Slot::fresh, Slot::fresh, Slot::fresh},
+      feed.callback(), totals, /*park_bound=*/2);
+  bool folder_saw_violation = false;
+  std::thread folder([&] {
+    try {
+      frontier.submit(0, numbered_shard(0));
+    } catch (const sim::ContractViolation&) {
+      folder_saw_violation = true;
+    }
+  });
+  feed.entered.get_future().wait();
+  frontier.submit(2, numbered_shard(2));
+  frontier.submit(3, numbered_shard(3));
+  std::thread held([&] { frontier.submit(4, numbered_shard(4)); });
+
+  feed.open.set_value();  // the feed throws; the waiting submitter wakes
+  folder.join();
+  held.join();
+  EXPECT_TRUE(folder_saw_violation);
+  EXPECT_EQ(totals.completed, 1u);  // shard 0 folded before the failure
+  EXPECT_THROW(frontier.finalize(), sim::ContractViolation);
 }
 
 }  // namespace

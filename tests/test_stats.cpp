@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/contracts.hpp"
@@ -274,6 +279,188 @@ TEST(MergingDigest, RejectsContractViolations) {
   digest.add(1.0);
   EXPECT_THROW((void)digest.quantile(1.5), sim::ContractViolation);
   EXPECT_THROW(MergingDigest(4), sim::ContractViolation);  // compression < 8
+}
+
+/// The pre-scratch-buffer MergingDigest, kept verbatim as an oracle:
+/// compress() gathers every point into a fresh vector, stable-sorts it and
+/// writes the compacted list into a second fresh vector. The production
+/// digest must stay bit-identical to it under any add/merge sequence.
+class ReferenceDigest {
+ public:
+  explicit ReferenceDigest(std::size_t compression)
+      : compression_(compression) {}
+
+  void add(double x) {
+    if (count_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++count_;
+    sum_ += x;
+    sum_sq_ += x * x;
+    buffer_.push_back(x);
+    if (buffer_.size() >= 4 * compression_) compress();
+  }
+
+  void merge(ReferenceDigest& other) {
+    if (other.count_ == 0) return;
+    other.compress();
+    if (count_ == 0) {
+      min_ = other.min_;
+      max_ = other.max_;
+    } else {
+      min_ = std::min(min_, other.min_);
+      max_ = std::max(max_, other.max_);
+    }
+    count_ += other.count_;
+    sum_ += other.sum_;
+    sum_sq_ += other.sum_sq_;
+    centroids_.insert(centroids_.end(), other.centroids_.begin(),
+                      other.centroids_.end());
+    compacted_ = false;
+    compress();
+  }
+
+  void clear() { *this = ReferenceDigest(compression_); }
+
+  DigestSnapshot snapshot() {
+    compress();
+    DigestSnapshot snap;
+    snap.compression = compression_;
+    snap.count = count_;
+    snap.sum = sum_;
+    snap.sum_sq = sum_sq_;
+    snap.min = min_;
+    snap.max = max_;
+    snap.centroids = centroids_;
+    return snap;
+  }
+
+ private:
+  using Centroid = std::pair<double, double>;  // mean, weight
+
+  void compress() {
+    if (buffer_.empty() && compacted_) return;
+    compacted_ = true;
+    std::vector<Centroid> points;
+    points.reserve(centroids_.size() + buffer_.size());
+    points.insert(points.end(), centroids_.begin(), centroids_.end());
+    for (const double x : buffer_) points.emplace_back(x, 1);
+    buffer_.clear();
+    if (points.empty()) {
+      centroids_.clear();
+      return;
+    }
+    std::stable_sort(points.begin(), points.end(),
+                     [](const Centroid& a, const Centroid& b) {
+                       return a.first < b.first;
+                     });
+    double total = 0;
+    for (const Centroid& p : points) total += p.second;
+    const double k_scale =
+        static_cast<double>(compression_) / (2.0 * 3.141592653589793);
+    const auto k_of = [&](double q) {
+      return k_scale * std::asin(std::clamp(2.0 * q - 1.0, -1.0, 1.0));
+    };
+    std::vector<Centroid> merged;
+    Centroid current = points.front();
+    double weight_before = 0;
+    for (std::size_t i = 1; i < points.size(); ++i) {
+      const Centroid& next = points[i];
+      const double proposed = current.second + next.second;
+      const double k_left = k_of(weight_before / total);
+      const double k_right = k_of((weight_before + proposed) / total);
+      if (k_right - k_left <= 1.0) {
+        current.first =
+            (current.first * current.second + next.first * next.second) /
+            proposed;
+        current.second = proposed;
+      } else {
+        weight_before += current.second;
+        merged.push_back(current);
+        current = next;
+      }
+    }
+    merged.push_back(current);
+    centroids_ = std::move(merged);
+  }
+
+  std::size_t compression_;
+  std::vector<Centroid> centroids_;
+  std::vector<double> buffer_;
+  bool compacted_ = true;
+  std::uint64_t count_ = 0;
+  double sum_ = 0;
+  double sum_sq_ = 0;
+  double min_ = 0;
+  double max_ = 0;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_bit_identical(const DigestSnapshot& got,
+                          const DigestSnapshot& want) {
+  EXPECT_EQ(got.compression, want.compression);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(bits(got.sum), bits(want.sum));
+  EXPECT_EQ(bits(got.sum_sq), bits(want.sum_sq));
+  EXPECT_EQ(bits(got.min), bits(want.min));
+  EXPECT_EQ(bits(got.max), bits(want.max));
+  ASSERT_EQ(got.centroids.size(), want.centroids.size());
+  for (std::size_t i = 0; i < got.centroids.size(); ++i) {
+    EXPECT_EQ(bits(got.centroids[i].first), bits(want.centroids[i].first));
+    EXPECT_EQ(bits(got.centroids[i].second), bits(want.centroids[i].second));
+  }
+}
+
+TEST(MergingDigest, CompressIsBitIdenticalToTheStableSortReference) {
+  // Random add / copy-merge / move-merge / snapshot sequences over a small
+  // pool of digests, run in lockstep on the production digest and the
+  // reference. Half the seeds draw from a coarse lattice so equal means
+  // (ties the merge must keep in insertion order) are everywhere; a small
+  // compression makes compactions, and thus merges of compacted lists,
+  // frequent.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    sim::Rng rng(seed);
+    const bool lattice = seed % 2 == 0;
+    const std::size_t compression = seed <= 2 ? 8 : 32;
+    constexpr std::size_t kPool = 5;
+    std::vector<MergingDigest> digests(kPool, MergingDigest(compression));
+    std::vector<ReferenceDigest> references(kPool,
+                                            ReferenceDigest(compression));
+    for (int step = 0; step < 4000; ++step) {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(0, kPool - 1));
+      const std::int64_t action = rng.uniform_int(0, 99);
+      if (action < 80) {
+        const double x = lattice
+                             ? 0.5 * static_cast<double>(rng.uniform_int(0, 12))
+                             : rng.normal(20.0, 5.0);
+        digests[i].add(x);
+        references[i].add(x);
+        continue;
+      }
+      const auto j = static_cast<std::size_t>(rng.uniform_int(0, kPool - 1));
+      if (action < 90 && i != j) {
+        digests[i].merge(digests[j]);
+        references[i].merge(references[j]);
+      } else if (action < 96 && i != j) {
+        digests[i].merge(std::move(digests[j]));
+        references[i].merge(references[j]);
+        references[j].clear();
+      } else {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                     std::to_string(step));
+        expect_bit_identical(digests[i].snapshot(), references[i].snapshot());
+      }
+    }
+    for (std::size_t i = 0; i < kPool; ++i) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " final digest " +
+                   std::to_string(i));
+      expect_bit_identical(digests[i].snapshot(), references[i].snapshot());
+    }
+  }
 }
 
 }  // namespace
