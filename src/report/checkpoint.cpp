@@ -3,8 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -89,12 +89,16 @@ bool parse_record_body(const std::string& line, ShardCheckpoint& out) {
     in >> s.info.scenario_index >> s.info.shard_seed >> hash_hex >>
         s.info.phone_count >> s.probes_sent >> s.probes_lost >>
         s.frames_on_air >> s.events_fired >> sim_bits >> digest_count;
-    if (!in || hash_hex.size() != 16 || sim_bits.size() != 16) return false;
-    out.spec_hash = std::strtoull(hash_hex.c_str(), nullptr, 16);
-    s.sim_seconds = stats::double_from_bits(
-        std::strtoull(sim_bits.c_str(), nullptr, 16));
+    std::uint64_t seconds_bits = 0;
+    if (!in || !stats::parse_hex64(hash_hex, out.spec_hash) ||
+        !stats::parse_hex64(sim_bits, seconds_bits)) {
+      return false;
+    }
+    s.sim_seconds = stats::double_from_bits(seconds_bits);
     out.digests.clear();
-    out.digests.reserve(digest_count);
+    // Each per-workload group holds seven digests.
+    out.digests.reserve(std::min(
+        digest_count, stats::items_left(in, 7 * stats::kMinDigestBytes)));
     for (std::size_t i = 0; i < digest_count; ++i) {
       WorkloadDigest digest;
       std::string tool;

@@ -11,7 +11,8 @@ using sim::expects;
 
 MergingDigest::MergingDigest(std::size_t compression)
     : compression_(compression) {
-  expects(compression_ >= 8, "MergingDigest compression must be >= 8");
+  expects(compression_ >= 8 && compression_ <= kMaxCompression,
+          "MergingDigest compression must be in [8, kMaxCompression]");
   buffer_.reserve(4 * compression_);
 }
 
@@ -149,13 +150,23 @@ void MergingDigest::compress() const {
 
   // One pass, compacting in place: every closed centroid consumed at least
   // one point, so the write position never passes the read position.
+  //
+  // One asin per point: k_right, computed at every step, is k at the right
+  // edge of `current` after that step (a merge grows `current` to exactly
+  // that edge; a close makes `next` current, whose right edge is the same
+  // sum). So when a centroid closes, the new k_left is the k_right of the
+  // step before — kept in k_edge instead of recomputed. The sums agree bit
+  // for bit because weights are integer sample counts held in doubles:
+  // below 2^53, (wb + C) + N == wb + (C + N) exactly (from_snapshot
+  // enforces integer weights for restored digests).
   std::size_t closed = 0;
   Centroid current = centroids_.front();
   double weight_before = 0;  // total weight strictly left of `current`
+  double k_left = k_of(weight_before / total);
+  double k_edge = k_of((weight_before + current.weight) / total);
   for (std::size_t i = 1; i < centroids_.size(); ++i) {
     const Centroid next = centroids_[i];
     const double proposed = current.weight + next.weight;
-    const double k_left = k_of(weight_before / total);
     const double k_right = k_of((weight_before + proposed) / total);
     if (k_right - k_left <= 1.0) {
       // Weighted average; weights are sample counts, so this is the exact
@@ -168,7 +179,9 @@ void MergingDigest::compress() const {
       weight_before += current.weight;
       centroids_[closed++] = current;
       current = next;
+      k_left = k_edge;
     }
+    k_edge = k_right;
   }
   centroids_[closed++] = current;
   centroids_.resize(closed);
@@ -196,7 +209,8 @@ MergingDigest MergingDigest::from_snapshot(const DigestSnapshot& snap) {
   double prev_mean = 0;
   for (std::size_t i = 0; i < snap.centroids.size(); ++i) {
     const auto& [mean, weight] = snap.centroids[i];
-    expects(weight > 0, "DigestSnapshot centroid weights must be positive");
+    expects(weight >= 1 && weight < 0x1p53 && weight == std::floor(weight),
+            "DigestSnapshot centroid weights must be integers in [1, 2^53)");
     expects(i == 0 || mean >= prev_mean,
             "DigestSnapshot centroids must be in ascending-mean order");
     prev_mean = mean;

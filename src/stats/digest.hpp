@@ -45,7 +45,12 @@ class MergingDigest {
   /// Default compression: ~128 centroids ≈ <1% quantile error mid-range,
   /// exact extremes; 3 KiB per digest.
   static constexpr std::size_t kDefaultCompression = 128;
+  /// Largest accepted compression. The insert buffer reserves
+  /// 4*compression samples up front, so this caps what a digest parsed from
+  /// untrusted text can allocate (32 KiB); the campaign writes only 128.
+  static constexpr std::size_t kMaxCompression = 1024;
 
+  /// Contract violation unless 8 <= compression <= kMaxCompression.
   explicit MergingDigest(std::size_t compression = kDefaultCompression);
 
   /// Adds one sample. Amortized O(1); triggers a compaction every
@@ -102,8 +107,10 @@ class MergingDigest {
   /// snapshotting twice, or snapshotting a restored digest, is idempotent).
   [[nodiscard]] DigestSnapshot snapshot() const;
   /// Rebuilds a digest from snapshot(); bit-identical observable state.
-  /// Contract violation on structurally invalid snapshots (compression < 8,
-  /// unsorted or non-positive-weight centroids, weight/count mismatch).
+  /// Contract violation on structurally invalid snapshots (compression
+  /// outside [8, kMaxCompression], unsorted centroids, a weight that is not
+  /// an integer in [1, 2^53), weight/count mismatch). Integer weights are
+  /// what keeps compress()'s running sums exact.
   [[nodiscard]] static MergingDigest from_snapshot(const DigestSnapshot& snap);
 
  private:

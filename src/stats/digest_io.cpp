@@ -1,5 +1,6 @@
 #include "stats/digest_io.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <istream>
@@ -25,6 +26,31 @@ double double_from_bits(std::uint64_t bits) {
   return x;
 }
 
+bool parse_hex64(const std::string& token, std::uint64_t& bits) {
+  if (token.size() != 16) return false;
+  std::uint64_t value = 0;
+  for (const char c : token) {
+    unsigned digit = 0;
+    if (c >= '0' && c <= '9') {
+      digit = static_cast<unsigned>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      digit = static_cast<unsigned>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      digit = static_cast<unsigned>(c - 'A' + 10);
+    } else {
+      return false;
+    }
+    value = (value << 4) | digit;
+  }
+  bits = value;
+  return true;
+}
+
+std::size_t items_left(std::istream& in, std::size_t item_bytes) {
+  const std::streamsize left = in.rdbuf()->in_avail();
+  return left > 0 ? static_cast<std::size_t>(left) / item_bytes : 0;
+}
+
 namespace {
 
 void write_double(std::ostream& out, double x) {
@@ -44,11 +70,8 @@ std::uint64_t read_u64(std::istream& in, const char* what) {
 double read_double(std::istream& in) {
   std::string token;
   in >> token;
-  expects(token.size() == 16, "digest_io: malformed double bit pattern");
-  char* end = nullptr;
-  const std::uint64_t bits = std::strtoull(token.c_str(), &end, 16);
-  expects(end == token.c_str() + token.size(),
-          "digest_io: malformed double bit pattern");
+  std::uint64_t bits = 0;
+  expects(parse_hex64(token, bits), "digest_io: malformed double bit pattern");
   return double_from_bits(bits);
 }
 
@@ -87,7 +110,9 @@ MergingDigest read_digest(std::istream& in) {
   snap.max = read_double(in);
   const std::uint64_t centroid_count =
       read_u64(in, "digest_io: short centroid count");
-  snap.centroids.reserve(centroid_count);
+  // Each centroid is two 16-digit doubles with their separators.
+  snap.centroids.reserve(std::min<std::uint64_t>(centroid_count,
+                                                 items_left(in, 2 * 17)));
   for (std::uint64_t i = 0; i < centroid_count; ++i) {
     const double mean = read_double(in);
     const double weight = read_double(in);

@@ -7,8 +7,10 @@
 // embed directly into larger line-oriented records (checkpoint files).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 
 #include "stats/digest.hpp"
 
@@ -19,6 +21,21 @@ namespace acute::stats {
 [[nodiscard]] std::uint64_t double_bits(double x);
 [[nodiscard]] double double_from_bits(std::uint64_t bits);
 
+/// Parses exactly 16 hex digits (a double_bits() or hash token) into
+/// `bits`; false on any other length or character. Unlike strtoull it
+/// takes no sign, "0x" prefix or whitespace.
+[[nodiscard]] bool parse_hex64(const std::string& token, std::uint64_t& bits);
+
+/// Fewest bytes write_digest() can emit: the magic, three one-digit
+/// integers and four 16-digit doubles, with separators.
+inline constexpr std::size_t kMinDigestBytes = 4 + 3 * 2 + 4 * 17;
+
+/// How many items of at least `item_bytes` bytes the unread part of `in`'s
+/// buffer can still hold (0 when the buffer cannot tell). Parsers cap an
+/// untrusted count by it before reserve(), so a corrupt count fails at the
+/// short read instead of in the allocator.
+[[nodiscard]] std::size_t items_left(std::istream& in, std::size_t item_bytes);
+
 /// Writes `digest` as tokens:
 ///   dgst <compression> <count> <sum> <sum_sq> <min> <max> <n> <mean>
 ///   <weight> ...
@@ -28,7 +45,8 @@ void write_digest(std::ostream& out, const MergingDigest& digest);
 
 /// Parses write_digest()'s token stream from `in`. Throws
 /// sim::ContractViolation on malformed input (bad magic, short read,
-/// structurally invalid snapshot).
+/// non-hex double, structurally invalid snapshot — including a compression
+/// above MergingDigest::kMaxCompression), never anything else.
 [[nodiscard]] MergingDigest read_digest(std::istream& in);
 
 }  // namespace acute::stats

@@ -4,6 +4,7 @@
 // campaign shard.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "report/jsonl_sink.hpp"
 #include "report/sample_buffer_sink.hpp"
 #include "sim/contracts.hpp"
+#include "sim/random.hpp"
 #include "stats/digest_io.hpp"
 #include "testbed/campaign.hpp"
 
@@ -240,6 +242,123 @@ TEST(Checkpoint, CorruptCompleteRecordFailsLoudly) {
     out << "ckpt2 0 not-a-seed 1 end\n";
   }
   EXPECT_THROW((void)load_checkpoint(file.path), sim::ContractViolation);
+}
+
+/// What a reader makes of `line`. Hostile input may only be rejected
+/// (false) or refused loudly (ContractViolation); any other exception
+/// escapes and fails the calling test.
+enum class ParseOutcome { parsed, rejected, violation };
+
+ParseOutcome parse_outcome(const std::string& line) {
+  ShardCheckpoint record;
+  try {
+    return parse_checkpoint_record(line, record) ? ParseOutcome::parsed
+                                                 : ParseOutcome::rejected;
+  } catch (const sim::ContractViolation&) {
+    return ParseOutcome::violation;
+  }
+}
+
+std::vector<std::string> split_tokens(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> tokens;
+  for (std::string token; in >> token;) tokens.push_back(token);
+  return tokens;
+}
+
+std::string join_tokens(const std::vector<std::string>& tokens) {
+  std::string line;
+  for (const std::string& token : tokens) line += token + ' ';
+  line.back() = '\n';
+  return line;
+}
+
+TEST(Checkpoint, HostileCountsCompressionAndHashesNeverEscapeTheContract) {
+  const std::vector<std::string> valid =
+      split_tokens(render_checkpoint_record(sample_checkpoint(3)));
+  ASSERT_EQ(parse_outcome(join_tokens(valid)), ParseOutcome::parsed);
+  // ckpt2 index seed hash phones sent lost frames events sim_bits n_digests
+  // tool probes lost dgst compression count sum sum_sq min max n_centroids
+  // mean weight ...
+  constexpr std::size_t kHash = 3, kSimBits = 9, kDigestCount = 10,
+                        kCompression = 15, kCentroidCount = 21,
+                        kFirstMean = 22;
+  ASSERT_EQ(valid[14], "dgst");
+
+  const std::vector<std::string> huge_counts = {
+      "18446744073709551615", "9223372036854775808", "4611686018427387904",
+      "1152921504606846976", "100000000"};
+  const std::vector<std::string> non_hex = {
+      "0x00000000000001", "-000000000000001", "+00000000000000f",
+      "zzzzzzzzzzzzzzzz", "00000000000000g1", "0000000000000001x",
+      "000000000000001"};
+  struct Mutation {
+    std::size_t token;
+    std::vector<std::string> values;
+  };
+  std::vector<std::string> huge_compression = huge_counts;
+  huge_compression.push_back(
+      std::to_string(stats::MergingDigest::kMaxCompression + 1));
+  const Mutation mutations[] = {
+      {kHash, non_hex},
+      {kSimBits, non_hex},
+      {kFirstMean, non_hex},
+      {kDigestCount, huge_counts},
+      {kCompression, huge_compression},
+      {kCentroidCount, huge_counts},
+  };
+  for (const Mutation& mutation : mutations) {
+    for (const std::string& value : mutation.values) {
+      SCOPED_TRACE("token " + std::to_string(mutation.token) + " = " + value);
+      std::vector<std::string> tokens = valid;
+      tokens[mutation.token] = value;
+      // With the sentinel the record is complete, so a parse failure is
+      // loud; cut before it, the same bytes are a torn fragment.
+      EXPECT_EQ(parse_outcome(join_tokens(tokens)),
+                ParseOutcome::violation);
+      tokens.pop_back();
+      EXPECT_EQ(parse_outcome(join_tokens(tokens)), ParseOutcome::rejected);
+    }
+  }
+
+  // The digest parser alone, fed an oversized centroid count or
+  // compression in front of a blob far too short to back it.
+  const std::string doubles =
+      " 4000000000000000 4000000000000000 4000000000000000 4000000000000000";
+  for (const std::string& count : huge_counts) {
+    SCOPED_TRACE("count " + count);
+    std::istringstream centroids("dgst 128 1" + doubles + " " + count +
+                                 " 4000000000000000 3ff0000000000000");
+    EXPECT_THROW((void)stats::read_digest(centroids), sim::ContractViolation);
+    std::istringstream compression("dgst " + count + " 0" + doubles + " 0");
+    EXPECT_THROW((void)stats::read_digest(compression),
+                 sim::ContractViolation);
+  }
+
+  // Seeded token-replacement fuzz over the whole record: whatever lands
+  // where, the outcome stays inside the contract.
+  std::vector<std::string> dictionary = huge_counts;
+  dictionary.insert(dictionary.end(), non_hex.begin(), non_hex.end());
+  for (const char* token : {"0", "1", "-1", "dgst", "end", "ckpt2", "nan",
+                            "3ff0000000000000", "fff8000000000000"}) {
+    dictionary.emplace_back(token);
+  }
+  sim::Rng rng(20260613);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<std::string> tokens = valid;
+    const auto edits = rng.uniform_int(1, 3);
+    for (std::int64_t e = 0; e < edits; ++e) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(tokens.size()) - 1));
+      tokens[at] = dictionary[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(dictionary.size()) - 1))];
+    }
+    if (rng.bernoulli(0.3)) {
+      tokens.resize(static_cast<std::size_t>(rng.uniform_int(
+          1, static_cast<std::int64_t>(tokens.size()))));
+    }
+    (void)parse_outcome(join_tokens(tokens));
+  }
 }
 
 TEST(Checkpoint, TornUnknownKindFragmentIsStillSkipped) {

@@ -279,6 +279,44 @@ TEST(MergingDigest, RejectsContractViolations) {
   digest.add(1.0);
   EXPECT_THROW((void)digest.quantile(1.5), sim::ContractViolation);
   EXPECT_THROW(MergingDigest(4), sim::ContractViolation);  // compression < 8
+  EXPECT_THROW(MergingDigest(MergingDigest::kMaxCompression + 1),
+               sim::ContractViolation);
+}
+
+TEST(MergingDigest, FromSnapshotRequiresIntegerWeightsBelow2To53) {
+  // compress() keeps its running weight sums exact only for integer
+  // weights below 2^53, so a restored digest must not smuggle in others.
+  MergingDigest source;
+  for (int i = 0; i < 50; ++i) source.add(static_cast<double>(i % 9));
+  const DigestSnapshot valid = source.snapshot();
+  ASSERT_GE(valid.centroids.size(), 2u);
+  ASSERT_GE(valid.centroids.front().second, 1.0);
+  EXPECT_NO_THROW((void)MergingDigest::from_snapshot(valid));
+
+  DigestSnapshot fractional = valid;  // weights still sum to count
+  fractional.centroids.front().second += 0.5;
+  fractional.centroids.back().second -= 0.5;
+  EXPECT_THROW((void)MergingDigest::from_snapshot(fractional),
+               sim::ContractViolation);
+
+  DigestSnapshot huge;
+  huge.compression = MergingDigest::kDefaultCompression;
+  huge.count = std::uint64_t{1} << 53;
+  huge.centroids = {{1.0, 0x1p53}};
+  EXPECT_THROW((void)MergingDigest::from_snapshot(huge),
+               sim::ContractViolation);
+  huge.count -= 1;
+  huge.centroids = {{1.0, 0x1p53 - 1}};
+  EXPECT_NO_THROW((void)MergingDigest::from_snapshot(huge));
+
+  for (const double weight : {0.0, -1.0, std::nan("")}) {
+    DigestSnapshot bad;
+    bad.compression = MergingDigest::kDefaultCompression;
+    bad.count = 1;
+    bad.centroids = {{1.0, weight}};
+    EXPECT_THROW((void)MergingDigest::from_snapshot(bad),
+                 sim::ContractViolation);
+  }
 }
 
 /// The pre-scratch-buffer MergingDigest, kept verbatim as an oracle:
@@ -421,22 +459,31 @@ TEST(MergingDigest, CompressIsBitIdenticalToTheStableSortReference) {
   // reference. Half the seeds draw from a coarse lattice so equal means
   // (ties the merge must keep in insertion order) are everywhere; a small
   // compression makes compactions, and thus merges of compacted lists,
-  // frequent.
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+  // frequent. The sequences also merge in from_snapshot-restored digests,
+  // restore pool digests in place, and merge fresh multi-sample digests, so
+  // the k1 pass sees centroids of every integer weight from every source.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
     sim::Rng rng(seed);
     const bool lattice = seed % 2 == 0;
-    const std::size_t compression = seed <= 2 ? 8 : 32;
+    const std::size_t compression = seed <= 2 ? 8 : seed <= 6 ? 32 : 128;
+    const auto draw = [&] {
+      return lattice ? 0.5 * static_cast<double>(rng.uniform_int(0, 12))
+                     : rng.normal(20.0, 5.0);
+    };
     constexpr std::size_t kPool = 5;
+    // Copy-merges double counts, so pool digests outgrow 2^53 samples after
+    // a couple of thousand steps. Past that, double weight sums are no
+    // longer exact and from_snapshot refuses the snapshot, so restores stop
+    // there while the other actions go on.
+    constexpr std::uint64_t kRestorable = std::uint64_t{1} << 53;
     std::vector<MergingDigest> digests(kPool, MergingDigest(compression));
     std::vector<ReferenceDigest> references(kPool,
                                             ReferenceDigest(compression));
     for (int step = 0; step < 4000; ++step) {
       const auto i = static_cast<std::size_t>(rng.uniform_int(0, kPool - 1));
-      const std::int64_t action = rng.uniform_int(0, 99);
+      const std::int64_t action = rng.uniform_int(0, 119);
       if (action < 80) {
-        const double x = lattice
-                             ? 0.5 * static_cast<double>(rng.uniform_int(0, 12))
-                             : rng.normal(20.0, 5.0);
+        const double x = draw();
         digests[i].add(x);
         references[i].add(x);
         continue;
@@ -449,6 +496,32 @@ TEST(MergingDigest, CompressIsBitIdenticalToTheStableSortReference) {
         digests[i].merge(std::move(digests[j]));
         references[i].merge(references[j]);
         references[j].clear();
+      } else if (action >= 100 && action < 106 && i != j &&
+                 digests[j].count() < kRestorable) {
+        digests[i].merge(MergingDigest::from_snapshot(digests[j].snapshot()));
+        references[i].merge(references[j]);
+      } else if (action >= 106 && action < 110 &&
+                 digests[i].count() < kRestorable) {
+        // snapshot() compacts, so the reference compacts at the same step.
+        digests[i] = MergingDigest::from_snapshot(digests[i].snapshot());
+        SCOPED_TRACE("seed " + std::to_string(seed) + " restore at step " +
+                     std::to_string(step));
+        expect_bit_identical(digests[i].snapshot(), references[i].snapshot());
+      } else if (action >= 110) {
+        MergingDigest fresh(compression);
+        ReferenceDigest fresh_reference(compression);
+        const auto samples = rng.uniform_int(2, 6 * compression);
+        for (std::int64_t n = 0; n < samples; ++n) {
+          const double x = draw();
+          fresh.add(x);
+          fresh_reference.add(x);
+        }
+        if (action % 2 == 0) {
+          digests[i].merge(fresh);
+        } else {
+          digests[i].merge(std::move(fresh));
+        }
+        references[i].merge(fresh_reference);
       } else {
         SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
                      std::to_string(step));
