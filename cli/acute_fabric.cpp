@@ -126,10 +126,8 @@ CampaignSpec demo_spec(const Options& options) {
 }
 
 void write_hex_bits(std::ostream& out, double value) {
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(
-                    acute::stats::double_bits(value)));
+  std::string hex;
+  acute::stats::append_hex64(hex, acute::stats::double_bits(value));
   out << hex;
 }
 

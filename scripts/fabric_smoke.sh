@@ -2,10 +2,10 @@
 # Fabric fault-tolerance smoke (CI): a coordinator with 4 forked worker
 # processes sweeps a 10^3-shard lazy grid while one worker is SIGKILLed
 # mid-run. The pin is the tentpole guarantee from docs/fabric.md — the
-# merged digest dump must be BYTE-identical to a single-process,
-# single-thread reference run, kill or no kill — plus loud evidence in the
-# coordinator log that the death was detected and the orphaned range
-# re-leased.
+# merged digest dump AND the compacted checkpoint must be BYTE-identical to
+# a single-process, single-thread reference run, kill or no kill — plus
+# loud evidence in the coordinator log that the death was detected and the
+# orphaned range re-leased.
 #
 # Usage: scripts/fabric_smoke.sh [path/to/acute_fabric] [output-dir]
 set -euo pipefail
@@ -18,12 +18,12 @@ SHARDS=1000
 PROBES=60
 
 mkdir -p "$OUT"
-rm -f "$OUT"/reference.txt "$OUT"/fabric.txt "$OUT"/coordinator.ckpt \
-      "$OUT"/coordinator.log "$OUT"/coordinator.stdout
+rm -f "$OUT"/reference.txt "$OUT"/reference.ckpt "$OUT"/fabric.txt \
+      "$OUT"/coordinator.ckpt "$OUT"/coordinator.log "$OUT"/coordinator.stdout
 
 echo "== single-process single-thread reference =="
 "$BIN" local --shards $SHARDS --probes $PROBES \
-  --digest-out "$OUT/reference.txt"
+  --checkpoint "$OUT/reference.ckpt" --digest-out "$OUT/reference.txt"
 
 echo "== coordinator + 4 forked workers =="
 "$BIN" coordinate --spawn 4 --shards $SHARDS --probes $PROBES --batch 8 \
@@ -84,5 +84,11 @@ if [ "$LINES" -ne "$SHARDS" ]; then
   exit 1
 fi
 echo "OK: compacted checkpoint holds exactly $SHARDS records"
+
+# The coordinator stores each worker's line as received and compaction
+# copies validated lines, so the bytes must equal the single-thread
+# reference's, which the CheckpointSink rendered in ascending order.
+cmp "$OUT/reference.ckpt" "$OUT/coordinator.ckpt"
+echo "OK: compacted checkpoint is byte-identical to the reference"
 
 echo "fabric smoke: PASS"

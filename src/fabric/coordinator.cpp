@@ -253,7 +253,10 @@ testbed::CampaignReport Coordinator::run(
         // Checkpoint first (matching the single-process sink order:
         // durable before merged), every arrival — compaction's last-wins
         // rule collapses duplicates exactly as it does for a re-run shard.
-        if (checkpoint != nullptr) checkpoint->append(record);
+        // The line parsed, so it is canonical: its bytes are the ones
+        // rendering `record` again would write, and they are stored as
+        // received.
+        if (checkpoint != nullptr) checkpoint->append_line(done.record_line);
         if (table.complete(index)) {
           frontier.submit(index,
                           testbed::shard_result_from_checkpoint(

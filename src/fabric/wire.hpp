@@ -14,10 +14,12 @@
 //
 // The shard payload is deliberately the checkpoint format itself: a
 // shard_done frame carries the exact ckpt2 line render_checkpoint_record()
-// produces (report::parse_checkpoint_record decodes it). One serialization
-// for disk and wire means the coordinator's checkpoint, a worker's streamed
-// result and a single-process campaign's record are bit-identical by
-// construction — the round-trip test only has to pin it once.
+// produces (report::parse_checkpoint_record decodes and validates it, and
+// the coordinator then appends those bytes to its checkpoint as received).
+// One serialization for disk and wire means the coordinator's checkpoint, a
+// worker's streamed result and a single-process campaign's record are
+// bit-identical by construction — the round-trip test only has to pin it
+// once.
 //
 // Conversation (worker drives; coordinator replies or pushes):
 //   worker → hello{protocol, spec_hash, seed, shard_count}

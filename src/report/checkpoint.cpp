@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "report/latest_wins.hpp"
@@ -17,50 +16,68 @@ namespace acute::report {
 
 using sim::expects;
 
+namespace {
+
+/// Initial capacity of a rendered record: a one-workload ping shard takes
+/// ~800 bytes, so most records render without growing the string.
+constexpr std::size_t kRecordReserveBytes = 1024;
+
+}  // namespace
+
 void CheckpointWriter::append(const ShardCheckpoint& checkpoint) {
   // Render the whole record first so the locked append is one write: a
   // kill can tear at most the record's own line, never interleave shards.
   writer_.append_block(render_checkpoint_record(checkpoint));
 }
 
+void CheckpointWriter::append_line(std::string_view line) {
+  writer_.append_line(line);
+}
+
 std::string render_checkpoint_record(const ShardCheckpoint& checkpoint) {
-  std::ostringstream line;
+  std::string line;
+  line.reserve(kRecordReserveBytes);
+  const auto decimal = [&line](std::uint64_t value) {
+    line += ' ';
+    stats::append_decimal(line, value);
+  };
+  const auto hex = [&line](std::uint64_t bits) {
+    line += ' ';
+    stats::append_hex64(line, bits);
+  };
+  const auto digest = [&line](const stats::MergingDigest& value) {
+    line += ' ';
+    stats::append_digest(line, value);
+  };
   const ShardSummary& s = checkpoint.summary;
-  char hash_hex[17];
-  std::snprintf(hash_hex, sizeof hash_hex, "%016llx",
-                static_cast<unsigned long long>(checkpoint.spec_hash));
-  line << "ckpt2 " << s.info.scenario_index << ' ' << s.info.shard_seed << ' '
-       << hash_hex << ' ' << s.info.phone_count << ' ' << s.probes_sent << ' '
-       << s.probes_lost << ' ' << s.frames_on_air << ' ' << s.events_fired
-       << ' ';
-  {
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(
-                      stats::double_bits(s.sim_seconds)));
-    line << hex;
+  line += "ckpt2";
+  decimal(s.info.scenario_index);
+  decimal(s.info.shard_seed);
+  hex(checkpoint.spec_hash);
+  decimal(s.info.phone_count);
+  decimal(s.probes_sent);
+  decimal(s.probes_lost);
+  decimal(s.frames_on_air);
+  decimal(s.events_fired);
+  hex(stats::double_bits(s.sim_seconds));
+  decimal(checkpoint.digests.size());
+  for (const WorkloadDigest& workload : checkpoint.digests) {
+    line += ' ';
+    line += tools::grid_name(workload.tool);
+    decimal(workload.probes);
+    decimal(workload.lost);
+    digest(workload.reported_rtt_ms);
+    digest(workload.du_ms);
+    digest(workload.dk_ms);
+    digest(workload.dv_ms);
+    digest(workload.dn_ms);
+    decimal(workload.passive_sniffer_samples);
+    decimal(workload.passive_app_samples);
+    digest(workload.passive_sniffer_rtt_ms);
+    digest(workload.passive_app_rtt_ms);
   }
-  line << ' ' << checkpoint.digests.size();
-  for (const WorkloadDigest& digest : checkpoint.digests) {
-    line << ' ' << tools::grid_name(digest.tool) << ' ' << digest.probes
-         << ' ' << digest.lost << ' ';
-    stats::write_digest(line, digest.reported_rtt_ms);
-    line << ' ';
-    stats::write_digest(line, digest.du_ms);
-    line << ' ';
-    stats::write_digest(line, digest.dk_ms);
-    line << ' ';
-    stats::write_digest(line, digest.dv_ms);
-    line << ' ';
-    stats::write_digest(line, digest.dn_ms);
-    line << ' ' << digest.passive_sniffer_samples << ' '
-         << digest.passive_app_samples << ' ';
-    stats::write_digest(line, digest.passive_sniffer_rtt_ms);
-    line << ' ';
-    stats::write_digest(line, digest.passive_app_rtt_ms);
-  }
-  line << " end\n";
-  return line.str();
+  line += " end\n";
+  return line;
 }
 
 namespace {
@@ -68,59 +85,65 @@ namespace {
 /// True when the line's last whitespace-separated token is the "end"
 /// sentinel — the writer finished this record, so it is complete, whatever
 /// else is wrong with it.
-bool has_end_sentinel(const std::string& line) {
+bool has_end_sentinel(std::string_view line) {
   const auto last = line.find_last_not_of(" \t\r\n");
-  if (last == std::string::npos || line[last] != 'd') return false;
+  if (last == std::string_view::npos || line[last] != 'd') return false;
   if (last < 2 || line[last - 1] != 'n' || line[last - 2] != 'e') return false;
   return last == 2 || line[last - 3] == ' ' || line[last - 3] == '\t';
 }
 
-/// Parses one complete-record body; returns false on any malformation.
-bool parse_record_body(const std::string& line, ShardCheckpoint& out) {
-  std::istringstream in(line);
-  std::string magic;
-  in >> magic;
-  if (magic != "ckpt2") return false;
+/// The next token is a tool's canonical grid name (parse_tool_kind also
+/// takes display aliases, which would not re-render to the same bytes).
+bool read_tool(stats::TokenCursor& in, tools::ToolKind& out) {
+  std::string_view name;
+  if (!in.token(name)) return false;
+  const auto kind = tools::parse_tool_kind(name);
+  if (!kind.has_value() || name != tools::grid_name(*kind)) return false;
+  out = *kind;
+  return true;
+}
+
+/// Parses one canonical complete-record body; false on any malformation.
+bool parse_record_body(std::string_view line, ShardCheckpoint& out) {
+  if (!line.empty() && line.back() == '\n') line.remove_suffix(1);
+  stats::TokenCursor in(line);
+  if (!in.literal("ckpt2")) return false;
   try {
     ShardSummary& s = out.summary;
-    std::string hash_hex;
-    std::string sim_bits;
-    std::size_t digest_count = 0;
-    in >> s.info.scenario_index >> s.info.shard_seed >> hash_hex >>
-        s.info.phone_count >> s.probes_sent >> s.probes_lost >>
-        s.frames_on_air >> s.events_fired >> sim_bits >> digest_count;
     std::uint64_t seconds_bits = 0;
-    if (!in || !stats::parse_hex64(hash_hex, out.spec_hash) ||
-        !stats::parse_hex64(sim_bits, seconds_bits)) {
+    std::size_t digest_count = 0;
+    if (!in.decimal(s.info.scenario_index) || !in.decimal(s.info.shard_seed) ||
+        !in.hex64(out.spec_hash) || !in.decimal(s.info.phone_count) ||
+        !in.decimal(s.probes_sent) || !in.decimal(s.probes_lost) ||
+        !in.decimal(s.frames_on_air) || !in.decimal(s.events_fired) ||
+        !in.hex64(seconds_bits) || !in.decimal(digest_count)) {
       return false;
     }
     s.sim_seconds = stats::double_from_bits(seconds_bits);
     out.digests.clear();
     // Each per-workload group holds seven digests.
     out.digests.reserve(std::min(
-        digest_count, stats::items_left(in, 7 * stats::kMinDigestBytes)));
+        digest_count, in.bytes_left() / (7 * stats::kMinDigestBytes)));
     for (std::size_t i = 0; i < digest_count; ++i) {
       WorkloadDigest digest;
-      std::string tool;
-      in >> tool >> digest.probes >> digest.lost;
-      if (!in) return false;
-      const auto kind = tools::parse_tool_kind(tool);
-      if (!kind.has_value()) return false;
-      digest.tool = *kind;
+      if (!read_tool(in, digest.tool) || !in.decimal(digest.probes) ||
+          !in.decimal(digest.lost)) {
+        return false;
+      }
       digest.reported_rtt_ms = stats::read_digest(in);
       digest.du_ms = stats::read_digest(in);
       digest.dk_ms = stats::read_digest(in);
       digest.dv_ms = stats::read_digest(in);
       digest.dn_ms = stats::read_digest(in);
-      in >> digest.passive_sniffer_samples >> digest.passive_app_samples;
-      if (!in) return false;
+      if (!in.decimal(digest.passive_sniffer_samples) ||
+          !in.decimal(digest.passive_app_samples)) {
+        return false;
+      }
       digest.passive_sniffer_rtt_ms = stats::read_digest(in);
       digest.passive_app_rtt_ms = stats::read_digest(in);
       out.digests.push_back(std::move(digest));
     }
-    std::string sentinel;
-    in >> sentinel;
-    return sentinel == "end";
+    return in.literal("end") && in.done();
   } catch (const sim::ContractViolation&) {
     return false;  // torn digest blob: treat the record as truncated
   }
@@ -160,12 +183,12 @@ void durable_replace(const std::string& temp, const std::string& path) {
 
 }  // namespace
 
-bool parse_checkpoint_record(const std::string& line, ShardCheckpoint& out) {
+bool parse_checkpoint_record(std::string_view line, ShardCheckpoint& out) {
   if (parse_record_body(line, out)) return true;
   expects(!has_end_sentinel(line),
           "checkpoint: complete record of an unknown kind or version "
-          "(expected ckpt2) — refusing to silently skip it; delete or "
-          "migrate the checkpoint file");
+          "(expected canonical ckpt2) — refusing to silently skip it; "
+          "delete or migrate the checkpoint file");
   return false;
 }
 
@@ -191,38 +214,48 @@ void compact_checkpoint(const std::string& path,
 }
 
 void compact_checkpoint(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return;  // nothing to compact
   // Pass 1: byte offset of each scenario's winning (last complete) record —
-  // O(shards) offsets, not digests.
+  // O(shards) offsets, not digests. Offsets are summed line lengths, not
+  // tellg() (a seek per line).
   LatestWinsMerge<std::streamoff> latest;
+  ShardCheckpoint record;
+  std::string line;
   {
-    ShardCheckpoint record;
-    std::string line;
-    for (std::streamoff pos = in.tellg(); std::getline(in, line);
-         pos = in.tellg()) {
+    std::streamoff pos = 0;
+    while (std::getline(in, line)) {
       if (parse_checkpoint_record(line, record)) {
         latest.claim(record.summary.info.scenario_index, pos);
       }
+      pos += static_cast<std::streamoff>(line.size()) + (in.eof() ? 0 : 1);
     }
-    in.clear();  // getline hit EOF; clear so the pass-2 seeks work
+    in.clear();  // getline hit EOF; clear so pass 2 can seek
   }
   const std::string temp = path + ".compact";
   {
-    std::ofstream out(temp, std::ios::trunc);
+    std::ofstream out(temp, std::ios::trunc | std::ios::binary);
     expects(out.is_open(), "compact_checkpoint: cannot open temp file");
-    ShardCheckpoint record;
-    std::string line;
+    // Pass 2 reads forward and seeks only past lines that lost (duplicates,
+    // torn fragments, out-of-order indices). Each winner is re-validated,
+    // and since a parsed line is canonical, its bytes are what rendering
+    // the record again would produce: they are copied, not re-rendered.
+    std::streamoff next = -1;  // the offset `in` is positioned at, if known
     latest.for_each([&](std::size_t index, std::streamoff pos) {
-      in.seekg(pos);
+      if (pos != next) {
+        in.clear();
+        in.seekg(pos);
+      }
       expects(std::getline(in, line).good() || in.eof(),
               "compact_checkpoint: checkpoint shrank during compaction");
       expects(parse_checkpoint_record(line, record),
               "compact_checkpoint: record vanished during compaction");
       expects(record.summary.info.scenario_index == index,
               "compact_checkpoint: record moved during compaction");
-      out << render_checkpoint_record(record);
-      in.clear();
+      out.write(line.data(), static_cast<std::streamsize>(line.size()));
+      out.put('\n');
+      next = in.eof() ? -1
+                      : pos + static_cast<std::streamoff>(line.size()) + 1;
     });
     out.flush();
     expects(out.good(), "compact_checkpoint: short write to temp file");

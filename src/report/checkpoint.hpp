@@ -12,17 +12,25 @@
 //   * load_checkpoint() ignores records without the trailing "end" sentinel
 //     — a writer killed mid-append loses at most that one shard, which
 //     simply reruns. A *complete* record (sentinel present) that fails to
-//     parse — an unknown magic/version, an unknown tool or vantage kind —
-//     is a loud contract violation instead: silently re-running it would
-//     silently double-merge whatever the unknown record already folded.
+//     parse — an unknown magic/version, an unknown tool or vantage kind, a
+//     non-canonical token — is a loud contract violation instead: silently
+//     re-running it would silently double-merge whatever the unknown record
+//     already folded.
 //
-// File format, one record per line (space-separated tokens; integers
-// decimal, spec hash and doubles 16-hex-digit):
+// File format, one record per line (integers decimal, spec hash and doubles
+// 16-hex-digit; digests as in stats/digest_io):
 //   ckpt2 <scenario_index> <shard_seed> <spec_hash> <phones> <sent> <lost>
 //   <frames> <events> <sim_seconds> <ndigests> [<tool> <probes> <lost>
 //   <rtt-digest> <du-digest> <dk-digest> <dv-digest> <dn-digest>
 //   <passive-sniffer-samples> <passive-app-samples>
 //   <passive-sniffer-digest> <passive-app-digest>]... end
+// The grammar is canonical: exactly one space between tokens, decimals
+// without sign or leading zero, hex as exactly 16 lowercase digits, tools
+// by their grid_name(), and nothing after "end" but one optional '\n'. So
+// render_checkpoint_record(parsed) reproduces every line the parser
+// accepts, byte for byte — the property that lets the fabric coordinator
+// store a worker's line as received and compaction copy a validated line
+// instead of rendering either again.
 // (ckpt1, the pre-passive format, is an unknown kind: resuming a campaign
 // against a ckpt1 file fails loudly rather than guessing at its digests.)
 #pragma once
@@ -33,6 +41,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "report/digest_sink.hpp"
@@ -63,8 +72,14 @@ class CheckpointWriter {
   explicit CheckpointWriter(std::string path)
       : writer_(std::move(path), /*append=*/true) {}
 
-  /// Appends one record atomically and flushes.
+  /// Renders one record and appends it atomically, then flushes.
   void append(const ShardCheckpoint& checkpoint);
+
+  /// Appends a record line the caller already holds and has validated with
+  /// parse_checkpoint_record() (a fabric worker's shard_done line), adding
+  /// the '\n' if it lacks one. A parsed line is canonical, so these are the
+  /// bytes append() would write for the parsed record.
+  void append_line(std::string_view line);
 
   [[nodiscard]] const std::string& path() const { return writer_.path(); }
 
@@ -113,15 +128,16 @@ void for_each_checkpoint(const std::string& path,
 [[nodiscard]] std::string render_checkpoint_record(
     const ShardCheckpoint& checkpoint);
 
-/// Parses one record line (render_checkpoint_record's inverse, trailing
-/// newline optional); returns false on a torn write (no "end" sentinel —
-/// the writer died mid-append, the shard simply reruns). A line the writer
-/// *finished* that still fails to parse — an unknown record kind or
-/// version, a foreign tool/vantage name — is a loud contract violation:
-/// silently skipping it would re-run and double-merge a shard the file
-/// already accounts for. The fabric wire protocol ships ckpt2 lines
-/// verbatim, so this is also the frame-payload decoder.
-[[nodiscard]] bool parse_checkpoint_record(const std::string& line,
+/// Parses one canonical record line (render_checkpoint_record's inverse,
+/// trailing newline optional); returns false on a torn write (no "end"
+/// sentinel — the writer died mid-append, the shard simply reruns). A line
+/// the writer *finished* that still fails to parse — an unknown record kind
+/// or version, a foreign tool/vantage name, a non-canonical token — is a
+/// loud contract violation: silently skipping it would re-run and
+/// double-merge a shard the file already accounts for. The fabric wire
+/// protocol ships ckpt2 lines verbatim, so this is also the frame-payload
+/// decoder.
+[[nodiscard]] bool parse_checkpoint_record(std::string_view line,
                                            ShardCheckpoint& out);
 
 /// Rewrites `path` to one record per shard: `records` (typically the result
@@ -138,8 +154,10 @@ void compact_checkpoint(const std::string& path,
 /// Streaming compaction: same result and crash-safety as the overload
 /// above, without ever materializing the file. Pass 1 records the byte
 /// offset of the last complete record per scenario index (O(shards) offsets,
-/// not digests); pass 2 seeks to each winner in ascending scenario order and
-/// re-renders it into the temp file. A missing file is a no-op.
+/// not digests); pass 2 visits the winners in ascending scenario order,
+/// reading forward and seeking only past lines that lost, re-parses each
+/// and copies its validated bytes into the temp file. A missing file is a
+/// no-op.
 void compact_checkpoint(const std::string& path);
 
 /// Per-shard sink: folds the shard's events and appends the record when the

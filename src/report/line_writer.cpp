@@ -48,4 +48,11 @@ void LineWriter::append_block(const std::string& block) {
   impl_->out.flush();
 }
 
+void LineWriter::append_line(std::string_view line) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  impl_->out << line;
+  if (line.empty() || line.back() != '\n') impl_->out << '\n';
+  impl_->out.flush();
+}
+
 }  // namespace acute::report

@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace acute::report {
 
@@ -27,6 +28,9 @@ class LineWriter {
   /// Appends `block` (complete '\n'-terminated lines) atomically and
   /// flushes.
   void append_block(const std::string& block);
+
+  /// Appends `line` plus a '\n' when it lacks one, atomically, and flushes.
+  void append_line(std::string_view line);
 
   [[nodiscard]] const std::string& path() const { return path_; }
 

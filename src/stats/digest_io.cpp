@@ -1,11 +1,10 @@
 #include "stats/digest_io.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <array>
+#include <initializer_list>
 #include <cstring>
-#include <istream>
 #include <ostream>
-#include <string>
 
 #include "sim/contracts.hpp"
 
@@ -26,93 +25,132 @@ double double_from_bits(std::uint64_t bits) {
   return x;
 }
 
-bool parse_hex64(const std::string& token, std::uint64_t& bits) {
-  if (token.size() != 16) return false;
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    unsigned digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<unsigned>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<unsigned>(c - 'a' + 10);
-    } else if (c >= 'A' && c <= 'F') {
-      digit = static_cast<unsigned>(c - 'A' + 10);
-    } else {
-      return false;
-    }
-    value = (value << 4) | digit;
-  }
-  bits = value;
-  return true;
-}
-
-std::size_t items_left(std::istream& in, std::size_t item_bytes) {
-  const std::streamsize left = in.rdbuf()->in_avail();
-  return left > 0 ? static_cast<std::size_t>(left) / item_bytes : 0;
-}
-
 namespace {
 
-void write_double(std::ostream& out, double x) {
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(double_bits(x)));
-  out << hex;
-}
+constexpr char kHexDigits[] = "0123456789abcdef";
 
-std::uint64_t read_u64(std::istream& in, const char* what) {
-  std::uint64_t value = 0;
-  in >> value;
-  expects(static_cast<bool>(in), what);
-  return value;
-}
+/// Every byte value as its two lowercase hex digits, so encoding a 64-bit
+/// word is eight table loads.
+constexpr std::array<char, 512> kHexPairs = [] {
+  std::array<char, 512> pairs{};
+  for (std::size_t byte = 0; byte < 256; ++byte) {
+    pairs[2 * byte] = kHexDigits[byte >> 4];
+    pairs[2 * byte + 1] = kHexDigits[byte & 0xf];
+  }
+  return pairs;
+}();
 
-double read_double(std::istream& in) {
-  std::string token;
-  in >> token;
+/// Lowercase hex digit values; 0xff marks every other byte (uppercase
+/// included, so only the canonical spelling decodes).
+constexpr std::array<unsigned char, 256> kHexValues = [] {
+  std::array<unsigned char, 256> values{};
+  values.fill(0xff);
+  for (unsigned char digit = 0; digit < 16; ++digit) {
+    values[static_cast<unsigned char>(kHexDigits[digit])] = digit;
+  }
+  return values;
+}();
+
+double read_double(TokenCursor& in) {
   std::uint64_t bits = 0;
-  expects(parse_hex64(token, bits), "digest_io: malformed double bit pattern");
+  expects(in.hex64(bits), "digest_io: malformed double bit pattern");
   return double_from_bits(bits);
+}
+
+void append_double(std::string& out, double x) {
+  append_hex64(out, double_bits(x));
 }
 
 }  // namespace
 
-void write_digest(std::ostream& out, const MergingDigest& digest) {
+void append_decimal(std::string& out, std::uint64_t value) {
+  char digits[20];
+  const auto result = std::to_chars(digits, digits + sizeof digits, value);
+  out.append(digits, result.ptr);
+}
+
+void append_hex64(std::string& out, std::uint64_t bits) {
+  char hex[16];
+  for (int byte = 7; byte >= 0; --byte) {
+    const std::size_t pair = 2 * (bits & 0xff);
+    hex[2 * byte] = kHexPairs[pair];
+    hex[2 * byte + 1] = kHexPairs[pair + 1];
+    bits >>= 8;
+  }
+  out.append(hex, sizeof hex);
+}
+
+bool TokenCursor::token(std::string_view& out) {
+  if (!first_) {
+    if (rest_.empty() || rest_.front() != ' ') return false;
+    rest_.remove_prefix(1);
+  }
+  first_ = false;
+  const std::size_t length = std::min(rest_.find(' '), rest_.size());
+  if (length == 0) return false;
+  out = rest_.substr(0, length);
+  rest_.remove_prefix(length);
+  return true;
+}
+
+bool TokenCursor::literal(std::string_view expected) {
+  std::string_view text;
+  return token(text) && text == expected;
+}
+
+bool TokenCursor::hex64(std::uint64_t& out) {
+  std::string_view text;
+  if (!token(text) || text.size() != 16) return false;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    const unsigned digit = kHexValues[static_cast<unsigned char>(c)];
+    if (digit > 0xf) return false;
+    value = (value << 4) | digit;
+  }
+  out = value;
+  return true;
+}
+
+void append_digest(std::string& out, const MergingDigest& digest) {
   const DigestSnapshot snap = digest.snapshot();
-  out << "dgst " << snap.compression << ' ' << snap.count << ' ';
-  write_double(out, snap.sum);
-  out << ' ';
-  write_double(out, snap.sum_sq);
-  out << ' ';
-  write_double(out, snap.min);
-  out << ' ';
-  write_double(out, snap.max);
-  out << ' ' << snap.centroids.size();
+  out += "dgst ";
+  append_decimal(out, snap.compression);
+  out += ' ';
+  append_decimal(out, snap.count);
+  for (const double x : {snap.sum, snap.sum_sq, snap.min, snap.max}) {
+    out += ' ';
+    append_double(out, x);
+  }
+  out += ' ';
+  append_decimal(out, snap.centroids.size());
   for (const auto& [mean, weight] : snap.centroids) {
-    out << ' ';
-    write_double(out, mean);
-    out << ' ';
-    write_double(out, weight);
+    out += ' ';
+    append_double(out, mean);
+    out += ' ';
+    append_double(out, weight);
   }
 }
 
-MergingDigest read_digest(std::istream& in) {
-  std::string magic;
-  in >> magic;
-  expects(magic == "dgst", "digest_io: missing digest magic");
+void write_digest(std::ostream& out, const MergingDigest& digest) {
+  std::string text;
+  append_digest(text, digest);
+  out << text;
+}
+
+MergingDigest read_digest(TokenCursor& in) {
+  expects(in.literal("dgst"), "digest_io: missing digest magic");
   DigestSnapshot snap;
-  snap.compression =
-      static_cast<std::size_t>(read_u64(in, "digest_io: short compression"));
-  snap.count = read_u64(in, "digest_io: short count");
+  expects(in.decimal(snap.compression), "digest_io: malformed compression");
+  expects(in.decimal(snap.count), "digest_io: malformed count");
   snap.sum = read_double(in);
   snap.sum_sq = read_double(in);
   snap.min = read_double(in);
   snap.max = read_double(in);
-  const std::uint64_t centroid_count =
-      read_u64(in, "digest_io: short centroid count");
+  std::uint64_t centroid_count = 0;
+  expects(in.decimal(centroid_count), "digest_io: malformed centroid count");
   // Each centroid is two 16-digit doubles with their separators.
-  snap.centroids.reserve(std::min<std::uint64_t>(centroid_count,
-                                                 items_left(in, 2 * 17)));
+  snap.centroids.reserve(
+      std::min<std::uint64_t>(centroid_count, in.bytes_left() / (2 * 17)));
   for (std::uint64_t i = 0; i < centroid_count; ++i) {
     const double mean = read_double(in);
     const double weight = read_double(in);

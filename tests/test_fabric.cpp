@@ -646,6 +646,111 @@ TEST(Fabric, TornFrameBuriesTheWorkerAndItsWorkIsReLeased) {
   expect_reports_bit_identical(*merged, Campaign(small_spec()).run(1));
 }
 
+TEST(Fabric, StoresWorkerLinesVerbatimAndBuriesNonCanonicalOnes) {
+  // The coordinator appends each validated shard_done line as received
+  // instead of rendering the parsed record again. A scripted worker sends
+  // one line without its '\n' — it must land as exactly one checkpoint
+  // line — and then a complete line with a non-canonical token, which must
+  // bury the worker (its lease re-runs on a healthy one). Either way the
+  // compacted checkpoint stays byte-identical to a single-thread run.
+  TempFile reference_ckpt("verbatim_reference");
+  {
+    CampaignSpec reference = small_spec();
+    reference.checkpoint_path = reference_ckpt.path;
+    (void)Campaign(reference).run(1);
+    report::compact_checkpoint(reference_ckpt.path);
+  }
+
+  TempFile checkpoint("verbatim");
+  CampaignSpec spec = small_spec();
+  spec.checkpoint_path = checkpoint.path;
+  const Campaign campaign(spec);
+  auto scripted = transport_pair();
+  auto good = transport_pair();
+  std::optional<CampaignReport> merged;
+  std::ostringstream log;
+  CoordinatorConfig config;
+  config.lease.batch = 2;
+  config.log = &log;
+  Coordinator coordinator(spec, config);
+  std::thread coordinator_thread(
+      [&coordinator, &merged, scripted_end = std::move(scripted.first),
+       good_end = std::move(good.first)]() mutable {
+        std::vector<std::unique_ptr<Transport>> workers;
+        workers.push_back(std::move(scripted_end));
+        workers.push_back(std::move(good_end));
+        merged = coordinator.run(std::move(workers));
+      });
+
+  Transport& wire = *scripted.second;
+  HelloBody hello;
+  hello.spec_hash = spec.spec_hash();
+  hello.seed = spec.seed;
+  hello.shard_count = campaign.scenario_count();
+  write_frame(wire, FrameType::hello, encode_hello(hello));
+  Frame frame;
+  ASSERT_TRUE(read_frame(wire, frame));
+  ASSERT_EQ(frame.type, FrameType::hello_ok);
+  testbed::ShardContext context;
+  const auto line_of = [&](std::uint64_t index) {
+    return report::render_checkpoint_record(
+        campaign.run_shard_record(static_cast<std::size_t>(index), context));
+  };
+
+  // Lease 1: the first line newline-less, the second as rendered.
+  write_frame(wire, FrameType::lease_request);
+  ASSERT_TRUE(read_frame(wire, frame));
+  ASSERT_EQ(frame.type, FrameType::lease_grant);
+  const LeaseGrantBody first = decode_lease_grant(frame.payload);
+  ASSERT_EQ(first.end - first.begin, 2u);
+  std::string expected_bytes;
+  for (std::uint64_t index = first.begin; index < first.end; ++index) {
+    ShardDoneBody done;
+    done.lease_id = first.lease_id;
+    done.record_line = line_of(index);
+    expected_bytes += done.record_line;
+    if (index == first.begin) done.record_line.pop_back();
+    write_frame(wire, FrameType::shard_done, encode_shard_done(done));
+  }
+  write_frame(wire, FrameType::lease_done, encode_lease_id(first.lease_id));
+  // The reply to the next request proves both records were handled.
+  write_frame(wire, FrameType::lease_request);
+  ASSERT_TRUE(read_frame(wire, frame));
+  ASSERT_EQ(frame.type, FrameType::lease_grant);
+  EXPECT_EQ(read_file(checkpoint.path), expected_bytes);
+
+  // Lease 2: a complete record whose scenario index has a leading zero.
+  // The istream parser read it as the same record; stored verbatim, it
+  // would have put non-canonical bytes in the checkpoint.
+  const LeaseGrantBody second = decode_lease_grant(frame.payload);
+  ShardDoneBody done;
+  done.lease_id = second.lease_id;
+  done.record_line = line_of(second.begin);
+  const std::string prefix = "ckpt2 " + std::to_string(second.begin) + ' ';
+  ASSERT_EQ(done.record_line.rfind(prefix, 0), 0u);
+  done.record_line.insert(6, "0");
+  write_frame(wire, FrameType::shard_done, encode_shard_done(done));
+  // Hang up rather than wait for the verdict: the coordinator reads the
+  // frame before the EOF, and its log below tells a burial for the bad
+  // line apart from a plain disconnect.
+  scripted.second.reset();
+
+  std::thread good_thread([end = std::move(good.second), spec]() mutable {
+    Worker worker(spec);
+    (void)worker.run(*end);
+  });
+  coordinator_thread.join();
+  good_thread.join();
+
+  ASSERT_TRUE(merged.has_value());
+  EXPECT_EQ(coordinator.stats().workers_died, 1u);
+  EXPECT_NE(log.str().find("torn or invalid frame"), std::string::npos);
+  expect_reports_bit_identical(*merged, Campaign(small_spec()).run(1));
+  const std::string reference_bytes = read_file(reference_ckpt.path);
+  ASSERT_FALSE(reference_bytes.empty());
+  EXPECT_EQ(read_file(checkpoint.path), reference_bytes);
+}
+
 TEST(Fabric, HeartbeatExpiryReLeasesAStalledRange) {
   // A worker that takes a lease and then never heartbeats: its deadline
   // passes, the range re-enters pending with backoff, and the parked

@@ -87,11 +87,17 @@ TEST(DigestSnapshot, RejectsStructurallyInvalidSnapshots) {
                sim::ContractViolation);
 }
 
+/// Reads one digest from the start of `text`.
+MergingDigest read_digest_text(const std::string& text) {
+  stats::TokenCursor in(text);
+  return stats::read_digest(in);
+}
+
 TEST(DigestIo, TextRoundTripIsExact) {
   const MergingDigest original = sample_digest(777, -3.25);
   std::stringstream stream;
   stats::write_digest(stream, original);
-  const MergingDigest restored = stats::read_digest(stream);
+  const MergingDigest restored = read_digest_text(stream.str());
   EXPECT_EQ(restored.count(), original.count());
   EXPECT_EQ(restored.mean(), original.mean());
   for (const double q : {0.1, 0.5, 0.9, 0.999}) {
@@ -108,10 +114,9 @@ TEST(DigestIo, DoubleBitsSurviveExtremes) {
 }
 
 TEST(DigestIo, RejectsMalformedStreams) {
-  std::stringstream bad_magic("notadigest 1 2 3");
-  EXPECT_THROW((void)stats::read_digest(bad_magic), sim::ContractViolation);
-  std::stringstream truncated("dgst 128 10");
-  EXPECT_THROW((void)stats::read_digest(truncated), sim::ContractViolation);
+  EXPECT_THROW((void)read_digest_text("notadigest 1 2 3"),
+               sim::ContractViolation);
+  EXPECT_THROW((void)read_digest_text("dgst 128 10"), sim::ContractViolation);
 }
 
 ShardCheckpoint sample_checkpoint(std::size_t index) {
@@ -246,17 +251,22 @@ TEST(Checkpoint, CorruptCompleteRecordFailsLoudly) {
 
 /// What a reader makes of `line`. Hostile input may only be rejected
 /// (false) or refused loudly (ContractViolation); any other exception
-/// escapes and fails the calling test.
+/// escapes and fails the calling test. A line that parses must be
+/// canonical: it re-renders to exactly its own bytes (the trailing newline
+/// is optional on input and always written on output).
 enum class ParseOutcome { parsed, rejected, violation };
 
 ParseOutcome parse_outcome(const std::string& line) {
   ShardCheckpoint record;
   try {
-    return parse_checkpoint_record(line, record) ? ParseOutcome::parsed
-                                                 : ParseOutcome::rejected;
+    if (!parse_checkpoint_record(line, record)) return ParseOutcome::rejected;
   } catch (const sim::ContractViolation&) {
     return ParseOutcome::violation;
   }
+  const bool has_newline = !line.empty() && line.back() == '\n';
+  EXPECT_EQ(render_checkpoint_record(record), has_newline ? line : line + '\n')
+      << "accepted a non-canonical line";
+  return ParseOutcome::parsed;
 }
 
 std::vector<std::string> split_tokens(const std::string& line) {
@@ -327,11 +337,11 @@ TEST(Checkpoint, HostileCountsCompressionAndHashesNeverEscapeTheContract) {
       " 4000000000000000 4000000000000000 4000000000000000 4000000000000000";
   for (const std::string& count : huge_counts) {
     SCOPED_TRACE("count " + count);
-    std::istringstream centroids("dgst 128 1" + doubles + " " + count +
-                                 " 4000000000000000 3ff0000000000000");
-    EXPECT_THROW((void)stats::read_digest(centroids), sim::ContractViolation);
-    std::istringstream compression("dgst " + count + " 0" + doubles + " 0");
-    EXPECT_THROW((void)stats::read_digest(compression),
+    const std::string centroids = "dgst 128 1" + doubles + " " + count +
+                                  " 4000000000000000 3ff0000000000000";
+    EXPECT_THROW((void)read_digest_text(centroids), sim::ContractViolation);
+    const std::string compression = "dgst " + count + " 0" + doubles + " 0";
+    EXPECT_THROW((void)read_digest_text(compression),
                  sim::ContractViolation);
   }
 
@@ -358,6 +368,96 @@ TEST(Checkpoint, HostileCountsCompressionAndHashesNeverEscapeTheContract) {
           1, static_cast<std::int64_t>(tokens.size()))));
     }
     (void)parse_outcome(join_tokens(tokens));
+  }
+
+  // Seeded byte-level fuzz: flip one bit of, insert or delete one byte of a
+  // rendered line. Many flips swap one hex digit for another and still
+  // parse; parse_outcome() then checks the line re-renders to its bytes.
+  const std::string rendered = render_checkpoint_record(sample_checkpoint(3));
+  const std::string pool = " \t\n\r\v0159adefADF+-xg";
+  std::size_t parsed = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    std::string line = rendered;
+    const auto at = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(line.size()) - 1));
+    const char byte = rng.bernoulli(0.5)
+                          ? pool[static_cast<std::size_t>(rng.uniform_int(
+                                0, static_cast<std::int64_t>(pool.size()) -
+                                       1))]
+                          : static_cast<char>(rng.uniform_int(0, 255));
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        line[at] = static_cast<char>(line[at] ^ (1 << rng.uniform_int(0, 7)));
+        break;
+      case 1:
+        line.insert(at, 1, byte);
+        break;
+      default:
+        line.erase(at, 1);
+        break;
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    if (parse_outcome(line) == ParseOutcome::parsed) ++parsed;
+  }
+  EXPECT_GT(parsed, 0u);  // the round-trip property was exercised
+}
+
+TEST(Checkpoint, NonCanonicalCompleteRecordsAreRefused) {
+  // The istream parser this codec replaced accepted every line below as a
+  // record: "-1" read as 2^64-1 probes, leading zeros and '+' signs, runs
+  // of spaces or tabs, uppercase hex. Each is complete (it ends in the
+  // sentinel), so each is now a loud refusal; cut before the sentinel, the
+  // same bytes are a torn fragment.
+  const std::string valid = render_checkpoint_record(sample_checkpoint(5));
+  ASSERT_EQ(parse_outcome(valid), ParseOutcome::parsed);
+  const std::vector<std::string> tokens = split_tokens(valid);
+  // ckpt2 index seed hash phones sent lost frames events sim_bits ...
+  // ... tool probes lost dgst compression count sum sum_sq min max
+  // n_centroids mean ...
+  constexpr std::size_t kIndex = 1, kHash = 3, kSent = 5, kFrames = 7,
+                        kTool = 11, kFirstMean = 22;
+  ASSERT_EQ(tokens[kIndex], "5");
+  ASSERT_EQ(tokens[kSent], "40");
+  ASSERT_EQ(tokens[kHash], "feedface12345678");
+  ASSERT_EQ(tokens[kFirstMean], "403e000000000000");
+  const auto with_token = [&](std::size_t at, const std::string& value) {
+    std::vector<std::string> edited = tokens;
+    edited[at] = value;
+    return join_tokens(edited);
+  };
+  const auto with_separator = [&](std::size_t at, const std::string& value) {
+    std::string line = valid;
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i <= at; ++i) pos = line.find(' ', pos + 1);
+    return line.replace(pos, 1, value);
+  };
+  const auto upper = [](std::string text) {
+    for (char& c : text) {
+      if (c >= 'a' && c <= 'f') c = static_cast<char>(c - 'a' + 'A');
+    }
+    return text;
+  };
+  const std::pair<const char*, std::string> cases[] = {
+      {"negative count", with_token(kSent, "-1")},
+      {"leading zeros", with_token(kIndex, "005")},
+      {"single leading zero", with_token(kFrames, "01234")},
+      {"leading plus", with_token(kSent, "+40")},
+      {"run of spaces", with_separator(4, "  ")},
+      {"tab separator", with_separator(4, "\t")},
+      {"tab before the sentinel", valid.substr(0, valid.size() - 5) + "\tend\n"},
+      {"uppercase hash", with_token(kHash, upper(tokens[kHash]))},
+      {"uppercase double", with_token(kFirstMean, upper(tokens[kFirstMean]))},
+      {"tool alias", with_token(kTool, "ping")},
+      {"trailing space", valid.substr(0, valid.size() - 1) + " \n"},
+      {"second newline", valid + "\n"},
+      {"carriage return", valid.substr(0, valid.size() - 1) + "\r\n"},
+  };
+  for (const auto& [what, line] : cases) {
+    SCOPED_TRACE(what);
+    ASSERT_NE(line, valid);
+    EXPECT_EQ(parse_outcome(line), ParseOutcome::violation);
+    const std::string fragment = line.substr(0, line.rfind("end"));
+    EXPECT_EQ(parse_outcome(fragment), ParseOutcome::rejected);
   }
 }
 
