@@ -162,10 +162,9 @@ struct PoolRun {
   std::size_t probes = 0;
   std::size_t lost = 0;
   /// Per-shard stage seconds summed across workers (campaign.hpp) plus the
-  /// report-side digest merge, timed here. In frontier mode (the ladder)
-  /// stage.merge already carries the streaming fold, so merge_seconds =
-  /// stage.merge + the (then near-zero) final workload_digests() call; in
-  /// retained mode stage.merge is 0 and the accessor does the whole merge.
+  /// report-side digest read, timed here: stage.merge carries the streaming
+  /// fold, so merge_seconds = stage.merge + the near-zero final
+  /// workload_digests() call.
   testbed::StageSeconds stage;
   double merge_seconds = 0;
   /// Fraction of the summed per-shard stage time spent building shards —
@@ -194,8 +193,6 @@ PoolRun run_pool(const testbed::CampaignSpec& spec, std::size_t workers) {
   const auto digests = report.workload_digests();
   run.merge_seconds = report.stage.merge + wall_seconds_since(merge_start);
   if (digests.empty()) std::fprintf(stderr, "warning: empty merge\n");
-  // shard_count() is retention-mode agnostic: the frontier ladder leaves
-  // report.shards empty.
   run.scenarios_per_sec = double(report.shard_count()) / run.wall_seconds;
   run.probes_per_sec = double(report.total_probes()) / run.wall_seconds;
   run.events_per_sec = double(report.total_events()) / run.wall_seconds;
@@ -330,10 +327,6 @@ testbed::CampaignSpec scaling_campaign() {
   spec.probe_interval = Duration::millis(50);
   spec.probe_timeout = Duration::millis(400);
   spec.settle = Duration::millis(50);
-  spec.keep_samples = false;
-  // The ladder runs the frontier fold (the 10^5–10^6-shard mode the bench
-  // is a proxy for): per-shard digests are freed as shards retire.
-  spec.retain_shards = false;
   return spec;
 }
 
@@ -356,8 +349,7 @@ testbed::CampaignSpec smoke_campaign() {
 }
 
 // Per-workload throughput matrix: the same small grid once per tool kind,
-// in streaming-digest mode (keep_samples=false), so the JSON carries a
-// scenarios/s row per workload.
+// so the JSON carries a scenarios/s row per workload.
 struct WorkloadRow {
   tools::ToolKind kind = tools::ToolKind::icmp_ping;
   double wall_seconds = 0;
@@ -380,7 +372,6 @@ WorkloadRow run_workload(tools::ToolKind kind, std::size_t workers) {
   spec.scenarios = grid.expand();
   spec.probes_per_phone = 10;
   spec.probe_interval = Duration::millis(200);
-  spec.keep_samples = false;  // the streaming-merge path under test
 
   testbed::Campaign campaign(spec);
   const auto start = std::chrono::steady_clock::now();
@@ -428,7 +419,6 @@ PassiveOverhead run_passive_overhead(std::size_t workers) {
     // ~70 ms scale the rung's run-to-run noise dwarfs a 5% budget.
     spec.probes_per_phone = 200;
     spec.probe_interval = Duration::millis(100);
-    spec.keep_samples = false;
     return spec;
   };
   constexpr int kRepetitions = 3;
@@ -449,7 +439,7 @@ PassiveOverhead run_passive_overhead(std::size_t workers) {
       const double wall = wall_seconds_since(start);
       if (passive_best == 0 || wall < passive_best) passive_best = wall;
       if (rep == 0) {
-        for (const testbed::WorkloadDigest& digest :
+        for (const report::WorkloadDigest& digest :
              report.workload_digests()) {
           result.passive_samples +=
               digest.passive_sniffer_samples + digest.passive_app_samples;

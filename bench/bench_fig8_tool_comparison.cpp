@@ -23,9 +23,9 @@ void run_scenario(bool cross_traffic) {
                       : "Figure 8(a) — without cross traffic");
   stats::Table table({"tool", "p10", "p25", "p50", "p75", "p90", "max",
                       "P(rtt<35ms)"});
-  const testbed::ToolKind kinds[] = {
-      testbed::ToolKind::acutemon, testbed::ToolKind::httping,
-      testbed::ToolKind::icmp_ping, testbed::ToolKind::java_ping};
+  const tools::ToolKind kinds[] = {
+      tools::ToolKind::acutemon, tools::ToolKind::httping,
+      tools::ToolKind::icmp_ping, tools::ToolKind::java_ping};
 
   double throughput = 0;
   for (const auto kind : kinds) {

@@ -5,12 +5,10 @@
 //   * no O(shards) scenario vector — the grid is iterated via at(i);
 //   * the checkpoint compacts on every resume, so the file ends at exactly
 //     one line per shard no matter how many ticks ran;
-//   * peak RSS stays under a hard bound: the default frontier mode
-//     (retain_shards=false) folds each completed shard into the campaign
-//     accumulators and frees its digests, so retention is O(workers +
-//     reorder window) — independent of shard count. --retain-shards runs
-//     the legacy buffered model (O(shards) digest retention, ~20 KB/shard)
-//     for comparison; it cannot pass the 10^5-shard tier's bound.
+//   * peak RSS stays under a hard bound: the merge frontier folds each
+//     completed shard into the campaign accumulators and frees its
+//     digests, so retention is O(workers + reorder window) — independent
+//     of shard count.
 //
 // Exits non-zero on any violated bound — wired into CI as the scale gate.
 // --alloc-limit N adds a fourth bound: heap allocations per shard across
@@ -20,7 +18,6 @@
 //
 // Usage: bench_large_campaign [--shards N] [--ticks N] [--workers N]
 //                             [--rss-limit-mb M] [--alloc-limit N]
-//                             [--retain-shards]
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -105,8 +102,7 @@ std::size_t peak_rss_mb() {
 /// A lazy grid of at least `shards` minimal scenarios (one phone, one
 /// probe): rtt x loss x reorder axes sized to cover the request.
 testbed::CampaignSpec large_campaign(std::size_t shards,
-                                     const std::string& checkpoint,
-                                     bool retain_shards) {
+                                     const std::string& checkpoint) {
   testbed::ScenarioGrid grid;
   grid.emulated_rtts.clear();
   for (int i = 0; i < 50; ++i) {
@@ -125,8 +121,6 @@ testbed::CampaignSpec large_campaign(std::size_t shards,
   spec.probe_interval = Duration::millis(50);
   spec.probe_timeout = Duration::millis(400);
   spec.settle = Duration::millis(50);
-  spec.keep_samples = false;
-  spec.retain_shards = retain_shards;
   spec.checkpoint_path = checkpoint;
   return spec;
 }
@@ -147,7 +141,6 @@ int main(int argc, char** argv) {
   std::size_t workers = 4;
   std::size_t rss_limit_mb = 512;
   std::size_t alloc_limit = 0;  // allocs/shard budget; 0 disables the gate
-  bool retain_shards = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       shards = std::strtoull(argv[++i], nullptr, 10);
@@ -159,13 +152,10 @@ int main(int argc, char** argv) {
       rss_limit_mb = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--alloc-limit") == 0 && i + 1 < argc) {
       alloc_limit = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--retain-shards") == 0) {
-      retain_shards = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--shards N] [--ticks N] [--workers N] "
-                   "[--rss-limit-mb M] [--alloc-limit N] "
-                   "[--retain-shards]\n",
+                   "[--rss-limit-mb M] [--alloc-limit N]\n",
                    argv[0]);
       return 1;
     }
@@ -174,13 +164,11 @@ int main(int argc, char** argv) {
 
   const std::string checkpoint = "large_campaign.ckpt";
   std::remove(checkpoint.c_str());
-  testbed::CampaignSpec spec = large_campaign(shards, checkpoint,
-                                              retain_shards);
+  testbed::CampaignSpec spec = large_campaign(shards, checkpoint);
   const std::size_t total = testbed::Campaign(spec).scenario_count();
   std::printf("large campaign: %zu lazy shards, %zu ticks, %zu workers, "
-              "RSS limit %zu MB, %s merge\n",
-              total, ticks, workers, rss_limit_mb,
-              retain_shards ? "buffered" : "frontier");
+              "RSS limit %zu MB\n",
+              total, ticks, workers, rss_limit_mb);
 
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t allocs_before =
@@ -190,8 +178,7 @@ int main(int argc, char** argv) {
     // Each tick constructs a fresh Campaign and resumes from the
     // checkpoint — in-process kill/resume: nothing but the file carries
     // state across ticks. The last tick runs uncapped to finish the sweep.
-    testbed::CampaignSpec tick_spec =
-        large_campaign(shards, checkpoint, retain_shards);
+    testbed::CampaignSpec tick_spec = large_campaign(shards, checkpoint);
     if (tick + 1 < ticks) tick_spec.max_shards = (total + ticks - 1) / ticks;
     const testbed::CampaignReport report =
         testbed::Campaign(tick_spec).run(workers);
@@ -223,8 +210,7 @@ int main(int argc, char** argv) {
   // One resume with nothing pending: the load path must compact the file
   // to exactly one line per shard and restore every digest.
   const testbed::CampaignReport final_report =
-      testbed::Campaign(large_campaign(shards, checkpoint, retain_shards))
-          .run(1);
+      testbed::Campaign(large_campaign(shards, checkpoint)).run(1);
   if (final_report.completed_shards() != total) {
     std::fprintf(stderr, "FAILED: final resume restored %zu of %zu shards\n",
                  final_report.completed_shards(), total);

@@ -37,9 +37,7 @@
 #include "fabric/transport.hpp"
 #include "fabric/worker.hpp"
 #include "sim/contracts.hpp"
-#include "stats/digest_io.hpp"
 #include "testbed/campaign.hpp"
-#include "tools/factory.hpp"
 
 namespace {
 
@@ -118,48 +116,9 @@ CampaignSpec demo_spec(const Options& options) {
   spec.probe_interval = acute::sim::Duration::millis(50);
   spec.probe_timeout = acute::sim::Duration::millis(400);
   spec.settle = acute::sim::Duration::millis(50);
-  spec.keep_samples = false;
-  spec.retain_shards = false;
   spec.checkpoint_path = options.checkpoint;
   spec.max_shards = options.max_shards;
   return spec;
-}
-
-void write_hex_bits(std::ostream& out, double value) {
-  std::string hex;
-  acute::stats::append_hex64(hex, acute::stats::double_bits(value));
-  out << hex;
-}
-
-/// Canonical merged-result dump: totals + every workload digest with
-/// IEEE-754 bit-exact doubles. Byte-identical dumps ⇔ bit-identical merges.
-void dump_digests(std::ostream& out, const CampaignReport& report) {
-  out << "shards " << report.completed_shards() << ' ' << report.shard_count()
-      << '\n';
-  out << "totals " << report.total_probes() << ' ' << report.total_lost()
-      << ' ' << report.total_frames() << ' ' << report.total_events() << ' ';
-  write_hex_bits(out, report.total_sim_seconds());
-  out << '\n';
-  for (const acute::report::WorkloadDigest& digest :
-       report.workload_digests()) {
-    out << "workload " << acute::tools::grid_name(digest.tool) << ' '
-        << digest.probes << ' ' << digest.lost << ' ';
-    acute::stats::write_digest(out, digest.reported_rtt_ms);
-    out << ' ';
-    acute::stats::write_digest(out, digest.du_ms);
-    out << ' ';
-    acute::stats::write_digest(out, digest.dk_ms);
-    out << ' ';
-    acute::stats::write_digest(out, digest.dv_ms);
-    out << ' ';
-    acute::stats::write_digest(out, digest.dn_ms);
-    out << ' ' << digest.passive_sniffer_samples << ' '
-        << digest.passive_app_samples << ' ';
-    acute::stats::write_digest(out, digest.passive_sniffer_rtt_ms);
-    out << ' ';
-    acute::stats::write_digest(out, digest.passive_app_rtt_ms);
-    out << '\n';
-  }
 }
 
 void emit_report(const Options& options, const CampaignReport& report) {
@@ -167,7 +126,7 @@ void emit_report(const Options& options, const CampaignReport& report) {
     std::ofstream out(options.digest_out, std::ios::trunc);
     acute::sim::expects(out.is_open(),
                         "acute_fabric: cannot open --digest-out file");
-    dump_digests(out, report);
+    acute::testbed::write_report_digests(out, report);
     out.flush();
     acute::sim::expects(out.good(), "acute_fabric: short digest-out write");
   }

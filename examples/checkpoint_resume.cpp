@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "report/jsonl_sink.hpp"
@@ -41,33 +42,14 @@ testbed::CampaignSpec demo_campaign() {
   spec.scenarios = grid.expand();
   spec.probes_per_phone = 8;
   spec.probe_interval = Duration::millis(150);
-  spec.keep_samples = false;  // streaming digests only
   return spec;
 }
 
-/// Bit-exact comparison of two reports' merged per-workload digests.
-bool digests_identical(const testbed::CampaignReport& a,
-                       const testbed::CampaignReport& b) {
-  const auto da = a.workload_digests();
-  const auto db = b.workload_digests();
-  if (da.size() != db.size()) return false;
-  for (std::size_t i = 0; i < da.size(); ++i) {
-    if (da[i].tool != db[i].tool || da[i].probes != db[i].probes ||
-        da[i].lost != db[i].lost) {
-      return false;
-    }
-    for (const double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-      if (da[i].reported_rtt_ms.quantile(q) !=
-              db[i].reported_rtt_ms.quantile(q) ||
-          da[i].du_ms.count() != db[i].du_ms.count()) {
-        return false;
-      }
-    }
-    if (da[i].reported_rtt_ms.mean() != db[i].reported_rtt_ms.mean()) {
-      return false;
-    }
-  }
-  return true;
+/// The bit-exact merged-digest dump: equal strings, equal merges.
+std::string digest_dump(const testbed::CampaignReport& report) {
+  std::ostringstream out;
+  testbed::write_report_digests(out, report);
+  return out.str();
 }
 
 }  // namespace
@@ -123,16 +105,16 @@ int main(int argc, char** argv) {
   const testbed::CampaignReport report =
       testbed::Campaign(spec).run(workers);
   std::printf("completed %zu/%zu shards (%zu probes, %zu lost)\n",
-              report.completed_shards(), report.shards.size(),
+              report.completed_shards(), report.shard_count(),
               report.total_probes(), report.total_lost());
 
-  if (report.completed_shards() < report.shards.size()) {
+  if (report.completed_shards() < report.shard_count()) {
     std::printf("sweep interrupted — rerun the same command without "
                 "--kill-after to resume from the checkpoint\n");
     return 0;
   }
 
-  for (const testbed::WorkloadDigest& digest : report.workload_digests()) {
+  for (const report::WorkloadDigest& digest : report.workload_digests()) {
     std::printf("  %-10s median %.2f ms  p90 %.2f ms  (%zu probes, %zu "
                 "lost)\n",
                 tools::grid_name(digest.tool),
@@ -145,7 +127,7 @@ int main(int argc, char** argv) {
     std::printf("verify: re-running uninterrupted in memory...\n");
     const testbed::CampaignReport truth =
         testbed::Campaign(demo_campaign()).run(workers);
-    if (!digests_identical(report, truth)) {
+    if (digest_dump(report) != digest_dump(truth)) {
       std::fprintf(stderr,
                    "FAIL: resumed digests differ from uninterrupted run\n");
       return 1;

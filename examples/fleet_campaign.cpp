@@ -8,13 +8,16 @@
 // of hand-rolling one Testbed per condition, describe the sweep as a
 // ScenarioGrid (phone count x handset x radio x path RTT x load), hand the
 // expanded scenarios to testbed::Campaign, and let the sharded worker pool
-// execute them — bit-identically for any worker count.
+// execute them — bit-identically for any worker count. The campaign keeps
+// only the merged fleet digests; the per-scenario rows are read back from
+// its checkpoint, one ShardCheckpoint record per scenario.
 //
 // Usage: ./build/example_fleet_campaign [workers]
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
 
+#include "report/checkpoint.hpp"
 #include "stats/table.hpp"
 #include "testbed/campaign.hpp"
 
@@ -42,34 +45,45 @@ int main(int argc, char** argv) {
   spec.scenarios = grid.expand();
   spec.probes_per_phone = 15;
   spec.probe_interval = Duration::millis(250);
+  spec.checkpoint_path = "fleet_campaign.ckpt";
+  std::remove(spec.checkpoint_path.c_str());  // run fresh, never resume
 
   std::printf("fleet campaign: %zu scenarios on %zu workers...\n",
               spec.scenarios.size(), workers);
   testbed::Campaign campaign(spec);
   const testbed::CampaignReport report = campaign.run(workers);
 
-  // Per-shard view: one row per scenario, in deterministic scenario order.
+  // Per-shard view: one row per scenario, read back from the checkpoint
+  // after compacting it into deterministic scenario order.
+  report::compact_checkpoint(spec.checkpoint_path);
   stats::Table table({"scenario", "phones", "radio", "nRTT", "load",
                       "median du", "median dn", "lost"});
-  for (const testbed::ShardResult& shard : report.shards) {
-    const testbed::ScenarioSpec& scenario =
-        spec.scenarios[shard.scenario_index];
-    const bool cellular = scenario.count_radio(phone::RadioKind::cellular) > 0;
-    table.add_row(
-        {std::to_string(shard.scenario_index) + " " +
-             scenario.phones.front().profile.name,
-         std::to_string(shard.phone_count), cellular ? "cell" : "wifi",
-         stats::Table::cell(scenario.emulated_rtt.to_ms()) + " ms",
-         scenario.congested_phy ? "iperf" : "quiet",
-         shard.reported_rtt_ms.empty()
-             ? std::string("-")
-             : stats::Table::cell(
-                   stats::Summary(shard.reported_rtt_ms).median()),
-         shard.dn_ms.empty()
-             ? std::string("-")
-             : stats::Table::cell(stats::Summary(shard.dn_ms).median()),
-         std::to_string(shard.probes_lost)});
-  }
+  report::for_each_checkpoint(
+      spec.checkpoint_path, [&](report::ShardCheckpoint&& shard) {
+        const std::size_t index = shard.summary.info.scenario_index;
+        const testbed::ScenarioSpec& scenario = spec.scenarios[index];
+        const bool cellular =
+            scenario.count_radio(phone::RadioKind::cellular) > 0;
+        stats::MergingDigest du, dn;
+        for (const report::WorkloadDigest& digest : shard.digests) {
+          du.merge(digest.du_ms);
+          dn.merge(digest.dn_ms);
+        }
+        const auto median = [](const stats::MergingDigest& digest) {
+          return digest.count() == 0
+                     ? std::string("-")
+                     : stats::Table::cell(digest.quantile(0.5));
+        };
+        table.add_row(
+            {std::to_string(index) + " " +
+                 scenario.phones.front().profile.name,
+             std::to_string(shard.summary.info.phone_count),
+             cellular ? "cell" : "wifi",
+             stats::Table::cell(scenario.emulated_rtt.to_ms()) + " ms",
+             scenario.congested_phy ? "iperf" : "quiet", median(du),
+             median(dn), std::to_string(shard.summary.probes_lost)});
+      });
+  std::remove(spec.checkpoint_path.c_str());
   std::printf("%s", table.to_string().c_str());
 
   // Fleet-wide merge (what a crowdsourcing backend would aggregate).
@@ -77,14 +91,13 @@ int main(int argc, char** argv) {
     std::printf("\nevery probe was lost; no fleet summary\n");
     return 1;
   }
-  const stats::Summary fleet = report.rtt_summary();
-  const stats::Cdf cdf = report.rtt_cdf();
+  const stats::MergingDigest fleet = report.rtt_digest();
   std::printf(
       "\nfleet: %zu probes (%zu lost), user-level RTT median %.2f ms, "
       "p95 %.2f ms\n"
       "work: %llu frames on air, %llu simulator events, %.0f simulated s\n",
-      report.total_probes(), report.total_lost(), fleet.median(),
-      cdf.quantile(0.95),
+      report.total_probes(), report.total_lost(), fleet.quantile(0.5),
+      fleet.quantile(0.95),
       static_cast<unsigned long long>(report.total_frames()),
       static_cast<unsigned long long>(report.total_events()),
       report.total_sim_seconds());

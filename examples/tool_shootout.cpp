@@ -2,8 +2,9 @@
 // congested WLAN) — here at campaign scale: the whole tool-comparison
 // matrix runs through testbed::Campaign's workload axis instead of four
 // hand-rolled testbeds, and every statistic comes from the streaming
-// per-shard digests (keep_samples=false), so the same program scales to
-// 10^5-scenario sweeps without buffering samples.
+// per-shard digests, so the same program scales to 10^5-scenario sweeps
+// without buffering samples. The per-cell rows are the campaign's
+// checkpoint records, read back one shard at a time.
 //
 // Usage: ./build/example_tool_shootout [emulated_rtt_ms] [probes] [workers]
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "report/checkpoint.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 #include "testbed/campaign.hpp"
@@ -64,14 +66,16 @@ int main(int argc, char** argv) {
   spec.scenarios = grid.expand();
   spec.probes_per_phone = probes;
   spec.probe_interval = Duration::seconds(1);
-  spec.keep_samples = false;  // streaming digests only: O(shards) memory
+  spec.checkpoint_path = "tool_shootout.ckpt";
+  std::remove(spec.checkpoint_path.c_str());  // run fresh, never resume
 
   std::printf(
       "Tool shoot-out on a simulated Nexus 5 (Fig. 8 scenario)\n"
       "%zu scenarios (4 tools x idle/congested WLAN) on %zu workers\n",
       spec.scenarios.size(), workers);
-  const testbed::CampaignReport report =
-      testbed::Campaign(spec).run(workers);
+  (void)testbed::Campaign(spec).run(workers);
+  // Ascending scenario order, one record per shard.
+  report::compact_checkpoint(spec.checkpoint_path);
 
   // One shard per (load, tool) cell; shards are in scenario order with the
   // workload axis innermost, so rows group naturally by load.
@@ -82,23 +86,24 @@ int main(int argc, char** argv) {
                 rtt_ms, probes);
     stats::Table table(
         {"tool", "median", "p90", "mean", "loss", "median inflation"});
-    for (const testbed::ShardResult& shard : report.shards) {
-      const testbed::ScenarioSpec& scenario =
-          spec.scenarios[shard.scenario_index];
-      if (scenario.congested_phy != congested) continue;
-      for (const testbed::WorkloadDigest& digest : shard.digests) {
-        const auto& rtt = digest.reported_rtt_ms;
-        table.add_row({tools::to_string(digest.tool),
-                       stats::Table::cell(rtt.quantile(0.5)),
-                       stats::Table::cell(rtt.quantile(0.9)),
-                       mean_ci(rtt),
-                       std::to_string(digest.lost),
-                       stats::Table::cell(rtt.quantile(0.5) - rtt_ms) +
-                           " ms"});
-      }
-    }
+    report::for_each_checkpoint(
+        spec.checkpoint_path, [&](report::ShardCheckpoint&& shard) {
+          const testbed::ScenarioSpec& scenario =
+              spec.scenarios[shard.summary.info.scenario_index];
+          if (scenario.congested_phy != congested) return;
+          for (const report::WorkloadDigest& digest : shard.digests) {
+            const auto& rtt = digest.reported_rtt_ms;
+            table.add_row({tools::to_string(digest.tool),
+                           stats::Table::cell(rtt.quantile(0.5)),
+                           stats::Table::cell(rtt.quantile(0.9)),
+                           mean_ci(rtt), std::to_string(digest.lost),
+                           stats::Table::cell(rtt.quantile(0.5) - rtt_ms) +
+                               " ms"});
+          }
+        });
     std::printf("%s", table.to_string().c_str());
   }
+  std::remove(spec.checkpoint_path.c_str());
   // Heterogeneous per-phone workloads *within one scenario*: four phones on
   // one channel, each running a different tool (ScenarioSpec::
   // assign_workloads round-robins the mix), so the zoo contends against
@@ -115,13 +120,12 @@ int main(int argc, char** argv) {
   mixed_spec.scenarios = {mixed};
   mixed_spec.probes_per_phone = probes;
   mixed_spec.probe_interval = Duration::seconds(1);
-  mixed_spec.keep_samples = false;
   const testbed::CampaignReport mixed_report =
       testbed::Campaign(mixed_spec).run(1);
 
   std::printf("\n--- mixed fleet: 4 phones, 4 tools, ONE channel ---\n");
   stats::Table mixed_table({"tool", "median", "p90", "mean", "loss"});
-  for (const testbed::WorkloadDigest& digest :
+  for (const report::WorkloadDigest& digest :
        mixed_report.workload_digests()) {
     const auto& rtt = digest.reported_rtt_ms;
     mixed_table.add_row({tools::to_string(digest.tool),

@@ -86,8 +86,8 @@ fi
 echo "OK: compacted checkpoint holds exactly $SHARDS records"
 
 # The coordinator stores each worker's line as received and compaction
-# copies validated lines, so the bytes must equal the single-thread
-# reference's, which the CheckpointSink rendered in ascending order.
+# copies validated lines, so the bytes must equal the reference's, which
+# the single-thread campaign rendered in ascending order.
 cmp "$OUT/reference.ckpt" "$OUT/coordinator.ckpt"
 echo "OK: compacted checkpoint is byte-identical to the reference"
 

@@ -12,7 +12,7 @@
 #include "fabric/wire.hpp"
 #include "report/checkpoint.hpp"
 #include "sim/contracts.hpp"
-#include "testbed/merge_frontier.hpp"
+#include "testbed/campaign_ledger.hpp"
 
 namespace acute::fabric {
 
@@ -54,84 +54,18 @@ testbed::CampaignReport Coordinator::run(
     }
   };
 
-  testbed::CampaignReport report;
-  report.frontier.active = true;
-  report.frontier.shard_count = shard_count;
-
-  // Coordinator resume: identical to Campaign::run's frontier restore —
-  // validate every record on disk, compact to one ascending line per
-  // shard, then feed restored slots from the compacted file as the fold
-  // reaches them. A killed coordinator loses nothing but in-flight leases.
-  std::shared_ptr<report::CheckpointWriter> checkpoint;
-  std::vector<bool> restored_set;
-  std::unique_ptr<report::CheckpointReader> restored_feed;
-  if (!spec.checkpoint_path.empty()) {
-    const auto restore_start = std::chrono::steady_clock::now();
-    restored_set.assign(shard_count, false);
-    std::size_t restored_count = 0;
-    report::for_each_checkpoint(
-        spec.checkpoint_path, [&](report::ShardCheckpoint&& record) {
-          const std::size_t index = record.summary.info.scenario_index;
-          expects(index < shard_count,
-                  "fabric coordinator: checkpoint does not match this "
-                  "campaign (shard out of range)");
-          expects(record.summary.info.shard_seed ==
-                      testbed::Campaign::shard_seed(spec.seed, index),
-                  "fabric coordinator: checkpoint does not match this "
-                  "campaign (seed mismatch)");
-          expects(record.spec_hash ==
-                      spec.shard_hash(campaign_.scenario_at(index)),
-                  "fabric coordinator: checkpoint does not match this "
-                  "campaign (spec edited since the checkpoint was written)");
-          if (!restored_set[index]) {
-            restored_set[index] = true;
-            ++restored_count;
-          }
-        });
-    if (restored_count > 0) {
-      report::compact_checkpoint(spec.checkpoint_path);
-      log("restored " + std::to_string(restored_count) +
-          " shards from checkpoint");
-    }
-    restored_feed =
-        std::make_unique<report::CheckpointReader>(spec.checkpoint_path);
-    checkpoint =
-        std::make_shared<report::CheckpointWriter>(spec.checkpoint_path);
-    report.stage.restore =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      restore_start)
-            .count();
+  // Restore, validate, compact and classify exactly as Campaign::run does:
+  // the pending shards become leasable, restored ones fold from disk. A
+  // killed coordinator loses nothing but in-flight leases.
+  testbed::CampaignLedger ledger(campaign_);
+  if (ledger.restored() > 0) {
+    log("restored " + std::to_string(ledger.restored()) +
+        " shards from checkpoint");
   }
-
-  // Shard classification, exactly as Campaign::run: restored shards feed
-  // the fold from disk, at most max_shards pending ones become leasable,
-  // the capped tail is skipped.
   std::vector<bool> leasable(shard_count, false);
-  std::vector<testbed::MergeFrontier::Slot> slots(
-      shard_count, testbed::MergeFrontier::Slot::skipped);
-  std::size_t leasable_count = 0;
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    if (!restored_set.empty() && restored_set[i]) {
-      slots[i] = testbed::MergeFrontier::Slot::restored;
-      continue;
-    }
-    if (spec.max_shards > 0 && leasable_count == spec.max_shards) continue;
-    slots[i] = testbed::MergeFrontier::Slot::fresh;
-    leasable[i] = true;
-    ++leasable_count;
-  }
-  auto feed = [reader = restored_feed.get()](std::size_t expected_index) {
-    report::ShardCheckpoint record;
-    expects(reader != nullptr && reader->next(record),
-            "fabric coordinator: compacted checkpoint exhausted before all "
-            "restored shards were folded");
-    expects(record.summary.info.scenario_index == expected_index,
-            "fabric coordinator: compacted checkpoint out of order");
-    return testbed::shard_result_from_checkpoint(std::move(record));
-  };
-  testbed::MergeFrontier frontier(std::move(slots), std::move(feed),
-                                  report.frontier);
+  for (const std::size_t index : ledger.pending()) leasable[index] = true;
   LeaseTable table(std::move(leasable), config_.lease);
+  ledger.start();
 
   std::vector<std::unique_ptr<Conn>> conns;
   std::size_t next_worker_id = 0;
@@ -241,26 +175,18 @@ testbed::CampaignReport Coordinator::run(
         report::ShardCheckpoint record;
         expects(report::parse_checkpoint_record(done.record_line, record),
                 "fabric coordinator: shard_done carried a torn record");
+        ledger.validate(record, "fabric coordinator: shard_done");
         const std::size_t index = record.summary.info.scenario_index;
-        expects(index < shard_count,
-                "fabric coordinator: shard_done index out of range");
-        expects(record.summary.info.shard_seed ==
-                    testbed::Campaign::shard_seed(spec.seed, index),
-                "fabric coordinator: shard_done seed mismatch");
-        expects(record.spec_hash ==
-                    spec.shard_hash(campaign_.scenario_at(index)),
-                "fabric coordinator: shard_done spec hash mismatch");
-        // Checkpoint first (matching the single-process sink order:
-        // durable before merged), every arrival — compaction's last-wins
-        // rule collapses duplicates exactly as it does for a re-run shard.
-        // The line parsed, so it is canonical: its bytes are the ones
-        // rendering `record` again would write, and they are stored as
-        // received.
-        if (checkpoint != nullptr) checkpoint->append_line(done.record_line);
+        // Checkpoint first (matching the single-process order: durable
+        // before merged), every arrival — compaction's last-wins rule
+        // collapses duplicates exactly as it does for a re-run shard. The
+        // line parsed, so it is canonical: its bytes are the ones rendering
+        // `record` again would write, and they are stored as received.
+        if (ledger.checkpoint() != nullptr) {
+          ledger.checkpoint()->append_line(done.record_line);
+        }
         if (table.complete(index)) {
-          frontier.submit(index,
-                          testbed::shard_result_from_checkpoint(
-                              std::move(record)));
+          ledger.submit(index, std::move(record));
           ++stats_.shards_merged;
         } else {
           // The re-lease race: another worker already delivered this index.
@@ -409,13 +335,7 @@ testbed::CampaignReport Coordinator::run(
       // Already gone; the work is done, nothing to re-lease.
     }
   }
-  frontier.finalize();
-  report.stage.merge = frontier.fold_seconds();
-  report.frontier.high_water = frontier.high_water();
-  if (checkpoint != nullptr) {
-    checkpoint.reset();  // flush before the compaction rewrite
-    report::compact_checkpoint(spec.checkpoint_path);
-  }
+  testbed::CampaignReport report = ledger.finish(/*compact=*/true);
   log("campaign complete: " + std::to_string(report.frontier.completed) +
       "/" + std::to_string(shard_count) + " shards merged, " +
       std::to_string(stats_.leases_granted) + " leases, " +

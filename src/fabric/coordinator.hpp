@@ -7,10 +7,11 @@
 // contiguous scenario-index ranges. Completed shards stream back as ckpt2
 // record lines; the coordinator validates each against the spec (index
 // range, Rng(S).fork(i) seed, CampaignSpec::shard_hash), appends it to its
-// own checkpoint file, and folds the first completion per index through
-// testbed::MergeFrontier in ascending scenario order — so the merged
-// digests are bit-identical to a single-process Campaign::run for any
-// worker count, lease batch size and kill/re-lease schedule.
+// own checkpoint file, and folds the first completion per index in
+// ascending scenario order — all through the same testbed::CampaignLedger
+// Campaign::run uses — so the merged digests are bit-identical to a
+// single-process Campaign::run for any worker count, lease batch size and
+// kill/re-lease schedule.
 //
 // Failure matrix (docs/fabric.md):
 //   worker death (EOF / torn frame)  → revoke its leases, log, re-lease
@@ -62,15 +63,14 @@ struct CoordinatorStats {
 class Coordinator {
  public:
   /// `spec` is the campaign being distributed. checkpoint_path, max_shards
-  /// and seed behave exactly as in Campaign::run; keep_samples/retain_shards
-  /// are ignored (the coordinator always merges frontier-style — it never
-  /// sees raw samples, only digests).
+  /// and seed behave exactly as in Campaign::run: both run the same
+  /// testbed::CampaignLedger (restore, validate, compact, classify, fold).
   Coordinator(testbed::CampaignSpec spec, CoordinatorConfig config = {});
 
   /// Serves the campaign to completion: `workers` are already-connected
   /// transports (pipe mode / forked children); `listener`, when non-null,
   /// accepts additional worker processes as they arrive. Returns the merged
-  /// report (frontier mode: digests + totals, no per-shard results).
+  /// report (digests + totals).
   /// Contract violation when every worker is gone, none can arrive and
   /// shards are still pending.
   [[nodiscard]] testbed::CampaignReport run(

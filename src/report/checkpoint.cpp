@@ -192,27 +192,6 @@ bool parse_checkpoint_record(std::string_view line, ShardCheckpoint& out) {
   return false;
 }
 
-void compact_checkpoint(const std::string& path,
-                        const std::vector<ShardCheckpoint>& records) {
-  // LatestWinsMerge is resume's restore rule, so the compacted file reads
-  // like an uninterrupted ascending front-to-back sweep.
-  LatestWinsMerge<const ShardCheckpoint*> latest;
-  for (const ShardCheckpoint& record : records) {
-    latest.claim(record.summary.info.scenario_index, &record);
-  }
-  const std::string temp = path + ".compact";
-  {
-    std::ofstream out(temp, std::ios::trunc);
-    expects(out.is_open(), "compact_checkpoint: cannot open temp file");
-    latest.for_each([&](std::size_t, const ShardCheckpoint* record) {
-      out << render_checkpoint_record(*record);
-    });
-    out.flush();
-    expects(out.good(), "compact_checkpoint: short write to temp file");
-  }
-  durable_replace(temp, path);
-}
-
 void compact_checkpoint(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return;  // nothing to compact
@@ -285,28 +264,6 @@ std::vector<ShardCheckpoint> load_checkpoint(const std::string& path) {
     records.push_back(std::move(record));
   });
   return records;
-}
-
-CheckpointSink::CheckpointSink(std::shared_ptr<CheckpointWriter> writer,
-                               std::uint64_t spec_hash)
-    : writer_(std::move(writer)), spec_hash_(spec_hash) {
-  expects(writer_ != nullptr, "CheckpointSink requires a writer");
-}
-
-void CheckpointSink::probe_completed(const ProbeEvent& event) {
-  // Deliberately its own fold (not a view of DigestSink's): the sink stays
-  // self-contained for any chain composition, and fold_probe() guarantees
-  // the persisted bits equal the report's. The duplicate work is ~100
-  // digest adds per shard, noise next to the shard's simulation.
-  fold_probe(fold_, event);
-}
-
-void CheckpointSink::shard_finished(const ShardSummary& summary) {
-  ShardCheckpoint checkpoint;
-  checkpoint.summary = summary;
-  checkpoint.spec_hash = spec_hash_;
-  checkpoint.digests = fold_.take();
-  writer_->append(checkpoint);
 }
 
 }  // namespace acute::report

@@ -4,9 +4,10 @@
 // and the resumed campaign's merged digests must be **bit-identical** to an
 // uninterrupted run for any worker count. Three pieces make that hold:
 //
-//   * CheckpointSink folds a shard's event stream into per-workload digests
-//     (the same fold, same insertion order as DigestSink — so the same
-//     bits) and appends one self-contained record per completed shard.
+//   * A shard's outcome is one ShardCheckpoint — the counters, the spec
+//     hash and the DigestSink's per-workload digests — and the campaign
+//     appends exactly that record when the shard completes; the fabric
+//     wire carries the same record as its rendered line.
 //   * Records serialize doubles as IEEE-754 bit patterns (stats/digest_io),
 //     so a restored digest merges exactly like the one that was dropped.
 //   * load_checkpoint() ignores records without the trailing "end" sentinel
@@ -39,20 +40,20 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "report/digest_sink.hpp"
+#include "report/event.hpp"
 #include "report/line_writer.hpp"
-#include "report/sink.hpp"
 
 namespace acute::report {
 
-/// One completed shard, as persisted: exact counters + per-workload digests
-/// (ascending ToolKind). Raw sample vectors are NOT checkpointed — resume
-/// restores the streaming surface, not keep_samples buffers.
+/// One completed shard — the campaign's only shard outcome, in memory, on
+/// disk and on the fabric wire: exact counters + per-workload digests
+/// (ascending ToolKind). Per-probe samples are not part of it; they reach
+/// callers only through CampaignSpec::sinks.
 struct ShardCheckpoint {
   ShardSummary summary;
   /// Fingerprint of the spec that produced this shard (Campaign hashes its
@@ -140,41 +141,19 @@ void for_each_checkpoint(const std::string& path,
 [[nodiscard]] bool parse_checkpoint_record(std::string_view line,
                                            ShardCheckpoint& out);
 
-/// Rewrites `path` to one record per shard: `records` (typically the result
-/// of load_checkpoint) are deduplicated by scenario index — the last record
-/// wins, matching resume's restore order — and written in ascending
-/// scenario order. The rewrite is crash-safe: the temp file is flushed and
-/// fsync'd before being renamed over `path` (with a best-effort directory
-/// fsync after), so a power cut mid-compaction leaves either the old
-/// complete file or the new complete file, never a truncated hybrid. Call
-/// before opening an append-mode CheckpointWriter on the same path.
-void compact_checkpoint(const std::string& path,
-                        const std::vector<ShardCheckpoint>& records);
-
-/// Streaming compaction: same result and crash-safety as the overload
-/// above, without ever materializing the file. Pass 1 records the byte
-/// offset of the last complete record per scenario index (O(shards) offsets,
-/// not digests); pass 2 visits the winners in ascending scenario order,
-/// reading forward and seeking only past lines that lost, re-parses each
-/// and copies its validated bytes into the temp file. A missing file is a
-/// no-op.
+/// Rewrites `path` to one record per shard: records are deduplicated by
+/// scenario index — the last complete record wins (report::LatestWinsMerge)
+/// — and written in ascending scenario order, without ever materializing
+/// the file. Pass 1 records the byte offset of the last complete record per
+/// scenario index (O(shards) offsets, not digests); pass 2 visits the
+/// winners in ascending order, reading forward and seeking only past lines
+/// that lost, re-parses each and copies its validated bytes into the temp
+/// file. The rewrite is crash-safe: the temp file is flushed and fsync'd
+/// before being renamed over `path` (with a best-effort directory fsync
+/// after), so a power cut mid-compaction leaves either the old complete
+/// file or the new complete file, never a truncated hybrid. Call before
+/// opening an append-mode CheckpointWriter on the same path. A missing file
+/// is a no-op.
 void compact_checkpoint(const std::string& path);
-
-/// Per-shard sink: folds the shard's events and appends the record when the
-/// shard finishes. The writer must outlive every shard of the campaign.
-class CheckpointSink : public ResultSink {
- public:
-  /// `spec_hash` is stamped into the record (see ShardCheckpoint).
-  CheckpointSink(std::shared_ptr<CheckpointWriter> writer,
-                 std::uint64_t spec_hash);
-
-  void probe_completed(const ProbeEvent& event) override;
-  void shard_finished(const ShardSummary& summary) override;
-
- private:
-  std::shared_ptr<CheckpointWriter> writer_;
-  std::uint64_t spec_hash_;
-  WorkloadFold fold_;
-};
 
 }  // namespace acute::report

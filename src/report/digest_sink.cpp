@@ -8,22 +8,6 @@ namespace acute::report {
 
 using sim::expects;
 
-void WorkloadDigest::merge(const WorkloadDigest& other) {
-  expects(tool == other.tool,
-          "WorkloadDigest::merge requires matching tool kinds");
-  probes += other.probes;
-  lost += other.lost;
-  reported_rtt_ms.merge(other.reported_rtt_ms);
-  du_ms.merge(other.du_ms);
-  dk_ms.merge(other.dk_ms);
-  dv_ms.merge(other.dv_ms);
-  dn_ms.merge(other.dn_ms);
-  passive_sniffer_samples += other.passive_sniffer_samples;
-  passive_app_samples += other.passive_app_samples;
-  passive_sniffer_rtt_ms.merge(other.passive_sniffer_rtt_ms);
-  passive_app_rtt_ms.merge(other.passive_app_rtt_ms);
-}
-
 void WorkloadDigest::merge(WorkloadDigest&& other) {
   expects(tool == other.tool,
           "WorkloadDigest::merge requires matching tool kinds");

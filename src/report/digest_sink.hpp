@@ -1,8 +1,8 @@
-// DigestSink: the bounded-memory default of the results pipeline.
+// DigestSink: the built-in fold of the results pipeline.
 //
 // Folds a shard's probe events into fixed-size per-workload
-// stats::MergingDigest accumulators — what used to be the hard-coded
-// keep_samples=false path of ShardResult. Memory is O(tool kinds), not
+// stats::MergingDigest accumulators — the digests of the shard's
+// report::ShardCheckpoint. Memory is O(tool kinds), not
 // O(probes), and the fold is a pure function of the (canonically ordered)
 // event stream, so shard digests are bit-identical for any worker count.
 #pragma once
@@ -39,18 +39,17 @@ struct WorkloadDigest {
   std::size_t passive_app_samples = 0;
   stats::MergingDigest passive_sniffer_rtt_ms, passive_app_rtt_ms;
 
-  /// Folds `other` (same tool kind) into this accumulator.
-  void merge(const WorkloadDigest& other);
-  /// Consuming fold: bit-identical to merge(const&); adopts other's digest
-  /// storage where possible and leaves `other` empty-but-valid with its
-  /// heap buffers released (the frontier's per-shard free).
+  /// Folds `other` (same tool kind) into this accumulator, consuming it:
+  /// adopts other's digest storage where possible and leaves `other`
+  /// empty-but-valid with its heap buffers released (the frontier's
+  /// per-shard free).
   void merge(WorkloadDigest&& other);
 };
 
 /// Group-by-ToolKind accumulator shared by the per-shard sink and the
 /// campaign-report merge: slots are kind-indexed, so take() emits in
 /// ascending ToolKind order — the documented ordering of
-/// ShardResult::digests and CampaignReport::workload_digests().
+/// ShardCheckpoint::digests and CampaignReport::workload_digests().
 class WorkloadFold {
  public:
   /// The accumulator for `kind`, created on first access.
@@ -65,8 +64,7 @@ class WorkloadFold {
   [[nodiscard]] std::vector<WorkloadDigest> snapshot() const;
 
   /// Folds one shard's take()-ordered digests into the campaign-level
-  /// slots, consuming them: the canonical frontier step. Bit-identical to
-  /// `for (d : digests) slot(d.tool).merge(d)` with copies.
+  /// slots, consuming them: the canonical frontier step.
   void fold_shard(std::vector<WorkloadDigest>&& digests);
 
  private:
@@ -75,8 +73,8 @@ class WorkloadFold {
 
 /// The one probe-fold rule of the pipeline: counters always, reported RTT
 /// for successful probes, layer digests for fully-stamped ones. DigestSink
-/// and CheckpointSink share it, which is what makes a checkpointed shard's
-/// digests the same bits as the in-memory report's.
+/// applies it to every shard, so a checkpointed, restored or fabric-shipped
+/// shard carries the same digest bits as one folded in memory.
 void fold_probe(WorkloadFold& fold, const ProbeEvent& event);
 
 class DigestSink : public ResultSink {

@@ -12,10 +12,10 @@
 // tiebreak, not a data decision — what matters is that every consumer picks
 // the SAME winner, which is why the rule lives in exactly one place.
 //
-// Users: report::compact_checkpoint (both overloads), Campaign::run's
-// buffered checkpoint restore, and the fabric coordinator's restore path.
-// The frontier's restored-slot feed reads a compact_checkpoint output file,
-// so it inherits the rule through the compaction rather than re-deriving it.
+// User: report::compact_checkpoint. The campaign ledger's restored-slot feed
+// (Campaign::run and the fabric coordinator) reads a compact_checkpoint
+// output file, so it inherits the rule through the compaction rather than
+// re-deriving it.
 #pragma once
 
 #include <cstddef>
@@ -34,10 +34,6 @@ class LatestWinsMerge {
   void claim(std::size_t scenario_index, Value value) {
     latest_.insert_or_assign(scenario_index, std::move(value));
   }
-
-  /// Distinct scenario indices claimed so far.
-  [[nodiscard]] std::size_t size() const { return latest_.size(); }
-  [[nodiscard]] bool empty() const { return latest_.empty(); }
 
   /// Applies `fn(scenario_index, value)` to every winner, ascending.
   template <typename Fn>

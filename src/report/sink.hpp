@@ -1,10 +1,9 @@
 // ResultSink: the pluggable consumer side of the streaming results API.
 //
-// Campaign::run_shard builds one sink chain per shard — the built-in
-// DigestSink/SampleBufferSink that back the CampaignReport compatibility
-// surface, a CheckpointSink when the campaign checkpoints, plus whatever
+// The campaign builds one sink chain per shard — the built-in DigestSink
+// whose digests become the shard's report::ShardCheckpoint, plus whatever
 // CampaignSpec::sinks (a SinkFactory) returns — and delivers the shard's
-// event stream through it.
+// event stream through it. Per-probe values leave a campaign only this way.
 //
 // Delivery contract (what a sink may rely on):
 //   * Exactly one shard_started(info), first.

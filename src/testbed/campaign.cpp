@@ -4,23 +4,18 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <functional>
 #include <limits>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <utility>
 
 #include "core/layer_sample.hpp"
 #include "passive/per_app.hpp"
 #include "passive/pping.hpp"
-#include "report/latest_wins.hpp"
-#include "report/sample_buffer_sink.hpp"
 #include "sim/contracts.hpp"
 #include "sim/random.hpp"
 #include "stats/digest_io.hpp"
-#include "testbed/merge_frontier.hpp"
+#include "testbed/campaign_ledger.hpp"
 #include "tools/factory.hpp"
 
 namespace acute::testbed {
@@ -303,98 +298,40 @@ std::size_t ScenarioGrid::size() const {
   return total;
 }
 
-std::vector<double> CampaignReport::merged(
-    std::vector<double> ShardResult::*field) const {
-  std::vector<double> all;
-  for (const ShardResult& shard : shards) {
-    const std::vector<double>& samples = shard.*field;
-    all.insert(all.end(), samples.begin(), samples.end());
-  }
-  return all;
-}
-
-stats::Summary CampaignReport::rtt_summary() const {
-  return stats::Summary(merged(&ShardResult::reported_rtt_ms));
-}
-
-stats::Cdf CampaignReport::rtt_cdf() const {
-  return stats::Cdf(merged(&ShardResult::reported_rtt_ms));
-}
-
-std::vector<WorkloadDigest> CampaignReport::workload_digests() const {
-  // Frontier mode already folded every completed shard in ascending
-  // scenario order as it retired; just copy the accumulators out.
-  if (frontier.active) return frontier.workloads.snapshot();
-  // Shards are already in scenario-index order, and each shard's digests
-  // are in ascending ToolKind order, so folding front to back gives the
-  // deterministic scenario-order merge the determinism contract requires.
-  // (A checkpoint-restored shard's digests deserialize bit-identically, so
-  // the fold cannot tell a resumed campaign from an uninterrupted one.)
-  report::WorkloadFold fold;
-  for (const ShardResult& shard : shards) {
-    for (const WorkloadDigest& digest : shard.digests) {
-      fold.slot(digest.tool).merge(digest);
-    }
-  }
-  return fold.take();
-}
-
-std::size_t CampaignReport::shard_count() const {
-  return frontier.active ? frontier.shard_count : shards.size();
-}
-
-std::size_t CampaignReport::completed_shards() const {
-  if (frontier.active) return frontier.completed;
-  std::size_t completed = 0;
-  for (const ShardResult& shard : shards) {
-    if (shard.completed) ++completed;
-  }
-  return completed;
-}
-
 stats::MergingDigest CampaignReport::rtt_digest() const {
   stats::MergingDigest all;
-  for (const WorkloadDigest& digest : workload_digests()) {
+  for (const report::WorkloadDigest& digest : workload_digests()) {
     all.merge(digest.reported_rtt_ms);
   }
   return all;
 }
 
-std::size_t CampaignReport::total_probes() const {
-  if (frontier.active) return frontier.probes;
-  std::size_t total = 0;
-  for (const ShardResult& shard : shards) total += shard.probes_sent;
-  return total;
-}
-
-std::size_t CampaignReport::total_lost() const {
-  if (frontier.active) return frontier.lost;
-  std::size_t total = 0;
-  for (const ShardResult& shard : shards) total += shard.probes_lost;
-  return total;
-}
-
-std::uint64_t CampaignReport::total_frames() const {
-  if (frontier.active) return frontier.frames;
-  std::uint64_t total = 0;
-  for (const ShardResult& shard : shards) total += shard.frames_on_air;
-  return total;
-}
-
-std::uint64_t CampaignReport::total_events() const {
-  if (frontier.active) return frontier.events;
-  std::uint64_t total = 0;
-  for (const ShardResult& shard : shards) total += shard.events_fired;
-  return total;
-}
-
-double CampaignReport::total_sim_seconds() const {
-  // The frontier accumulated this double sum in the same ascending shard
-  // order as this loop, so the two modes agree to the last bit.
-  if (frontier.active) return frontier.sim_seconds;
-  double total = 0;
-  for (const ShardResult& shard : shards) total += shard.sim_seconds;
-  return total;
+void write_report_digests(std::ostream& out, const CampaignReport& report) {
+  const auto digest = [&out](const stats::MergingDigest& value) {
+    out << ' ';
+    stats::write_digest(out, value);
+  };
+  std::string sim_seconds;
+  stats::append_hex64(sim_seconds,
+                      stats::double_bits(report.total_sim_seconds()));
+  out << "shards " << report.completed_shards() << ' ' << report.shard_count()
+      << '\n';
+  out << "totals " << report.total_probes() << ' ' << report.total_lost()
+      << ' ' << report.total_frames() << ' ' << report.total_events() << ' '
+      << sim_seconds << '\n';
+  for (const report::WorkloadDigest& w : report.workload_digests()) {
+    out << "workload " << tools::grid_name(w.tool) << ' ' << w.probes << ' '
+        << w.lost;
+    digest(w.reported_rtt_ms);
+    digest(w.du_ms);
+    digest(w.dk_ms);
+    digest(w.dv_ms);
+    digest(w.dn_ms);
+    out << ' ' << w.passive_sniffer_samples << ' ' << w.passive_app_samples;
+    digest(w.passive_sniffer_rtt_ms);
+    digest(w.passive_app_rtt_ms);
+    out << '\n';
+  }
 }
 
 Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
@@ -410,9 +347,10 @@ Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
           "Campaign requires probes_per_phone > 0");
   expects(spec_.probe_timeout > Duration{},
           "Campaign requires a positive probe timeout");
-  expects(spec_.retain_shards || !spec_.keep_samples,
-          "Campaign frontier mode (retain_shards=false) requires "
-          "keep_samples=false: raw sample vectors cannot be folded away");
+  expects(!spec_.keep_samples && !spec_.retain_shards,
+          "CampaignSpec::keep_samples and retain_shards are retired and must "
+          "stay false: campaigns always fold through the merge frontier; "
+          "record per-probe samples through CampaignSpec::sinks");
 }
 
 std::size_t Campaign::scenario_count() const {
@@ -454,10 +392,9 @@ struct ShardContext::Impl {
   /// Scenario scratch scenario_into() fills per shard (capacity-reusing).
   ScenarioSpec scenario;
   /// Built-in sink scratch, re-added to the chain by reference per shard;
-  /// per-shard sinks (user factory, checkpoint) are chain-owned as before.
+  /// the user factory's per-shard sinks are chain-owned.
   report::SinkChain chain;
   report::DigestSink digests;
-  report::SampleBufferSink buffers;
   /// Passive vantage points (warm tables; reset per shard, attached only
   /// when a workload asks for them).
   passive::PpingEstimator pping;
@@ -483,43 +420,16 @@ void Campaign::scenario_into(std::size_t index, ScenarioSpec& out) const {
   }
 }
 
-ShardResult Campaign::run_shard(std::size_t scenario_index) const {
-  ShardContext context;
-  return run_shard(scenario_index, /*run_sequence=*/0, nullptr, nullptr,
-                   context);
-}
-
-ShardResult Campaign::run_shard(std::size_t scenario_index,
-                                ShardContext& context) const {
-  return run_shard(scenario_index, /*run_sequence=*/0, nullptr, nullptr,
-                   context);
-}
-
 report::ShardCheckpoint Campaign::run_shard_record(
     std::size_t scenario_index, ShardContext& context) const {
-  ShardResult result = run_shard(scenario_index, /*run_sequence=*/0, nullptr,
-                                 nullptr, context);
-  report::ShardCheckpoint record;
-  record.summary.info = report::ShardInfo{scenario_index, result.shard_seed,
-                                          result.phone_count,
-                                          /*run_sequence=*/0};
-  record.summary.probes_sent = result.probes_sent;
-  record.summary.probes_lost = result.probes_lost;
-  record.summary.frames_on_air = result.frames_on_air;
-  record.summary.events_fired = result.events_fired;
-  record.summary.sim_seconds = result.sim_seconds;
-  // run_shard left context's scenario scratch holding this shard's spec;
-  // hashing it avoids re-materializing the scenario (the hash ignores the
-  // seed field run_shard overwrote).
-  record.spec_hash = spec_.shard_hash(context.impl_->scenario);
-  record.digests = std::move(result.digests);
-  return record;
+  return run_shard(scenario_index, /*run_sequence=*/0, nullptr,
+                   /*hash=*/true, nullptr, context);
 }
 
-ShardResult Campaign::run_shard(
+report::ShardCheckpoint Campaign::run_shard(
     std::size_t scenario_index, std::size_t run_sequence,
-    const std::shared_ptr<report::CheckpointWriter>& checkpoint,
-    StageSeconds* stage, ShardContext& context) const {
+    report::CheckpointWriter* checkpoint, bool hash, StageSeconds* stage,
+    ShardContext& context) const {
   expects(scenario_index < scenario_count(),
           "Campaign::run_shard index out of range");
   expects(context.impl_ != nullptr,
@@ -534,12 +444,11 @@ ShardResult Campaign::run_shard(
     return seconds;
   };
 
-  // Sink scratch first: normal completion leaves all three empty, but a
-  // shard that threw mid-stream must not leak partial folds (or its owned
+  // Sink scratch first: normal completion leaves it empty, but a shard
+  // that threw mid-stream must not leak partial folds (or its owned
   // per-shard sinks) into this one.
   ctx.chain.clear();
   ctx.digests.reset();
-  ctx.buffers.reset();
   ctx.pping.reset();
   ctx.per_app.reset();
 
@@ -547,39 +456,19 @@ ShardResult Campaign::run_shard(
   scenario_into(scenario_index, scenario);
   scenario.seed = shard_seed(spec_.seed, scenario_index);
 
-  ShardResult result;
-  result.scenario_index = scenario_index;
-  result.shard_seed = scenario.seed;
-  result.phone_count = scenario.phones.size();
+  report::ShardCheckpoint record;
+  report::ShardSummary& summary = record.summary;
+  summary.info = report::ShardInfo{scenario_index, scenario.seed,
+                                   scenario.phones.size(), run_sequence};
 
-  // The shard's sink chain: built-in sinks backing the ShardResult
-  // compatibility surface (context-resident, added by reference), the
-  // checkpoint sink when the campaign checkpoints, then whatever
-  // CampaignSpec::sinks plugs in.
-  const report::ShardInfo info{scenario_index, scenario.seed,
-                               scenario.phones.size(), run_sequence};
+  // The shard's sink chain: the built-in DigestSink (context-resident,
+  // added by reference), then whatever CampaignSpec::sinks plugs in.
   report::SinkChain& chain = ctx.chain;
   chain.add_ref(ctx.digests);
-  report::SampleBufferSink* buffers = nullptr;
-  if (spec_.keep_samples) {
-    buffers = &ctx.buffers;
-    chain.add_ref(ctx.buffers);
-  }
   if (spec_.sinks) {
-    for (auto& sink : spec_.sinks(info)) chain.add(std::move(sink));
+    for (auto& sink : spec_.sinks(summary.info)) chain.add(std::move(sink));
   }
-  // The checkpoint sink goes LAST: user sinks (e.g. the JSONL export) see
-  // shard_finished before the shard is durably marked complete, so a kill
-  // in between re-runs the shard (detectable duplicate export records)
-  // rather than silently never exporting it.
-  if (checkpoint != nullptr) {
-    // The scenario's seed was overwritten above, but the hash covers only
-    // the outcome-determining shape fields, so hashing the local copy
-    // equals hashing the stored/grid-built spec.
-    chain.add(std::make_unique<report::CheckpointSink>(
-        checkpoint, spec_.shard_hash(scenario)));
-  }
-  chain.shard_started(info);
+  chain.shard_started(summary.info);
 
   // Prune stale tools BEFORE the rebuild: ~MeasurementTool unregisters its
   // flow on the phone it was bound to, so it must run while that phone is
@@ -737,47 +626,36 @@ ShardResult Campaign::run_shard(
                 return a.probe_index < b.probe_index;
               });
     for (const report::ProbeEvent& event : events) {
-      result.probes_sent += 1;
-      if (event.timed_out) result.probes_lost += 1;
+      summary.probes_sent += 1;
+      if (event.timed_out) summary.probes_lost += 1;
       chain.probe_completed(event);
     }
     flush_passive(ctx.pping.samples(), i, report::Vantage::passive_sniffer);
     flush_passive(ctx.per_app.samples(), i, report::Vantage::passive_app);
   }
 
-  // Compose the ShardResult view from the built-in sink outputs.
-  result.digests = ctx.digests.take_digests();
-  if (buffers != nullptr) {
-    report::SampleBufferSink::Buffers taken = buffers->take();
-    result.reported_rtt_ms = std::move(taken.reported_rtt_ms);
-    result.du_ms = std::move(taken.du_ms);
-    result.dk_ms = std::move(taken.dk_ms);
-    result.dv_ms = std::move(taken.dv_ms);
-    result.dn_ms = std::move(taken.dn_ms);
-    result.passive_sniffer_rtt_ms = std::move(taken.passive_sniffer_rtt_ms);
-    result.passive_app_rtt_ms = std::move(taken.passive_app_rtt_ms);
-  }
+  record.digests = ctx.digests.take_digests();
   if (testbed.cross_traffic_running()) testbed.stop_cross_traffic();
-  result.frames_on_air = testbed.channel().frames_transmitted();
-  result.events_fired = testbed.simulator().events_fired();
-  result.sim_seconds =
+  summary.frames_on_air = testbed.channel().frames_transmitted();
+  summary.events_fired = testbed.simulator().events_fired();
+  summary.sim_seconds =
       (testbed.simulator().now() - sim::TimePoint::epoch()).to_seconds();
-  result.completed = true;
-
-  report::ShardSummary summary;
-  summary.info = info;
-  summary.probes_sent = result.probes_sent;
-  summary.probes_lost = result.probes_lost;
-  summary.frames_on_air = result.frames_on_air;
-  summary.events_fired = result.events_fired;
-  summary.sim_seconds = result.sim_seconds;
   chain.shard_finished(summary);
+  // The checkpoint append comes after every user sink's shard_finished: a
+  // kill in between re-runs the shard (detectable duplicate JSONL records)
+  // rather than never exporting it. It also precedes the caller's merge,
+  // so a shard is durable before it is folded. The hash covers only the
+  // outcome-determining shape fields, so the seed written above is moot.
+  if (hash || checkpoint != nullptr) {
+    record.spec_hash = spec_.shard_hash(scenario);
+  }
+  if (checkpoint != nullptr) checkpoint->append(record);
   // Destroy the per-shard owned sinks now (matching the fresh path, where
   // the whole chain died here); the context-resident built-ins stay warm.
   chain.clear();
   if (stage != nullptr) stage->sink += stage_lap();
   ++ctx.shards_run;
-  return result;
+  return record;
 }
 
 namespace {
@@ -799,109 +677,13 @@ struct alignas(64) WorkerLane {
 }  // namespace
 
 CampaignReport Campaign::run(std::size_t workers) {
-  const std::size_t shard_count = scenario_count();
-  const bool frontier_mode = !spec_.retain_shards;
   if (workers == 0) {
     workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;
   }
-
-  CampaignReport report;
-  report.frontier.active = frontier_mode;
-  report.frontier.shard_count = shard_count;
-  if (!frontier_mode) report.shards.resize(shard_count);
-
-  // Checkpoint resume: restore every shard already on disk (digests +
-  // counters deserialize bit-identically), compact the file back to one
-  // line per shard, then append newly completed shards to it. Buffered
-  // mode materializes the records straight into report.shards; frontier
-  // mode only *validates* them here (streaming, one record in memory) and
-  // re-reads the compacted file — ascending, one record per shard — as the
-  // fold reaches each restored index.
-  std::shared_ptr<report::CheckpointWriter> checkpoint;
-  std::vector<bool> restored_set;
-  std::unique_ptr<report::CheckpointReader> restored_feed;
-  if (!spec_.checkpoint_path.empty()) {
-    const auto restore_start = std::chrono::steady_clock::now();
-    if (frontier_mode) {
-      restored_set.assign(shard_count, false);
-      std::size_t restored_count = 0;
-      report::for_each_checkpoint(
-          spec_.checkpoint_path, [&](report::ShardCheckpoint&& record) {
-            const std::size_t index = record.summary.info.scenario_index;
-            expects(index < shard_count,
-                    "checkpoint does not match this campaign (shard out of "
-                    "range)");
-            expects(
-                record.summary.info.shard_seed == shard_seed(spec_.seed, index),
-                "checkpoint does not match this campaign (seed mismatch)");
-            expects(
-                record.spec_hash == spec_.shard_hash(scenario_at(index)),
-                "checkpoint does not match this campaign (spec edited since "
-                "the checkpoint was written)");
-            if (!restored_set[index]) {
-              restored_set[index] = true;
-              ++restored_count;
-            }
-          });
-      if (restored_count > 0) {
-        report::compact_checkpoint(spec_.checkpoint_path);
-      }
-      restored_feed =
-          std::make_unique<report::CheckpointReader>(spec_.checkpoint_path);
-    } else {
-      std::vector<report::ShardCheckpoint> records =
-          report::load_checkpoint(spec_.checkpoint_path);
-      for (report::ShardCheckpoint& record : records) {
-        const std::size_t index = record.summary.info.scenario_index;
-        expects(index < shard_count,
-                "checkpoint does not match this campaign (shard out of range)");
-        expects(record.summary.info.shard_seed == shard_seed(spec_.seed, index),
-                "checkpoint does not match this campaign (seed mismatch)");
-        expects(record.spec_hash == spec_.shard_hash(scenario_at(index)),
-                "checkpoint does not match this campaign (spec edited since "
-                "the checkpoint was written)");
-      }
-      // Validation passed: rewrite the file to exactly one record per
-      // completed shard (drops torn fragments and duplicate re-runs), so a
-      // many-times-resumed sweep's checkpoint stays O(completed shards)
-      // instead of growing with every kill.
-      if (!records.empty()) {
-        report::compact_checkpoint(spec_.checkpoint_path, records);
-      }
-      // Duplicate records (a shard re-run after a kill) resolve through the
-      // shared last-wins rule — the same LatestWinsMerge compaction just
-      // applied to the file, so memory and disk agree on the winner.
-      report::LatestWinsMerge<report::ShardCheckpoint*> latest;
-      for (report::ShardCheckpoint& record : records) {
-        latest.claim(record.summary.info.scenario_index, &record);
-      }
-      latest.for_each([&](std::size_t index, report::ShardCheckpoint* record) {
-        report.shards[index] = shard_result_from_checkpoint(std::move(*record));
-      });
-    }
-    checkpoint = std::make_shared<report::CheckpointWriter>(
-        spec_.checkpoint_path);
-    report.stage.restore = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() -
-                               restore_start)
-                               .count();
-  }
-
-  std::vector<std::size_t> pending;
-  pending.reserve(std::min<std::size_t>(
-      shard_count, spec_.max_shards > 0 ? spec_.max_shards : shard_count));
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    const bool already_done = frontier_mode
-                                  ? (!restored_set.empty() && restored_set[i])
-                                  : report.shards[i].completed;
-    if (already_done) continue;
-    pending.push_back(i);
-    // The kill / incremental-sweep knob: cap how many pending shards this
-    // invocation executes (the cut is the scenario-order prefix, so
-    // resumes walk the campaign front to back).
-    if (spec_.max_shards > 0 && pending.size() == spec_.max_shards) break;
-  }
+  CampaignLedger ledger(*this);
+  const std::vector<std::size_t>& pending = ledger.pending();
+  report::CheckpointWriter* checkpoint = ledger.checkpoint();
 
   // Never spawn more threads than pending shards: a tiny incremental tick
   // (or a fully-restored rerun) must not pay pool spin-up for workers that
@@ -913,83 +695,44 @@ CampaignReport Campaign::run(std::size_t workers) {
   // enough that tail imbalance is at most one batch per worker.
   const std::size_t batch = std::clamp<std::size_t>(
       pending.size() / (workers * 8), std::size_t{1}, std::size_t{16});
-
-  // Frontier setup: classify every index so the in-order fold knows what
-  // to wait for (fresh), what to pull from the compacted checkpoint
-  // (restored) and what to step over (the capped tail). The park bound is
-  // two claim batches per worker: room for the whole pool to keep parking
-  // while one worker folds, and a cap on the held map when the producers
-  // outrun that single folder.
-  std::unique_ptr<MergeFrontier> frontier;
-  if (frontier_mode) {
-    std::vector<MergeFrontier::Slot> slots(shard_count,
-                                           MergeFrontier::Slot::skipped);
-    if (!restored_set.empty()) {
-      for (std::size_t i = 0; i < shard_count; ++i) {
-        if (restored_set[i]) slots[i] = MergeFrontier::Slot::restored;
-      }
-    }
-    for (const std::size_t index : pending) {
-      slots[index] = MergeFrontier::Slot::fresh;
-    }
-    auto feed = [reader = restored_feed.get()](std::size_t expected_index) {
-      report::ShardCheckpoint record;
-      expects(reader != nullptr && reader->next(record),
-              "campaign frontier: compacted checkpoint exhausted before all "
-              "restored shards were folded");
-      expects(record.summary.info.scenario_index == expected_index,
-              "campaign frontier: compacted checkpoint out of order");
-      return shard_result_from_checkpoint(std::move(record));
-    };
-    frontier = std::make_unique<MergeFrontier>(
-        std::move(slots), std::move(feed), report.frontier,
-        /*park_bound=*/2 * workers * batch);
-  }
-  // Seals the fold: drains the restored/skipped tail and records the
-  // fold's telemetry.
-  const auto finish_frontier = [&] {
-    if (frontier == nullptr) return;
-    frontier->finalize();
-    report.stage.merge = frontier->fold_seconds();
-    report.frontier.high_water = frontier->high_water();
-  };
-
-  std::vector<std::exception_ptr> failures(pending.size());
+  // The park bound is two claim batches per worker: room for the whole
+  // pool to keep parking while one worker folds, and a cap on the held map
+  // when the producers outrun that single folder.
+  ledger.start(/*park_bound=*/2 * workers * batch);
 
   if (workers <= 1) {
     // One warm shard context for the whole serial sweep (the pool below
     // gives each worker its own).
     ShardContext context;
+    StageSeconds stage;
     for (std::size_t p = 0; p < pending.size(); ++p) {
       const std::size_t index = pending[p];
-      if (frontier != nullptr) {
-        try {
-          frontier->submit(index,
-                           run_shard(index, /*run_sequence=*/p, checkpoint,
-                                     &report.stage, context));
-        } catch (...) {
-          frontier->abandon(index);
-          throw;
-        }
-      } else {
-        report.shards[index] = run_shard(index, /*run_sequence=*/p,
-                                         checkpoint, &report.stage, context);
+      try {
+        ledger.submit(index, run_shard(index, /*run_sequence=*/p, checkpoint,
+                                       /*hash=*/false, &stage, context));
+      } catch (...) {
+        ledger.abandon(index);
+        throw;
       }
     }
-    finish_frontier();
+    CampaignReport report = ledger.finish();
+    report.stage.build = stage.build;
+    report.stage.simulate = stage.simulate;
+    report.stage.sink = stage.sink;
     return report;
   }
 
   // Work-stealing by atomic cursor: each worker owns the slots it claims,
   // so no locking is needed; determinism comes from per-shard seeding, not
   // from the claim order.
+  std::vector<std::exception_ptr> failures(pending.size());
   ClaimCursor cursor;
   std::vector<WorkerLane> lanes(workers);
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([this, &cursor, &report, &failures, &pending,
-                       &checkpoint, &frontier, &lane = lanes[w], batch] {
+    pool.emplace_back([this, &cursor, &ledger, &failures, &pending,
+                       checkpoint, &lane = lanes[w], batch] {
       // Each worker owns one warm context for its whole claim stream:
       // every shard after the first reuses the simulator, node graph,
       // tools and sink scratch (per-shard seeding keeps results
@@ -1003,31 +746,28 @@ CampaignReport Campaign::run(std::size_t workers) {
         for (std::size_t p = begin; p < end; ++p) {
           const std::size_t index = pending[p];
           try {
-            ShardResult result = run_shard(index, /*run_sequence=*/p,
-                                           checkpoint, &lane.stage, context);
+            report::ShardCheckpoint record =
+                run_shard(index, /*run_sequence=*/p, checkpoint,
+                          /*hash=*/false, &lane.stage, context);
             ++lane.shards_run;
-            if (frontier != nullptr) {
-              // Retire into the in-order fold: the result parks, and this
-              // worker folds every ready shard only if no other worker is
-              // folding. It waits only while another worker folds and the
-              // park bound is full. The shard's digests are freed as soon
-              // as the fold consumes them.
-              frontier->submit(index, std::move(result));
-            } else {
-              report.shards[index] = std::move(result);
-            }
+            // Retire into the in-order fold: the record parks, and this
+            // worker folds every ready shard only if no other worker is
+            // folding. It waits only while another worker folds and the
+            // park bound is full. The shard's digests are freed as soon
+            // as the fold consumes them.
+            ledger.submit(index, std::move(record));
           } catch (...) {
             failures[p] = std::current_exception();
             // Release the slot so the fold cannot stall behind a failed
             // shard; the exception is rethrown below after the join.
-            if (frontier != nullptr) frontier->abandon(index);
+            ledger.abandon(index);
           }
         }
       }
     });
   }
   for (std::thread& worker : pool) worker.join();
-  finish_frontier();
+  CampaignReport report = ledger.finish();
   for (const WorkerLane& lane : lanes) {
     report.stage.build += lane.stage.build;
     report.stage.simulate += lane.stage.simulate;

@@ -14,15 +14,18 @@
 //     merged report is bit-identical for ANY worker count.
 //   * Each shard narrates its execution as typed report:: events (shard
 //     started, one per completed probe, shard finished) through a per-shard
-//     report::ResultSink chain: the built-in DigestSink (fixed-size
-//     per-workload stats::MergingDigest accumulators) and, with
-//     keep_samples, SampleBufferSink (the legacy raw vectors) back the
-//     ShardResult/CampaignReport compatibility surface; CampaignSpec::sinks
-//     plugs arbitrary consumers (JSONL export, checkpointing) into the same
-//     stream. After the pool joins, shards merge in scenario-index order.
-//     With keep_samples=false campaign memory is O(shards), not O(samples).
+//     report::ResultSink chain: the built-in DigestSink folds them into
+//     fixed-size per-workload stats::MergingDigest accumulators, and
+//     CampaignSpec::sinks plugs arbitrary consumers (JSONL export, raw
+//     per-probe recorders) into the same stream. A shard's outcome is one
+//     report::ShardCheckpoint (counters, spec hash, digests) — the same
+//     record in memory, on disk and on the fabric wire.
+//   * Completed shards fold into the campaign totals through the merge
+//     frontier in ascending scenario order and are freed at once, so report
+//     memory is O(workers), not O(shards).
 //   * CampaignSpec::checkpoint_path persists every completed shard, so a
-//     killed sweep resumes from the last completed shard bit-identically.
+//     killed sweep resumes from the last completed shard bit-identically
+//     (CampaignLedger: restore, validate, compact, classify, fold).
 //
 // ScenarioGrid expands axis lists (phone count x profile x radio x RTT x
 // cross traffic x loss x reorder x workload) into the scenario vector, in a
@@ -33,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -41,9 +45,7 @@
 #include "report/checkpoint.hpp"
 #include "report/digest_sink.hpp"
 #include "report/sink.hpp"
-#include "stats/cdf.hpp"
 #include "stats/digest.hpp"
-#include "stats/summary.hpp"
 #include "testbed/shard_context.hpp"
 #include "testbed/testbed.hpp"
 #include "tools/factory.hpp"
@@ -112,40 +114,27 @@ struct CampaignSpec {
   sim::Duration probe_timeout = sim::Duration::seconds(8);
   /// Idle time before probing starts (power-save machinery steady state).
   sim::Duration settle = sim::Duration::millis(800);
-  /// When false, shards skip the raw per-probe sample vectors and keep only
-  /// the fixed-size streaming digests + counters: campaign memory becomes
-  /// O(shards) instead of O(samples) — the mode for 10^5-scenario sweeps.
-  /// (CampaignReport::merged()/rtt_summary()/rtt_cdf() need raw samples and
-  /// are unavailable then; use the digest accessors.)
-  bool keep_samples = true;
   /// Extra per-shard result sinks (streaming results pipeline): invoked once
   /// per shard, concurrently from worker threads, so the factory must be
   /// thread-safe; see report::ResultSink for the event-delivery contract and
-  /// report::jsonl_sink_factory for a ready-made JSONL exporter.
+  /// report::jsonl_sink_factory for a ready-made JSONL exporter. Per-probe
+  /// values (raw RTT and du/dk/dv/dn samples) reach callers only here.
   report::SinkFactory sinks;
-  /// Non-empty: checkpoint/resume. Every completed shard appends its digests
-  /// + counters here (report::CheckpointSink); Campaign::run skips shards
-  /// already present and restores their ShardResult from the record (raw
-  /// sample vectors are not checkpointed), so a killed sweep resumes from
-  /// the last completed shard with bit-identical merged digests.
+  /// Non-empty: checkpoint/resume. Every completed shard appends its record
+  /// here; Campaign::run restores the shards already present instead of
+  /// re-executing them, so a killed sweep resumes from the last completed
+  /// shard with bit-identical merged digests.
   std::string checkpoint_path;
   /// 0 = run every pending shard. Otherwise at most this many pending shards
   /// execute in this invocation and the rest stay incomplete — the knob
   /// behind kill/resume tests and incremental ("N shards per cron tick")
   /// checkpointed sweeps.
   std::size_t max_shards = 0;
-  /// When false, run() switches to the *merge frontier*: each completed (or
-  /// checkpoint-restored) shard is folded into campaign-level accumulators
-  /// as soon as every lower-indexed shard has folded, then its digests are
-  /// freed — peak report memory is O(workers + reorder window), not
-  /// O(shards), the 10^5–10^6-shard mode. CampaignReport::shards stays
-  /// empty then (use the digest/total accessors and shard_count()); the
-  /// fold order is the same ascending-scenario order as the buffered merge,
-  /// so the folded digests are bit-identical for any worker count and
-  /// across kill/resume. Requires keep_samples=false (raw sample vectors
-  /// cannot be folded away). Default true preserves the legacy per-shard
-  /// ShardResult surface for small sweeps.
-  bool retain_shards = true;
+  /// Retired modes: campaigns keep no raw sample vectors and always fold
+  /// through the merge frontier. Both must stay false (Campaign's
+  /// constructor rejects true); record per-probe values through `sinks`.
+  bool keep_samples = false;
+  bool retain_shards = false;
 
   /// FNV-1a fingerprint of everything that determines one shard's outcome
   /// besides the seed: the campaign probe schedule plus `scenario`'s shape.
@@ -164,19 +153,11 @@ struct CampaignSpec {
   [[nodiscard]] std::uint64_t spec_hash() const;
 };
 
-/// The per-workload streaming accumulator now lives in the report::
-/// subsystem (it is what DigestSink / CheckpointSink emit); this alias keeps
-/// the historical testbed:: spelling working.
-using WorkloadDigest = report::WorkloadDigest;
-
 /// Wall-clock seconds spent per campaign pipeline stage. Per-shard stages
 /// (build / simulate / sink) are summed across workers — with W workers the
 /// sum can exceed the campaign's wall time W-fold; the ratios are what
 /// matter (docs/campaigns.md, "Reading the BENCH numbers"). `restore` is
-/// the serial checkpoint load/compact phase of Campaign::run; `merge` is
-/// the frontier fold. In buffered mode (retain_shards=true) the digest
-/// merge happens lazily in the report accessors instead, so `merge` stays 0
-/// and benches time the accessor themselves.
+/// the serial checkpoint load/compact phase; `merge` is the frontier fold.
 struct StageSeconds {
   /// Scenario materialization + sink-chain setup + Testbed
   /// construction/rebuild.
@@ -185,71 +166,26 @@ struct StageSeconds {
   /// run_until_all_finished().
   double simulate = 0;
   /// Canonical event flush through the sink chain (digest folds, JSONL
-  /// blocks, checkpoint append) + shard_finished delivery.
+  /// blocks) + shard_finished delivery + the checkpoint append.
   double sink = 0;
   /// In-order frontier fold of completed shards into the campaign
-  /// accumulators (retain_shards=false only). One worker folds at a time,
-  /// outside the frontier lock, so this is serial fold time.
+  /// accumulators. One producer folds at a time, outside the frontier lock,
+  /// so this is serial fold time.
   double merge = 0;
   /// Checkpoint load, validation and compaction (serial, resume only).
   double restore = 0;
 };
 
-/// One scenario's outcome — a view composed from the shard's built-in sink
-/// outputs (DigestSink, SampleBufferSink). Sample vectors hold the
-/// scenario's phones in phone-index order (per-phone probe order within
-/// each phone).
-struct ShardResult {
-  /// False until the shard has executed (or been restored from a
-  /// checkpoint): a killed/partial run leaves unfinished shards with this
-  /// flag down and every counter and vector empty.
-  bool completed = false;
-  std::size_t scenario_index = 0;
-  /// The derived seed this shard ran with (Campaign::shard_seed).
-  std::uint64_t shard_seed = 0;
-  std::size_t phone_count = 0;
-  /// Exact fleet counters (all workloads of the shard combined).
-  std::size_t probes_sent = 0;
-  std::size_t probes_lost = 0;
-  /// Tool-reported RTTs of every successful probe, in **milliseconds**.
-  /// Empty when CampaignSpec::keep_samples is false.
-  std::vector<double> reported_rtt_ms;
-  /// Fig. 1 decomposition (ms) of every fully-stamped probe (WiFi phones; a
-  /// cellular phone's probes lack driver/air stamps and appear only in
-  /// reported_rtt_ms). Empty when keep_samples is false.
-  std::vector<double> du_ms, dk_ms, dv_ms, dn_ms;
-  /// Passive vantage-point RTT samples (ms), canonical event order: sniffer
-  /// TCP-timestamp estimates and per-app exec-env estimates, for phones
-  /// whose WorkloadSpec enables them. Empty when keep_samples is false.
-  std::vector<double> passive_sniffer_rtt_ms, passive_app_rtt_ms;
-  /// Streaming per-workload accumulators, ordered by ToolKind enumerator
-  /// value; only kinds the shard actually ran appear. Always populated,
-  /// independent of keep_samples.
-  std::vector<WorkloadDigest> digests;
-  /// Work accounting (throughput benches).
-  std::uint64_t frames_on_air = 0;
-  std::uint64_t events_fired = 0;
-  double sim_seconds = 0;
-};
-
-/// Merged campaign outcome; shards are ordered by scenario index.
+/// Merged campaign outcome: the frontier's in-order fold of every completed
+/// shard. Shards themselves are not retained.
 struct CampaignReport {
-  /// Per-shard results (buffered mode). Empty when the campaign ran with
-  /// CampaignSpec::retain_shards=false — the frontier fold consumed each
-  /// shard into `frontier` instead of retaining it.
-  std::vector<ShardResult> shards;
   /// Per-stage time breakdown of the run (see StageSeconds).
   StageSeconds stage;
 
   /// Campaign-level accumulators the merge frontier folds completed shards
-  /// into, in ascending scenario-index order — the same order (and thus the
-  /// same bits) as the buffered accessors' post-join merge. Only populated
-  /// when `active` (retain_shards=false); the accessors below read from it
-  /// automatically then.
+  /// into, in ascending scenario-index order; the accessors below read them.
   struct FoldedTotals {
-    /// True when the campaign ran in frontier mode.
-    bool active = false;
-    /// Total shards in the campaign (shards.size() is 0 in frontier mode).
+    /// Total shards in the campaign.
     std::size_t shard_count = 0;
     /// Shards folded (executed or restored) by this run.
     std::size_t completed = 0;
@@ -267,45 +203,45 @@ struct CampaignReport {
     std::size_t high_water = 0;
   } frontier;
 
-  /// Concatenation of a per-shard sample vector across shards, in scenario
-  /// index order (the canonical merge used by the summaries below).
-  /// Requires the campaign to have run with keep_samples=true.
-  [[nodiscard]] std::vector<double> merged(
-      std::vector<double> ShardResult::*field) const;
-
-  /// Summary / ECDF of every reported RTT (ms); need keep_samples=true.
-  [[nodiscard]] stats::Summary rtt_summary() const;
-  [[nodiscard]] stats::Cdf rtt_cdf() const;
-
   /// Per-workload streaming accumulators merged across all shards in
   /// scenario-index order, returned by ascending ToolKind; only kinds that
-  /// ran appear. Works in both keep_samples modes and both retention modes
-  /// (frontier mode reads the already-folded accumulators; bit-identical).
-  [[nodiscard]] std::vector<WorkloadDigest> workload_digests() const;
+  /// ran appear. Bit-identical for any worker count and across kill/resume.
+  [[nodiscard]] std::vector<report::WorkloadDigest> workload_digests() const {
+    return frontier.workloads.snapshot();
+  }
   /// All workloads' reported-RTT digests merged into one distribution (ms).
   [[nodiscard]] stats::MergingDigest rtt_digest() const;
 
-  /// Total shards in the campaign: shards.size() in buffered mode, the
-  /// frontier's shard count otherwise. Use this instead of shards.size()
-  /// in retention-mode-agnostic code.
-  [[nodiscard]] std::size_t shard_count() const;
+  /// Total shards in the campaign.
+  [[nodiscard]] std::size_t shard_count() const { return frontier.shard_count; }
 
   /// Shards that actually executed (or were restored from a checkpoint);
   /// equals shard_count() for an uninterrupted, un-capped run.
-  [[nodiscard]] std::size_t completed_shards() const;
+  [[nodiscard]] std::size_t completed_shards() const {
+    return frontier.completed;
+  }
 
   /// Exact fleet totals (sums over shards).
-  [[nodiscard]] std::size_t total_probes() const;
-  [[nodiscard]] std::size_t total_lost() const;
-  [[nodiscard]] std::uint64_t total_frames() const;
-  [[nodiscard]] std::uint64_t total_events() const;
-  [[nodiscard]] double total_sim_seconds() const;
+  [[nodiscard]] std::size_t total_probes() const { return frontier.probes; }
+  [[nodiscard]] std::size_t total_lost() const { return frontier.lost; }
+  [[nodiscard]] std::uint64_t total_frames() const { return frontier.frames; }
+  [[nodiscard]] std::uint64_t total_events() const { return frontier.events; }
+  [[nodiscard]] double total_sim_seconds() const {
+    return frontier.sim_seconds;
+  }
 };
+
+/// The canonical merged-result dump: shard counts, exact totals and every
+/// workload digest with IEEE-754 bit-pattern doubles, one line each. Equal
+/// dumps mean bit-identical merges — the form `acute_fabric --digest-out`
+/// writes and tests/golden/mixed_workloads.digests pins.
+void write_report_digests(std::ostream& out, const CampaignReport& report);
 
 class Campaign {
  public:
   /// Requires at least one scenario (exactly one of CampaignSpec::scenarios
-  /// / CampaignSpec::grid set) and a positive probe count.
+  /// / CampaignSpec::grid set), a positive probe count, and the retired
+  /// keep_samples / retain_shards flags left false.
   explicit Campaign(CampaignSpec spec);
 
   [[nodiscard]] const CampaignSpec& spec() const { return spec_; }
@@ -314,8 +250,13 @@ class Campaign {
   [[nodiscard]] std::size_t scenario_count() const;
 
   /// The scenario shard `index` runs (materialized copy; the lazy-grid path
-  /// builds it on demand). Seed not yet assigned — run_shard does that.
+  /// builds it on demand). Seed not yet assigned — the shard run does that.
   [[nodiscard]] ScenarioSpec scenario_at(std::size_t index) const;
+
+  /// scenario_at(), filled into `out` in place (capacity-reusing; the grid
+  /// path delegates to ScenarioGrid::at_into, the materialized path
+  /// copy-assigns).
+  void scenario_into(std::size_t index, ScenarioSpec& out) const;
 
   /// The deterministic seed shard `shard_index` runs its scenario with:
   /// Rng(campaign_seed).fork(shard_index). Depends only on the arguments,
@@ -324,54 +265,41 @@ class Campaign {
                                                 std::size_t shard_index);
 
   /// Runs every scenario across `workers` threads (0 = hardware
-  /// concurrency) and merges the results. Deterministic for any worker
+  /// concurrency) and folds the results. Deterministic for any worker
   /// count; a shard's failure (contract violation, deadlock guard) is
   /// rethrown after the pool joins, lowest shard index first.
   ///
   /// With CampaignSpec::checkpoint_path set, shards already recorded there
-  /// are restored instead of re-executed (their seed is validated against
-  /// shard_seed(), so a checkpoint from a different campaign is a contract
+  /// are restored instead of re-executed (their seed and spec hash are
+  /// validated, so a checkpoint from a different campaign is a contract
   /// violation) and newly completed shards are appended — the merged
   /// workload digests of a killed-and-resumed sweep are bit-identical to an
   /// uninterrupted run's. With CampaignSpec::max_shards set, at most that
-  /// many pending shards execute (the rest stay !completed).
+  /// many pending shards execute (the rest stay incomplete).
   [[nodiscard]] CampaignReport run(std::size_t workers = 0);
 
-  /// Runs a single shard synchronously on a fresh, throwaway context
-  /// (what run_shard(index, context) does on a first-use context).
-  [[nodiscard]] ShardResult run_shard(std::size_t scenario_index) const;
-
-  /// Runs a single shard on a reusable per-worker context: the context's
+  /// Runs one shard on a reusable per-worker context and returns the
+  /// record a checkpointed campaign would have appended — summary counters,
+  /// this spec's shard_hash() and the per-workload digests. The context's
   /// simulator, testbed node graph, tools and sink scratch are reset into
-  /// this scenario instead of reconstructed — near-zero heap allocations
-  /// when the scenario shape repeats, and byte-identical results either
-  /// way (what each pool worker executes; see docs/campaigns.md).
-  [[nodiscard]] ShardResult run_shard(std::size_t scenario_index,
-                                      ShardContext& context) const;
-
-  /// The fabric worker entry: runs one leased shard on `context` and
-  /// returns it as the checkpoint record a single-process campaign would
-  /// have appended — summary counters, this spec's shard_hash() and the
-  /// per-workload digests (DigestSink and CheckpointSink share one fold, so
-  /// the bits are identical). The caller owns merge and persistence:
-  /// render_checkpoint_record() turns the record into the ckpt2 wire line a
-  /// coordinator folds through MergeFrontier.
+  /// this scenario instead of reconstructed, with byte-identical results
+  /// either way (docs/campaigns.md). The fabric worker entry: the caller
+  /// owns merge and persistence, and render_checkpoint_record() turns the
+  /// record into the ckpt2 wire line a coordinator folds.
   [[nodiscard]] report::ShardCheckpoint run_shard_record(
       std::size_t scenario_index, ShardContext& context) const;
 
  private:
   /// `run_sequence` is the shard's dense position in this invocation's
   /// pending order (report::ShardInfo::run_sequence); `stage` (optional)
-  /// accumulates the shard's build/simulate/sink wall seconds.
-  [[nodiscard]] ShardResult run_shard(
+  /// accumulates the shard's build/simulate/sink wall seconds. The record's
+  /// spec hash is computed only when `hash` is set or `checkpoint` is
+  /// attached; the record is appended to `checkpoint` after the user sinks'
+  /// shard_finished.
+  [[nodiscard]] report::ShardCheckpoint run_shard(
       std::size_t scenario_index, std::size_t run_sequence,
-      const std::shared_ptr<report::CheckpointWriter>& checkpoint,
-      StageSeconds* stage, ShardContext& context) const;
-
-  /// Materializes shard `index`'s scenario into `out` (capacity-reusing;
-  /// the grid path delegates to ScenarioGrid::at_into, the materialized
-  /// path copy-assigns).
-  void scenario_into(std::size_t index, ScenarioSpec& out) const;
+      report::CheckpointWriter* checkpoint, bool hash, StageSeconds* stage,
+      ShardContext& context) const;
 
   CampaignSpec spec_;
 };

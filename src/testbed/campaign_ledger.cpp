@@ -1,0 +1,107 @@
+#include "testbed/campaign_ledger.hpp"
+
+#include <algorithm>
+#include <chrono>
+#include <string>
+#include <utility>
+
+#include "sim/contracts.hpp"
+
+namespace acute::testbed {
+
+using sim::expects;
+
+CampaignLedger::CampaignLedger(const Campaign& campaign)
+    : campaign_(campaign) {
+  const CampaignSpec& spec = campaign_.spec();
+  const std::size_t shard_count = campaign_.scenario_count();
+  report_.frontier.shard_count = shard_count;
+  slots_.assign(shard_count, MergeFrontier::Slot::skipped);
+
+  // Restore: validate every record on disk (streaming, one record in
+  // memory), compact the file back to one ascending line per shard, then
+  // re-read the compacted file as the fold reaches each restored index.
+  if (!spec.checkpoint_path.empty()) {
+    const auto restore_start = std::chrono::steady_clock::now();
+    report::for_each_checkpoint(
+        spec.checkpoint_path, [&](report::ShardCheckpoint&& record) {
+          validate(record, "checkpoint");
+          MergeFrontier::Slot& slot =
+              slots_[record.summary.info.scenario_index];
+          if (slot != MergeFrontier::Slot::restored) ++restored_count_;
+          slot = MergeFrontier::Slot::restored;
+        });
+    // Drops torn fragments and duplicate re-runs, so a many-times-resumed
+    // sweep's checkpoint stays O(completed shards).
+    if (restored_count_ > 0) report::compact_checkpoint(spec.checkpoint_path);
+    restored_ =
+        std::make_unique<report::CheckpointReader>(spec.checkpoint_path);
+    checkpoint_ =
+        std::make_unique<report::CheckpointWriter>(spec.checkpoint_path);
+    report_.stage.restore = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() -
+                                restore_start)
+                                .count();
+  }
+
+  // Classify: the scenario-order prefix of the non-restored shards runs
+  // (capped by max_shards, so resumes walk the campaign front to back).
+  pending_.reserve(std::min<std::size_t>(
+      shard_count, spec.max_shards > 0 ? spec.max_shards : shard_count));
+  for (std::size_t i = 0; i < shard_count; ++i) {
+    if (slots_[i] == MergeFrontier::Slot::restored) continue;
+    if (spec.max_shards > 0 && pending_.size() == spec.max_shards) break;
+    slots_[i] = MergeFrontier::Slot::fresh;
+    pending_.push_back(i);
+  }
+}
+
+void CampaignLedger::validate(const report::ShardCheckpoint& record,
+                              const char* source) {
+  const auto check = [source](bool ok, const char* why) {
+    if (!ok) {
+      const std::string message = std::string(source) +
+                                  " does not match this campaign (" + why +
+                                  ")";
+      expects(false, message.c_str());
+    }
+  };
+  const std::size_t index = record.summary.info.scenario_index;
+  check(index < campaign_.scenario_count(), "shard out of range");
+  check(record.summary.info.shard_seed ==
+            Campaign::shard_seed(campaign_.spec().seed, index),
+        "seed mismatch");
+  if (!scratch_.has_value()) scratch_.emplace();
+  campaign_.scenario_into(index, *scratch_);
+  check(record.spec_hash == campaign_.spec().shard_hash(*scratch_),
+        "spec hash mismatch: spec edited since the record was written");
+}
+
+void CampaignLedger::start(std::size_t park_bound) {
+  expects(!frontier_.has_value(), "CampaignLedger::start called twice");
+  auto feed = [reader = restored_.get()](std::size_t expected_index) {
+    report::ShardCheckpoint record;
+    expects(reader != nullptr && reader->next(record),
+            "campaign ledger: compacted checkpoint exhausted before all "
+            "restored shards were folded");
+    expects(record.summary.info.scenario_index == expected_index,
+            "campaign ledger: compacted checkpoint out of order");
+    return record;
+  };
+  frontier_.emplace(std::move(slots_), std::move(feed), report_.frontier,
+                    park_bound);
+}
+
+CampaignReport CampaignLedger::finish(bool compact) {
+  frontier_->finalize();
+  report_.stage.merge = frontier_->fold_seconds();
+  report_.frontier.high_water = frontier_->high_water();
+  if (compact && checkpoint_ != nullptr) {
+    const std::string path = checkpoint_->path();
+    checkpoint_.reset();  // flush before the compaction rewrite
+    report::compact_checkpoint(path);
+  }
+  return std::move(report_);
+}
+
+}  // namespace acute::testbed

@@ -108,7 +108,7 @@ MultiLayerResult Experiment::acutemon(const AcuteMonSpec& spec) {
 }
 
 MultiLayerResult Experiment::tool(const ToolSpec& spec) {
-  if (spec.kind == ToolKind::acutemon) {
+  if (spec.kind == tools::ToolKind::acutemon) {
     AcuteMonSpec am;
     am.profile = spec.profile;
     am.emulated_rtt = spec.emulated_rtt;

@@ -17,11 +17,6 @@
 
 namespace acute::testbed {
 
-/// The tool zoo lives in tools::ToolKind now (it is the campaign workload
-/// axis); these aliases keep the historical testbed:: spellings working.
-using tools::ToolKind;
-using tools::to_string;
-
 /// A tool run plus its layer decomposition.
 struct MultiLayerResult {
   tools::ToolRun run;
@@ -85,7 +80,7 @@ class Experiment {
 
   /// §4.3: one of the four tools, with or without cross traffic (Fig. 8).
   struct ToolSpec {
-    ToolKind kind = ToolKind::acutemon;
+    tools::ToolKind kind = tools::ToolKind::acutemon;
     phone::PhoneProfile profile = phone::PhoneProfile::nexus5();
     sim::Duration emulated_rtt = sim::Duration::millis(30);
     int probes = 100;

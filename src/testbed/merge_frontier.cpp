@@ -10,23 +10,7 @@ namespace acute::testbed {
 
 using sim::expects;
 
-ShardResult shard_result_from_checkpoint(report::ShardCheckpoint&& record) {
-  ShardResult restored;
-  restored.completed = true;
-  restored.scenario_index = record.summary.info.scenario_index;
-  restored.shard_seed = record.summary.info.shard_seed;
-  restored.phone_count = record.summary.info.phone_count;
-  restored.probes_sent = record.summary.probes_sent;
-  restored.probes_lost = record.summary.probes_lost;
-  restored.frames_on_air = record.summary.frames_on_air;
-  restored.events_fired = record.summary.events_fired;
-  restored.sim_seconds = record.summary.sim_seconds;
-  restored.digests = std::move(record.digests);
-  return restored;
-}
-
-MergeFrontier::MergeFrontier(std::vector<Slot> slots,
-                             std::function<ShardResult(std::size_t)> feed,
+MergeFrontier::MergeFrontier(std::vector<Slot> slots, Feed feed,
                              CampaignReport::FoldedTotals& totals,
                              std::size_t park_bound)
     : slots_(std::move(slots)),
@@ -40,7 +24,8 @@ MergeFrontier::MergeFrontier(std::vector<Slot> slots,
   fold_ready(lock);
 }
 
-void MergeFrontier::submit(std::size_t index, ShardResult&& result) {
+void MergeFrontier::submit(std::size_t index,
+                           report::ShardCheckpoint&& record) {
   std::unique_lock<std::mutex> lock(mu_);
   expects(index < slots_.size() && slots_[index] == Slot::fresh,
           "MergeFrontier::submit on a non-pending slot");
@@ -51,7 +36,7 @@ void MergeFrontier::submit(std::size_t index, ShardResult&& result) {
            index == cursor_ || fold_error_ != nullptr;
   });
   if (fold_error_ != nullptr) return;  // finalize() reports the failure
-  held_.emplace(index, std::move(result));
+  held_.emplace(index, std::move(record));
   high_water_ = std::max(high_water_, held_.size());
   if (!folding_) fold_ready(lock);
 }
@@ -123,17 +108,18 @@ void MergeFrontier::fold_ready(std::unique_lock<std::mutex>& lock) {
 }
 
 // The one fold step: counters in ascending scenario order (so double sums
-// match the buffered accessors bit for bit), then the consuming digest
+// are the same bits for any producer count), then the consuming digest
 // merge that frees the shard's buffers.
-void MergeFrontier::fold(ShardResult&& result) {
+void MergeFrontier::fold(report::ShardCheckpoint&& record) {
   const auto start = std::chrono::steady_clock::now();
+  const report::ShardSummary& summary = record.summary;
   ++totals_.completed;
-  totals_.probes += result.probes_sent;
-  totals_.lost += result.probes_lost;
-  totals_.frames += result.frames_on_air;
-  totals_.events += result.events_fired;
-  totals_.sim_seconds += result.sim_seconds;
-  totals_.workloads.fold_shard(std::move(result.digests));
+  totals_.probes += summary.probes_sent;
+  totals_.lost += summary.probes_lost;
+  totals_.frames += summary.frames_on_air;
+  totals_.events += summary.events_fired;
+  totals_.sim_seconds += summary.sim_seconds;
+  totals_.workloads.fold_shard(std::move(record.digests));
   fold_seconds_ += std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count();

@@ -10,14 +10,14 @@
 // so peak digest retention is O(producers), not O(shards).
 //
 // Order proof: the cursor visits indices strictly ascending and folds
-// exactly the shards the buffered model would retain (fresh submissions,
-// checkpoint-restored records, nothing for skipped/abandoned ones), so the
-// fold sequence is identical to CampaignReport::workload_digests()'s
-// post-join loop over `shards` — bit-identical digests and double sums for
-// any producer count and across kill/resume. That holds whether the
-// producers are Campaign::run's worker threads or fabric worker *processes*
-// streaming ckpt2 records to a coordinator: the frontier never sees the
-// difference.
+// exactly the completed shards (fresh submissions, checkpoint-restored
+// records, nothing for skipped/abandoned ones), so the fold sequence is the
+// ascending scenario order for any producer count and across kill/resume —
+// bit-identical digests and double sums, pinned by
+// tests/golden/mixed_workloads.digests. That holds whether the producers
+// are Campaign::run's worker threads or fabric worker *processes* streaming
+// ckpt2 records to a coordinator: both submit the same
+// report::ShardCheckpoint, and the frontier never sees the difference.
 //
 // One folder at a time, outside the lock. submit()/abandon() only park
 // their result under the mutex. If no fold is running, the caller becomes
@@ -49,16 +49,10 @@
 #include <mutex>
 #include <vector>
 
+#include "report/checkpoint.hpp"
 #include "testbed/campaign.hpp"
 
 namespace acute::testbed {
-
-/// Rebuilds the ShardResult view a completed shard would have produced with
-/// keep_samples=false from its checkpoint record (digests deserialize
-/// bit-identically; raw sample vectors are not checkpointed). Consumes the
-/// record's digests.
-[[nodiscard]] ShardResult shard_result_from_checkpoint(
-    report::ShardCheckpoint&& record);
 
 /// See the file comment. Thread-safe; a reference to the FoldedTotals the
 /// fold writes into must outlive the frontier.
@@ -70,21 +64,22 @@ class MergeFrontier {
     restored,  ///< fed from the compacted checkpoint, in file order
     fresh,     ///< a pending shard; a producer will submit() or abandon() it
   };
+  /// Returns the restored record for a scenario index (see the ctor).
+  using Feed = std::function<report::ShardCheckpoint(std::size_t)>;
 
   /// `feed` returns the next restored shard from the (ascending, unique)
   /// compacted checkpoint; called exactly once per `restored` slot, in
   /// ascending index order, by the active folder only (never concurrently,
   /// outside the frontier lock). `park_bound` caps the held map while
   /// another thread folds (see the file comment); 0 never waits.
-  MergeFrontier(std::vector<Slot> slots,
-                std::function<ShardResult(std::size_t)> feed,
+  MergeFrontier(std::vector<Slot> slots, Feed feed,
                 CampaignReport::FoldedTotals& totals,
                 std::size_t park_bound = 0);
 
   /// Parks a freshly-completed shard, then folds every ready shard if no
   /// other thread is folding. Waits only while another thread folds and
   /// the park bound is reached.
-  void submit(std::size_t index, ShardResult&& result);
+  void submit(std::size_t index, report::ShardCheckpoint&& record);
 
   /// Releases a failed shard's slot so the fold cannot stall on it (the
   /// failure itself is the caller's to rethrow/re-lease).
@@ -106,16 +101,17 @@ class MergeFrontier {
 
  private:
   void fold_ready(std::unique_lock<std::mutex>& lock);
-  void fold(ShardResult&& result);
+  void fold(report::ShardCheckpoint&& record);
 
   std::mutex mu_;
   std::condition_variable room_;  // held_ shrank, or the folder stopped
   std::vector<Slot> slots_;
-  std::function<ShardResult(std::size_t)> feed_;
+  Feed feed_;
   CampaignReport::FoldedTotals& totals_;
   std::size_t park_bound_;
-  std::map<std::size_t, ShardResult> held_;
-  std::vector<ShardResult> ready_;  // the run being folded; folder-only
+  std::map<std::size_t, report::ShardCheckpoint> held_;
+  // The run being folded; folder-only.
+  std::vector<report::ShardCheckpoint> ready_;
   std::size_t cursor_ = 0;
   bool folding_ = false;
   std::exception_ptr fold_error_;

@@ -5,7 +5,9 @@
 
 #include <set>
 
+#include "campaign_testing.hpp"
 #include "sim/contracts.hpp"
+#include "stats/summary.hpp"
 #include "testbed/campaign.hpp"
 
 namespace acute::testbed {
@@ -14,6 +16,9 @@ namespace {
 using namespace acute::sim::literals;
 using phone::PhoneProfile;
 using phone::RadioKind;
+using testing::digest_dump;
+using testing::RecordedShard;
+using testing::SampleRecorder;
 
 TEST(ScenarioGrid, ExpandsTheCrossProductInFixedOrder) {
   ScenarioGrid grid;
@@ -111,14 +116,17 @@ TEST(Campaign, LossyScenariosDropProbesDeterministically) {
   spec.probe_interval = 150_ms;
   spec.probe_timeout = 2_s;
 
-  const CampaignReport first = Campaign(spec).run(2);
-  const CampaignReport second = Campaign(spec).run(1);
-  ASSERT_EQ(first.shards.size(), 2u);
-  EXPECT_EQ(first.shards[0].probes_lost, 0u);
-  EXPECT_GT(first.shards[1].probes_lost, 0u);
-  EXPECT_EQ(first.shards[1].probes_lost, second.shards[1].probes_lost);
-  EXPECT_EQ(first.merged(&ShardResult::reported_rtt_ms),
-            second.merged(&ShardResult::reported_rtt_ms));
+  SampleRecorder first, second;
+  spec.sinks = first.sinks();
+  (void)Campaign(spec).run(2);
+  spec.sinks = second.sinks();
+  (void)Campaign(spec).run(1);
+  ASSERT_EQ(first.shards().size(), 2u);
+  EXPECT_EQ(first.at(0).summary.probes_lost, 0u);
+  EXPECT_GT(first.at(1).summary.probes_lost, 0u);
+  EXPECT_EQ(first.at(1).summary.probes_lost, second.at(1).summary.probes_lost);
+  EXPECT_EQ(first.merged(&RecordedShard::rtt_ms),
+            second.merged(&RecordedShard::rtt_ms));
 }
 
 TEST(Campaign, ShardSeedsDependOnlyOnCampaignSeedAndIndex) {
@@ -148,39 +156,47 @@ TEST(Campaign, MergedResultsAreBitIdenticalAcrossWorkerCounts) {
   // The acceptance criterion of the sharding design: same campaign seed =>
   // byte-identical merged stats with 1 worker and N workers. Exact double
   // equality is intentional — any thread-count dependence must fail loudly.
-  const CampaignReport serial = Campaign(small_campaign()).run(1);
-  const CampaignReport threaded = Campaign(small_campaign()).run(3);
+  SampleRecorder serial, threaded;
+  CampaignSpec spec = small_campaign();
+  spec.sinks = serial.sinks();
+  const CampaignReport serial_report = Campaign(spec).run(1);
+  spec.sinks = threaded.sinks();
+  const CampaignReport threaded_report = Campaign(spec).run(3);
 
-  ASSERT_EQ(serial.shards.size(), threaded.shards.size());
-  for (std::size_t i = 0; i < serial.shards.size(); ++i) {
-    EXPECT_EQ(serial.shards[i].shard_seed, threaded.shards[i].shard_seed);
-    EXPECT_EQ(serial.shards[i].probes_sent, threaded.shards[i].probes_sent);
-    EXPECT_EQ(serial.shards[i].events_fired, threaded.shards[i].events_fired);
+  ASSERT_EQ(serial.shards().size(), threaded.shards().size());
+  for (const auto& [i, shard] : serial.shards()) {
+    const report::ShardSummary& other = threaded.at(i).summary;
+    EXPECT_EQ(shard.summary.info.shard_seed, other.info.shard_seed);
+    EXPECT_EQ(shard.summary.probes_sent, other.probes_sent);
+    EXPECT_EQ(shard.summary.events_fired, other.events_fired);
   }
-  EXPECT_EQ(serial.merged(&ShardResult::reported_rtt_ms),
-            threaded.merged(&ShardResult::reported_rtt_ms));
-  EXPECT_EQ(serial.merged(&ShardResult::du_ms),
-            threaded.merged(&ShardResult::du_ms));
-  EXPECT_EQ(serial.merged(&ShardResult::dn_ms),
-            threaded.merged(&ShardResult::dn_ms));
+  EXPECT_EQ(serial.merged(&RecordedShard::rtt_ms),
+            threaded.merged(&RecordedShard::rtt_ms));
+  EXPECT_EQ(serial.merged(&RecordedShard::du_ms),
+            threaded.merged(&RecordedShard::du_ms));
+  EXPECT_EQ(serial.merged(&RecordedShard::dn_ms),
+            threaded.merged(&RecordedShard::dn_ms));
+  EXPECT_EQ(digest_dump(serial_report), digest_dump(threaded_report));
 }
 
 TEST(Campaign, ReportAggregatesAcrossShards) {
   CampaignSpec spec = small_campaign();
   spec.scenarios.resize(2);
+  SampleRecorder recorder;
+  spec.sinks = recorder.sinks();
   CampaignReport report = Campaign(spec).run(2);
-  ASSERT_EQ(report.shards.size(), 2u);
+  ASSERT_EQ(report.shard_count(), 2u);
   // 2 scenarios x (1 and 2 phones... resize kept indices 0,1: 1-phone each
   // at 10 and 25 ms) x 6 probes.
   EXPECT_EQ(report.total_probes(), 12u);
   EXPECT_EQ(report.total_lost(), 0u);
-  EXPECT_EQ(report.rtt_summary().count(), 12u);
+  EXPECT_EQ(report.rtt_digest().count(), 12u);
   EXPECT_GT(report.total_frames(), 0u);
   EXPECT_GT(report.total_events(), 0u);
   EXPECT_GT(report.total_sim_seconds(), 0.0);
   // The 25 ms shard's median user RTT must exceed the 10 ms shard's.
-  EXPECT_GT(stats::Summary(report.shards[1].reported_rtt_ms).median(),
-            stats::Summary(report.shards[0].reported_rtt_ms).median());
+  EXPECT_GT(stats::Summary(recorder.at(1).rtt_ms).median(),
+            stats::Summary(recorder.at(0).rtt_ms).median());
 }
 
 TEST(Campaign, RunsMixedRadioScenarios) {
@@ -192,18 +208,20 @@ TEST(Campaign, RunsMixedRadioScenarios) {
   spec.scenarios = {mixed};
   spec.probes_per_phone = 5;
   spec.probe_interval = 400_ms;
-  const CampaignReport report = Campaign(spec).run(1);
-  ASSERT_EQ(report.shards.size(), 1u);
-  const ShardResult& shard = report.shards.front();
-  EXPECT_EQ(shard.probes_sent, 10u);
-  EXPECT_EQ(shard.probes_lost, 0u);
+  SampleRecorder recorder;
+  spec.sinks = recorder.sinks();
+  (void)Campaign(spec).run(1);
+  ASSERT_EQ(recorder.shards().size(), 1u);
+  const RecordedShard& shard = recorder.at(0);
+  EXPECT_EQ(shard.summary.probes_sent, 10u);
+  EXPECT_EQ(shard.summary.probes_lost, 0u);
   // Only the WiFi phone produces fully-stamped layer samples...
   EXPECT_LE(shard.du_ms.size(), 5u);
   EXPECT_GT(shard.du_ms.size(), 0u);
   // ...but both phones' probes report RTTs, and the cellular ones pay the
   // core-network RTT (>= 50 ms) on top of the emulated path.
-  EXPECT_EQ(shard.reported_rtt_ms.size(), 10u);
-  const auto& rtts = shard.reported_rtt_ms;
+  EXPECT_EQ(shard.rtt_ms.size(), 10u);
+  const auto& rtts = shard.rtt_ms;
   const std::vector<double> wifi_rtts(rtts.begin(), rtts.begin() + 5);
   const std::vector<double> cell_rtts(rtts.begin() + 5, rtts.end());
   const double wifi_median = stats::Summary(wifi_rtts).median();

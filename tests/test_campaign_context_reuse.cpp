@@ -17,14 +17,18 @@
 #include <string>
 #include <vector>
 
+#include "campaign_testing.hpp"
+#include "report/checkpoint.hpp"
 #include "report/jsonl_sink.hpp"
-#include "stats/digest_io.hpp"
 #include "testbed/campaign.hpp"
 
 namespace acute::testbed {
 namespace {
 
 using sim::Duration;
+using testing::digest_dump;
+using testing::RecordedShard;
+using testing::SampleRecorder;
 
 struct TempFile {
   explicit TempFile(const std::string& name)
@@ -39,22 +43,6 @@ std::string file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
   out << in.rdbuf();
-  return out.str();
-}
-
-/// Exact serialization of a digest vector: write_digest emits the IEEE-754
-/// bit patterns of every centroid, so equal strings mean equal bits.
-std::string digest_bytes(const std::vector<WorkloadDigest>& digests) {
-  std::ostringstream out;
-  for (const WorkloadDigest& digest : digests) {
-    out << static_cast<int>(digest.tool) << ' ' << digest.probes << ' '
-        << digest.lost << '\n';
-    stats::write_digest(out, digest.reported_rtt_ms);
-    stats::write_digest(out, digest.du_ms);
-    stats::write_digest(out, digest.dk_ms);
-    stats::write_digest(out, digest.dv_ms);
-    stats::write_digest(out, digest.dn_ms);
-  }
   return out.str();
 }
 
@@ -77,46 +65,46 @@ CampaignSpec shape_shifting_spec() {
   spec.probe_interval = Duration::millis(50);
   spec.probe_timeout = Duration::millis(400);
   spec.settle = Duration::millis(50);
-  spec.keep_samples = false;
   return spec;
 }
 
 TEST(CampaignContextReuse, ReusedShardsMatchFreshBitForBit) {
+  // The rendered record holds every counter and digest bit of the shard.
   Campaign campaign(shape_shifting_spec());
   ShardContext context;
   for (std::size_t i = 0; i < campaign.scenario_count(); ++i) {
-    const ShardResult fresh = campaign.run_shard(i);
-    const ShardResult reused = campaign.run_shard(i, context);
-    ASSERT_TRUE(fresh.completed);
-    ASSERT_TRUE(reused.completed);
-    EXPECT_EQ(fresh.scenario_index, reused.scenario_index);
-    EXPECT_EQ(fresh.shard_seed, reused.shard_seed);
-    EXPECT_EQ(fresh.phone_count, reused.phone_count);
-    EXPECT_EQ(fresh.probes_sent, reused.probes_sent);
-    EXPECT_EQ(fresh.probes_lost, reused.probes_lost);
-    EXPECT_EQ(fresh.frames_on_air, reused.frames_on_air);
-    EXPECT_EQ(fresh.events_fired, reused.events_fired);
-    EXPECT_EQ(fresh.sim_seconds, reused.sim_seconds);
-    EXPECT_EQ(digest_bytes(fresh.digests), digest_bytes(reused.digests))
-        << "shard " << i << " digests differ between fresh and reused";
+    ShardContext fresh;
+    EXPECT_EQ(
+        report::render_checkpoint_record(campaign.run_shard_record(i, fresh)),
+        report::render_checkpoint_record(
+            campaign.run_shard_record(i, context)))
+        << "shard " << i << " differs between fresh and reused";
   }
   EXPECT_EQ(context.shards_run(), campaign.scenario_count());
   EXPECT_EQ(context.reuses(), campaign.scenario_count() - 1);
 }
 
-TEST(CampaignContextReuse, RawSampleVectorsMatchFresh) {
+TEST(CampaignContextReuse, RawSamplesMatchFresh) {
+  // Per-probe values, exactly: one recorder sees each shard run on a fresh
+  // context, the other the same shard on the reused one.
   CampaignSpec spec = shape_shifting_spec();
-  spec.keep_samples = true;
-  Campaign campaign(spec);
+  SampleRecorder fresh_samples, reused_samples;
+  spec.sinks = fresh_samples.sinks();
+  const Campaign fresh_campaign(spec);
+  spec.sinks = reused_samples.sinks();
+  const Campaign reused_campaign(spec);
   ShardContext context;
-  for (std::size_t i = 0; i < campaign.scenario_count(); ++i) {
-    const ShardResult fresh = campaign.run_shard(i);
-    const ShardResult reused = campaign.run_shard(i, context);
-    EXPECT_EQ(fresh.reported_rtt_ms, reused.reported_rtt_ms);
-    EXPECT_EQ(fresh.du_ms, reused.du_ms);
-    EXPECT_EQ(fresh.dk_ms, reused.dk_ms);
-    EXPECT_EQ(fresh.dv_ms, reused.dv_ms);
-    EXPECT_EQ(fresh.dn_ms, reused.dn_ms);
+  for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
+    ShardContext fresh;
+    (void)fresh_campaign.run_shard_record(i, fresh);
+    (void)reused_campaign.run_shard_record(i, context);
+    const RecordedShard& a = fresh_samples.at(i);
+    const RecordedShard& b = reused_samples.at(i);
+    EXPECT_EQ(a.rtt_ms, b.rtt_ms) << "shard " << i;
+    EXPECT_EQ(a.du_ms, b.du_ms);
+    EXPECT_EQ(a.dk_ms, b.dk_ms);
+    EXPECT_EQ(a.dv_ms, b.dv_ms);
+    EXPECT_EQ(a.dn_ms, b.dn_ms);
   }
 }
 
@@ -135,7 +123,7 @@ TEST(CampaignContextReuse, JsonlAndDigestsIdenticalAcrossWorkerCounts) {
       Campaign campaign(spec);
       const CampaignReport report = campaign.run(workers);
       EXPECT_EQ(report.completed_shards(), campaign.scenario_count());
-      const std::string digests = digest_bytes(report.workload_digests());
+      const std::string digests = digest_dump(report);
       if (reference_digests.empty()) {
         reference_digests = digests;
       } else {
@@ -164,7 +152,7 @@ TEST(CampaignContextReuse, CheckpointTicksMatchUninterruptedRun) {
   reference_spec.checkpoint_path = reference_ckpt.path;
   const CampaignReport reference = Campaign(reference_spec).run(1);
   const std::string reference_digests =
-      digest_bytes(reference.workload_digests());
+      digest_dump(reference);
 
   // Ticked: 8-worker increments of at most 12 shards, a fresh Campaign per
   // tick — nothing but the checkpoint file carries state across ticks.
@@ -178,7 +166,7 @@ TEST(CampaignContextReuse, CheckpointTicksMatchUninterruptedRun) {
     if (ticked.completed_shards() == ticked.shard_count()) break;
   }
   EXPECT_EQ(ticked.completed_shards(), reference.completed_shards());
-  EXPECT_EQ(digest_bytes(ticked.workload_digests()), reference_digests);
+  EXPECT_EQ(digest_dump(ticked), reference_digests);
   EXPECT_EQ(ticked.total_probes(), reference.total_probes());
   EXPECT_EQ(ticked.total_lost(), reference.total_lost());
 
@@ -190,32 +178,13 @@ TEST(CampaignContextReuse, CheckpointTicksMatchUninterruptedRun) {
     compact_spec.checkpoint_path = *path;
     const CampaignReport compacted = Campaign(compact_spec).run(1);
     EXPECT_EQ(compacted.completed_shards(), compacted.shard_count());
-    EXPECT_EQ(digest_bytes(compacted.workload_digests()), reference_digests);
+    EXPECT_EQ(digest_dump(compacted), reference_digests);
   }
   const std::string reference_bytes = file_bytes(reference_ckpt.path);
   ASSERT_FALSE(reference_bytes.empty());
   EXPECT_EQ(file_bytes(ticked_ckpt.path), reference_bytes)
       << "compacted checkpoints differ between ticked 8-worker and "
          "uninterrupted 1-worker sweeps";
-}
-
-/// Frontier mode (the 10^5+-shard configuration): folded accumulators are
-/// byte-identical across worker counts with contexts reused per worker.
-TEST(CampaignContextReuse, FrontierFoldIdenticalAcrossWorkerCounts) {
-  CampaignSpec spec = shape_shifting_spec();
-  spec.retain_shards = false;
-  std::string reference;
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
-    const CampaignReport report = Campaign(spec).run(workers);
-    EXPECT_TRUE(report.frontier.active);
-    EXPECT_EQ(report.completed_shards(), report.shard_count());
-    const std::string digests = digest_bytes(report.workload_digests());
-    if (reference.empty()) {
-      reference = digests;
-    } else {
-      EXPECT_EQ(digests, reference);
-    }
-  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include "report/jsonl_sink.hpp"
 #include "report/sink.hpp"
+#include "campaign_testing.hpp"
 #include "sim/contracts.hpp"
 #include "testbed/campaign.hpp"
 
@@ -108,30 +109,12 @@ CampaignSpec small_spec() {
   spec.probes_per_phone = 6;
   spec.probe_interval = 150_ms;
   spec.probe_timeout = 1_s;
-  spec.keep_samples = false;
   return spec;
 }
 
 void expect_digests_bit_identical(const CampaignReport& a,
                                   const CampaignReport& b) {
-  const auto da = a.workload_digests();
-  const auto db = b.workload_digests();
-  ASSERT_EQ(da.size(), db.size());
-  for (std::size_t i = 0; i < da.size(); ++i) {
-    EXPECT_EQ(da[i].tool, db[i].tool);
-    EXPECT_EQ(da[i].probes, db[i].probes);
-    EXPECT_EQ(da[i].lost, db[i].lost);
-    for (const double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-      EXPECT_EQ(da[i].reported_rtt_ms.quantile(q),
-                db[i].reported_rtt_ms.quantile(q));
-      EXPECT_EQ(da[i].du_ms.quantile(q), db[i].du_ms.quantile(q));
-      EXPECT_EQ(da[i].dn_ms.quantile(q), db[i].dn_ms.quantile(q));
-    }
-  }
-  EXPECT_EQ(a.total_probes(), b.total_probes());
-  EXPECT_EQ(a.total_lost(), b.total_lost());
-  EXPECT_EQ(a.total_frames(), b.total_frames());
-  EXPECT_EQ(a.total_events(), b.total_events());
+  EXPECT_EQ(testing::digest_dump(a), testing::digest_dump(b));
 }
 
 TEST(LazyCampaign, GridBackedRunEqualsMaterializedRun) {
@@ -140,14 +123,17 @@ TEST(LazyCampaign, GridBackedRunEqualsMaterializedRun) {
   CampaignSpec materialized = small_spec();
   materialized.scenarios = small_grid().expand();
 
+  testing::SampleRecorder grid_shards, vector_shards;
+  lazy.sinks = grid_shards.sinks();
+  materialized.sinks = vector_shards.sinks();
   const CampaignReport from_grid = Campaign(lazy).run(2);
   const CampaignReport from_vector = Campaign(materialized).run(2);
-  ASSERT_EQ(from_grid.shards.size(), from_vector.shards.size());
-  for (std::size_t i = 0; i < from_grid.shards.size(); ++i) {
-    EXPECT_EQ(from_grid.shards[i].shard_seed,
-              from_vector.shards[i].shard_seed);
-    EXPECT_EQ(from_grid.shards[i].events_fired,
-              from_vector.shards[i].events_fired);
+  ASSERT_EQ(grid_shards.shards().size(), vector_shards.shards().size());
+  for (const auto& [i, shard] : grid_shards.shards()) {
+    EXPECT_EQ(shard.summary.info.shard_seed,
+              vector_shards.at(i).summary.info.shard_seed);
+    EXPECT_EQ(shard.summary.events_fired,
+              vector_shards.at(i).summary.events_fired);
   }
   expect_digests_bit_identical(from_grid, from_vector);
 }
@@ -177,7 +163,7 @@ TEST(LazyCampaign, LazyGridResumesThroughCheckpoints) {
   resumed.grid = small_grid();
   resumed.checkpoint_path = checkpoint.path;
   const CampaignReport report = Campaign(resumed).run(2);
-  EXPECT_EQ(report.completed_shards(), report.shards.size());
+  EXPECT_EQ(report.completed_shards(), report.shard_count());
   expect_digests_bit_identical(report, uninterrupted);
 }
 
@@ -200,7 +186,6 @@ CampaignSpec ten_thousand_shard_spec() {
   spec.probe_interval = 50_ms;
   spec.probe_timeout = 400_ms;
   spec.settle = 50_ms;
-  spec.keep_samples = false;
   return spec;
 }
 
@@ -209,7 +194,7 @@ TEST(LazyCampaign, TenThousandShardsBitIdenticalAcrossWorkerCounts) {
   ASSERT_EQ(serial.scenario_count(), 10000u);
   const CampaignReport one = serial.run(1);
   const CampaignReport eight = Campaign(ten_thousand_shard_spec()).run(8);
-  ASSERT_EQ(one.shards.size(), eight.shards.size());
+  ASSERT_EQ(one.completed_shards(), eight.completed_shards());
   EXPECT_GT(one.total_lost(), 0u);  // the loss axis actually bites
   expect_digests_bit_identical(one, eight);
 }

@@ -1,7 +1,7 @@
 // The passive campaign axis, pinned bit for bit: a grid mixing active-only
 // and passive-vantage workloads must merge byte-identically for any worker
 // count, on fresh and reused shard contexts, and across kill/resume ticks
-// in frontier mode — and the passive observers must be pure observers (a
+// — and the passive observers must be pure observers (a
 // workload with a passive vantage produces the exact same ACTIVE samples
 // as the same workload without it).
 #include <gtest/gtest.h>
@@ -13,9 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "campaign_testing.hpp"
+#include "report/checkpoint.hpp"
 #include "report/jsonl_sink.hpp"
 #include "sim/contracts.hpp"
-#include "stats/digest_io.hpp"
 #include "testbed/campaign.hpp"
 
 namespace acute::testbed {
@@ -23,6 +24,9 @@ namespace {
 
 using passive::PassiveVantage;
 using sim::Duration;
+using testing::digest_dump;
+using testing::RecordedShard;
+using testing::SampleRecorder;
 using tools::ToolKind;
 
 struct TempFile {
@@ -38,25 +42,6 @@ std::string file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
   out << in.rdbuf();
-  return out.str();
-}
-
-/// Exact serialization of a digest vector, passive accumulators included:
-/// write_digest emits IEEE-754 bit patterns, so equal strings = equal bits.
-std::string digest_bytes(const std::vector<WorkloadDigest>& digests) {
-  std::ostringstream out;
-  for (const WorkloadDigest& digest : digests) {
-    out << static_cast<int>(digest.tool) << ' ' << digest.probes << ' '
-        << digest.lost << ' ' << digest.passive_sniffer_samples << ' '
-        << digest.passive_app_samples << '\n';
-    stats::write_digest(out, digest.reported_rtt_ms);
-    stats::write_digest(out, digest.du_ms);
-    stats::write_digest(out, digest.dk_ms);
-    stats::write_digest(out, digest.dv_ms);
-    stats::write_digest(out, digest.dn_ms);
-    stats::write_digest(out, digest.passive_sniffer_rtt_ms);
-    stats::write_digest(out, digest.passive_app_rtt_ms);
-  }
   return out.str();
 }
 
@@ -89,33 +74,39 @@ CampaignSpec passive_mix_spec() {
   return spec;
 }
 
-TEST(CampaignPassive, PassiveSamplesFlowIntoDigestsAndBuffers) {
-  Campaign campaign(passive_mix_spec());
+TEST(CampaignPassive, PassiveSamplesFlowIntoDigestsAndRecords) {
+  CampaignSpec spec = passive_mix_spec();
+  SampleRecorder recorder;
+  spec.sinks = recorder.sinks();
+  Campaign campaign(spec);
+  ShardContext context;
   // Shard 1: one phone, java_ping + sniffer vantage.
-  const ShardResult sniffer_shard = campaign.run_shard(1);
+  const report::ShardCheckpoint sniffer_shard =
+      campaign.run_shard_record(1, context);
   ASSERT_EQ(sniffer_shard.digests.size(), 1u);
   EXPECT_EQ(sniffer_shard.digests[0].tool, ToolKind::java_ping);
   EXPECT_EQ(sniffer_shard.digests[0].passive_sniffer_samples, 4u);
   EXPECT_EQ(sniffer_shard.digests[0].passive_app_samples, 0u);
-  EXPECT_EQ(sniffer_shard.passive_sniffer_rtt_ms.size(), 4u);
-  EXPECT_TRUE(sniffer_shard.passive_app_rtt_ms.empty());
+  EXPECT_EQ(recorder.at(1).sniffer_rtt_ms.size(), 4u);
+  EXPECT_TRUE(recorder.at(1).app_rtt_ms.empty());
   // Passive samples never count as probes.
-  EXPECT_EQ(sniffer_shard.probes_sent, 4u);
+  EXPECT_EQ(sniffer_shard.summary.probes_sent, 4u);
 
   // Shard 2: one phone, httping + both vantages (httping = N+1 exchanges).
-  const ShardResult both_shard = campaign.run_shard(2);
+  const report::ShardCheckpoint both_shard =
+      campaign.run_shard_record(2, context);
   ASSERT_EQ(both_shard.digests.size(), 1u);
   EXPECT_EQ(both_shard.digests[0].passive_sniffer_samples, 5u);
   EXPECT_EQ(both_shard.digests[0].passive_app_samples, 5u);
-  EXPECT_EQ(both_shard.probes_sent, 4u);
+  EXPECT_EQ(both_shard.summary.probes_sent, 4u);
 
   // Shard 0: active-only control — every passive surface stays empty.
-  const ShardResult control = campaign.run_shard(0);
+  const report::ShardCheckpoint control = campaign.run_shard_record(0, context);
   ASSERT_EQ(control.digests.size(), 1u);
   EXPECT_EQ(control.digests[0].passive_sniffer_samples, 0u);
   EXPECT_EQ(control.digests[0].passive_app_samples, 0u);
-  EXPECT_TRUE(control.passive_sniffer_rtt_ms.empty());
-  EXPECT_TRUE(control.passive_app_rtt_ms.empty());
+  EXPECT_TRUE(recorder.at(0).sniffer_rtt_ms.empty());
+  EXPECT_TRUE(recorder.at(0).app_rtt_ms.empty());
 }
 
 TEST(CampaignPassive, ObserversDoNotPerturbTheActiveMeasurement) {
@@ -129,32 +120,35 @@ TEST(CampaignPassive, ObserversDoNotPerturbTheActiveMeasurement) {
       phone.workload.passive = PassiveVantage::none;
     }
   }
-  for (std::size_t i = 0; i < with.scenarios.size(); ++i) {
-    const ShardResult observed = Campaign(with).run_shard(i);
-    const ShardResult plain = Campaign(without).run_shard(i);
-    EXPECT_EQ(observed.reported_rtt_ms, plain.reported_rtt_ms) << "shard " << i;
-    EXPECT_EQ(observed.du_ms, plain.du_ms) << "shard " << i;
-    EXPECT_EQ(observed.dn_ms, plain.dn_ms) << "shard " << i;
-    EXPECT_EQ(observed.probes_sent, plain.probes_sent);
-    EXPECT_EQ(observed.probes_lost, plain.probes_lost);
-    EXPECT_EQ(observed.frames_on_air, plain.frames_on_air);
-    EXPECT_EQ(observed.sim_seconds, plain.sim_seconds);
+  SampleRecorder observed, plain;
+  with.sinks = observed.sinks();
+  without.sinks = plain.sinks();
+  (void)Campaign(with).run(2);
+  (void)Campaign(without).run(2);
+  ASSERT_EQ(observed.shards().size(), with.scenarios.size());
+  for (const auto& [i, shard] : observed.shards()) {
+    const RecordedShard& control = plain.at(i);
+    EXPECT_EQ(shard.rtt_ms, control.rtt_ms) << "shard " << i;
+    EXPECT_EQ(shard.du_ms, control.du_ms) << "shard " << i;
+    EXPECT_EQ(shard.dn_ms, control.dn_ms) << "shard " << i;
+    EXPECT_EQ(shard.summary.probes_sent, control.summary.probes_sent);
+    EXPECT_EQ(shard.summary.probes_lost, control.summary.probes_lost);
+    EXPECT_EQ(shard.summary.frames_on_air, control.summary.frames_on_air);
+    EXPECT_EQ(shard.summary.sim_seconds, control.summary.sim_seconds);
   }
 }
 
 TEST(CampaignPassive, FreshAndReusedContextsMatchBitForBit) {
+  // The record carries the passive digests and counters, so equal rendered
+  // lines mean the warm estimator and monitor reset exactly.
   Campaign campaign(passive_mix_spec());
   ShardContext context;
   for (std::size_t i = 0; i < campaign.scenario_count(); ++i) {
-    const ShardResult fresh = campaign.run_shard(i);
-    const ShardResult reused = campaign.run_shard(i, context);
-    EXPECT_EQ(fresh.probes_sent, reused.probes_sent);
-    EXPECT_EQ(fresh.reported_rtt_ms, reused.reported_rtt_ms);
-    EXPECT_EQ(fresh.passive_sniffer_rtt_ms, reused.passive_sniffer_rtt_ms)
-        << "shard " << i;
-    EXPECT_EQ(fresh.passive_app_rtt_ms, reused.passive_app_rtt_ms)
-        << "shard " << i;
-    EXPECT_EQ(digest_bytes(fresh.digests), digest_bytes(reused.digests))
+    ShardContext fresh;
+    EXPECT_EQ(
+        report::render_checkpoint_record(campaign.run_shard_record(i, fresh)),
+        report::render_checkpoint_record(
+            campaign.run_shard_record(i, context)))
         << "shard " << i;
   }
   EXPECT_EQ(context.reuses(), campaign.scenario_count() - 1);
@@ -172,7 +166,7 @@ TEST(CampaignPassive, JsonlAndDigestsIdenticalAcrossWorkerCounts) {
       Campaign campaign(spec);
       const CampaignReport report = campaign.run(workers);
       EXPECT_EQ(report.completed_shards(), campaign.scenario_count());
-      const std::string digests = digest_bytes(report.workload_digests());
+      const std::string digests = digest_dump(report);
       if (reference_digests.empty()) {
         reference_digests = digests;
       } else {
@@ -199,13 +193,9 @@ TEST(CampaignPassive, FrontierKillResumeTicksMatchUninterruptedRun) {
   // Reference: uninterrupted 1-worker frontier sweep.
   TempFile reference_ckpt("reference.ckpt");
   CampaignSpec reference_spec = passive_mix_spec();
-  reference_spec.keep_samples = false;
-  reference_spec.retain_shards = false;
   reference_spec.checkpoint_path = reference_ckpt.path;
   const CampaignReport reference = Campaign(reference_spec).run(1);
-  EXPECT_TRUE(reference.frontier.active);
-  const std::string reference_digests =
-      digest_bytes(reference.workload_digests());
+  const std::string reference_digests = digest_dump(reference);
 
   // Ticked: 8-worker increments of at most 3 shards, a fresh Campaign per
   // tick — only the checkpoint file carries state across the kills.
@@ -213,26 +203,22 @@ TEST(CampaignPassive, FrontierKillResumeTicksMatchUninterruptedRun) {
   CampaignReport ticked;
   for (int tick = 0; tick < 8; ++tick) {
     CampaignSpec tick_spec = passive_mix_spec();
-    tick_spec.keep_samples = false;
-    tick_spec.retain_shards = false;
     tick_spec.checkpoint_path = ticked_ckpt.path;
     tick_spec.max_shards = 3;
     ticked = Campaign(tick_spec).run(8);
     if (ticked.completed_shards() == ticked.shard_count()) break;
   }
   EXPECT_EQ(ticked.completed_shards(), reference.completed_shards());
-  EXPECT_EQ(digest_bytes(ticked.workload_digests()), reference_digests);
+  EXPECT_EQ(digest_dump(ticked), reference_digests);
   EXPECT_EQ(ticked.total_probes(), reference.total_probes());
 
   // Compact both files through one more resume: byte-identical checkpoints.
   for (const std::string* path : {&reference_ckpt.path, &ticked_ckpt.path}) {
     CampaignSpec compact_spec = passive_mix_spec();
-    compact_spec.keep_samples = false;
-    compact_spec.retain_shards = false;
     compact_spec.checkpoint_path = *path;
     const CampaignReport compacted = Campaign(compact_spec).run(1);
     EXPECT_EQ(compacted.completed_shards(), compacted.shard_count());
-    EXPECT_EQ(digest_bytes(compacted.workload_digests()), reference_digests);
+    EXPECT_EQ(digest_dump(compacted), reference_digests);
   }
   const std::string reference_bytes = file_bytes(reference_ckpt.path);
   ASSERT_FALSE(reference_bytes.empty());

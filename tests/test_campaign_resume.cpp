@@ -14,6 +14,7 @@
 #include "report/checkpoint.hpp"
 
 #include "report/sink.hpp"
+#include "campaign_testing.hpp"
 #include "sim/contracts.hpp"
 #include "testbed/campaign.hpp"
 
@@ -48,36 +49,12 @@ CampaignSpec resume_campaign() {
   spec.probes_per_phone = 6;
   spec.probe_interval = 150_ms;
   spec.probe_timeout = 1_s;
-  spec.keep_samples = false;
   return spec;
 }
 
 void expect_digests_bit_identical(const CampaignReport& a,
                                   const CampaignReport& b) {
-  const auto da = a.workload_digests();
-  const auto db = b.workload_digests();
-  ASSERT_EQ(da.size(), db.size());
-  for (std::size_t i = 0; i < da.size(); ++i) {
-    EXPECT_EQ(da[i].tool, db[i].tool);
-    EXPECT_EQ(da[i].probes, db[i].probes);
-    EXPECT_EQ(da[i].lost, db[i].lost);
-    EXPECT_EQ(da[i].reported_rtt_ms.count(), db[i].reported_rtt_ms.count());
-    EXPECT_EQ(da[i].reported_rtt_ms.mean(), db[i].reported_rtt_ms.mean());
-    EXPECT_EQ(da[i].reported_rtt_ms.min(), db[i].reported_rtt_ms.min());
-    EXPECT_EQ(da[i].reported_rtt_ms.max(), db[i].reported_rtt_ms.max());
-    for (const double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-      EXPECT_EQ(da[i].reported_rtt_ms.quantile(q),
-                db[i].reported_rtt_ms.quantile(q))
-          << "tool " << static_cast<int>(da[i].tool) << " q=" << q;
-      EXPECT_EQ(da[i].du_ms.quantile(q), db[i].du_ms.quantile(q));
-      EXPECT_EQ(da[i].dn_ms.quantile(q), db[i].dn_ms.quantile(q));
-    }
-  }
-  EXPECT_EQ(a.rtt_digest().quantile(0.5), b.rtt_digest().quantile(0.5));
-  EXPECT_EQ(a.total_probes(), b.total_probes());
-  EXPECT_EQ(a.total_lost(), b.total_lost());
-  EXPECT_EQ(a.total_frames(), b.total_frames());
-  EXPECT_EQ(a.total_events(), b.total_events());
+  EXPECT_EQ(testing::digest_dump(a), testing::digest_dump(b));
 }
 
 void kill_and_resume(std::size_t kill_workers, std::size_t resume_workers) {
@@ -105,7 +82,7 @@ void kill_and_resume(std::size_t kill_workers, std::size_t resume_workers) {
   if (resume_workers > 1) resumed_spec.sinks = nullptr;
   const CampaignReport resumed = Campaign(resumed_spec).run(resume_workers);
   if (resume_workers == 1) EXPECT_EQ(executed, 5u);
-  EXPECT_EQ(resumed.completed_shards(), resumed.shards.size());
+  EXPECT_EQ(resumed.completed_shards(), resumed.shard_count());
 
   expect_digests_bit_identical(resumed, uninterrupted);
 }
@@ -123,7 +100,7 @@ TEST(CampaignResume, FullyCheckpointedRerunExecutesNothing) {
   CampaignSpec spec = resume_campaign();
   spec.checkpoint_path = checkpoint.path;
   const CampaignReport first = Campaign(spec).run(2);
-  EXPECT_EQ(first.completed_shards(), first.shards.size());
+  EXPECT_EQ(first.completed_shards(), first.shard_count());
 
   std::size_t executed = 0;
   CampaignSpec again = resume_campaign();
@@ -148,9 +125,9 @@ TEST(CampaignResume, IncrementalInvocationsWalkTheCampaign) {
     spec.max_shards = 2;
     const CampaignReport report = Campaign(spec).run(2);
     const std::size_t expect_done =
-        std::min<std::size_t>(2 * (tick + 1), report.shards.size());
+        std::min<std::size_t>(2 * (tick + 1), report.shard_count());
     EXPECT_EQ(report.completed_shards(), expect_done);
-    if (report.completed_shards() == report.shards.size()) {
+    if (report.completed_shards() == report.shard_count()) {
       expect_digests_bit_identical(report, uninterrupted);
       return;
     }
@@ -217,12 +194,12 @@ TEST(CampaignResume, TornCheckpointLineRerunsOnlyThatShard) {
   CampaignSpec resumed_spec = resume_campaign();
   resumed_spec.checkpoint_path = checkpoint.path;
   const CampaignReport resumed = Campaign(resumed_spec).run(1);
-  EXPECT_EQ(resumed.completed_shards(), resumed.shards.size());
+  EXPECT_EQ(resumed.completed_shards(), resumed.shard_count());
   expect_digests_bit_identical(resumed, Campaign(resume_campaign()).run(1));
   // The rerun shard re-recorded itself: the healed file now restores all
   // shards (resume's compaction pass dropped the torn fragment entirely).
   EXPECT_EQ(report::load_checkpoint(checkpoint.path).size(),
-            resumed.shards.size());
+            resumed.shard_count());
 }
 
 std::size_t raw_line_count(const std::string& path) {
@@ -267,35 +244,14 @@ TEST(CampaignResume, ResumeCompactsTheCheckpointToOneLinePerShard) {
   CampaignSpec rest = resume_campaign();
   rest.checkpoint_path = checkpoint.path;
   const CampaignReport resumed = Campaign(rest).run(2);
-  EXPECT_EQ(resumed.completed_shards(), resumed.shards.size());
+  EXPECT_EQ(resumed.completed_shards(), resumed.shard_count());
   expect_digests_bit_identical(resumed, uninterrupted);
 
   // One more resume: nothing pending, the load compacts the finished file
-  // to exactly shards.size() lines and restores everything bit-identically.
+  // to exactly shard_count() lines and restores everything bit-identically.
   const CampaignReport rerun = Campaign(rest).run(1);
-  EXPECT_EQ(raw_line_count(checkpoint.path), rerun.shards.size());
+  EXPECT_EQ(raw_line_count(checkpoint.path), rerun.shard_count());
   expect_digests_bit_identical(rerun, uninterrupted);
-}
-
-TEST(CampaignResume, RestoredShardsCarryCountersButNoSamples) {
-  TempFile checkpoint("restored_view");
-  CampaignSpec spec = resume_campaign();
-  spec.keep_samples = true;
-  spec.checkpoint_path = checkpoint.path;
-  const CampaignReport first = Campaign(spec).run(1);
-  const CampaignReport second = Campaign(spec).run(1);
-  for (std::size_t i = 0; i < second.shards.size(); ++i) {
-    const ShardResult& restored = second.shards[i];
-    EXPECT_TRUE(restored.completed);
-    EXPECT_EQ(restored.shard_seed, first.shards[i].shard_seed);
-    EXPECT_EQ(restored.probes_sent, first.shards[i].probes_sent);
-    EXPECT_EQ(restored.events_fired, first.shards[i].events_fired);
-    EXPECT_EQ(restored.sim_seconds, first.shards[i].sim_seconds);
-    // Raw vectors are not checkpointed: the restored view is digests-only.
-    EXPECT_TRUE(restored.reported_rtt_ms.empty());
-    EXPECT_TRUE(restored.du_ms.empty());
-  }
-  expect_digests_bit_identical(first, second);
 }
 
 }  // namespace

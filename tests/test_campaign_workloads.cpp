@@ -1,9 +1,11 @@
 // Campaign workload matrix: per-scenario tool selection through
 // tools::make_tool(), the innermost ScenarioGrid workload axis, and the
-// streaming per-shard digest merge that caps campaign memory at O(shards).
+// streaming per-shard digest merge checked against the exact samples.
 #include <gtest/gtest.h>
 
+#include "campaign_testing.hpp"
 #include "sim/contracts.hpp"
+#include "stats/summary.hpp"
 #include "testbed/campaign.hpp"
 
 namespace acute::testbed {
@@ -12,6 +14,10 @@ namespace {
 using namespace acute::sim::literals;
 using phone::PhoneProfile;
 using phone::RadioKind;
+using report::WorkloadDigest;
+using testing::digest_dump;
+using testing::RecordedShard;
+using testing::SampleRecorder;
 using tools::ToolKind;
 
 std::vector<WorkloadSpec> all_four_workloads() {
@@ -115,24 +121,29 @@ TEST(CampaignWorkloads, MixedWorkloadGridIsBitIdenticalAcrossWorkerCounts) {
   // (a) The 4-workload x 2-profile campaign must merge byte-identically for
   // 1 worker and 8 workers — exact double equality, on the raw samples AND
   // on the streaming digests.
-  const CampaignSpec spec = mixed_workload_campaign();
+  CampaignSpec spec = mixed_workload_campaign();
   ASSERT_EQ(spec.scenarios.size(), 8u);
+  SampleRecorder serial_samples, threaded_samples;
+  spec.sinks = serial_samples.sinks();
   const CampaignReport serial = Campaign(spec).run(1);
+  spec.sinks = threaded_samples.sinks();
   const CampaignReport threaded = Campaign(spec).run(8);
 
-  ASSERT_EQ(serial.shards.size(), threaded.shards.size());
-  for (std::size_t i = 0; i < serial.shards.size(); ++i) {
-    EXPECT_EQ(serial.shards[i].shard_seed, threaded.shards[i].shard_seed);
-    EXPECT_EQ(serial.shards[i].probes_sent, threaded.shards[i].probes_sent);
-    EXPECT_EQ(serial.shards[i].events_fired,
-              threaded.shards[i].events_fired);
+  ASSERT_EQ(serial_samples.shards().size(), 8u);
+  ASSERT_EQ(threaded_samples.shards().size(), 8u);
+  for (const auto& [i, shard] : serial_samples.shards()) {
+    const report::ShardSummary& other = threaded_samples.at(i).summary;
+    EXPECT_EQ(shard.summary.info.shard_seed, other.info.shard_seed);
+    EXPECT_EQ(shard.summary.probes_sent, other.probes_sent);
+    EXPECT_EQ(shard.summary.events_fired, other.events_fired);
   }
-  EXPECT_EQ(serial.merged(&ShardResult::reported_rtt_ms),
-            threaded.merged(&ShardResult::reported_rtt_ms));
-  EXPECT_EQ(serial.merged(&ShardResult::du_ms),
-            threaded.merged(&ShardResult::du_ms));
-  EXPECT_EQ(serial.merged(&ShardResult::dn_ms),
-            threaded.merged(&ShardResult::dn_ms));
+  EXPECT_EQ(serial_samples.merged(&RecordedShard::rtt_ms),
+            threaded_samples.merged(&RecordedShard::rtt_ms));
+  EXPECT_EQ(serial_samples.merged(&RecordedShard::du_ms),
+            threaded_samples.merged(&RecordedShard::du_ms));
+  EXPECT_EQ(serial_samples.merged(&RecordedShard::dn_ms),
+            threaded_samples.merged(&RecordedShard::dn_ms));
+  EXPECT_EQ(digest_dump(serial), digest_dump(threaded));
 
   const auto serial_digests = serial.workload_digests();
   const auto threaded_digests = threaded.workload_digests();
@@ -173,15 +184,16 @@ TEST(CampaignWorkloads, EachWorkloadRunsItsOwnTool) {
 }
 
 TEST(CampaignWorkloads, DigestMergeMatchesBufferedMergeWithinTolerance) {
-  // (c) On a small grid the streaming digests must agree with the buffered
-  // sample vectors: exact counters and means, quantiles within the digest's
-  // accuracy (bracketed by nearby order statistics of the buffered merge).
+  // (c) On a small grid the streaming digests must agree with the exact
+  // per-probe samples (recorded through spec.sinks): exact counters and
+  // means, quantiles within the digest's accuracy (bracketed by nearby
+  // order statistics of the recorded samples).
   CampaignSpec spec = mixed_workload_campaign();
-  spec.keep_samples = true;
+  SampleRecorder recorder;
+  spec.sinks = recorder.sinks();
   const CampaignReport report = Campaign(spec).run(2);
 
-  const std::vector<double> buffered =
-      report.merged(&ShardResult::reported_rtt_ms);
+  const std::vector<double> buffered = recorder.merged(&RecordedShard::rtt_ms);
   const stats::MergingDigest streamed = report.rtt_digest();
   ASSERT_EQ(streamed.count(), buffered.size());
 
@@ -196,38 +208,6 @@ TEST(CampaignWorkloads, DigestMergeMatchesBufferedMergeWithinTolerance) {
     EXPECT_GE(estimate, summary.percentile(100 * q - 10));
     EXPECT_LE(estimate, summary.percentile(100 * q + 10));
   }
-}
-
-TEST(CampaignWorkloads, StreamingModeHoldsSampleMemoryAtOShards) {
-  // keep_samples=false: no shard may retain a raw sample vector, and every
-  // digest stays under its structural centroid bound — so campaign-resident
-  // sample state is O(shards) fixed-size accumulators, independent of the
-  // probe count.
-  CampaignSpec spec = mixed_workload_campaign();
-  spec.keep_samples = false;
-  spec.probes_per_phone = 40;  // more samples than digest centroids allow
-  const CampaignReport report = Campaign(spec).run(2);
-
-  std::size_t total_probes = 0;
-  for (const ShardResult& shard : report.shards) {
-    EXPECT_TRUE(shard.reported_rtt_ms.empty());
-    EXPECT_TRUE(shard.du_ms.empty());
-    EXPECT_TRUE(shard.dk_ms.empty());
-    EXPECT_TRUE(shard.dv_ms.empty());
-    EXPECT_TRUE(shard.dn_ms.empty());
-    ASSERT_FALSE(shard.digests.empty());
-    for (const WorkloadDigest& digest : shard.digests) {
-      EXPECT_LE(digest.reported_rtt_ms.centroid_count(),
-                digest.reported_rtt_ms.max_centroids());
-      EXPECT_LE(digest.du_ms.centroid_count(),
-                digest.du_ms.max_centroids());
-      total_probes += digest.probes;
-    }
-  }
-  // Counters and distributions survive without the raw samples.
-  EXPECT_EQ(total_probes, report.total_probes());
-  EXPECT_EQ(report.total_probes(), 8u * 40u);
-  EXPECT_GT(report.rtt_digest().quantile(0.5), 0.0);
 }
 
 TEST(CampaignWorkloads, AssignWorkloadsMixesToolsWithinOneScenario) {
@@ -248,9 +228,9 @@ TEST(CampaignWorkloads, AssignWorkloadsMixesToolsWithinOneScenario) {
   spec.probe_interval = 200_ms;
   spec.probe_timeout = 2_s;
   const CampaignReport report = Campaign(spec).run(1);
-  ASSERT_EQ(report.shards.size(), 1u);
+  ASSERT_EQ(report.completed_shards(), 1u);
   // One shard, four digests — every tool ran, in ascending ToolKind order.
-  const auto digests = report.shards.front().digests;
+  const auto digests = report.workload_digests();
   ASSERT_EQ(digests.size(), 4u);
   EXPECT_EQ(digests[0].tool, ToolKind::acutemon);
   EXPECT_EQ(digests[1].tool, ToolKind::icmp_ping);
@@ -285,10 +265,12 @@ TEST(CampaignWorkloads, WorkloadOverridesBeatCampaignDefaults) {
   spec.scenarios = grid.expand();
   spec.probes_per_phone = 7;
   spec.probe_interval = 200_ms;
-  const CampaignReport report = Campaign(spec).run(1);
-  ASSERT_EQ(report.shards.size(), 2u);
-  EXPECT_EQ(report.shards[0].probes_sent, 7u);  // campaign default
-  EXPECT_EQ(report.shards[1].probes_sent, 3u);  // workload override
+  SampleRecorder recorder;
+  spec.sinks = recorder.sinks();
+  (void)Campaign(spec).run(1);
+  ASSERT_EQ(recorder.shards().size(), 2u);
+  EXPECT_EQ(recorder.at(0).summary.probes_sent, 7u);  // campaign default
+  EXPECT_EQ(recorder.at(1).summary.probes_sent, 3u);  // workload override
 }
 
 }  // namespace

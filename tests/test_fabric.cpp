@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign_testing.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/lease.hpp"
 #include "fabric/transport.hpp"
@@ -74,8 +75,6 @@ CampaignSpec small_spec() {
   spec.probes_per_phone = 6;
   spec.probe_interval = 150_ms;
   spec.probe_timeout = 1_s;
-  spec.keep_samples = false;
-  spec.retain_shards = false;
   return spec;
 }
 
@@ -101,40 +100,14 @@ CampaignSpec scaled_spec(std::size_t shards) {
   spec.probe_interval = 50_ms;
   spec.probe_timeout = 400_ms;
   spec.settle = 50_ms;
-  spec.keep_samples = false;
-  spec.retain_shards = false;
   return spec;
 }
 
-/// Bitwise comparison of the merged-report surface: EXPECT_EQ on the digest
-/// quantiles (never NEAR) — the fabric merge must reproduce the
-/// single-process fold to the last bit.
+/// The fabric merge must reproduce the single-process fold to the last
+/// bit: the IEEE-754 digest dumps must be equal strings.
 void expect_reports_bit_identical(const CampaignReport& a,
                                   const CampaignReport& b) {
-  const auto da = a.workload_digests();
-  const auto db = b.workload_digests();
-  ASSERT_EQ(da.size(), db.size());
-  for (std::size_t i = 0; i < da.size(); ++i) {
-    EXPECT_EQ(da[i].tool, db[i].tool);
-    EXPECT_EQ(da[i].probes, db[i].probes);
-    EXPECT_EQ(da[i].lost, db[i].lost);
-    EXPECT_EQ(da[i].reported_rtt_ms.count(), db[i].reported_rtt_ms.count());
-    for (const double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-      EXPECT_EQ(da[i].reported_rtt_ms.quantile(q),
-                db[i].reported_rtt_ms.quantile(q));
-      EXPECT_EQ(da[i].du_ms.quantile(q), db[i].du_ms.quantile(q));
-      EXPECT_EQ(da[i].dk_ms.quantile(q), db[i].dk_ms.quantile(q));
-      EXPECT_EQ(da[i].dv_ms.quantile(q), db[i].dv_ms.quantile(q));
-      EXPECT_EQ(da[i].dn_ms.quantile(q), db[i].dn_ms.quantile(q));
-    }
-  }
-  EXPECT_EQ(a.total_probes(), b.total_probes());
-  EXPECT_EQ(a.total_lost(), b.total_lost());
-  EXPECT_EQ(a.total_frames(), b.total_frames());
-  EXPECT_EQ(a.total_events(), b.total_events());
-  EXPECT_EQ(a.total_sim_seconds(), b.total_sim_seconds());
-  EXPECT_EQ(a.completed_shards(), b.completed_shards());
-  EXPECT_EQ(a.shard_count(), b.shard_count());
+  EXPECT_EQ(testing::digest_dump(a), testing::digest_dump(b));
 }
 
 struct FabricRun {

@@ -1,25 +1,41 @@
-// Committed checkpoint bytes: tests/golden/mixed_workloads.ckpt2 pins the
-// ckpt2 codec and the campaign's output bits to a file, not only to a
-// second code path that could drift with the first.
+// Committed output bytes: tests/golden/ pins the ckpt2 codec and the
+// campaign's merged results to files, not only to a second code path that
+// could drift with the first.
 //
-// How the file was generated: golden_spec() below (16 shards: one and two
-// phones, loss 0 and 0.2, AcuteMon, ICMP ping, httping with both passive
-// vantages, and Java ping, so du/dk/dv/dn and both passive digests carry
-// centroids) ran through Campaign::run(1) with checkpoint_path set, and the
-// file was then compacted with compact_checkpoint(path). It was written by
-// the iostream codec that preceded the canonical string codec, before that
-// codec was replaced, so these bytes are also the compatibility pin.
-// Regenerate it only with a deliberate change to output bits, by the same
-// steps.
+// How mixed_workloads.ckpt2 was generated: golden_spec() below (16 shards:
+// one and two phones, loss 0 and 0.2, AcuteMon, ICMP ping, httping with
+// both passive vantages, and Java ping, so du/dk/dv/dn and both passive
+// digests carry centroids) ran through Campaign::run(1) with
+// checkpoint_path set, and the file was then compacted with
+// compact_checkpoint(path). It was written by the iostream codec that
+// preceded the canonical string codec, so these bytes are also the
+// compatibility pin.
+//
+// How mixed_workloads.digests was generated: the same golden_spec(), with
+// no checkpoint, ran through Campaign::run(1) while the campaign still had
+// its buffered mode (before the frontier became the only path), and
+// testbed::write_report_digests' format — the `acute_fabric --digest-out`
+// dump, doubles as IEEE-754 bit patterns — was written to the file. Every
+// determinism path below must reproduce it byte for byte: worker counts,
+// kill/resume, a holed checkpoint and the fabric coordinator.
+//
+// Regenerate either file only with a deliberate change to output bits, by
+// the same steps.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "campaign_testing.hpp"
+#include "fabric/coordinator.hpp"
+#include "fabric/transport.hpp"
+#include "fabric/worker.hpp"
 #include "report/checkpoint.hpp"
 #include "sim/random.hpp"
 #include "testbed/campaign.hpp"
@@ -29,13 +45,18 @@ namespace {
 
 using passive::PassiveVantage;
 using sim::Duration;
+using testbed::Campaign;
+using testbed::CampaignReport;
 using testbed::CampaignSpec;
 using testbed::ScenarioGrid;
 using testbed::WorkloadSpec;
+using testing::digest_dump;
 using tools::ToolKind;
 
 const std::string kGoldenPath =
     std::string(ACUTE_GOLDEN_DIR) + "/mixed_workloads.ckpt2";
+const std::string kGoldenDigestsPath =
+    std::string(ACUTE_GOLDEN_DIR) + "/mixed_workloads.digests";
 
 struct TempFile {
   explicit TempFile(const std::string& name)
@@ -89,8 +110,6 @@ CampaignSpec golden_spec() {
   spec.probe_interval = Duration::millis(60);
   spec.probe_timeout = Duration::millis(900);
   spec.settle = Duration::millis(60);
-  spec.keep_samples = false;
-  spec.retain_shards = false;
   return spec;
 }
 
@@ -121,24 +140,87 @@ TEST(GoldenCheckpoint, CompactingAShuffledCopyWithDuplicatesReproducesIt) {
   std::string bytes;
   for (const std::string& line : messy) bytes += line;
 
-  TempFile streaming("streaming");
-  write_file(streaming.path, bytes);
-  compact_checkpoint(streaming.path);
-  EXPECT_EQ(read_file(streaming.path), read_file(kGoldenPath));
-
-  TempFile materialized("materialized");
-  write_file(materialized.path, bytes);
-  compact_checkpoint(materialized.path, load_checkpoint(materialized.path));
-  EXPECT_EQ(read_file(materialized.path), read_file(kGoldenPath));
+  TempFile compacted("compacted");
+  write_file(compacted.path, bytes);
+  compact_checkpoint(compacted.path);
+  EXPECT_EQ(read_file(compacted.path), read_file(kGoldenPath));
 }
 
 TEST(GoldenCheckpoint, TheGoldenCampaignStillWritesTheseBytes) {
   TempFile checkpoint("campaign");
   CampaignSpec spec = golden_spec();
   spec.checkpoint_path = checkpoint.path;
-  const testbed::CampaignReport report = testbed::Campaign(spec).run(1);
+  const CampaignReport report = Campaign(spec).run(1);
   ASSERT_EQ(report.completed_shards(), 16u);
   compact_checkpoint(checkpoint.path);
+  EXPECT_EQ(read_file(checkpoint.path), read_file(kGoldenPath));
+}
+
+TEST(GoldenDigests, EveryWorkerCountReproducesTheFile) {
+  const std::string golden = read_file(kGoldenDigestsPath);
+  ASSERT_FALSE(golden.empty());
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    EXPECT_EQ(digest_dump(Campaign(golden_spec()).run(workers)), golden);
+  }
+}
+
+TEST(GoldenDigests, KillResumeTicksReproduceTheFile) {
+  // Kill after 3 shards, tick 2 more, then finish: a fresh Campaign per
+  // tick, only the checkpoint file carrying state.
+  TempFile checkpoint("ticks");
+  CampaignSpec spec = golden_spec();
+  spec.checkpoint_path = checkpoint.path;
+  CampaignReport report;
+  std::size_t done = 0;
+  for (const std::size_t cap : {3, 2, 0}) {
+    spec.max_shards = cap;
+    report = Campaign(spec).run(2);
+    done = cap == 0 ? 16 : done + cap;
+    EXPECT_EQ(report.completed_shards(), done);
+  }
+  EXPECT_EQ(digest_dump(report), read_file(kGoldenDigestsPath));
+}
+
+TEST(GoldenDigests, HoledCheckpointResumeReproducesTheFile) {
+  // Every third record gone: restored shards interleave with re-run ones,
+  // the ordering the frontier's restored/fresh slot walk must get right.
+  TempFile checkpoint("holes");
+  std::string holed;
+  const std::vector<std::string> lines = golden_lines();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (i % 3 != 1) holed += lines[i];
+  }
+  write_file(checkpoint.path, holed);
+  CampaignSpec spec = golden_spec();
+  spec.checkpoint_path = checkpoint.path;
+  EXPECT_EQ(digest_dump(Campaign(spec).run(2)),
+            read_file(kGoldenDigestsPath));
+}
+
+TEST(GoldenDigests, FabricCoordinatorReproducesTheFile) {
+  // Three in-process workers over pipe transports, small leases so the
+  // shards interleave across them; the coordinator's compacted checkpoint
+  // must also be the golden checkpoint.
+  TempFile checkpoint("fabric");
+  CampaignSpec spec = golden_spec();
+  spec.checkpoint_path = checkpoint.path;
+  std::vector<std::unique_ptr<fabric::Transport>> coordinator_ends;
+  std::vector<std::thread> workers;
+  for (int i = 0; i < 3; ++i) {
+    auto [coordinator_end, worker_end] = fabric::transport_pair();
+    coordinator_ends.push_back(std::move(coordinator_end));
+    workers.emplace_back([end = std::move(worker_end), spec]() mutable {
+      fabric::Worker worker(spec);
+      (void)worker.run(*end);
+    });
+  }
+  fabric::CoordinatorConfig config;
+  config.lease.batch = 2;
+  fabric::Coordinator coordinator(spec, config);
+  const CampaignReport report = coordinator.run(std::move(coordinator_ends));
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(digest_dump(report), read_file(kGoldenDigestsPath));
   EXPECT_EQ(read_file(checkpoint.path), read_file(kGoldenPath));
 }
 

@@ -15,7 +15,6 @@
 #include "report/checkpoint.hpp"
 #include "report/digest_sink.hpp"
 #include "report/jsonl_sink.hpp"
-#include "report/sample_buffer_sink.hpp"
 #include "sim/contracts.hpp"
 #include "sim/random.hpp"
 #include "stats/digest_io.hpp"
@@ -493,7 +492,7 @@ TEST(Checkpoint, CompactionDedupesAndSortsRecords) {
     std::ofstream out(file.path, std::ios::app);
     out << "ckpt1 11 123 torn-fragmen";
   }
-  compact_checkpoint(file.path, load_checkpoint(file.path));
+  compact_checkpoint(file.path);
 
   std::size_t lines = 0;
   {
@@ -510,33 +509,6 @@ TEST(Checkpoint, CompactionDedupesAndSortsRecords) {
   // Byte-exact round trip: a compacted record re-renders identically.
   EXPECT_EQ(render_checkpoint_record(records[2]),
             render_checkpoint_record(sample_checkpoint(9)));
-}
-
-TEST(Checkpoint, StreamingCompactionMatchesMaterializedCompaction) {
-  // Same input (duplicates + torn tail), two compactors: the streaming
-  // one-record-at-a-time overload must produce byte-identical output to
-  // the load-then-compact legacy overload.
-  auto write_messy = [](const std::string& path) {
-    CheckpointWriter writer(path);
-    writer.append(sample_checkpoint(9));
-    writer.append(sample_checkpoint(2));
-    writer.append(sample_checkpoint(9));
-    writer.append(sample_checkpoint(5));
-    std::ofstream out(path, std::ios::app);
-    out << "ckpt1 11 123 torn-fragmen";
-  };
-  TempFile materialized("ckpt_compact_mat");
-  TempFile streaming("ckpt_compact_stream");
-  write_messy(materialized.path);
-  write_messy(streaming.path);
-  compact_checkpoint(materialized.path, load_checkpoint(materialized.path));
-  compact_checkpoint(streaming.path);
-  std::ifstream a(materialized.path), b(streaming.path);
-  std::stringstream a_bytes, b_bytes;
-  a_bytes << a.rdbuf();
-  b_bytes << b.rdbuf();
-  ASSERT_FALSE(a_bytes.str().empty());
-  EXPECT_EQ(a_bytes.str(), b_bytes.str());
 }
 
 TEST(Checkpoint, StreamingCompactionOfMissingFileIsANoop) {
@@ -665,23 +637,6 @@ TEST(DigestSinkTest, FoldsEventsLikeTheLegacyPath) {
   EXPECT_EQ(sink.take_digests().size(), 0u);          // take() drains
 }
 
-TEST(SampleBufferSinkTest, BuffersMatchLegacyVectors) {
-  SampleBufferSink sink;
-  ProbeEvent event;
-  event.reported_rtt_ms = 10.0;
-  event.layers = LayerBreakdown{10.0, 8.0, 6.0, 4.0};
-  sink.probe_completed(event);
-  event.reported_rtt_ms = 20.0;
-  event.layers.reset();
-  sink.probe_completed(event);
-  event.timed_out = true;
-  sink.probe_completed(event);
-  const auto buffers = sink.take();
-  EXPECT_EQ(buffers.reported_rtt_ms, (std::vector<double>{10.0, 20.0}));
-  EXPECT_EQ(buffers.du_ms, (std::vector<double>{10.0}));
-  EXPECT_EQ(buffers.dn_ms, (std::vector<double>{4.0}));
-}
-
 /// Records the event stream verbatim, for the delivery-contract assertions.
 struct RecordingSink : ResultSink {
   std::vector<ShardInfo>* started;
@@ -701,7 +656,7 @@ struct RecordingSink : ResultSink {
 TEST(CampaignSinks, DeliverEventsInCanonicalOrder) {
   // A 2-phone shard through the real engine: the custom sink must see
   // shard_started, then phone-major probe events in schedule order, then
-  // shard_finished with counters matching the ShardResult view.
+  // shard_finished with counters matching the campaign report.
   testbed::ScenarioSpec scenario;
   scenario.phones.assign(2, testbed::PhoneSpec{});
   scenario.emulated_rtt = 10_ms;
@@ -728,7 +683,7 @@ TEST(CampaignSinks, DeliverEventsInCanonicalOrder) {
   ASSERT_EQ(finished.size(), 1u);
   EXPECT_EQ(started[0].scenario_index, 0u);
   EXPECT_EQ(started[0].phone_count, 2u);
-  EXPECT_EQ(started[0].shard_seed, report.shards[0].shard_seed);
+  EXPECT_EQ(started[0].shard_seed, testbed::Campaign::shard_seed(spec.seed, 0));
 
   ASSERT_EQ(events.size(), 10u);
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -736,17 +691,21 @@ TEST(CampaignSinks, DeliverEventsInCanonicalOrder) {
     EXPECT_EQ(events[i].probe_index, static_cast<int>(i % 5));
     EXPECT_EQ(events[i].tool, ToolKind::icmp_ping);
   }
-  EXPECT_EQ(finished[0].probes_sent, report.shards[0].probes_sent);
-  EXPECT_EQ(finished[0].probes_lost, report.shards[0].probes_lost);
-  EXPECT_EQ(finished[0].frames_on_air, report.shards[0].frames_on_air);
-  EXPECT_EQ(finished[0].events_fired, report.shards[0].events_fired);
+  EXPECT_EQ(finished[0].probes_sent, report.total_probes());
+  EXPECT_EQ(finished[0].probes_lost, report.total_lost());
+  EXPECT_EQ(finished[0].frames_on_air, report.total_frames());
+  EXPECT_EQ(finished[0].events_fired, report.total_events());
+  EXPECT_EQ(finished[0].sim_seconds, report.total_sim_seconds());
 
-  // The compatibility view agrees with the event stream.
-  std::vector<double> event_rtts;
+  // The report's digests fold exactly this event stream.
+  stats::MergingDigest event_rtts;
   for (const ProbeEvent& event : events) {
-    if (!event.timed_out) event_rtts.push_back(event.reported_rtt_ms);
+    if (!event.timed_out) event_rtts.add(event.reported_rtt_ms);
   }
-  EXPECT_EQ(event_rtts, report.shards[0].reported_rtt_ms);
+  std::string expected, folded;
+  stats::append_digest(expected, event_rtts);
+  stats::append_digest(folded, report.rtt_digest());
+  EXPECT_EQ(folded, expected);
 }
 
 TEST(JsonlExport, WritesOneRecordPerProbe) {
@@ -759,7 +718,6 @@ TEST(JsonlExport, WritesOneRecordPerProbe) {
   spec.scenarios = grid.expand();
   spec.probes_per_phone = 4;
   spec.probe_interval = 100_ms;
-  spec.keep_samples = false;
   auto writer = std::make_shared<JsonlWriter>(file.path);
   spec.sinks = jsonl_sink_factory(writer);
   const testbed::CampaignReport report = testbed::Campaign(spec).run(2);

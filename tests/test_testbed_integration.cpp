@@ -14,6 +14,7 @@ using namespace acute::sim::literals;
 using core::LayerSample;
 using phone::PhoneProfile;
 using sim::Duration;
+using tools::ToolKind;
 
 TEST(Testbed, FastPingMatchesEmulatedRttAtAllLayers) {
   // Table 2, 10 ms interval rows: du ~ dk ~ dn ~ emulated RTT (+ ~1-3 ms).
