@@ -30,11 +30,11 @@ struct CadenceResult {
 CadenceResult measure_cadence(const phone::PhoneProfile& profile, int db_ms,
                               std::uint64_t seed) {
   constexpr double kEmulatedMs = 85.0;
-  testbed::TestbedConfig config;
-  config.profile = profile;
-  config.emulated_rtt = sim::Duration::millis(kEmulatedMs);
-  config.seed = seed;
-  testbed::Testbed testbed(config);
+  testbed::ScenarioSpec spec;
+  spec.phones.front().profile = profile;
+  spec.emulated_rtt = sim::Duration::millis(kEmulatedMs);
+  spec.seed = seed;
+  testbed::Testbed testbed(spec);
   testbed.settle(sim::Duration::millis(800));
 
   tools::MeasurementTool::Config mt;
@@ -45,7 +45,7 @@ CadenceResult measure_cadence(const phone::PhoneProfile& profile, int db_ms,
   options.background_interval = sim::Duration::millis(db_ms);
   options.warmup_lead = sim::Duration::millis(std::min(db_ms, 20));
   core::AcuteMon monitor(testbed.phone(), mt, options);
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   const auto samples = testbed.layer_samples(monitor.result());
   CadenceResult result;

@@ -22,15 +22,15 @@ int main() {
     phone::PhoneProfile profile = phone::PhoneProfile::nexus4();
     profile.beacon_miss_probability = miss;
 
-    testbed::Experiment::PingSpec spec60;
-    spec60.profile = profile;
+    testbed::ScenarioSpec spec60;
+    spec60.phones.front().profile = profile;
     spec60.emulated_rtt = sim::Duration::millis(60);
-    spec60.interval = sim::Duration::seconds(1);
-    const auto at60 = testbed::Experiment::ping(spec60);
+    spec60.phones.front().workload.interval = sim::Duration::seconds(1);
+    const auto at60 = testbed::Experiment::run(spec60);
 
-    testbed::Experiment::PingSpec spec30 = spec60;
+    testbed::ScenarioSpec spec30 = spec60;
     spec30.emulated_rtt = sim::Duration::millis(30);
-    const auto at30 = testbed::Experiment::ping(spec30);
+    const auto at30 = testbed::Experiment::run(spec30);
 
     table.add_row(
         {stats::Table::cell(miss, 2),
@@ -51,12 +51,12 @@ int main() {
     // Doze entry quantizes to [Tip - tick, Tip]: a wider tick widens the
     // race window against the ~36 ms response arrival.
     profile.psm_tick = sim::Duration::millis(tick_ms);
-    testbed::Experiment::PingSpec spec;
-    spec.profile = profile;
+    testbed::ScenarioSpec spec;
+    spec.phones.front().profile = profile;
     spec.emulated_rtt = sim::Duration::millis(30);
-    spec.interval = sim::Duration::seconds(1);
+    spec.phones.front().workload.interval = sim::Duration::seconds(1);
     spec.seed = 42 + tick_ms;
-    const auto result = testbed::Experiment::ping(spec);
+    const auto result = testbed::Experiment::run(spec);
     const auto dn = result.values(&core::LayerSample::dn_ms);
     int inflated = 0;
     for (const double v : dn) {

@@ -275,10 +275,11 @@ PacketPath measure_packet_path() {
   const auto start = std::chrono::steady_clock::now();
   std::size_t samples = 0;
   for (int i = 0; i < kRuns; ++i) {
-    testbed::Experiment::AcuteMonSpec spec;
-    spec.probes = 20;
+    testbed::ScenarioSpec spec;
+    spec.phones.front().workload = {.tool = tools::ToolKind::acutemon,
+                                    .probe_count = 20};
     spec.emulated_rtt = Duration::millis(10);
-    samples += testbed::Experiment::acutemon(spec).samples.size();
+    samples += testbed::Experiment::run(spec).samples.size();
   }
   PacketPath path;
   path.roundtrip_ns = wall_seconds_since(start) * 1e9 / kRuns;

@@ -25,11 +25,11 @@ namespace {
 
 double ping2_overhead(const phone::PhoneProfile& profile, int rtt_ms,
                       std::uint64_t seed) {
-  testbed::TestbedConfig config;
-  config.profile = profile;
-  config.emulated_rtt = sim::Duration::millis(rtt_ms);
-  config.seed = seed;
-  testbed::Testbed testbed(config);
+  testbed::ScenarioSpec spec;
+  spec.phones.front().profile = profile;
+  spec.emulated_rtt = sim::Duration::millis(rtt_ms);
+  spec.seed = seed;
+  testbed::Testbed testbed(spec);
   testbed.settle(sim::Duration::millis(800));
 
   tools::Ping2Prober::Config p2;
@@ -50,12 +50,13 @@ double ping2_overhead(const phone::PhoneProfile& profile, int rtt_ms,
 
 double acutemon_overhead(const phone::PhoneProfile& profile, int rtt_ms,
                          std::uint64_t seed) {
-  testbed::Experiment::AcuteMonSpec spec;
-  spec.profile = profile;
+  testbed::ScenarioSpec spec;
+  spec.phones.front().profile = profile;
+  spec.phones.front().workload.tool = tools::ToolKind::acutemon;
+  spec.phones.front().workload.probe_count = 60;
   spec.emulated_rtt = sim::Duration::millis(rtt_ms);
-  spec.probes = 60;
   spec.seed = seed;
-  const auto result = testbed::Experiment::acutemon(spec);
+  const auto result = testbed::Experiment::run(spec);
   return stats::Summary(
              result.values(&core::LayerSample::total_overhead))
       .median();

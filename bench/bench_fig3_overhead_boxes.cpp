@@ -31,12 +31,13 @@ int main() {
   for (const int rtt_ms : {30, 60}) {
     for (const auto& [name, profile] : phones) {
       for (const int interval_ms : {10, 1000}) {
-        testbed::Experiment::PingSpec spec;
-        spec.profile = profile;
+        testbed::ScenarioSpec spec;
+        spec.phones.front().profile = profile;
+        spec.phones.front().workload = {
+            .probe_count = 100,
+            .interval = sim::Duration::millis(interval_ms)};
         spec.emulated_rtt = sim::Duration::millis(rtt_ms);
-        spec.interval = sim::Duration::millis(interval_ms);
-        spec.probes = 100;
-        const auto result = testbed::Experiment::ping(spec);
+        const auto result = testbed::Experiment::run(spec);
 
         const auto add = [&](const char* metric,
                              const std::vector<double>& values) {

@@ -27,11 +27,12 @@ int main() {
   for (const auto& [name] : phones) {
     const auto profile = phone::PhoneProfile::by_name(name);
     for (const int rtt_ms : {20, 50, 85, 135}) {
-      testbed::Experiment::AcuteMonSpec spec;
-      spec.profile = profile;
+      testbed::ScenarioSpec spec;
+      spec.phones.front().profile = profile;
+      spec.phones.front().workload = {.tool = tools::ToolKind::acutemon,
+                                      .probe_count = 100};
       spec.emulated_rtt = sim::Duration::millis(rtt_ms);
-      spec.probes = 100;
-      const auto result = testbed::Experiment::acutemon(spec);
+      const auto result = testbed::Experiment::run(spec);
 
       const auto add = [&](const char* metric,
                            const std::vector<double>& values) {

@@ -29,13 +29,12 @@ void run_scenario(bool cross_traffic) {
 
   double throughput = 0;
   for (const auto kind : kinds) {
-    testbed::Experiment::ToolSpec spec;
-    spec.kind = kind;
-    spec.profile = phone::PhoneProfile::nexus5();
+    testbed::ScenarioSpec spec;
+    spec.phones.front().profile = phone::PhoneProfile::nexus5();
+    spec.phones.front().workload = {.tool = kind, .probe_count = 100};
     spec.emulated_rtt = sim::Duration::millis(30);
-    spec.probes = 100;
-    spec.cross_traffic = cross_traffic;
-    const auto result = testbed::Experiment::tool(spec);
+    spec.congested_phy = cross_traffic;
+    const auto result = testbed::Experiment::run(spec);
     throughput = std::max(throughput, result.cross_throughput_mbps);
 
     const auto rtts = result.run.reported_rtts_ms();

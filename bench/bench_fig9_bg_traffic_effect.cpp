@@ -20,15 +20,16 @@ int main() {
   benchx::heading("Figure 9 — effect of AcuteMon's background traffic");
 
   const auto run = [](bool background, bool cross) {
-    testbed::Experiment::AcuteMonSpec spec;
-    spec.profile = phone::PhoneProfile::nexus5();
+    testbed::ScenarioSpec spec;
+    spec.phones.front().profile = phone::PhoneProfile::nexus5();
+    spec.phones.front().workload = {.tool = tools::ToolKind::acutemon,
+                                    .probe_count = 100};
     spec.emulated_rtt = sim::Duration::millis(30);
-    spec.probes = 100;
-    spec.cross_traffic = cross;
-    spec.background_enabled = background;
-    spec.bus_sleep_enabled = false;  // rooted-driver ablation
+    spec.congested_phy = cross;
     // Nexus 5 Tip ~205ms >> 30ms path: CAM holds without background too.
-    return testbed::Experiment::acutemon(spec);
+    return testbed::Experiment::run(
+        spec, {.bus_sleep_enabled = false,  // rooted-driver ablation
+               .acutemon_background = background});
   };
 
   const auto with_bg = run(true, true);

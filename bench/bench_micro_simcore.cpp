@@ -60,7 +60,7 @@ BENCHMARK(BM_RngTruncatedNormal);
 void BM_StackPipelineTransit(benchmark::State& state) {
   // One packet descending the full five-layer phone stack onto the medium,
   // amortized — the move-based hot path the zero-copy refactor targets.
-  testbed::Testbed testbed{testbed::TestbedConfig{}};
+  testbed::Testbed testbed;
   testbed.phone().set_system_traffic_enabled(false);
   testbed.phone().bus().set_sleep_enabled(false);
   testbed.settle(sim::Duration::millis(700));
@@ -88,10 +88,11 @@ void BM_FullProbeRoundTrip(benchmark::State& state) {
   // One complete AcuteMon probe (SYN/SYN-ACK through phone stack, channel,
   // AP, switch, netem server and back), amortized.
   for (auto _ : state) {
-    testbed::Experiment::AcuteMonSpec spec;
-    spec.probes = 20;
+    testbed::ScenarioSpec spec;
+    spec.phones.front().workload = {.tool = tools::ToolKind::acutemon,
+                                    .probe_count = 20};
     spec.emulated_rtt = Duration::millis(10);
-    const auto result = testbed::Experiment::acutemon(spec);
+    const auto result = testbed::Experiment::run(spec);
     benchmark::DoNotOptimize(result.samples.size());
   }
   state.SetItemsProcessed(state.iterations() * 20);
@@ -101,9 +102,9 @@ BENCHMARK(BM_FullProbeRoundTrip);
 void BM_CongestedChannelSecond(benchmark::State& state) {
   // One simulated second of a saturated 802.11g channel (10 UDP flows).
   for (auto _ : state) {
-    testbed::TestbedConfig config;
-    config.congested_phy = true;
-    testbed::Testbed testbed(config);
+    testbed::ScenarioSpec spec;
+    spec.congested_phy = true;
+    testbed::Testbed testbed(spec);
     testbed.settle(Duration::millis(100));
     testbed.start_cross_traffic();
     testbed.settle(Duration::seconds(1));

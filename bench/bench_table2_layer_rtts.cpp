@@ -53,16 +53,17 @@ int main() {
                       "dk paper", "dk ours", "dn paper", "dn ours"});
 
   for (const PaperRow& row : kPaper) {
-    testbed::Experiment::PingSpec spec;
-    spec.profile = std::string(row.phone) == "Google Nexus 4"
-                       ? phone::PhoneProfile::nexus4()
-                       : phone::PhoneProfile::nexus5();
-    spec.emulated_rtt = sim::Duration::millis(row.rtt_ms);
-    spec.interval = std::string(row.interval) == "10ms"
+    testbed::ScenarioSpec spec;
+    spec.phones.front().profile = std::string(row.phone) == "Google Nexus 4"
+                                      ? phone::PhoneProfile::nexus4()
+                                      : phone::PhoneProfile::nexus5();
+    spec.phones.front().workload = {
+        .probe_count = 100,
+        .interval = std::string(row.interval) == "10ms"
                         ? sim::Duration::millis(10)
-                        : sim::Duration::seconds(1);
-    spec.probes = 100;
-    const auto result = testbed::Experiment::ping(spec);
+                        : sim::Duration::seconds(1)};
+    spec.emulated_rtt = sim::Duration::millis(row.rtt_ms);
+    const auto result = testbed::Experiment::run(spec);
 
     table.add_row({row.phone, std::to_string(row.rtt_ms) + "ms", row.interval,
                    row.du, benchx::mean_ci(result.values(

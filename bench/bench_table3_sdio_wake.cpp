@@ -52,13 +52,13 @@ int main() {
 
   for (const bool enabled : {true, false}) {
     for (const int interval_ms : {10, 1000}) {
-      testbed::Experiment::DriverDelaySpec spec;
-      spec.profile = phone::PhoneProfile::nexus5();
-      spec.interval = sim::Duration::millis(interval_ms);
-      spec.bus_sleep_enabled = enabled;
+      testbed::ScenarioSpec spec;
+      spec.phones.front().profile = phone::PhoneProfile::nexus5();
+      spec.phones.front().workload = {
+          .probe_count = 100, .interval = sim::Duration::millis(interval_ms)};
       spec.emulated_rtt = sim::Duration::millis(60);
-      spec.probes = 100;
-      const auto result = testbed::Experiment::driver_delays(spec);
+      const auto result =
+          testbed::Experiment::run(spec, {.bus_sleep_enabled = enabled});
 
       const auto emit = [&](const char* type,
                             const std::vector<double>& values) {

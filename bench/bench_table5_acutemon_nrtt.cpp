@@ -41,11 +41,12 @@ int main() {
   for (const PaperRow& row : kPaper) {
     const auto profile = phone::PhoneProfile::by_name(row.phone);
     for (int i = 0; i < 4; ++i) {
-      testbed::Experiment::AcuteMonSpec spec;
-      spec.profile = profile;
+      testbed::ScenarioSpec spec;
+      spec.phones.front().profile = profile;
+      spec.phones.front().workload = {.tool = tools::ToolKind::acutemon,
+                                      .probe_count = 100};
       spec.emulated_rtt = sim::Duration::millis(kRtts[i]);
-      spec.probes = 100;
-      const auto result = testbed::Experiment::acutemon(spec);
+      const auto result = testbed::Experiment::run(spec);
       table.add_row({row.phone, std::to_string(kRtts[i]) + "ms", row.dn[i],
                      benchx::mean_ci(result.values(&core::LayerSample::dn_ms),
                                      3),

@@ -77,11 +77,11 @@ int main(int argc, char** argv) {
 
   // Fig. 2, with noiseless sniffers so the capture-point samples equal the
   // air-stamp dn exactly (pass a noise in the spec to see radiotap jitter).
-  testbed::TestbedConfig config;
-  config.emulated_rtt = Duration::millis(rtt_ms);
-  config.sniffer_noise = Duration{};
-  config.congested_phy = congested;
-  testbed::Testbed testbed(config);
+  testbed::ScenarioSpec spec;
+  spec.emulated_rtt = Duration::millis(rtt_ms);
+  spec.sniffer_noise = Duration{};
+  spec.congested_phy = congested;
+  testbed::Testbed testbed(spec);
   testbed.settle(Duration::millis(800));
   if (congested) {
     testbed.start_cross_traffic();

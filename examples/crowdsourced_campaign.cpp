@@ -51,32 +51,27 @@ int main(int argc, char** argv) {
     FleetEntry entry;
     entry.phone = profile.name;
 
+    // One single-phone run of `tool` over an emulated path of `rtt_ms`.
+    const auto measure = [&](tools::ToolKind tool, int rtt_ms) {
+      testbed::ScenarioSpec spec;
+      spec.phones.front().profile = profile;
+      spec.phones.front().workload = {.tool = tool, .probe_count = probes};
+      spec.emulated_rtt = sim::Duration::millis(rtt_ms);
+      spec.seed = seed++;
+      return testbed::Experiment::run(spec);
+    };
+
     // Naive crowd app: stock ping at the default 1 s interval.
-    testbed::Experiment::PingSpec ping_spec;
-    ping_spec.profile = profile;
-    ping_spec.emulated_rtt = sim::Duration::millis(kPathRttMs);
-    ping_spec.probes = probes;
-    ping_spec.seed = seed++;
-    const auto ping_run = testbed::Experiment::ping(ping_spec);
+    const auto ping_run = measure(tools::ToolKind::icmp_ping, kPathRttMs);
     entry.naive_median =
         stats::Summary(ping_run.run.reported_rtts_ms()).median();
 
     // One-time calibration of this handset on a short reference path.
-    testbed::Experiment::AcuteMonSpec cal_spec;
-    cal_spec.profile = profile;
-    cal_spec.emulated_rtt = sim::Duration::millis(kCalibrationRttMs);
-    cal_spec.probes = probes;
-    cal_spec.seed = seed++;
-    const auto cal_run = testbed::Experiment::acutemon(cal_spec);
+    const auto cal_run = measure(tools::ToolKind::acutemon, kCalibrationRttMs);
     const auto calibration = core::OverheadCalibrator::learn(cal_run.samples);
 
     // The campaign measurement with AcuteMon.
-    testbed::Experiment::AcuteMonSpec am_spec;
-    am_spec.profile = profile;
-    am_spec.emulated_rtt = sim::Duration::millis(kPathRttMs);
-    am_spec.probes = probes;
-    am_spec.seed = seed++;
-    const auto am_run = testbed::Experiment::acutemon(am_spec);
+    const auto am_run = measure(tools::ToolKind::acutemon, kPathRttMs);
     entry.acutemon_median =
         stats::Summary(am_run.run.reported_rtts_ms()).median();
     entry.calibrated_median = stats::Summary(core::OverheadCalibrator::correct(

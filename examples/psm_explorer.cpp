@@ -40,12 +40,12 @@ int main(int argc, char** argv) {
   stats::Table table({"interval", "du (user)", "dn (network)",
                       "du-dn (internal)", "dn-60 (external/PSM)"});
   for (const int interval_ms : {10, 25, 60, 120, 250, 500, 1000}) {
-    testbed::Experiment::PingSpec spec;
-    spec.profile = profile;
+    testbed::ScenarioSpec spec;
+    spec.phones.front().profile = profile;
+    spec.phones.front().workload = {
+        .probe_count = 100, .interval = sim::Duration::millis(interval_ms)};
     spec.emulated_rtt = sim::Duration::millis(60);
-    spec.interval = sim::Duration::millis(interval_ms);
-    spec.probes = 100;
-    const auto result = testbed::Experiment::ping(spec);
+    const auto result = testbed::Experiment::run(spec);
     const stats::Summary du(result.values(&core::LayerSample::du_ms));
     const stats::Summary dn(result.values(&core::LayerSample::dn_ms));
     table.add_row({std::to_string(interval_ms) + "ms",

@@ -44,20 +44,21 @@ int main() {
 
   // 1) Stock ping at the 1 s default interval: the phone sleeps between
   //    probes and every probe pays the wake-up penalties (§3.1).
-  testbed::Experiment::PingSpec ping_spec;
-  ping_spec.emulated_rtt = rtt;
-  ping_spec.interval = acute::sim::Duration::seconds(1);
-  ping_spec.probes = kProbes;
+  testbed::ScenarioSpec spec;
+  spec.emulated_rtt = rtt;
+  spec.phones.front().workload = {
+      .tool = tools::ToolKind::icmp_ping,
+      .probe_count = kProbes,
+      .interval = acute::sim::Duration::seconds(1)};
   print_result("ping -i 1 (energy-saving penalties land on every probe):",
-               testbed::Experiment::ping(ping_spec));
+               testbed::Experiment::run(spec));
 
   // 2) Same path measured by AcuteMon: warm-up + background traffic keep
   //    the phone awake, overhead stays within ~3 ms (§4.2).
-  testbed::Experiment::AcuteMonSpec am_spec;
-  am_spec.emulated_rtt = rtt;
-  am_spec.probes = kProbes;
+  spec.phones.front().workload = {.tool = tools::ToolKind::acutemon,
+                                  .probe_count = kProbes};
   print_result("AcuteMon (warm-up + 20 ms background traffic):",
-               testbed::Experiment::acutemon(am_spec));
+               testbed::Experiment::run(spec));
 
   std::printf("The network-level RTT is ~31 ms in both runs; only AcuteMon's "
               "user-level RTT stays near it.\n");

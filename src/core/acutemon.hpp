@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
 #include "tools/tool.hpp"
 
@@ -53,13 +52,6 @@ class AcuteMon : public tools::MeasurementTool {
     return background_sent_;
   }
   [[nodiscard]] bool warmup_sent() const { return warmup_sent_; }
-
-  /// Historical spelling of start(): launches BT (warm-up + background)
-  /// and then MT after dpre. Same once-only contract as start() — the guard
-  /// sits in the non-virtual base entry, so campaigns that construct tools
-  /// through tools::make_tool() launch AcuteMon's full two-thread protocol
-  /// (and trip on double launches) with the same call as every other tool.
-  void start_measurement(DoneFn done = nullptr) { start(std::move(done)); }
 
  protected:
   /// The two-thread launch protocol, behind start()'s guard.

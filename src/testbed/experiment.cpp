@@ -3,11 +3,10 @@
 #include <memory>
 #include <utility>
 
+#include "core/acutemon.hpp"
 #include "core/timeout_prober.hpp"
 #include "sim/contracts.hpp"
-#include "stats/summary.hpp"
 #include "tools/factory.hpp"
-#include "tools/ping.hpp"
 
 namespace acute::testbed {
 
@@ -21,127 +20,66 @@ namespace {
 /// experiment starts (phones idle in a pocket before a measurement).
 constexpr Duration kSettle = Duration::millis(800);
 
-MultiLayerResult collect(Testbed& testbed, tools::MeasurementTool& tool) {
-  MultiLayerResult result;
-  result.run = tool.result();
-  result.samples = testbed.layer_samples(result.run);
-  if (testbed.cross_traffic_running()) {
-    result.cross_throughput_mbps = testbed.cross_traffic_throughput_mbps();
-  }
-  return result;
+/// A one-phone ICMP ping scenario probing at a 2 s interval, so every probe
+/// meets an idle phone (the timeout-inference runs).
+ScenarioSpec idle_ping(const phone::PhoneProfile& profile,
+                       Duration emulated_rtt, int probes,
+                       std::uint64_t seed) {
+  ScenarioSpec spec;
+  spec.phones.front().profile = profile;
+  spec.phones.front().workload.probe_count = probes;
+  spec.phones.front().workload.interval = Duration::seconds(2);
+  spec.emulated_rtt = emulated_rtt;
+  spec.seed = seed;
+  return spec;
 }
 
 }  // namespace
 
-MultiLayerResult Experiment::ping(const PingSpec& spec) {
-  TestbedConfig config;
-  config.profile = spec.profile;
-  config.seed = spec.seed;
-  config.emulated_rtt = spec.emulated_rtt;
-  Testbed testbed(config);
+MultiLayerResult Experiment::run(const ScenarioSpec& spec,
+                                 const Ablation& ablation) {
+  expects(spec.phones.size() == 1,
+          "Experiment::run drives exactly one phone; use Campaign for more");
+  const WorkloadSpec& workload = spec.phones.front().workload;
+  expects(workload.passive == passive::PassiveVantage::none,
+          "Experiment::run has no passive vantage; use Campaign");
+
+  Testbed testbed(spec);
+  phone::Smartphone& phone = testbed.phone();
+  phone.bus().set_sleep_enabled(ablation.bus_sleep_enabled);
   testbed.settle(kSettle);
-
-  tools::MeasurementTool::Config tool_config;
-  tool_config.probe_count = spec.probes;
-  tool_config.interval = spec.interval;
-  tool_config.timeout = sim::Duration::seconds(1);
-  tool_config.target = Testbed::kServerId;
-  tools::IcmpPing ping_tool(testbed.phone(), tool_config);
-  ping_tool.start();
-  testbed.run_until_finished(ping_tool);
-  return collect(testbed, ping_tool);
-}
-
-Experiment::DriverDelayResult Experiment::driver_delays(
-    const DriverDelaySpec& spec) {
-  TestbedConfig config;
-  config.profile = spec.profile;
-  config.seed = spec.seed;
-  config.emulated_rtt = spec.emulated_rtt;
-  Testbed testbed(config);
-  testbed.phone().bus().set_sleep_enabled(spec.bus_sleep_enabled);
-  testbed.settle(kSettle);
-  testbed.phone().driver().clear_logs();
-
-  tools::MeasurementTool::Config tool_config;
-  tool_config.probe_count = spec.probes;
-  tool_config.interval = spec.interval;
-  tool_config.timeout = sim::Duration::seconds(1);
-  tool_config.target = Testbed::kServerId;
-  tools::IcmpPing ping_tool(testbed.phone(), tool_config);
-  ping_tool.start();
-  testbed.run_until_finished(ping_tool);
-
-  DriverDelayResult result;
-  result.dvsend_ms = testbed.phone().driver().dvsend_log_ms();
-  result.dvrecv_ms = testbed.phone().driver().dvrecv_log_ms();
-  return result;
-}
-
-MultiLayerResult Experiment::acutemon(const AcuteMonSpec& spec) {
-  TestbedConfig config;
-  config.profile = spec.profile;
-  config.seed = spec.seed;
-  config.emulated_rtt = spec.emulated_rtt;
-  config.congested_phy = spec.cross_traffic;
-  Testbed testbed(config);
-  testbed.phone().bus().set_sleep_enabled(spec.bus_sleep_enabled);
-  testbed.settle(kSettle);
-  if (spec.cross_traffic) {
+  if (spec.congested_phy) {
     testbed.start_cross_traffic();
-    testbed.settle(sim::Duration::seconds(2));  // reach saturation
+    testbed.settle(Duration::seconds(2));  // reach saturation
   }
+  phone.driver().clear_logs();
 
-  tools::MeasurementTool::Config tool_config;
-  tool_config.probe_count = spec.probes;
-  tool_config.timeout = sim::Duration::seconds(1);
-  tool_config.target = Testbed::kServerId;
-  core::AcuteMon::Options options;
-  options.background_enabled = spec.background_enabled;
-  options.method = spec.method;
-  core::AcuteMon monitor(testbed.phone(), tool_config, options);
-  monitor.start_measurement();
-  testbed.run_until_finished(monitor);
-  MultiLayerResult result = collect(testbed, monitor);
-  testbed.stop_cross_traffic();
-  return result;
-}
-
-MultiLayerResult Experiment::tool(const ToolSpec& spec) {
-  if (spec.kind == tools::ToolKind::acutemon) {
-    AcuteMonSpec am;
-    am.profile = spec.profile;
-    am.emulated_rtt = spec.emulated_rtt;
-    am.probes = spec.probes;
-    am.cross_traffic = spec.cross_traffic;
-    am.seed = spec.seed;
-    return acutemon(am);
+  tools::MeasurementTool::Config config;
+  config.probe_count = workload.probe_count > 0 ? workload.probe_count : 100;
+  config.interval = workload.interval.is_zero() ? Duration::seconds(1)
+                                                : workload.interval;
+  config.timeout = workload.timeout.is_zero() ? Duration::seconds(1)
+                                              : workload.timeout;
+  config.target = Testbed::kServerId;
+  std::unique_ptr<tools::MeasurementTool> tool;
+  if (workload.tool == tools::ToolKind::acutemon) {
+    core::AcuteMon::Options options;
+    options.background_enabled = ablation.acutemon_background;
+    tool = std::make_unique<core::AcuteMon>(phone, config, options);
+  } else {
+    tool = tools::make_tool(workload.tool, phone, config);
   }
-
-  TestbedConfig config;
-  config.profile = spec.profile;
-  config.seed = spec.seed;
-  config.emulated_rtt = spec.emulated_rtt;
-  config.congested_phy = spec.cross_traffic;
-  Testbed testbed(config);
-  testbed.settle(kSettle);
-  if (spec.cross_traffic) {
-    testbed.start_cross_traffic();
-    testbed.settle(sim::Duration::seconds(2));
-  }
-
-  tools::MeasurementTool::Config tool_config;
-  tool_config.probe_count = spec.probes;
-  tool_config.interval = spec.interval;
-  tool_config.timeout = sim::Duration::seconds(1);
-  tool_config.target = Testbed::kServerId;
-
-  std::unique_ptr<tools::MeasurementTool> tool =
-      tools::make_tool(spec.kind, testbed.phone(), tool_config);
   tool->start();
   testbed.run_until_finished(*tool);
-  MultiLayerResult result = collect(testbed, *tool);
-  testbed.stop_cross_traffic();
+
+  MultiLayerResult result;
+  result.run = tool->result();
+  result.samples = testbed.layer_samples(result.run);
+  result.dvsend_ms = phone.driver().dvsend_log_ms();
+  result.dvrecv_ms = phone.driver().dvrecv_log_ms();
+  if (spec.congested_phy) {
+    result.cross_throughput_mbps = testbed.cross_traffic_throughput_mbps();
+  }
   return result;
 }
 
@@ -229,13 +167,9 @@ Experiment::TimeoutInference Experiment::infer_timeouts(
   std::uint64_t run_counter = 0;
   const core::TimeoutProber::RttProbeFn rtt_probe =
       [&](Duration emulated_rtt, int probe_count) {
-        PingSpec spec;
-        spec.profile = profile;
-        spec.emulated_rtt = emulated_rtt;
-        spec.interval = sim::Duration::seconds(2);  // idle between probes
-        spec.probes = probe_count;
-        spec.seed = seed + 1000 + run_counter++;
-        return ping(spec).run.reported_rtts_ms();
+        return run(idle_ping(profile, emulated_rtt, probe_count,
+                             seed + 1000 + run_counter++))
+            .run.reported_rtts_ms();
       };
   inference.psm_timeout =
       core::TimeoutProber::infer_psm_timeout(rtt_probe, prober_config);
@@ -243,11 +177,11 @@ Experiment::TimeoutInference Experiment::infer_timeouts(
   // --- Tis: binary-search the idle gap for the bus-wake onset.
   const core::TimeoutProber::GapProbeFn gap_probe =
       [&](Duration idle_gap, int probe_count) {
-        TestbedConfig config;
-        config.profile = profile;
-        config.seed = seed + 5000 + run_counter++;
-        config.emulated_rtt = sim::Duration::millis(5);
-        Testbed testbed(config);
+        ScenarioSpec spec;
+        spec.phones.front().profile = profile;
+        spec.seed = seed + 5000 + run_counter++;
+        spec.emulated_rtt = Duration::millis(5);
+        Testbed testbed(spec);
         testbed.settle(kSettle);
         GapProbeSession session(testbed, idle_gap, probe_count);
         return session.run();
@@ -259,16 +193,12 @@ Experiment::TimeoutInference Experiment::infer_timeouts(
   // the PSM delays of a path longer than Tip.
   inference.listen_associated = profile.associated_listen_interval;
   {
-    PingSpec spec;
-    spec.profile = profile;
-    spec.emulated_rtt = inference.psm_timeout + Duration::millis(80);
-    spec.interval = sim::Duration::seconds(2);
-    spec.probes = 30;
-    spec.seed = seed + 9000;
-    const MultiLayerResult result = ping(spec);
+    const Duration emulated_rtt = inference.psm_timeout + Duration::millis(80);
+    const MultiLayerResult result =
+        run(idle_ping(profile, emulated_rtt, 30, seed + 9000));
     std::vector<double> psm_delays;
     for (const auto& sample : result.samples) {
-      const double delay = sample.dn_ms - spec.emulated_rtt.to_ms();
+      const double delay = sample.dn_ms - emulated_rtt.to_ms();
       if (delay > 5.0) psm_delays.push_back(delay);
     }
     inference.listen_actual =

@@ -130,24 +130,6 @@ std::size_t ScenarioSpec::count_radio(phone::RadioKind kind) const {
   return count;
 }
 
-ScenarioSpec ScenarioSpec::fig2(const TestbedConfig& config) {
-  ScenarioSpec spec;
-  spec.phones = {PhoneSpec{}};
-  spec.phones.front().profile = config.profile;
-  spec.seed = config.seed;
-  spec.emulated_rtt = config.emulated_rtt;
-  spec.netem_jitter = config.netem_jitter;
-  spec.congested_phy = config.congested_phy;
-  spec.cross_connections = config.cross_connections;
-  spec.cross_flow_mbps = config.cross_flow_mbps;
-  spec.send_ttl_exceeded = config.send_ttl_exceeded;
-  spec.sniffer_noise = config.sniffer_noise;
-  spec.sniffer_count = 3;
-  return spec;
-}
-
-Testbed::Testbed(TestbedConfig config) : Testbed(ScenarioSpec::fig2(config)) {}
-
 Testbed::Testbed(ScenarioSpec spec)
     : owned_sim_(std::make_unique<sim::Simulator>()),
       sim_(owned_sim_.get()),
@@ -384,17 +366,6 @@ void Testbed::ensure_iperf() {
         [this](Packet pkt) { load_gen_->transmit(std::move(pkt)); });
   }
   iperf_ready_ = true;
-}
-
-CellularGateway& Testbed::cellular_gateway() {
-  expects(gateway_ != nullptr,
-          "Testbed::cellular_gateway: scenario has no cellular phone");
-  return *gateway_;
-}
-
-void Testbed::set_emulated_rtt(Duration rtt) {
-  expects(!rtt.is_negative(), "Testbed emulated RTT must be non-negative");
-  server_->netem().set_delay(rtt);
 }
 
 void Testbed::start_cross_traffic() {

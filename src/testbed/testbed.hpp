@@ -5,15 +5,16 @@
 //   [load gen]~~~~~~~~ (802.11 channel) [AP]---[switch]
 //   [sniffers observe the channel]           \---[load server (UDP sink)]
 //
-// A ScenarioSpec describes everything the builder needs: the set of phones
-// (each with its own PhoneProfile, i.e. heterogeneous handsets contending on
-// one channel), the emulated path RTT, the PHY mode, the cross-traffic load
-// and the sniffer array. The paper's Fig. 2 single-phone topology is the
-// default spec, so `Testbed{}` (and the TestbedConfig compatibility struct)
-// reproduce the original testbed bit for bit: the measurement server's
-// netem qdisc emulates the path RTT; the wireless load generator pushes ten
-// 2.5 Mbit/s UDP flows at the load server to congest the WLAN; three
-// sniffers capture every frame for the t_n vantage point.
+// A ScenarioSpec is the one description of a testbed run: the set of phones
+// (each with its own PhoneProfile and WorkloadSpec, i.e. heterogeneous
+// handsets contending on one channel), the emulated path RTT, the PHY mode,
+// the cross-traffic load and the sniffer array. `ScenarioSpec{}` is the
+// paper's Fig. 2 single-phone topology, so `Testbed{}` reproduces the
+// original testbed bit for bit: the measurement server's netem qdisc
+// emulates the path RTT; the wireless load generator pushes ten 2.5 Mbit/s
+// UDP flows at the load server to congest the WLAN; three sniffers capture
+// every frame for the t_n vantage point. Experiment::run drives one phone
+// of such a scenario; Campaign sweeps many.
 #pragma once
 
 #include <cstdint>
@@ -70,43 +71,21 @@ class WirelessHost {
   wifi::Station station_;
 };
 
-/// Single-phone testbed knobs — the original Fig. 2 configuration surface,
-/// kept as the convenience front-end for the common case. Converted into a
-/// one-phone ScenarioSpec by the Testbed constructor.
-struct TestbedConfig {
-  /// The handset under test (its PSM/SDIO/runtime parameters).
-  phone::PhoneProfile profile = phone::PhoneProfile::nexus5();
-  /// Root rng seed every component stream is forked from.
-  std::uint64_t seed = 42;
-  /// tc-netem delay on the measurement server (one-way, on its egress).
-  sim::Duration emulated_rtt = sim::Duration{};
-  /// Netem delay jitter on the same egress (paper setup: 1.5 ms).
-  sim::Duration netem_jitter = sim::Duration::millis(1.5);
-  /// Use the mixed-mode PHY (protection, degraded rate) — the §4.3
-  /// congested-WLAN configuration. Enable whenever cross traffic runs.
-  bool congested_phy = false;
-  /// iPerf cross-traffic shape: N parallel UDP flows of this rate each.
-  std::size_t cross_connections = 10;
-  double cross_flow_mbps = 2.5;
-  /// When true the AP answers TTL=1 packets with ICMP time-exceeded.
-  bool send_ttl_exceeded = false;
-  /// Sniffer radiotap timestamp noise (microsecond scale).
-  sim::Duration sniffer_noise = sim::Duration::micros(2);
-};
-
-/// Per-phone measurement workload: which tool the campaign engine runs on
-/// this phone and, optionally, schedule overrides. The defaults — stock
-/// ICMP ping, no overrides — make a spec without an explicit workload
-/// behave exactly like the pre-workload campaign engine.
+/// Per-phone measurement workload: which tool Campaign and Experiment::run
+/// run on this phone and, optionally, schedule overrides. The defaults —
+/// stock ICMP ping, no overrides — make a spec without an explicit workload
+/// behave exactly like the pre-workload campaign engine. Fields left at
+/// zero fall back to the CampaignSpec schedule in a campaign and to 100
+/// probes, a 1 s interval and a 1 s timeout in Experiment::run.
 struct WorkloadSpec {
   /// Which of the paper's four tools probes from this phone.
   tools::ToolKind tool = tools::ToolKind::icmp_ping;
-  /// Probes to send; <= 0 means "use CampaignSpec::probes_per_phone".
+  /// Probes to send; <= 0 means "use the default".
   int probe_count = 0;
-  /// Inter-probe interval/gap; zero means "use CampaignSpec::probe_interval"
-  /// (AcuteMon ignores it: its measurement thread is always back-to-back).
+  /// Inter-probe interval/gap; zero means "use the default" (AcuteMon
+  /// ignores it: its measurement thread is always back-to-back).
   sim::Duration interval{};
-  /// Per-probe timeout; zero means "use CampaignSpec::probe_timeout".
+  /// Per-probe timeout; zero means "use the default".
   sim::Duration timeout{};
   /// Passive RTT vantage points the campaign attaches alongside the tool:
   /// a pping-style TCP-timestamp estimator on sniffer 0 and/or a MopEye-style
@@ -131,8 +110,9 @@ struct PhoneSpec {
   phone::RadioKind radio = phone::RadioKind::wifi;
   /// RRC parameters (cellular phones only).
   cellular::RrcConfig rrc = cellular::RrcConfig::umts_3g();
-  /// The measurement workload Campaign::run_shard drives on this phone
-  /// (ignored by the plain Testbed builder, which starts no tools itself).
+  /// The measurement workload Campaign::run_shard and Experiment::run drive
+  /// on this phone (ignored by the plain Testbed builder, which starts no
+  /// tools itself).
   WorkloadSpec workload;
 };
 
@@ -187,7 +167,9 @@ class CellularGateway : public net::Node {
 };
 
 /// Full scenario description: N heterogeneous phones contending on one
-/// channel plus the wired fabric and load infrastructure of Fig. 2.
+/// channel plus the wired fabric and load infrastructure of Fig. 2. The
+/// defaults are the paper's Fig. 2 testbed: one Nexus 5, seed 42, three
+/// sniffers.
 struct ScenarioSpec {
   /// The handsets under test, all contending on one channel (>= 1).
   std::vector<PhoneSpec> phones{PhoneSpec{}};
@@ -217,9 +199,6 @@ struct ScenarioSpec {
   /// When true the netem egress may release packets out of order under
   /// jitter (plain netem forbids reordering; this is the "reorder" option).
   bool netem_reorder = false;
-
-  /// The paper's Fig. 2 defaults as a scenario (what TestbedConfig maps to).
-  [[nodiscard]] static ScenarioSpec fig2(const TestbedConfig& config = {});
 
   /// Heterogeneous per-phone workloads within ONE scenario: assigns
   /// mix[i % mix.size()] to phone i (round-robin), so e.g. a 4-phone
@@ -253,14 +232,13 @@ class Testbed {
                             static_cast<net::NodeId>(index - 1);
   }
 
-  /// Builds the scenario described by `spec` (requires >= 1 phone).
-  explicit Testbed(ScenarioSpec spec);
+  /// Builds the scenario described by `spec` (requires >= 1 phone); the
+  /// default is the Fig. 2 single-phone testbed.
+  explicit Testbed(ScenarioSpec spec = {});
   /// Builds the scenario on an externally-owned simulator (the shard-context
   /// pool shares one warm simulator across many testbed rebuilds). The
   /// simulator must be freshly constructed or reset().
   Testbed(ScenarioSpec spec, sim::Simulator& sim);
-  /// Fig. 2 compatibility front-end: a single-phone scenario.
-  explicit Testbed(TestbedConfig config = {});
 
   /// Tears the previous scenario down logically (simulator reset, all
   /// pending events cancelled) and builds `spec` in place, reusing every
@@ -288,8 +266,6 @@ class Testbed {
   [[nodiscard]] wifi::AccessPoint& ap() { return *ap_; }
   /// The shared 802.11 channel every wireless device contends on.
   [[nodiscard]] wifi::Channel& channel() { return *channel_; }
-  /// The UDP sink the iPerf cross traffic targets.
-  [[nodiscard]] net::UdpSink& load_sink() { return *load_sink_; }
   /// The `index`-th channel sniffer.
   [[nodiscard]] wifi::Sniffer& sniffer(std::size_t index) {
     return *sniffers_.at(index);
@@ -298,12 +274,6 @@ class Testbed {
   [[nodiscard]] std::size_t sniffer_count() const { return sniffers_.size(); }
   /// The scenario this testbed was built from.
   [[nodiscard]] const ScenarioSpec& spec() const { return spec_; }
-  /// The cellular gateway (contract violation when the scenario has no
-  /// cellular phone).
-  [[nodiscard]] CellularGateway& cellular_gateway();
-
-  /// Reconfigures the emulated path RTT (tc on the server).
-  void set_emulated_rtt(sim::Duration rtt);
 
   /// Starts / stops the iPerf cross traffic (§4.3).
   void start_cross_traffic();

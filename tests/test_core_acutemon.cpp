@@ -25,13 +25,13 @@ tools::MeasurementTool::Config mt_config(int probes) {
 }
 
 TEST(AcuteMon, WarmupPrecedesFirstProbeByDpre) {
-  testbed::TestbedConfig tb_config;
-  tb_config.emulated_rtt = 30_ms;
-  Testbed testbed(tb_config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 30_ms;
+  Testbed testbed(scenario);
   testbed.settle(800_ms);
   AcuteMon monitor(testbed.phone(), mt_config(5));
   const auto start = testbed.simulator().now();
-  monitor.start_measurement();
+  monitor.start();
   EXPECT_TRUE(monitor.warmup_sent());
   testbed.run_until_finished(monitor);
   // First probe left dpre = 20 ms after the warm-up.
@@ -46,26 +46,26 @@ TEST(AcuteMon, WarmupPrecedesFirstProbeByDpre) {
 
 TEST(AcuteMon, BackgroundCadenceMatchesPaperEstimate) {
   // §4.1: K = 5 probes on a 100 ms path -> ~25 background packets.
-  testbed::TestbedConfig tb_config;
-  tb_config.emulated_rtt = 100_ms;
-  Testbed testbed(tb_config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 100_ms;
+  Testbed testbed(scenario);
   testbed.settle(800_ms);
   AcuteMon monitor(testbed.phone(), mt_config(5));
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   EXPECT_NEAR(double(monitor.background_packets_sent()), 25.0, 6.0);
 }
 
 TEST(AcuteMon, KeepAlivesDieAtTheGateway) {
-  testbed::TestbedConfig tb_config;
-  tb_config.emulated_rtt = 50_ms;
-  Testbed testbed(tb_config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 50_ms;
+  Testbed testbed(scenario);
   testbed.phone().set_system_traffic_enabled(false);
   testbed.settle(800_ms);
   const auto drops_before = testbed.ap().ttl_drops();
   const auto served_before = testbed.server().requests_served();
   AcuteMon monitor(testbed.phone(), mt_config(10));
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   // warm-up + every background packet died at the AP...
   EXPECT_EQ(testbed.ap().ttl_drops() - drops_before,
@@ -75,15 +75,16 @@ TEST(AcuteMon, KeepAlivesDieAtTheGateway) {
 }
 
 TEST(AcuteMon, PhoneNeverDozesDuringMeasurement) {
-  testbed::TestbedConfig tb_config;
-  tb_config.profile = phone::PhoneProfile::nexus4();  // Tip ~40 ms
-  tb_config.emulated_rtt = 135_ms;                    // longer than Tip
-  Testbed testbed(tb_config);
+  testbed::ScenarioSpec scenario;
+  scenario.phones.front().profile =
+      phone::PhoneProfile::nexus4();  // Tip ~40 ms
+  scenario.emulated_rtt = 135_ms;     // longer than Tip
+  Testbed testbed(scenario);
   testbed.settle(800_ms);
   const auto dozes_before = testbed.phone().station().doze_count();
   const auto sleeps_before = testbed.phone().bus().sleep_count();
   AcuteMon monitor(testbed.phone(), mt_config(30));
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   EXPECT_EQ(testbed.phone().station().doze_count(), dozes_before);
   EXPECT_EQ(testbed.phone().bus().sleep_count(), sleeps_before);
@@ -93,7 +94,7 @@ TEST(AcuteMon, BackgroundStopsWithMeasurement) {
   Testbed testbed;
   testbed.settle(800_ms);
   AcuteMon monitor(testbed.phone(), mt_config(3));
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   const auto sent_at_finish = monitor.background_packets_sent();
   testbed.settle(1_s);
@@ -106,21 +107,21 @@ TEST(AcuteMon, DisabledBackgroundSendsNone) {
   AcuteMon::Options options;
   options.background_enabled = false;
   AcuteMon monitor(testbed.phone(), mt_config(5), options);
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   EXPECT_EQ(monitor.background_packets_sent(), 0u);
   EXPECT_TRUE(monitor.warmup_sent());
 }
 
 TEST(AcuteMon, HttpProbeMethodWorks) {
-  testbed::TestbedConfig tb_config;
-  tb_config.emulated_rtt = 30_ms;
-  Testbed testbed(tb_config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 30_ms;
+  Testbed testbed(scenario);
   testbed.settle(800_ms);
   AcuteMon::Options options;
   options.method = AcuteMon::ProbeMethod::http;
   AcuteMon monitor(testbed.phone(), mt_config(5), options);
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   for (const auto& probe : monitor.result().probes) {
     ASSERT_TRUE(probe.response.has_value());
@@ -154,12 +155,13 @@ class AcuteMonAccuracy : public ::testing::TestWithParam<AccuracyCase> {};
 TEST_P(AcuteMonAccuracy, MedianOverheadWithinPaperBound) {
   const auto param = GetParam();
   const auto profile = phone::PhoneProfile::all()[param.phone_index];
-  testbed::Experiment::AcuteMonSpec spec;
-  spec.profile = profile;
+  testbed::ScenarioSpec spec;
+  spec.phones.front().profile = profile;
+  spec.phones.front().workload = {.tool = tools::ToolKind::acutemon,
+                                  .probe_count = 60};
   spec.emulated_rtt = Duration::millis(param.rtt_ms);
-  spec.probes = 60;
   spec.seed = 42 + param.phone_index * 10 + param.rtt_ms;
-  const auto result = testbed::Experiment::acutemon(spec);
+  const auto result = testbed::Experiment::run(spec);
 
   ASSERT_GE(result.samples.size(), 55u);
   const stats::Summary overhead(

@@ -69,10 +69,10 @@ TEST(AutoTuner, TunedParametersHoldAnAggressivePhoneAwake) {
   aggressive.psm_timeout = 16_ms;
 
   const auto run_with = [&](AcuteMon::Options options) {
-    testbed::TestbedConfig config;
-    config.profile = aggressive;
-    config.emulated_rtt = 85_ms;
-    testbed::Testbed testbed(config);
+    testbed::ScenarioSpec scenario;
+    scenario.phones.front().profile = aggressive;
+    scenario.emulated_rtt = 85_ms;
+    testbed::Testbed testbed(scenario);
     testbed.settle(800_ms);
     tools::MeasurementTool::Config mt;
     mt.probe_count = 40;
@@ -84,7 +84,7 @@ TEST(AutoTuner, TunedParametersHoldAnAggressivePhoneAwake) {
     // Sample the counter the instant the measurement completes: dozes
     // after the keep-alives stop are expected and irrelevant.
     std::uint64_t dozes_at_finish = 0;
-    monitor.start_measurement([&](const tools::ToolRun&) {
+    monitor.start([&](const tools::ToolRun&) {
       dozes_at_finish = testbed.phone().station().doze_count();
     });
     testbed.run_until_finished(monitor);

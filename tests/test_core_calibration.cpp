@@ -113,17 +113,17 @@ TEST(Calibrator, RequiresSamples) {
 TEST(Calibrator, EndToEndCalibrationRecoversEmulatedRtt) {
   // Learn the overhead on a short path, then correct a long-path run:
   // calibrated user-level RTTs land within ~1 ms of the emulated value.
-  testbed::Experiment::AcuteMonSpec learn_spec;
+  testbed::ScenarioSpec learn_spec;
+  learn_spec.phones.front().workload = {.tool = tools::ToolKind::acutemon,
+                                        .probe_count = 60};
   learn_spec.emulated_rtt = 20_ms;
-  learn_spec.probes = 60;
-  const auto learn_run = testbed::Experiment::acutemon(learn_spec);
+  const auto learn_run = testbed::Experiment::run(learn_spec);
   const auto calibration = OverheadCalibrator::learn(learn_run.samples);
 
-  testbed::Experiment::AcuteMonSpec apply_spec;
+  testbed::ScenarioSpec apply_spec = learn_spec;
   apply_spec.emulated_rtt = 135_ms;
-  apply_spec.probes = 60;
   apply_spec.seed = 99;
-  const auto apply_run = testbed::Experiment::acutemon(apply_spec);
+  const auto apply_run = testbed::Experiment::run(apply_spec);
 
   const auto corrected = OverheadCalibrator::correct(
       calibration, apply_run.run.reported_rtts_ms());

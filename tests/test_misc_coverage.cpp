@@ -52,9 +52,9 @@ TEST(Logging, LoggerFormatsComponent) {
 }
 
 TEST(AccessPointTtl, TimeExceededRepliesWhenEnabled) {
-  testbed::TestbedConfig config;
-  config.send_ttl_exceeded = true;
-  testbed::Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.send_ttl_exceeded = true;
+  testbed::Testbed testbed(scenario);
   testbed.phone().set_system_traffic_enabled(false);
   testbed.settle(500_ms);
 
@@ -97,9 +97,9 @@ TEST(AccessPointTtl, SilentDropByDefault) {
 }
 
 TEST(FailureInjection, AcuteMonSurvivesPacketLoss) {
-  testbed::TestbedConfig config;
-  config.emulated_rtt = 30_ms;
-  testbed::Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 30_ms;
+  testbed::Testbed testbed(scenario);
   testbed.server().netem().set_loss(0.2);
   testbed.settle(800_ms);
 
@@ -108,7 +108,7 @@ TEST(FailureInjection, AcuteMonSurvivesPacketLoss) {
   mt.timeout = 300_ms;
   mt.target = testbed::Testbed::kServerId;
   core::AcuteMon monitor(testbed.phone(), mt);
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
 
   // Losses are recorded as timeouts, the rest measure normally.
@@ -120,8 +120,7 @@ TEST(FailureInjection, AcuteMonSurvivesPacketLoss) {
 }
 
 TEST(FailureInjection, AcuteMonAllProbesLost) {
-  testbed::TestbedConfig config;
-  testbed::Testbed testbed(config);
+  testbed::Testbed testbed;
   testbed.server().netem().set_loss(0.99);
   testbed.settle(800_ms);
   tools::MeasurementTool::Config mt;
@@ -130,7 +129,7 @@ TEST(FailureInjection, AcuteMonAllProbesLost) {
   mt.target = testbed::Testbed::kServerId;
   core::AcuteMon monitor(testbed.phone(), mt);
   bool done = false;
-  monitor.start_measurement([&](const tools::ToolRun&) { done = true; });
+  monitor.start([&](const tools::ToolRun&) { done = true; });
   testbed.run_until_finished(monitor);
   EXPECT_TRUE(done);  // completes via timeouts, never hangs
   EXPECT_GE(monitor.result().loss_count(), 6u);
@@ -139,16 +138,16 @@ TEST(FailureInjection, AcuteMonAllProbesLost) {
 TEST(FailureInjection, LateResponsesAfterTimeoutAreIgnored) {
   // RTT (200 ms) far above the probe timeout (50 ms): every response
   // arrives late and must be discarded without crashing or double-counting.
-  testbed::TestbedConfig config;
-  config.emulated_rtt = 200_ms;
-  testbed::Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 200_ms;
+  testbed::Testbed testbed(scenario);
   testbed.settle(800_ms);
   tools::MeasurementTool::Config mt;
   mt.probe_count = 10;
   mt.timeout = 50_ms;
   mt.target = testbed::Testbed::kServerId;
   core::AcuteMon monitor(testbed.phone(), mt);
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   testbed.settle(1_s);  // let the stragglers arrive
   EXPECT_EQ(monitor.result().probes.size(), 10u);
@@ -161,13 +160,12 @@ class FastPingBaseline : public ::testing::TestWithParam<int> {};
 
 TEST_P(FastPingBaseline, KernelPhyOverheadSmallAtFastInterval) {
   const auto profile = phone::PhoneProfile::all()[GetParam()];
-  testbed::Experiment::PingSpec spec;
-  spec.profile = profile;
+  testbed::ScenarioSpec spec;
+  spec.phones.front().profile = profile;
+  spec.phones.front().workload = {.probe_count = 60, .interval = 10_ms};
   spec.emulated_rtt = 30_ms;
-  spec.interval = 10_ms;
-  spec.probes = 60;
   spec.seed = 100 + GetParam();
-  const auto result = testbed::Experiment::ping(spec);
+  const auto result = testbed::Experiment::run(spec);
   const stats::Summary dk_n(result.values(&core::LayerSample::dk_n));
   EXPECT_LT(dk_n.median(), 5.0) << profile.name;
   EXPECT_GE(dk_n.median(), 0.3) << profile.name;
@@ -182,12 +180,11 @@ INSTANTIATE_TEST_SUITE_P(AllPhones, FastPingBaseline, ::testing::Range(0, 5));
 // wake cost — Broadcom handsets inflate more than Qualcomm ones.
 TEST(VendorContrast, BroadcomInflatesMoreThanQualcomm) {
   const auto measure = [](const phone::PhoneProfile& profile) {
-    testbed::Experiment::PingSpec spec;
-    spec.profile = profile;
+    testbed::ScenarioSpec spec;
+    spec.phones.front().profile = profile;
+    spec.phones.front().workload = {.probe_count = 60, .interval = 1_s};
     spec.emulated_rtt = 30_ms;
-    spec.interval = 1_s;
-    spec.probes = 60;
-    const auto result = testbed::Experiment::ping(spec);
+    const auto result = testbed::Experiment::run(spec);
     const stats::Summary du(result.values(&core::LayerSample::du_ms));
     const stats::Summary dn(result.values(&core::LayerSample::dn_ms));
     return du.median() - dn.median();

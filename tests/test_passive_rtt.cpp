@@ -288,10 +288,10 @@ TEST(PassiveFig2, SnifferEstimatorEqualsAirStampDnExactly) {
   // Noiseless sniffer: its capture time IS the frame's TX start, the same
   // instant the air stamps record — so the passive estimate must equal the
   // stamp-derived dn bit for bit, probe by probe.
-  testbed::TestbedConfig config;
-  config.emulated_rtt = 20_ms;
-  config.sniffer_noise = Duration{};
-  testbed::Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 20_ms;
+  scenario.sniffer_noise = Duration{};
+  testbed::Testbed testbed(scenario);
   testbed.settle(500_ms);
 
   PpingEstimator pping;
@@ -327,9 +327,9 @@ TEST(PassiveFig2, SnifferEstimatorEqualsAirStampDnExactly) {
 }
 
 TEST(PassiveFig2, PerAppMonitorEqualsAppBoundaryStampsExactly) {
-  testbed::TestbedConfig config;
-  config.emulated_rtt = 20_ms;
-  testbed::Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 20_ms;
+  testbed::Testbed testbed(scenario);
   testbed.settle(500_ms);
 
   PerAppMonitor monitor;
@@ -366,10 +366,10 @@ TEST(PassiveFig2, HttpingEmitsOneSamplePerTcpExchange) {
   // httping reuses one connection: the handshake SYN plus each HTTP request
   // is a TSval-carrying exchange, so N probes yield N+1 passive samples —
   // the estimator sees flow traffic, not the tool's probe abstraction.
-  testbed::TestbedConfig config;
-  config.emulated_rtt = 20_ms;
-  config.sniffer_noise = Duration{};
-  testbed::Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 20_ms;
+  scenario.sniffer_noise = Duration{};
+  testbed::Testbed testbed(scenario);
   testbed.settle(500_ms);
   PpingEstimator pping;
   testbed.sniffer(0).attach_capture_observer(&pping);
@@ -426,10 +426,10 @@ TEST(PassiveAllocation, SnifferForwardingAddsNoPacketCopies) {
   // observer must not change the per-thread Packet copy count of a full
   // tool run compared with no observer at all.
   const auto copies_of_run = [](bool attach) {
-    testbed::TestbedConfig config;
-    config.emulated_rtt = 10_ms;
-    config.sniffer_noise = Duration{};
-    testbed::Testbed testbed(config);
+    testbed::ScenarioSpec scenario;
+    scenario.emulated_rtt = 10_ms;
+    scenario.sniffer_noise = Duration{};
+    testbed::Testbed testbed(scenario);
     testbed.settle(500_ms);
     PpingEstimator pping;
     if (attach) testbed.sniffer(0).attach_capture_observer(&pping);

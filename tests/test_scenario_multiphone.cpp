@@ -141,15 +141,17 @@ TEST(MultiPhoneScenario, RejectsDuplicateOrReservedPhoneLabels) {
   EXPECT_THROW(Testbed{empty}, sim::ContractViolation);
 }
 
-TEST(MultiPhoneScenario, Fig2SpecMatchesTestbedConfigDefaults) {
-  const ScenarioSpec spec = ScenarioSpec::fig2();
-  ASSERT_EQ(spec.phones.size(), 1u);
-  EXPECT_EQ(spec.sniffer_count, 3u);
-  Testbed from_spec{spec};
-  Testbed from_config{TestbedConfig{}};
-  EXPECT_EQ(from_spec.phone_count(), from_config.phone_count());
-  EXPECT_EQ(from_spec.sniffer_count(), from_config.sniffer_count());
-  EXPECT_EQ(from_spec.phone().id(), Testbed::kPhoneId);
+TEST(MultiPhoneScenario, DefaultSpecBuildsFig2Topology) {
+  // ScenarioSpec{} is the paper's Fig. 2 testbed: one Nexus 5 at the
+  // historical phone id, observed by sniffers A, B and C.
+  Testbed testbed{ScenarioSpec{}};
+  ASSERT_EQ(testbed.phone_count(), 1u);
+  EXPECT_EQ(testbed.phone().id(), Testbed::kPhoneId);
+  EXPECT_EQ(testbed.phone().profile().name, PhoneProfile::nexus5().name);
+  ASSERT_EQ(testbed.sniffer_count(), 3u);
+  EXPECT_EQ(testbed.sniffer(0).name(), "sniffer-A");
+  EXPECT_EQ(testbed.sniffer(1).name(), "sniffer-B");
+  EXPECT_EQ(testbed.sniffer(2).name(), "sniffer-C");
 }
 
 }  // namespace

@@ -1,8 +1,17 @@
 // End-to-end integration: the testbed reproduces the paper's shape claims.
-// Each test pins one qualitative result from the evaluation (§3, §4).
+// Each test pins one qualitative result from the evaluation (§3, §4); the
+// last one pins Experiment::run's output bits to tests/golden/.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/acutemon.hpp"
+#include "sim/contracts.hpp"
 #include "stats/cdf.hpp"
 #include "stats/summary.hpp"
 #include "testbed/experiment.hpp"
@@ -16,12 +25,19 @@ using phone::PhoneProfile;
 using sim::Duration;
 using tools::ToolKind;
 
+/// One phone on `profile` running `workload` over an `emulated_rtt` path.
+ScenarioSpec one_phone(Duration emulated_rtt, WorkloadSpec workload,
+                       const PhoneProfile& profile = PhoneProfile::nexus5()) {
+  ScenarioSpec spec;
+  spec.phones.front().profile = profile;
+  spec.phones.front().workload = workload;
+  spec.emulated_rtt = emulated_rtt;
+  return spec;
+}
+
 TEST(Testbed, FastPingMatchesEmulatedRttAtAllLayers) {
   // Table 2, 10 ms interval rows: du ~ dk ~ dn ~ emulated RTT (+ ~1-3 ms).
-  Experiment::PingSpec spec;
-  spec.interval = 10_ms;
-  spec.emulated_rtt = 30_ms;
-  const auto result = Experiment::ping(spec);
+  const auto result = Experiment::run(one_phone(30_ms, {.interval = 10_ms}));
   ASSERT_GE(result.samples.size(), 95u);
   const stats::Summary du(result.values(&LayerSample::du_ms));
   const stats::Summary dn(result.values(&LayerSample::dn_ms));
@@ -33,11 +49,7 @@ TEST(Testbed, FastPingMatchesEmulatedRttAtAllLayers) {
 TEST(Testbed, SlowPingInflatesOnNexus5InternallyOnly) {
   // Table 2: Nexus 5 at 1 s interval inflates du by ~12 ms at 30 ms
   // emulated, while dn stays at the emulated value.
-  Experiment::PingSpec spec;
-  spec.profile = PhoneProfile::nexus5();
-  spec.interval = 1_s;
-  spec.emulated_rtt = 30_ms;
-  const auto result = Experiment::ping(spec);
+  const auto result = Experiment::run(one_phone(30_ms, {.interval = 1_s}));
   const stats::Summary du(result.values(&LayerSample::du_ms));
   const stats::Summary dn(result.values(&LayerSample::dn_ms));
   EXPECT_GT(du.mean(), 40.0);
@@ -47,11 +59,7 @@ TEST(Testbed, SlowPingInflatesOnNexus5InternallyOnly) {
 
 TEST(Testbed, SlowPingOnNexus5At60msPaysBothWakes) {
   // Table 2: at 60 ms the response also meets a sleeping bus: ~+21 ms.
-  Experiment::PingSpec spec;
-  spec.profile = PhoneProfile::nexus5();
-  spec.interval = 1_s;
-  spec.emulated_rtt = 60_ms;
-  const auto result = Experiment::ping(spec);
+  const auto result = Experiment::run(one_phone(60_ms, {.interval = 1_s}));
   const stats::Summary du(result.values(&LayerSample::du_ms));
   const stats::Summary dn(result.values(&LayerSample::dn_ms));
   EXPECT_GT(du.mean() - dn.mean(), 15.0);
@@ -62,11 +70,8 @@ TEST(Testbed, SlowPingOnNexus5At60msPaysBothWakes) {
 TEST(Testbed, SlowPingOnNexus4At60msInflatesExternally) {
   // Table 2: Nexus 4 (Tip ~40 ms) at 60 ms emulated: dn itself inflates by
   // tens of milliseconds (PSM buffering at the AP).
-  Experiment::PingSpec spec;
-  spec.profile = PhoneProfile::nexus4();
-  spec.interval = 1_s;
-  spec.emulated_rtt = 60_ms;
-  const auto result = Experiment::ping(spec);
+  const auto result = Experiment::run(
+      one_phone(60_ms, {.interval = 1_s}, PhoneProfile::nexus4()));
   const stats::Summary dn(result.values(&LayerSample::dn_ms));
   EXPECT_GT(dn.mean(), 100.0);  // paper: 130.03 +/- 7.52
   EXPECT_LT(dn.mean(), 160.0);
@@ -78,11 +83,8 @@ TEST(Testbed, SlowPingOnNexus4At60msInflatesExternally) {
 TEST(Testbed, SlowPingOnNexus4At30msInflatesPartially) {
   // Table 2's subtlest cell: the 30 ms response races the ~40 ms doze
   // entry, so only a fraction of probes pay the beacon wait.
-  Experiment::PingSpec spec;
-  spec.profile = PhoneProfile::nexus4();
-  spec.interval = 1_s;
-  spec.emulated_rtt = 30_ms;
-  const auto result = Experiment::ping(spec);
+  const auto result = Experiment::run(
+      one_phone(30_ms, {.interval = 1_s}, PhoneProfile::nexus4()));
   const stats::Summary dn(result.values(&LayerSample::dn_ms));
   EXPECT_GT(dn.mean(), 33.0);   // some external inflation...
   EXPECT_LT(dn.mean(), 55.0);   // ...but far from the every-probe case
@@ -96,13 +98,11 @@ TEST(Testbed, SlowPingOnNexus4At30msInflatesPartially) {
 
 TEST(Testbed, DriverLogsSeparateSleepFromBase) {
   // Table 3 shape: enabled/1 s wake ~10-14 ms; disabled stays at base.
-  Experiment::DriverDelaySpec enabled;
-  enabled.interval = 1_s;
-  enabled.probes = 50;
-  const auto with_sleep = Experiment::driver_delays(enabled);
-  Experiment::DriverDelaySpec disabled = enabled;
-  disabled.bus_sleep_enabled = false;
-  const auto without_sleep = Experiment::driver_delays(disabled);
+  const ScenarioSpec spec =
+      one_phone(60_ms, {.probe_count = 50, .interval = 1_s});
+  const auto with_sleep = Experiment::run(spec);
+  const auto without_sleep =
+      Experiment::run(spec, {.bus_sleep_enabled = false});
 
   const stats::Summary dvsend_on(with_sleep.dvsend_ms);
   const stats::Summary dvsend_off(without_sleep.dvsend_ms);
@@ -119,27 +119,25 @@ TEST(Testbed, AcuteMonOutperformsEveryBaselineTool) {
   // Fig. 8(a): AcuteMon's median sits >8 ms below every other tool.
   const ToolKind baselines[] = {ToolKind::icmp_ping, ToolKind::httping,
                                 ToolKind::java_ping};
-  Experiment::ToolSpec am_spec;
-  am_spec.kind = ToolKind::acutemon;
-  am_spec.probes = 60;
-  const double am_median = stats::Summary(
-      Experiment::tool(am_spec).run.reported_rtts_ms()).median();
+  const auto median_rtt = [](ToolKind kind) {
+    return stats::Summary(
+               Experiment::run(one_phone(30_ms, {.tool = kind,
+                                                 .probe_count = 60}))
+                   .run.reported_rtts_ms())
+        .median();
+  };
+  const double am_median = median_rtt(ToolKind::acutemon);
   EXPECT_LT(am_median, 35.0);  // ~90% below 35 ms in the paper
 
   for (const ToolKind kind : baselines) {
-    Experiment::ToolSpec spec;
-    spec.kind = kind;
-    spec.probes = 60;
-    const double median = stats::Summary(
-        Experiment::tool(spec).run.reported_rtts_ms()).median();
-    EXPECT_GT(median, am_median + 8.0) << to_string(kind);
+    EXPECT_GT(median_rtt(kind), am_median + 8.0) << to_string(kind);
   }
 }
 
 TEST(Testbed, CrossTrafficSaturatesNearTenMbps) {
-  TestbedConfig config;
-  config.congested_phy = true;
-  Testbed testbed(config);
+  ScenarioSpec spec;
+  spec.congested_phy = true;
+  Testbed testbed(spec);
   testbed.settle(500_ms);
   testbed.start_cross_traffic();
   testbed.settle(3_s);
@@ -150,32 +148,31 @@ TEST(Testbed, CrossTrafficSaturatesNearTenMbps) {
 
 TEST(Testbed, CrossTrafficShiftsAllToolsRight) {
   // Fig. 8(b): congestion adds medium-access delay for every tool.
-  Experiment::ToolSpec clear_spec;
-  clear_spec.kind = ToolKind::acutemon;
-  clear_spec.probes = 50;
+  const ScenarioSpec clear_spec =
+      one_phone(30_ms, {.tool = ToolKind::acutemon, .probe_count = 50});
   const double clear_median = stats::Summary(
-      Experiment::tool(clear_spec).run.reported_rtts_ms()).median();
+      Experiment::run(clear_spec).run.reported_rtts_ms()).median();
 
-  Experiment::ToolSpec busy_spec = clear_spec;
-  busy_spec.cross_traffic = true;
+  ScenarioSpec busy_spec = clear_spec;
+  busy_spec.congested_phy = true;
   const double busy_median = stats::Summary(
-      Experiment::tool(busy_spec).run.reported_rtts_ms()).median();
+      Experiment::run(busy_spec).run.reported_rtts_ms()).median();
   EXPECT_GT(busy_median, clear_median + 1.0);
 }
 
 TEST(Testbed, BackgroundTrafficDoesNotPerturbCongestedRuns) {
   // Fig. 9: with the bus sleep disabled, the with/without-background CDFs
   // nearly coincide (KS distance small).
-  Experiment::AcuteMonSpec with_bg;
-  with_bg.cross_traffic = true;
-  with_bg.bus_sleep_enabled = false;
-  with_bg.probes = 80;
-  Experiment::AcuteMonSpec without_bg = with_bg;
-  without_bg.background_enabled = false;
+  ScenarioSpec with_bg =
+      one_phone(30_ms, {.tool = ToolKind::acutemon, .probe_count = 80});
+  with_bg.congested_phy = true;
+  ScenarioSpec without_bg = with_bg;
   without_bg.seed = 43;
 
-  const auto run_with = Experiment::acutemon(with_bg);
-  const auto run_without = Experiment::acutemon(without_bg);
+  const auto run_with =
+      Experiment::run(with_bg, {.bus_sleep_enabled = false});
+  const auto run_without = Experiment::run(
+      without_bg, {.bus_sleep_enabled = false, .acutemon_background = false});
   const stats::Cdf cdf_with(run_with.run.reported_rtts_ms());
   const stats::Cdf cdf_without(run_without.run.reported_rtts_ms());
   EXPECT_LT(stats::Cdf::ks_distance(cdf_with, cdf_without), 0.25);
@@ -185,9 +182,9 @@ TEST(Testbed, BackgroundTrafficDoesNotPerturbCongestedRuns) {
 
 TEST(Testbed, SnifferDnAgreesWithStampDn) {
   // The sniffer-derived network RTT matches the channel ground truth.
-  TestbedConfig config;
-  config.emulated_rtt = 30_ms;
-  Testbed testbed(config);
+  ScenarioSpec spec;
+  spec.emulated_rtt = 30_ms;
+  Testbed testbed(spec);
   testbed.settle(800_ms);
   core::AcuteMon monitor(testbed.phone(), [] {
     tools::MeasurementTool::Config c;
@@ -196,7 +193,7 @@ TEST(Testbed, SnifferDnAgreesWithStampDn) {
     c.target = Testbed::kServerId;
     return c;
   }());
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
 
   for (const auto& probe : monitor.result().probes) {
@@ -235,13 +232,21 @@ TEST(Testbed, InferredTimeoutsMatchProfiles) {
 TEST(Testbed, EmulatedRttSweepTracksNetem) {
   // The fabric adds ~1.3 ms to whatever netem emulates.
   for (const int rtt_ms : {0, 20, 85}) {
-    Experiment::AcuteMonSpec spec;
-    spec.emulated_rtt = Duration::millis(rtt_ms);
-    spec.probes = 30;
-    const auto result = Experiment::acutemon(spec);
+    const auto result = Experiment::run(
+        one_phone(Duration::millis(rtt_ms),
+                  {.tool = ToolKind::acutemon, .probe_count = 30}));
     const stats::Summary dn(result.values(&LayerSample::dn_ms));
     EXPECT_NEAR(dn.mean(), rtt_ms + 1.3, 1.0) << rtt_ms;
   }
+}
+
+TEST(Testbed, ExperimentRunLeavesMultiPhoneAndPassiveToCampaign) {
+  ScenarioSpec two_phones;
+  two_phones.phones.resize(2);
+  EXPECT_THROW((void)Experiment::run(two_phones), sim::ContractViolation);
+  ScenarioSpec passive;
+  passive.phones.front().workload.passive = passive::PassiveVantage::sniffer;
+  EXPECT_THROW((void)Experiment::run(passive), sim::ContractViolation);
 }
 
 TEST(Testbed, ToolKindNames) {
@@ -249,6 +254,130 @@ TEST(Testbed, ToolKindNames) {
   EXPECT_STREQ(to_string(ToolKind::icmp_ping), "ping");
   EXPECT_STREQ(to_string(ToolKind::httping), "httping");
   EXPECT_STREQ(to_string(ToolKind::java_ping), "Java ping");
+}
+
+// Committed output bytes: tests/golden/experiments.txt pins Experiment::run
+// to a file, not only to the shape bands above.
+//
+// How experiments.txt was generated: the cases render_golden_cases() lists
+// (ICMP ping for Nexus 5 and Nexus 4 x 30/60 ms x 10 ms/1 s intervals, one
+// seed each; the driver logs with the bus sleep on and off; all four tools
+// with and without cross traffic; AcuteMon with its background thread on
+// and off on the rooted driver; the Table 4 inference for the Galaxy Grand)
+// ran through the four single-run entry points that preceded
+// Experiment::run (one each for stock ping, the driver logs, any tool and
+// AcuteMon, each with its own spec struct and the same settings as the
+// cases below), and the same format was written to the file: one `case`
+// line, then one line per series, every double as `%a`. Experiment::run
+// must reproduce it byte for byte. Regenerate the file only with a
+// deliberate change to output bits, from render_golden_cases().
+const std::string kGoldenExperimentsPath =
+    std::string(ACUTE_GOLDEN_DIR) + "/experiments.txt";
+
+std::string golden_row(const char* name, const std::vector<double>& values) {
+  std::string line = name;
+  char buf[64];
+  for (const double v : values) {
+    std::snprintf(buf, sizeof buf, " %a", v);
+    line += buf;
+  }
+  return line + "\n";
+}
+
+std::string golden_layers(const MultiLayerResult& result) {
+  return golden_row("reported", result.run.reported_rtts_ms()) +
+         golden_row("du", result.values(&LayerSample::du_ms)) +
+         golden_row("dk", result.values(&LayerSample::dk_ms)) +
+         golden_row("dv", result.values(&LayerSample::dv_ms)) +
+         golden_row("dn", result.values(&LayerSample::dn_ms));
+}
+
+std::string render_golden_cases() {
+  constexpr int kProbes = 10;
+  std::string out;
+  char buf[256];
+  std::uint64_t seed = 100;
+  for (const auto& profile : {PhoneProfile::nexus5(), PhoneProfile::nexus4()}) {
+    for (const int rtt_ms : {30, 60}) {
+      for (const int interval_ms : {10, 1000}) {
+        ScenarioSpec spec = one_phone(
+            Duration::millis(rtt_ms),
+            {.probe_count = kProbes, .interval = Duration::millis(interval_ms)},
+            profile);
+        spec.seed = seed++;
+        std::snprintf(buf, sizeof buf,
+                      "case ping %s rtt_ms=%d interval_ms=%d seed=%llu\n",
+                      profile.name.c_str(), rtt_ms, interval_ms,
+                      static_cast<unsigned long long>(spec.seed));
+        out += buf;
+        out += golden_layers(Experiment::run(spec));
+      }
+    }
+  }
+  for (const bool sleep : {true, false}) {
+    std::snprintf(buf, sizeof buf, "case driver bus_sleep=%d\n", sleep);
+    out += buf;
+    const auto result =
+        Experiment::run(one_phone(60_ms, {.probe_count = kProbes}),
+                        {.bus_sleep_enabled = sleep});
+    out += golden_row("dvsend", result.dvsend_ms) +
+           golden_row("dvrecv", result.dvrecv_ms);
+  }
+  for (const ToolKind kind : {ToolKind::acutemon, ToolKind::icmp_ping,
+                              ToolKind::httping, ToolKind::java_ping}) {
+    for (const bool cross : {false, true}) {
+      ScenarioSpec spec =
+          one_phone(30_ms, {.tool = kind, .probe_count = kProbes});
+      spec.congested_phy = cross;
+      std::snprintf(buf, sizeof buf, "case tool %s cross_traffic=%d\n",
+                    tools::grid_name(kind), cross);
+      out += buf;
+      const auto result = Experiment::run(spec);
+      out += golden_layers(result);
+      std::snprintf(buf, sizeof buf, "cross_mbps %a\n",
+                    result.cross_throughput_mbps);
+      out += buf;
+    }
+  }
+  for (const bool background : {true, false}) {
+    std::snprintf(buf, sizeof buf,
+                  "case acutemon background=%d bus_sleep=0\n", background);
+    out += buf;
+    out += golden_layers(Experiment::run(
+        one_phone(30_ms, {.tool = ToolKind::acutemon, .probe_count = kProbes}),
+        {.bus_sleep_enabled = false, .acutemon_background = background}));
+  }
+  const PhoneProfile grand = PhoneProfile::galaxy_grand();
+  const auto inference = Experiment::infer_timeouts(grand);
+  std::snprintf(buf, sizeof buf,
+                "case infer_timeouts %s\ntip_ms %a\ntis_ms %a\n"
+                "listen_associated %d\nlisten_actual %d\n",
+                grand.name.c_str(), inference.psm_timeout.to_ms(),
+                inference.bus_sleep_timeout.to_ms(),
+                inference.listen_associated, inference.listen_actual);
+  out += buf;
+  return out;
+}
+
+TEST(Testbed, ExperimentRunReproducesGoldenFile) {
+  std::ifstream in(kGoldenExperimentsPath, std::ios::binary);
+  ASSERT_TRUE(in.good()) << kGoldenExperimentsPath;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  const std::string rendered = render_golden_cases();
+  EXPECT_EQ(rendered.size(), golden.str().size());
+
+  std::istringstream want(golden.str());
+  std::istringstream got(rendered);
+  std::string want_line;
+  std::string got_line;
+  int line = 0;
+  while (std::getline(want, want_line)) {
+    ++line;
+    ASSERT_TRUE(std::getline(got, got_line)) << "missing line " << line;
+    ASSERT_EQ(got_line, want_line) << "first difference on line " << line;
+  }
+  EXPECT_FALSE(std::getline(got, got_line)) << "extra line " << line + 1;
 }
 
 }  // namespace

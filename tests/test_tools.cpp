@@ -66,9 +66,9 @@ TEST(IcmpPing, ProbesAreOrderedByIndex) {
 
 TEST(IcmpPing, PeriodicScheduleIgnoresResponses) {
   // Emulated RTT (200 ms) far exceeds the 50 ms interval: probes overlap.
-  testbed::TestbedConfig config;
-  config.emulated_rtt = 200_ms;
-  Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 200_ms;
+  Testbed testbed(scenario);
   testbed.settle(500_ms);
   IcmpPing ping(testbed.phone(), tool_config(10, 50_ms));
   const auto start = testbed.simulator().now();
@@ -81,10 +81,10 @@ TEST(IcmpPing, PeriodicScheduleIgnoresResponses) {
 }
 
 TEST(IcmpPing, ReportsQuantizedValuesOnNexus4Above100ms) {
-  testbed::TestbedConfig config;
-  config.profile = phone::PhoneProfile::nexus4();
-  config.emulated_rtt = 150_ms;
-  Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.phones.front().profile = phone::PhoneProfile::nexus4();
+  scenario.emulated_rtt = 150_ms;
+  Testbed testbed(scenario);
   testbed.settle(500_ms);
   IcmpPing ping(testbed.phone(), tool_config(10, 10_ms));
   ping.start();
@@ -96,8 +96,7 @@ TEST(IcmpPing, ReportsQuantizedValuesOnNexus4Above100ms) {
 }
 
 TEST(IcmpPing, LostProbesAreRecordedAsTimeouts) {
-  testbed::TestbedConfig config;
-  Testbed testbed(config);
+  Testbed testbed;
   testbed.server().netem().set_loss(0.5);
   testbed.settle(500_ms);
   IcmpPing ping(testbed.phone(), tool_config(30, 10_ms));
@@ -126,9 +125,9 @@ TEST(HttPing, FirstProbeConnectsThenReuses) {
 }
 
 TEST(JavaPing, ReportsWholeMilliseconds) {
-  testbed::TestbedConfig config;
-  config.emulated_rtt = 30_ms;
-  Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 30_ms;
+  Testbed testbed(scenario);
   testbed.settle(500_ms);
   JavaPing java(testbed.phone(), tool_config(10, 10_ms));
   java.start();
@@ -140,10 +139,10 @@ TEST(JavaPing, ReportsWholeMilliseconds) {
 }
 
 TEST(JavaPing, DalvikOverheadExceedsNative) {
-  testbed::TestbedConfig config;
-  config.emulated_rtt = 30_ms;
-  config.seed = 7;
-  Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 30_ms;
+  scenario.seed = 7;
+  Testbed testbed(scenario);
   testbed.settle(500_ms);
   // Sequential with a 10 ms gap, so SDIO never sleeps: the difference
   // between the two tools is (mostly) the runtime overhead.
@@ -151,8 +150,8 @@ TEST(JavaPing, DalvikOverheadExceedsNative) {
   java.start();
   testbed.run_until_finished(java);
 
-  testbed::TestbedConfig config2 = config;
-  Testbed testbed2(config2);
+  const testbed::ScenarioSpec scenario2 = scenario;
+  Testbed testbed2(scenario2);
   testbed2.settle(500_ms);
   HttPing native(testbed2.phone(), tool_config(30, 10_ms));
   native.start();
@@ -194,8 +193,6 @@ TEST(MeasurementTool, StartGuardCoversRichLaunchProtocols) {
   core::AcuteMon monitor(testbed.phone(), tool_config(2, 10_ms));
   monitor.start();
   EXPECT_THROW(monitor.start(), sim::ContractViolation);
-  // The historical spelling shares the same guard.
-  EXPECT_THROW(monitor.start_measurement(), sim::ContractViolation);
   testbed.run_until_finished(monitor);
   EXPECT_TRUE(monitor.finished());
   EXPECT_EQ(monitor.result().probes.size(), 2u);

@@ -47,9 +47,9 @@ TEST(KernelIcmpResponder, PhoneAnswersServerPings) {
 }
 
 TEST(Ping2, CompletesAllPairs) {
-  testbed::TestbedConfig config;
-  config.emulated_rtt = 20_ms;
-  Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 20_ms;
+  Testbed testbed(scenario);
   testbed.settle(800_ms);
   const auto result = run_ping2(testbed, 20);
   EXPECT_EQ(result.second_rtts_ms.size(), 20u);
@@ -58,9 +58,9 @@ TEST(Ping2, CompletesAllPairs) {
 }
 
 TEST(Ping2, FirstPingPaysWakeSecondDoesNotOnShortPaths) {
-  testbed::TestbedConfig config;
-  config.emulated_rtt = 20_ms;  // well below Tis = 50 ms
-  Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 20_ms;  // well below Tis = 50 ms
+  Testbed testbed(scenario);
   testbed.settle(800_ms);
   const auto result = run_ping2(testbed, 40);
   const double first = stats::Summary(result.first_rtts_ms).median();
@@ -74,9 +74,9 @@ TEST(Ping2, FirstPingPaysWakeSecondDoesNotOnShortPaths) {
 TEST(Ping2, LongPathsReSleepBeforeTheSecondPing) {
   // The paper's critique: at 85 ms (> Tis = 50 ms) the bus re-sleeps
   // between the first reply and the second ping's arrival.
-  testbed::TestbedConfig config;
-  config.emulated_rtt = 85_ms;
-  Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.emulated_rtt = 85_ms;
+  Testbed testbed(scenario);
   testbed.settle(800_ms);
   const auto result = run_ping2(testbed, 40);
   const double second = stats::Summary(result.second_rtts_ms).median();
@@ -86,10 +86,10 @@ TEST(Ping2, LongPathsReSleepBeforeTheSecondPing) {
 TEST(Ping2, PsmBitesOnAggressiveHandsetsEvenAtModerateRtt) {
   // Nexus 4 (Tip ~40 ms): at 60 ms the phone dozes between the pings and
   // the second ping gets PSM-buffered at the AP — tens of ms of inflation.
-  testbed::TestbedConfig config;
-  config.profile = phone::PhoneProfile::nexus4();
-  config.emulated_rtt = 60_ms;
-  Testbed testbed(config);
+  testbed::ScenarioSpec scenario;
+  scenario.phones.front().profile = phone::PhoneProfile::nexus4();
+  scenario.emulated_rtt = 60_ms;
+  Testbed testbed(scenario);
   testbed.settle(800_ms);
   const auto result = run_ping2(testbed, 40);
   const double second = stats::Summary(result.second_rtts_ms).median();
