@@ -13,7 +13,6 @@ MergingDigest::MergingDigest(std::size_t compression)
     : compression_(compression) {
   expects(compression_ >= 8 && compression_ <= kMaxCompression,
           "MergingDigest compression must be in [8, kMaxCompression]");
-  buffer_.reserve(4 * compression_);
 }
 
 void MergingDigest::add(double x) {
@@ -26,19 +25,14 @@ void MergingDigest::add(double x) {
   ++count_;
   sum_ += x;
   sum_sq_ += x * x;
-  buffer_.push_back(x);
+  buffer_.push_back(Centroid{x, 1});
   if (buffer_.size() >= 4 * compression_) compress();
 }
 
 void MergingDigest::merge(const MergingDigest& other) {
   if (other.count_ == 0) return;
-  if (&other == this) {
-    // Self-merge doubles every sample; copy first so the centroid insert
-    // below never reads a range it is reallocating.
-    const MergingDigest copy = other;
-    merge(copy);
-    return;
-  }
+  // A self-merge is safe too: after compress() the appended range is
+  // centroids_, which the insert into buffer_ never reallocates.
   other.compress();
   if (count_ == 0) {
     min_ = other.min_;
@@ -50,13 +44,9 @@ void MergingDigest::merge(const MergingDigest& other) {
   count_ += other.count_;
   sum_ += other.sum_;
   sum_sq_ += other.sum_sq_;
-  // Fold the other digest's centroids in as weighted points; the single
-  // compress() below sorts them together with our centroids and any
-  // buffered samples, re-applying the size bound over the whole union.
-  centroids_.insert(centroids_.end(), other.centroids_.begin(),
-                    other.centroids_.end());
-  compacted_ = false;
-  compress();
+  buffer_.insert(buffer_.end(), other.centroids_.begin(),
+                 other.centroids_.end());
+  if (buffer_.size() >= 4 * compression_) compress();
 }
 
 void MergingDigest::merge(MergingDigest&& other) {
@@ -65,21 +55,14 @@ void MergingDigest::merge(MergingDigest&& other) {
     return;
   }
   if (count_ != 0 || compression_ != other.compression_) {
-    // Non-empty target (or mismatched scale): the copy-free fast path below
-    // would change which centroid list seeds the union, so fall back to the
-    // copying merge and only salvage other's storage afterwards.
     merge(static_cast<const MergingDigest&>(other));
   } else if (other.count_ != 0) {
-    // Adopt-after-compress: merge(const&) into an empty digest compresses
-    // `other`, copies its (already k1-bound) centroids, and re-runs
-    // compress() — which is a no-op on an already-compacted list. Adopting
-    // the compacted storage wholesale is therefore bit-identical, and the
-    // moved vectors keep their capacities (buffer_ stays at 4*compression),
-    // so later compaction triggers at exactly the same sample counts.
+    // Into an empty digest, merge(const&) leaves exactly other's compacted
+    // centroids pending, so adopting that storage as the buffer is the same
+    // state without the copy.
     other.compress();
-    centroids_ = std::move(other.centroids_);
-    buffer_ = std::move(other.buffer_);
-    compacted_ = true;
+    buffer_ = std::move(other.centroids_);
+    if (buffer_.size() >= 4 * compression_) compress();
     count_ = other.count_;
     sum_ = other.sum_;
     sum_sq_ = other.sum_sq_;
@@ -90,8 +73,6 @@ void MergingDigest::merge(MergingDigest&& other) {
   // the frontier fold relies on the donor shrinking to its footprint floor.
   other.centroids_ = {};
   other.buffer_ = {};
-  other.scratch_ = {};
-  other.compacted_ = true;
   other.count_ = 0;
   other.sum_ = 0;
   other.sum_sq_ = 0;
@@ -100,39 +81,43 @@ void MergingDigest::merge(MergingDigest&& other) {
 }
 
 void MergingDigest::compress() const {
-  if (buffer_.empty() && compacted_) return;
-  compacted_ = true;
-  // Gather every point in place: our centroids, any merged-in digest's
-  // centroids, then the buffered samples as unit-weight points. The
-  // reserve grows the list to its exact high-water size once.
-  centroids_.reserve(centroids_.size() + buffer_.size());
-  for (const double x : buffer_) centroids_.push_back(Centroid{x, 1});
-  buffer_.clear();
-  if (centroids_.empty()) return;
+  if (buffer_.empty()) return;
 
-  // Order the points by mean, ties in insertion order, so the compaction
-  // is a pure function of the insertion sequence. A merge() presents two
-  // ascending runs (ours, then the donor's compacted list), and a stable
-  // merge of two ascending runs *is* their stable sort — the same bits
-  // without stable_sort's temporary buffer. Anything else (raw buffered
-  // samples, or a compacted list that rounding left non-monotone) takes
-  // the stable_sort fallback.
+  // Order the points by mean, ties in insertion order with the compacted
+  // centroids first, so the compaction is a pure function of the insertion
+  // sequence: a stable sort of centroids_ followed by buffer_. The pending
+  // points are sorted on their own (one-sample merges and tiny donors are
+  // often in order already), and a stable merge of two ascending runs *is*
+  // their stable sort, done here backwards in centroids_'s own storage.
+  // A compacted list that rounding left non-monotone takes the whole-list
+  // stable_sort instead.
   const auto by_mean = [](const Centroid& a, const Centroid& b) {
     return a.mean < b.mean;
   };
-  const auto split =
-      std::is_sorted_until(centroids_.begin(), centroids_.end(), by_mean);
-  if (split != centroids_.end()) {
-    if (std::is_sorted(split, centroids_.end(), by_mean)) {
-      scratch_.resize(centroids_.size());
-      std::merge(centroids_.begin(), split, split, centroids_.end(),
-                 scratch_.begin(), by_mean);
-      centroids_.swap(scratch_);
-      scratch_.clear();  // keeps capacity; copies of the digest stay cheap
-    } else {
-      std::stable_sort(centroids_.begin(), centroids_.end(), by_mean);
-    }
+  if (!std::is_sorted(buffer_.begin(), buffer_.end(), by_mean)) {
+    std::stable_sort(buffer_.begin(), buffer_.end(), by_mean);
   }
+  if (centroids_.empty()) {
+    centroids_.swap(buffer_);
+  } else if (std::is_sorted(centroids_.begin(), centroids_.end(), by_mean)) {
+    std::size_t left = centroids_.size();
+    std::size_t right = buffer_.size();
+    centroids_.resize(left + right);
+    // Fill from the back: a pending point goes after every centroid that
+    // is not strictly greater, so equal means keep centroids first.
+    for (std::size_t out = left + right; right > 0;) {
+      if (left > 0 && by_mean(buffer_[right - 1], centroids_[left - 1])) {
+        centroids_[--out] = centroids_[--left];
+      } else {
+        centroids_[--out] = buffer_[--right];
+      }
+    }
+  } else {
+    centroids_.insert(centroids_.end(), buffer_.begin(), buffer_.end());
+    std::stable_sort(centroids_.begin(), centroids_.end(), by_mean);
+  }
+  buffer_.clear();
+
   double total = 0;
   for (const Centroid& p : centroids_) total += p.weight;
 
@@ -205,6 +190,7 @@ DigestSnapshot MergingDigest::snapshot() const {
 
 MergingDigest MergingDigest::from_snapshot(const DigestSnapshot& snap) {
   MergingDigest digest(snap.compression);
+  digest.centroids_.reserve(snap.centroids.size());
   double total_weight = 0;
   double prev_mean = 0;
   for (std::size_t i = 0; i < snap.centroids.size(); ++i) {
@@ -226,10 +212,9 @@ MergingDigest MergingDigest::from_snapshot(const DigestSnapshot& snap) {
   digest.sum_sq_ = snap.sum_sq;
   digest.min_ = snap.min;
   digest.max_ = snap.max;
-  // snapshot() compacts before exporting, so the restored centroid list is
-  // already under the k1 bound: mark it clean so a later merge() sees the
-  // same centroid state the source digest would have presented.
-  digest.compacted_ = true;
+  // snapshot() compacts before exporting, so the restored list is the
+  // source's compacted list with nothing pending: a later merge() sees the
+  // same state the source digest would have presented.
   return digest;
 }
 

@@ -40,35 +40,48 @@ struct DigestSnapshot {
 /// compacted centroid count is bounded by compression+1 for ANY number of
 /// samples, while the distribution tails keep sample-sized centroids.
 /// count/sum/min/max are tracked exactly.
+///
+/// add() and merge() only append to a pending buffer of weighted points (a
+/// sample is a unit-weight point, a merged digest contributes its compacted
+/// centroids); the buffer is compacted into the centroid list once it holds
+/// 4*compression points. So a one-sample merge into a campaign digest is an
+/// append, not a compaction (Dunning & Ertl, arXiv:1902.04023).
 class MergingDigest {
  public:
   /// Default compression: ~128 centroids ≈ <1% quantile error mid-range,
-  /// exact extremes; 3 KiB per digest.
+  /// exact extremes. At 16 B per point a digest holds at most
+  /// (compression+1) compacted centroids plus 4*compression pending points,
+  /// ~10 KiB at the default; a compaction merges the two in the centroid
+  /// list's storage, which keeps that capacity (~18 KiB in all).
   static constexpr std::size_t kDefaultCompression = 128;
-  /// Largest accepted compression. The insert buffer reserves
-  /// 4*compression samples up front, so this caps what a digest parsed from
-  /// untrusted text can allocate (32 KiB); the campaign writes only 128.
+  /// Largest accepted compression. Nothing is reserved up front; the cap
+  /// bounds the pending buffer (4*compression points) and so what a digest
+  /// parsed from untrusted text can grow to once things are merged into it
+  /// (~150 KiB). The campaign writes only 128.
   static constexpr std::size_t kMaxCompression = 1024;
 
   /// Contract violation unless 8 <= compression <= kMaxCompression.
+  /// Allocates nothing.
   explicit MergingDigest(std::size_t compression = kDefaultCompression);
 
-  /// Adds one sample. Amortized O(1); triggers a compaction every
-  /// 4*compression samples.
+  /// Adds one sample. Amortized O(1): appends a unit-weight point and
+  /// compacts when 4*compression points are pending.
   void add(double x);
 
-  /// Folds `other` into this digest. Equivalent (within the digest's
+  /// Folds `other` into this digest: compacts `other`, then appends its
+  /// centroids to the pending buffer as weighted points, under the same
+  /// 4*compression threshold as add(). Equivalent (within the digest's
   /// accuracy) to having added other's samples; deterministic given the
-  /// merge order.
+  /// merge order. Because the donor is always compacted first, merging a
+  /// digest or its from_snapshot() restoration gives the same bits.
   void merge(const MergingDigest& other);
 
-  /// Consuming merge: bit-identical observable result to merge(const&), but
-  /// when this digest is still empty (the first shard folded into a
-  /// campaign-level slot) it adopts other's compacted centroid storage and
-  /// insert buffer wholesale instead of copying them. Buffer capacities are
-  /// preserved exactly, so compaction triggers at the same sample counts —
-  /// the t-digest bit-identity contract is untouched. `other` is left
-  /// empty-but-valid.
+  /// Consuming merge: bit-identical to merge(const&), but when this digest
+  /// is still empty (the first shard folded into a campaign-level slot) it
+  /// adopts other's compacted centroid storage as its pending buffer instead
+  /// of copying it. Compaction triggers on the number of pending points, not
+  /// on any capacity, so adoption cannot move a compaction point. `other` is
+  /// left empty-but-valid with its storage released.
   void merge(MergingDigest&& other);
 
   /// Number of samples added (exact).
@@ -86,13 +99,14 @@ class MergingDigest {
   [[nodiscard]] double max() const;
 
   /// Approximate quantile, q in [0, 1]; q=0/1 return the exact extremes.
-  /// Requires a non-empty digest.
+  /// Requires a non-empty digest. Compacts pending points first (see the
+  /// note on compaction points below).
   [[nodiscard]] double quantile(double q) const;
 
-  /// Approximate CDF: fraction of samples <= x.
+  /// Approximate CDF: fraction of samples <= x. Compacts first.
   [[nodiscard]] double cdf(double x) const;
 
-  /// Centroids currently held (<= max_centroids() after any compaction;
+  /// Centroids held after compacting pending points (<= max_centroids();
   /// the memory-bound tests assert on this).
   [[nodiscard]] std::size_t centroid_count() const;
   /// Hard ceiling on centroid_count() after compaction, for any sample
@@ -119,19 +133,23 @@ class MergingDigest {
     double weight = 0;
   };
 
-  /// Merges buffered samples into the centroid list (order by mean with
-  /// ties in insertion order, then one in-place pass under the k1 bound).
-  /// A merge of two compacted lists allocates nothing once the vectors
-  /// have grown.
+  /// Merges the pending points into the centroid list (order by mean with
+  /// ties in insertion order, compacted centroids before pending points,
+  /// then one in-place pass under the k1 bound). Allocates nothing once the
+  /// vectors have grown, unless the pending points arrived out of order and
+  /// need a stable sort.
   void compress() const;
 
   std::size_t compression_;
-  // Logically const accessors (quantile/cdf/centroid_count) must flush the
-  // insert buffer first; both stores are cache, not observable state.
-  mutable std::vector<Centroid> centroids_;  // sorted by mean once compressed
-  mutable std::vector<double> buffer_;
-  mutable std::vector<Centroid> scratch_;  // compress()'s two-run merge target
-  mutable bool compacted_ = true;  // centroids_ already under the k2 bound
+  // The const reads (quantile/cdf/centroid_count/snapshot) compact in place,
+  // and a compaction point is observable: it decides which points share a
+  // centroid from then on. So reading a digest mid-stream changes the bits
+  // of everything merged after. Campaign digests are read only after the
+  // fold, through WorkloadFold::snapshot() copies; a live progress read of
+  // a campaign quantile must likewise read a copy, or the merged bits would
+  // depend on when it ran.
+  mutable std::vector<Centroid> centroids_;  // compacted, by ascending mean
+  mutable std::vector<Centroid> buffer_;     // pending, insertion order
   std::uint64_t count_ = 0;
   double sum_ = 0;
   double sum_sq_ = 0;

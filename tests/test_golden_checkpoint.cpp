@@ -19,8 +19,17 @@
 // determinism path below must reproduce it byte for byte: worker counts,
 // kill/resume, a holed checkpoint and the fabric coordinator.
 //
-// Regenerate either file only with a deliberate change to output bits, by
-// the same steps.
+// How one_ping_grid.digests was generated: one_ping_spec() below (2000
+// one-phone, one-ping shards on the bench_large_campaign grid shape: 50
+// emulated RTTs x reorder x 20 loss rates, iterated lazily) ran through
+// Campaign::run(1), and write_report_digests' dump was written to the file.
+// Its ~1700 one-sample shard digests cross the campaign digest's
+// 4*compression pending threshold by merges alone, which the 16 shards
+// above never do, so this file pins the buffered merge's compaction points.
+// It was written when merges became appends to the pending buffer.
+//
+// Regenerate any of these files only with a deliberate change to output
+// bits, by the same steps.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -57,6 +66,8 @@ const std::string kGoldenPath =
     std::string(ACUTE_GOLDEN_DIR) + "/mixed_workloads.ckpt2";
 const std::string kGoldenDigestsPath =
     std::string(ACUTE_GOLDEN_DIR) + "/mixed_workloads.digests";
+const std::string kOnePingDigestsPath =
+    std::string(ACUTE_GOLDEN_DIR) + "/one_ping_grid.digests";
 
 struct TempFile {
   explicit TempFile(const std::string& name)
@@ -111,6 +122,46 @@ CampaignSpec golden_spec() {
   spec.probe_timeout = Duration::millis(900);
   spec.settle = Duration::millis(60);
   return spec;
+}
+
+CampaignSpec one_ping_spec() {
+  ScenarioGrid grid;
+  grid.emulated_rtts.clear();
+  for (int i = 0; i < 50; ++i) {
+    grid.emulated_rtts.push_back(Duration::millis(2 + i));
+  }
+  grid.reorder = {false, true};
+  grid.loss_rates.clear();
+  for (int i = 0; i < 20; ++i) grid.loss_rates.push_back(0.015 * i);
+  CampaignSpec spec;
+  spec.seed = 2017;
+  spec.grid = grid;
+  spec.probes_per_phone = 1;
+  spec.probe_interval = Duration::millis(50);
+  spec.probe_timeout = Duration::millis(400);
+  spec.settle = Duration::millis(50);
+  return spec;
+}
+
+/// Runs `spec` through a fabric::Coordinator and three in-process workers
+/// over pipe transports, with small leases so the shards interleave.
+CampaignReport run_fabric(const CampaignSpec& spec) {
+  std::vector<std::unique_ptr<fabric::Transport>> coordinator_ends;
+  std::vector<std::thread> workers;
+  for (int i = 0; i < 3; ++i) {
+    auto [coordinator_end, worker_end] = fabric::transport_pair();
+    coordinator_ends.push_back(std::move(coordinator_end));
+    workers.emplace_back([end = std::move(worker_end), spec]() mutable {
+      fabric::Worker worker(spec);
+      (void)worker.run(*end);
+    });
+  }
+  fabric::CoordinatorConfig config;
+  config.lease.batch = 2;
+  fabric::Coordinator coordinator(spec, config);
+  CampaignReport report = coordinator.run(std::move(coordinator_ends));
+  for (std::thread& worker : workers) worker.join();
+  return report;
 }
 
 TEST(GoldenCheckpoint, EveryRecordReRendersByteForByte) {
@@ -199,29 +250,37 @@ TEST(GoldenDigests, HoledCheckpointResumeReproducesTheFile) {
 }
 
 TEST(GoldenDigests, FabricCoordinatorReproducesTheFile) {
-  // Three in-process workers over pipe transports, small leases so the
-  // shards interleave across them; the coordinator's compacted checkpoint
-  // must also be the golden checkpoint.
+  // The coordinator's compacted checkpoint must also be the golden
+  // checkpoint.
   TempFile checkpoint("fabric");
   CampaignSpec spec = golden_spec();
   spec.checkpoint_path = checkpoint.path;
-  std::vector<std::unique_ptr<fabric::Transport>> coordinator_ends;
-  std::vector<std::thread> workers;
-  for (int i = 0; i < 3; ++i) {
-    auto [coordinator_end, worker_end] = fabric::transport_pair();
-    coordinator_ends.push_back(std::move(coordinator_end));
-    workers.emplace_back([end = std::move(worker_end), spec]() mutable {
-      fabric::Worker worker(spec);
-      (void)worker.run(*end);
-    });
-  }
-  fabric::CoordinatorConfig config;
-  config.lease.batch = 2;
-  fabric::Coordinator coordinator(spec, config);
-  const CampaignReport report = coordinator.run(std::move(coordinator_ends));
-  for (std::thread& worker : workers) worker.join();
-  EXPECT_EQ(digest_dump(report), read_file(kGoldenDigestsPath));
+  EXPECT_EQ(digest_dump(run_fabric(spec)), read_file(kGoldenDigestsPath));
   EXPECT_EQ(read_file(checkpoint.path), read_file(kGoldenPath));
+}
+
+TEST(GoldenDigests, OnePingGridReproducesTheFile) {
+  const std::string golden = read_file(kOnePingDigestsPath);
+  ASSERT_FALSE(golden.empty());
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    EXPECT_EQ(digest_dump(Campaign(one_ping_spec()).run(workers)), golden);
+  }
+
+  // Killed after 700 shards, then resumed from the checkpoint alone.
+  TempFile ticks("one_ping_ticks");
+  CampaignSpec spec = one_ping_spec();
+  spec.checkpoint_path = ticks.path;
+  spec.max_shards = 700;
+  EXPECT_EQ(Campaign(spec).run(4).completed_shards(), 700u);
+  spec.max_shards = 0;
+  const CampaignReport resumed = Campaign(spec).run(4);
+  EXPECT_EQ(resumed.completed_shards(), 2000u);
+  EXPECT_EQ(digest_dump(resumed), golden);
+
+  TempFile fabric_checkpoint("one_ping_fabric");
+  spec.checkpoint_path = fabric_checkpoint.path;
+  EXPECT_EQ(digest_dump(run_fabric(spec)), golden);
 }
 
 }  // namespace

@@ -218,6 +218,41 @@ TEST(MergingDigest, CentroidCountStaysBoundedUnderHeavyLoad) {
   EXPECT_NEAR(digest.cdf(0.25), 0.25, 0.02);
 }
 
+TEST(MergingDigest, FoldOfOneSampleDigestsTracksTheExactSample) {
+  // The campaign fold's shape on one-probe shards: every merge donates one
+  // centroid, so the pending buffer fills by merges alone.
+  constexpr int kDonors = 20000;
+  sim::Rng rng(19);
+  std::vector<double> sample;
+  MergingDigest folded;
+  double sum = 0;
+  for (int i = 0; i < kDonors; ++i) {
+    MergingDigest donor;
+    const double x = rng.uniform(0.0, 1.0);
+    donor.add(x);
+    if (i % 2 == 0) {
+      folded.merge(donor);
+    } else {
+      folded.merge(std::move(donor));
+    }
+    sample.push_back(x);
+    sum += x;
+  }
+  std::sort(sample.begin(), sample.end());
+  EXPECT_EQ(folded.count(), static_cast<std::uint64_t>(kDonors));
+  EXPECT_EQ(folded.mean(), sum / kDonors);
+  EXPECT_EQ(folded.min(), sample.front());
+  EXPECT_EQ(folded.max(), sample.back());
+  const auto exact = [&](double q) {
+    return sample[static_cast<std::size_t>(q * (kDonors - 1))];
+  };
+  // The tolerances of CentroidCountStaysBoundedUnderHeavyLoad.
+  EXPECT_NEAR(folded.quantile(0.01), exact(0.01), 0.01);
+  EXPECT_NEAR(folded.quantile(0.5), exact(0.5), 0.02);
+  EXPECT_NEAR(folded.quantile(0.99), exact(0.99), 0.01);
+  EXPECT_LE(folded.centroid_count(), folded.max_centroids());
+}
+
 TEST(MergingDigest, MergeMatchesSingleDigestOfTheUnion) {
   sim::Rng rng(11);
   MergingDigest left, right, whole;
@@ -319,10 +354,13 @@ TEST(MergingDigest, FromSnapshotRequiresIntegerWeightsBelow2To53) {
   }
 }
 
-/// The pre-scratch-buffer MergingDigest, kept verbatim as an oracle:
-/// compress() gathers every point into a fresh vector, stable-sorts it and
-/// writes the compacted list into a second fresh vector. The production
-/// digest must stay bit-identical to it under any add/merge sequence.
+/// The pre-scratch-buffer MergingDigest, kept as an oracle: compress()
+/// gathers every point into a fresh vector, stable-sorts it and writes the
+/// compacted list into a second fresh vector. It follows the buffered-merge
+/// rule: samples and merged digests' centroids queue as weighted points in
+/// one pending buffer, in insertion order, compacted only at 4*compression
+/// pending points. The production digest must stay bit-identical to it
+/// under any add/merge sequence.
 class ReferenceDigest {
  public:
   explicit ReferenceDigest(std::size_t compression)
@@ -338,7 +376,7 @@ class ReferenceDigest {
     ++count_;
     sum_ += x;
     sum_sq_ += x * x;
-    buffer_.push_back(x);
+    buffer_.emplace_back(x, 1);
     if (buffer_.size() >= 4 * compression_) compress();
   }
 
@@ -355,10 +393,9 @@ class ReferenceDigest {
     count_ += other.count_;
     sum_ += other.sum_;
     sum_sq_ += other.sum_sq_;
-    centroids_.insert(centroids_.end(), other.centroids_.begin(),
-                      other.centroids_.end());
-    compacted_ = false;
-    compress();
+    buffer_.insert(buffer_.end(), other.centroids_.begin(),
+                   other.centroids_.end());
+    if (buffer_.size() >= 4 * compression_) compress();
   }
 
   void clear() { *this = ReferenceDigest(compression_); }
@@ -380,12 +417,11 @@ class ReferenceDigest {
   using Centroid = std::pair<double, double>;  // mean, weight
 
   void compress() {
-    if (buffer_.empty() && compacted_) return;
-    compacted_ = true;
+    if (buffer_.empty()) return;
     std::vector<Centroid> points;
     points.reserve(centroids_.size() + buffer_.size());
     points.insert(points.end(), centroids_.begin(), centroids_.end());
-    for (const double x : buffer_) points.emplace_back(x, 1);
+    points.insert(points.end(), buffer_.begin(), buffer_.end());
     buffer_.clear();
     if (points.empty()) {
       centroids_.clear();
@@ -427,8 +463,7 @@ class ReferenceDigest {
 
   std::size_t compression_;
   std::vector<Centroid> centroids_;
-  std::vector<double> buffer_;
-  bool compacted_ = true;
+  std::vector<Centroid> buffer_;
   std::uint64_t count_ = 0;
   double sum_ = 0;
   double sum_sq_ = 0;
@@ -462,10 +497,17 @@ TEST(MergingDigest, CompressIsBitIdenticalToTheStableSortReference) {
   // frequent. The sequences also merge in from_snapshot-restored digests,
   // restore pool digests in place, and merge fresh multi-sample digests, so
   // the k1 pass sees centroids of every integer weight from every source.
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+  // Seeds 9 and 10 are merge-heavy: most adds become merges of fresh
+  // digests, nine in ten of them one-sample (the campaign fold's shape on
+  // one-probe shards), so merges alone cross the pending threshold again
+  // and again.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u}) {
     sim::Rng rng(seed);
     const bool lattice = seed % 2 == 0;
-    const std::size_t compression = seed <= 2 ? 8 : seed <= 6 ? 32 : 128;
+    const bool merge_heavy = seed >= 9;
+    const std::size_t compression = seed <= 2 || seed == 9 ? 8
+                                    : seed <= 6 || seed == 10 ? 32
+                                                              : 128;
     const auto draw = [&] {
       return lattice ? 0.5 * static_cast<double>(rng.uniform_int(0, 12))
                      : rng.normal(20.0, 5.0);
@@ -481,7 +523,10 @@ TEST(MergingDigest, CompressIsBitIdenticalToTheStableSortReference) {
                                             ReferenceDigest(compression));
     for (int step = 0; step < 4000; ++step) {
       const auto i = static_cast<std::size_t>(rng.uniform_int(0, kPool - 1));
-      const std::int64_t action = rng.uniform_int(0, 119);
+      std::int64_t action = rng.uniform_int(0, 119);
+      if (merge_heavy && action >= 10 && action < 80) {
+        action = 110 + action % 10;
+      }
       if (action < 80) {
         const double x = draw();
         digests[i].add(x);
@@ -510,7 +555,9 @@ TEST(MergingDigest, CompressIsBitIdenticalToTheStableSortReference) {
       } else if (action >= 110) {
         MergingDigest fresh(compression);
         ReferenceDigest fresh_reference(compression);
-        const auto samples = rng.uniform_int(2, 6 * compression);
+        const auto samples = merge_heavy && rng.uniform_int(0, 9) != 0
+                                 ? 1
+                                 : rng.uniform_int(2, 6 * compression);
         for (std::int64_t n = 0; n < samples; ++n) {
           const double x = draw();
           fresh.add(x);
