@@ -5,7 +5,11 @@
 # merged digest dump AND the compacted checkpoint must be BYTE-identical to
 # a single-process, single-thread reference run, kill or no kill — plus
 # loud evidence in the coordinator log that the death was detected and the
-# orphaned range re-leased.
+# orphaned range re-leased. That run's appends arrive out of order, so it
+# pins the compaction rewrite. A second pin runs one forked worker as a
+# tick (--max-shards 500) and a resume: its appends stay ascending, so
+# neither coordinator rewrites the checkpoint, and the checkpoint and the
+# digest dump must still cmp equal to the reference.
 #
 # Usage: scripts/fabric_smoke.sh [path/to/acute_fabric] [output-dir]
 set -euo pipefail
@@ -19,7 +23,8 @@ PROBES=60
 
 mkdir -p "$OUT"
 rm -f "$OUT"/reference.txt "$OUT"/reference.ckpt "$OUT"/fabric.txt \
-      "$OUT"/coordinator.ckpt "$OUT"/coordinator.log "$OUT"/coordinator.stdout
+      "$OUT"/coordinator.ckpt "$OUT"/coordinator.log "$OUT"/coordinator.stdout \
+      "$OUT"/tick.txt "$OUT"/tick.ckpt
 
 echo "== single-process single-thread reference =="
 "$BIN" local --shards $SHARDS --probes $PROBES \
@@ -90,5 +95,21 @@ echo "OK: compacted checkpoint holds exactly $SHARDS records"
 # the single-thread campaign rendered in ascending order.
 cmp "$OUT/reference.ckpt" "$OUT/coordinator.ckpt"
 echo "OK: compacted checkpoint is byte-identical to the reference"
+
+echo "== 1-worker coordinator tick, then resume =="
+"$BIN" coordinate --spawn 1 --shards $SHARDS --probes $PROBES --max-shards 500 \
+  --checkpoint "$OUT/tick.ckpt"
+TICK_INODE=$(stat -c %i "$OUT/tick.ckpt")
+"$BIN" coordinate --spawn 1 --shards $SHARDS --probes $PROBES \
+  --checkpoint "$OUT/tick.ckpt" --digest-out "$OUT/tick.txt"
+if [ "$(stat -c %i "$OUT/tick.ckpt")" != "$TICK_INODE" ]; then
+  echo "FAIL: the resume rewrote an already canonical checkpoint" >&2
+  exit 1
+fi
+echo "OK: the resume appended to the tick's checkpoint without a rewrite"
+cmp "$OUT/reference.txt" "$OUT/tick.txt"
+echo "OK: tick + resume digest dump is byte-identical to the reference"
+cmp "$OUT/reference.ckpt" "$OUT/tick.ckpt"
+echo "OK: tick + resume checkpoint is byte-identical to the reference"
 
 echo "fabric smoke: PASS"

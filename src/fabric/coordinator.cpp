@@ -29,13 +29,17 @@ std::uint64_t now_ms() {
 
 }  // namespace
 
-/// One connected worker: its transport, handshake progress and the leases
-/// it currently holds.
+/// One connected worker: its transport and frame buffer, handshake progress
+/// and the leases it currently holds.
 struct Coordinator::Conn {
+  Conn(std::unique_ptr<Transport> transport_in, std::size_t id_in)
+      : transport(std::move(transport_in)), reader(*transport), id(id_in) {}
+
   std::unique_ptr<Transport> transport;
+  FrameReader reader;
   enum class State { handshaking, active, parked } state = State::handshaking;
   std::set<std::uint64_t> leases;
-  std::size_t id = 0;  // stable worker number, for the log
+  std::size_t id;  // stable worker number, for the log
   bool dead = false;
 };
 
@@ -70,10 +74,8 @@ testbed::CampaignReport Coordinator::run(
   std::vector<std::unique_ptr<Conn>> conns;
   std::size_t next_worker_id = 0;
   for (std::unique_ptr<Transport>& transport : workers) {
-    auto conn = std::make_unique<Conn>();
-    conn->transport = std::move(transport);
-    conn->id = next_worker_id++;
-    conns.push_back(std::move(conn));
+    conns.push_back(std::make_unique<Conn>(std::move(transport),
+                                           next_worker_id++));
   }
 
   // Grants one lease (or parks the worker) — the only way work leaves the
@@ -125,14 +127,9 @@ testbed::CampaignReport Coordinator::run(
              : ""));
   };
 
-  // Handles exactly one frame from `conn`; throws on torn frames (the
-  // caller buries the worker).
-  auto handle_frame = [&](Conn& conn) {
-    Frame frame;
-    if (!read_frame(*conn.transport, frame)) {
-      bury(conn, "closed its connection");
-      return;
-    }
+  // Handles one frame from `conn`; throws on a malformed one (the caller
+  // buries the worker).
+  auto handle_frame = [&](Conn& conn, const FrameView& frame) {
     switch (frame.type) {
       case FrameType::hello: {
         const HelloBody hello = decode_hello(frame.payload);
@@ -171,7 +168,7 @@ testbed::CampaignReport Coordinator::run(
         (void)table.heartbeat(decode_lease_id(frame.payload), now_ms());
         break;
       case FrameType::shard_done: {
-        const ShardDoneBody done = decode_shard_done(frame.payload);
+        const ShardDoneView done = view_shard_done(frame.payload);
         report::ShardCheckpoint record;
         expects(report::parse_checkpoint_record(done.record_line, record),
                 "fabric coordinator: shard_done carried a torn record");
@@ -183,7 +180,7 @@ testbed::CampaignReport Coordinator::run(
         // line parsed, so it is canonical: its bytes are the ones rendering
         // `record` again would write, and they are stored as received.
         if (ledger.checkpoint() != nullptr) {
-          ledger.checkpoint()->append_line(done.record_line);
+          ledger.checkpoint()->append_line(done.record_line, index);
         }
         if (table.complete(index)) {
           ledger.submit(index, std::move(record));
@@ -198,15 +195,41 @@ testbed::CampaignReport Coordinator::run(
         }
         break;
       }
-      case FrameType::lease_done:
-        table.finish(decode_lease_id(frame.payload));
-        conn.leases.erase(decode_lease_id(frame.payload));
+      case FrameType::lease_done: {
+        const std::uint64_t lease_id = decode_lease_id(frame.payload);
+        table.finish(lease_id);
+        conn.leases.erase(lease_id);
         break;
+      }
       default:
         expects(false, "fabric coordinator: unexpected frame from worker");
     }
   };
 
+  // One wakeup of `conn`: one recv, then every complete frame it buffered
+  // while `more()` holds. A torn or invalid frame buries the worker, loudly:
+  // that worker is compromised, the campaign is not, and its work is
+  // re-leased.
+  auto serve = [&](Conn& conn, auto&& more) {
+    try {
+      if (!conn.reader.fill()) {
+        bury(conn, "closed its connection");
+        return;
+      }
+      FrameView frame;
+      while (!conn.dead && more() && conn.reader.next(frame)) {
+        handle_frame(conn, frame);
+      }
+    } catch (const sim::ContractViolation& violation) {
+      log(std::string("worker ") + std::to_string(conn.id) +
+          " sent a torn or invalid frame: " + violation.what());
+      bury(conn, "is being dropped after a torn frame");
+    }
+  };
+
+  // Reused across iterations: the poll set is rebuilt, not reallocated.
+  std::vector<pollfd> fds;
+  std::vector<Conn*> fd_conns;
   while (!table.all_complete()) {
     // Expired leases (stalled or slow workers) go back to pending with
     // backoff; their holders keep running — late results dedupe.
@@ -239,8 +262,8 @@ testbed::CampaignReport Coordinator::run(
             "fabric coordinator: every worker is gone (and no listener "
             "remains) with shards still pending");
 
-    std::vector<pollfd> fds;
-    std::vector<Conn*> fd_conns;
+    fds.clear();
+    fd_conns.clear();
     if (listener != nullptr) {
       fds.push_back(pollfd{listener->fd(), POLLIN, 0});
       fd_conns.push_back(nullptr);
@@ -264,23 +287,13 @@ testbed::CampaignReport Coordinator::run(
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       if (fd_conns[i] == nullptr) {
-        auto conn = std::make_unique<Conn>();
-        conn->transport = listener->accept();
-        conn->id = next_worker_id++;
-        conns.push_back(std::move(conn));
+        conns.push_back(
+            std::make_unique<Conn>(listener->accept(), next_worker_id++));
         continue;
       }
       Conn& conn = *fd_conns[i];
       if (conn.dead) continue;
-      try {
-        handle_frame(conn);
-      } catch (const sim::ContractViolation& violation) {
-        // Torn frame / malformed record: that worker is compromised, the
-        // campaign is not. Loud, buried, work re-leased.
-        log(std::string("worker ") + std::to_string(conn.id) +
-            " sent a torn or invalid frame: " + violation.what());
-        bury(conn, "is being dropped after a torn frame");
-      }
+      serve(conn, [&] { return !table.all_complete(); });
       if (table.all_complete()) break;
     }
     conns.erase(std::remove_if(conns.begin(), conns.end(),
@@ -314,13 +327,7 @@ testbed::CampaignReport Coordinator::run(
             " never sent its hello; dropping it");
         break;
       }
-      try {
-        handle_frame(*conn);
-      } catch (const sim::ContractViolation& violation) {
-        log(std::string("worker ") + std::to_string(conn->id) +
-            " sent a torn or invalid frame: " + violation.what());
-        bury(*conn, "is being dropped after a torn frame");
-      }
+      serve(*conn, [&] { return conn->state == Conn::State::handshaking; });
     }
   }
 

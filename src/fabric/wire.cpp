@@ -1,5 +1,6 @@
 #include "fabric/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/contracts.hpp"
@@ -9,6 +10,13 @@ namespace acute::fabric {
 using sim::expects;
 
 namespace {
+
+/// The u32 length prefix.
+constexpr std::size_t kHeaderBytes = 4;
+
+/// A FrameReader's first buffer: room for dozens of shard_done frames per
+/// recv.
+constexpr std::size_t kReadChunk = 64u << 10;
 
 void put_u32(std::string& out, std::uint32_t value) {
   for (int byte = 0; byte < 4; ++byte) {
@@ -43,12 +51,30 @@ struct Cursor {
     return value;
   }
 
-  std::string rest() { return std::string(bytes); }
-
   void done() const {
     expects(bytes.empty(), "fabric wire: trailing bytes in frame payload");
   }
 };
+
+/// The shared header decoder, used by read_frame and FrameReader alike: the
+/// byte count a length prefix promises; a torn frame unless plausible.
+std::uint32_t frame_length(const unsigned char* header) {
+  std::uint32_t length = 0;
+  for (std::size_t byte = 0; byte < kHeaderBytes; ++byte) {
+    length |= static_cast<std::uint32_t>(header[byte]) << (8 * byte);
+  }
+  expects(length >= 1 && length <= kMaxFrameBytes,
+          "fabric wire: torn frame (implausible length)");
+  return length;
+}
+
+/// The frame type a type byte names; a torn frame when it names none.
+FrameType frame_type(unsigned char type) {
+  expects(type >= static_cast<unsigned char>(FrameType::hello) &&
+              type <= static_cast<unsigned char>(FrameType::shutdown),
+          "fabric wire: torn frame (unknown frame type)");
+  return static_cast<FrameType>(type);
+}
 
 /// Reads exactly `size` bytes. False only on EOF before the first byte;
 /// EOF after a partial read is a torn frame.
@@ -68,39 +94,77 @@ bool recv_exact(Transport& transport, void* data, std::size_t size) {
 
 }  // namespace
 
-void write_frame(Transport& transport, FrameType type,
-                 std::string_view payload) {
+void append_frame(std::string& out, FrameType type,
+                  std::string_view payload) {
   expects(payload.size() < kMaxFrameBytes,
           "fabric wire: frame payload exceeds the protocol cap");
+  out.reserve(out.size() + kHeaderBytes + 1 + payload.size());
+  put_u32(out, static_cast<std::uint32_t>(1 + payload.size()));
+  out.push_back(static_cast<char>(type));
+  out.append(payload);
+}
+
+void write_frame(Transport& transport, FrameType type,
+                 std::string_view payload) {
   std::string frame;
-  frame.reserve(4 + 1 + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(1 + payload.size()));
-  frame.push_back(static_cast<char>(type));
-  frame.append(payload);
+  append_frame(frame, type, payload);
   transport.send_all(frame.data(), frame.size());
 }
 
 bool read_frame(Transport& transport, Frame& out) {
-  unsigned char header[4];
+  unsigned char header[kHeaderBytes];
   if (!recv_exact(transport, header, sizeof header)) return false;
-  std::uint32_t length = 0;
-  for (int byte = 0; byte < 4; ++byte) {
-    length |= static_cast<std::uint32_t>(header[byte]) << (8 * byte);
-  }
-  expects(length >= 1 && length <= kMaxFrameBytes,
-          "fabric wire: torn frame (implausible length)");
+  const std::uint32_t length = frame_length(header);
   unsigned char type = 0;
   expects(recv_exact(transport, &type, 1),
           "fabric wire: torn frame (peer died mid-frame)");
-  expects(type >= static_cast<unsigned char>(FrameType::hello) &&
-              type <= static_cast<unsigned char>(FrameType::shutdown),
-          "fabric wire: torn frame (unknown frame type)");
-  out.type = static_cast<FrameType>(type);
+  out.type = frame_type(type);
   out.payload.resize(length - 1);
   if (!out.payload.empty()) {
     expects(recv_exact(transport, out.payload.data(), out.payload.size()),
             "fabric wire: torn frame (peer died mid-frame)");
   }
+  return true;
+}
+
+bool FrameReader::fill() {
+  if (begin_ == end_) {
+    begin_ = end_ = 0;
+  } else if (begin_ > 0) {
+    // Only an unfinished frame is left: move it to the front.
+    std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  if (end_ == buffer_.size()) {
+    // Full of one unfinished frame: double, up to the largest legal frame
+    // (which next() has already checked this one against).
+    buffer_.resize(std::min(std::max(kReadChunk, 2 * buffer_.size()),
+                            kHeaderBytes + kMaxFrameBytes));
+  }
+  const std::size_t got =
+      transport_.recv_some(buffer_.data() + end_, buffer_.size() - end_);
+  if (got == 0) {
+    expects(begin_ == end_, "fabric wire: torn frame (peer died mid-frame)");
+    return false;
+  }
+  end_ += got;
+  return true;
+}
+
+bool FrameReader::next(FrameView& out) {
+  const std::size_t have = end_ - begin_;
+  if (have < kHeaderBytes) return false;
+  const auto* bytes =
+      reinterpret_cast<const unsigned char*>(buffer_.data() + begin_);
+  const std::uint32_t length = frame_length(bytes);
+  if (have == kHeaderBytes) return false;
+  const FrameType type = frame_type(bytes[kHeaderBytes]);
+  if (have < kHeaderBytes + length) return false;
+  out.type = type;
+  out.payload = std::string_view(buffer_.data() + begin_ + kHeaderBytes + 1,
+                                 length - 1);
+  begin_ += kHeaderBytes + length;
   return true;
 }
 
@@ -151,11 +215,16 @@ std::string encode_shard_done(const ShardDoneBody& body) {
 }
 
 ShardDoneBody decode_shard_done(std::string_view payload) {
+  const ShardDoneView view = view_shard_done(payload);
+  return ShardDoneBody{view.lease_id, std::string(view.record_line)};
+}
+
+ShardDoneView view_shard_done(std::string_view payload) {
   Cursor cursor{payload};
-  ShardDoneBody body;
-  body.lease_id = cursor.u64();
-  body.record_line = cursor.rest();
-  return body;
+  ShardDoneView view;
+  view.lease_id = cursor.u64();
+  view.record_line = cursor.bytes;
+  return view;
 }
 
 std::string encode_lease_id(std::uint64_t lease_id) {

@@ -12,6 +12,14 @@
 // end-of-stream *inside* a frame, a zero/oversize length or an unknown type
 // is a torn frame — a loud sim::ContractViolation, never a silent skip.
 //
+// Frames are a byte stream, not datagrams: a sender may coalesce several
+// into one send (the worker queues its shard_done, heartbeat, lease_done
+// and lease_request frames and sends them together before it blocks or
+// starts a shard), and a receiver must not assume one frame per recv. The
+// coordinator reads through a FrameReader, which makes one recv per wakeup
+// and decodes every complete frame that recv buffered. The coordinator's
+// own sends stay one frame per send_all, with the type at byte 4.
+//
 // The shard payload is deliberately the checkpoint format itself: a
 // shard_done frame carries the exact ckpt2 line render_checkpoint_record()
 // produces (report::parse_checkpoint_record decodes and validates it, and
@@ -27,7 +35,8 @@
 //   worker → lease_request
 //   coord  → lease_grant{lease_id, begin, end} | idle | shutdown
 //   worker → heartbeat{lease_id}                   (before every shard)
-//   worker → shard_done{lease_id, ckpt2 line}      (one per shard)
+//   worker → shard_done{lease_id, ckpt2 line}      (one per shard; sent
+//                                                  with the next heartbeat)
 //   worker → lease_done{lease_id}, then lease_request again
 //   parked worker (after idle): blocks; coordinator pushes lease_grant
 //   (re-leased work) or shutdown when the campaign completes.
@@ -37,6 +46,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "fabric/transport.hpp"
 
@@ -68,14 +78,54 @@ struct Frame {
   std::string payload;
 };
 
-/// Sends one frame (single send_all, so a kill tears at most this frame).
+/// A frame decoded in place: `payload` aliases the reader's buffer.
+struct FrameView {
+  FrameType type = FrameType::hello;
+  std::string_view payload;
+};
+
+/// Appends one encoded frame to `out`, so a sender can queue several
+/// frames and send them with one send_all.
+void append_frame(std::string& out, FrameType type,
+                  std::string_view payload = {});
+
+/// Sends one frame (append_frame + a single send_all, so a kill tears at
+/// most this frame).
 void write_frame(Transport& transport, FrameType type,
                  std::string_view payload = {});
 
 /// Reads one frame into `out`. False on clean end-of-stream at a frame
 /// boundary; contract violation on a torn frame (EOF mid-frame, bad length,
-/// unknown type).
+/// unknown type). Reads exactly the frame's bytes, so it never consumes a
+/// following frame; a FrameReader reads ahead instead.
 [[nodiscard]] bool read_frame(Transport& transport, Frame& out);
+
+/// Buffered frame decoder over one transport, for a reader that multiplexes
+/// peers: fill() makes one recv, and next() yields each complete frame that
+/// recv buffered, with read_frame's torn-frame rules. The buffer grows only
+/// as bytes arrive, so a hostile length costs no allocation until its bytes
+/// do (and never more than kMaxFrameBytes plus the header).
+class FrameReader {
+ public:
+  /// `transport` must outlive the reader.
+  explicit FrameReader(Transport& transport) : transport_(transport) {}
+
+  /// One recv_some into the buffer; call it once next() returns false.
+  /// False on clean end-of-stream (no partial frame buffered); contract
+  /// violation on end-of-stream inside a frame.
+  [[nodiscard]] bool fill();
+
+  /// The next complete buffered frame, or false when none is buffered.
+  /// `out.payload` stays valid until the next fill(). Contract violation on
+  /// a bad length or unknown type as soon as its header is buffered.
+  [[nodiscard]] bool next(FrameView& out);
+
+ private:
+  Transport& transport_;
+  std::vector<char> buffer_;
+  std::size_t begin_ = 0;  // first byte not yet yielded
+  std::size_t end_ = 0;    // one past the last byte received
+};
 
 /// hello payload: everything the coordinator checks before leasing work.
 /// spec_hash is CampaignSpec::spec_hash() (shape-only); the seed rides
@@ -101,12 +151,19 @@ struct ShardDoneBody {
   std::string record_line;
 };
 
+/// shard_done payload decoded in place: `record_line` aliases the payload.
+struct ShardDoneView {
+  std::uint64_t lease_id = 0;
+  std::string_view record_line;
+};
+
 [[nodiscard]] std::string encode_hello(const HelloBody& body);
 [[nodiscard]] HelloBody decode_hello(std::string_view payload);
 [[nodiscard]] std::string encode_lease_grant(const LeaseGrantBody& body);
 [[nodiscard]] LeaseGrantBody decode_lease_grant(std::string_view payload);
 [[nodiscard]] std::string encode_shard_done(const ShardDoneBody& body);
 [[nodiscard]] ShardDoneBody decode_shard_done(std::string_view payload);
+[[nodiscard]] ShardDoneView view_shard_done(std::string_view payload);
 /// heartbeat / lease_done payloads: just the lease id.
 [[nodiscard]] std::string encode_lease_id(std::uint64_t lease_id);
 [[nodiscard]] std::uint64_t decode_lease_id(std::string_view payload);

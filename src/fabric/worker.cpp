@@ -1,7 +1,7 @@
 #include "fabric/worker.hpp"
 
 #include <cstddef>
-#include <string_view>
+#include <string>
 #include <utility>
 
 #include "fabric/wire.hpp"
@@ -42,16 +42,23 @@ std::size_t Worker::run(Transport& transport) {
   expects(frame.type == FrameType::hello_ok,
           "fabric worker: unexpected frame during handshake");
 
+  // Frames queue in `outbox` and leave in one send right before the worker
+  // blocks on a read or starts a shard: heartbeat(i) rides with
+  // shard_done(i-1), and a lease's last shard_done with its lease_done and
+  // the next lease_request.
+  //
   // Campaign completion is the coordinator's call, made the instant the
   // last shard_done arrives — which may be ours, with more frames (our
   // lease_done, our next lease_request) still in flight when it sends
   // shutdown and closes. A failed send therefore checks the read side
   // first: a buffered shutdown turns the failure into a graceful exit;
   // anything else (the coordinator actually died) stays loud.
-  auto send_or_finished = [&transport](FrameType type,
-                                       std::string_view payload = {}) {
+  std::string outbox;
+  auto flush_or_finished = [&transport, &outbox] {
+    if (outbox.empty()) return false;
     try {
-      write_frame(transport, type, payload);
+      transport.send_all(outbox.data(), outbox.size());
+      outbox.clear();
       return false;
     } catch (const sim::ContractViolation&) {
       Frame pending;
@@ -69,10 +76,9 @@ std::size_t Worker::run(Transport& transport) {
   std::size_t shards_run = 0;
   bool request_next = true;
   while (true) {
-    if (request_next && send_or_finished(FrameType::lease_request)) {
-      return shards_run;
-    }
+    if (request_next) append_frame(outbox, FrameType::lease_request);
     request_next = true;
+    if (flush_or_finished()) return shards_run;
     if (!read_frame(transport, frame)) {
       // Coordinator vanished without shutdown: loud, a worker must not
       // idle against a dead coordinator.
@@ -93,32 +99,28 @@ std::size_t Worker::run(Transport& transport) {
                 "fabric worker: lease range beyond the campaign");
         for (std::uint64_t index = lease.begin; index < lease.end; ++index) {
           if (config_.max_shards > 0 && shards_run >= config_.max_shards) {
-            // Simulated mid-lease death: no lease_done, no goodbye — the
-            // transport closes when the caller drops it, exactly what the
+            // Simulated mid-lease death: the shards already run reach the
+            // coordinator, then no lease_done, no goodbye — the transport
+            // closes when the caller drops it, exactly what the
             // coordinator sees when SIGKILL takes a real worker.
+            (void)flush_or_finished();
             return shards_run;
           }
           // Heartbeat before each shard, so lease_timeout_ms only has to
           // outlive ONE shard, not a whole lease.
-          if (send_or_finished(FrameType::heartbeat,
-                               encode_lease_id(lease.lease_id))) {
-            return shards_run;
-          }
-          report::ShardCheckpoint record = campaign_.run_shard_record(
+          append_frame(outbox, FrameType::heartbeat,
+                       encode_lease_id(lease.lease_id));
+          if (flush_or_finished()) return shards_run;
+          const report::ShardCheckpoint record = campaign_.run_shard_record(
               static_cast<std::size_t>(index), context);
-          ShardDoneBody done;
-          done.lease_id = lease.lease_id;
-          done.record_line = report::render_checkpoint_record(record);
-          if (send_or_finished(FrameType::shard_done,
-                               encode_shard_done(done))) {
-            return shards_run;
-          }
+          const ShardDoneBody done{lease.lease_id,
+                                   report::render_checkpoint_record(record)};
+          append_frame(outbox, FrameType::shard_done,
+                       encode_shard_done(done));
           ++shards_run;
         }
-        if (send_or_finished(FrameType::lease_done,
-                             encode_lease_id(lease.lease_id))) {
-          return shards_run;
-        }
+        append_frame(outbox, FrameType::lease_done,
+                     encode_lease_id(lease.lease_id));
         break;
       }
       default:

@@ -27,11 +27,17 @@ constexpr std::size_t kRecordReserveBytes = 1024;
 void CheckpointWriter::append(const ShardCheckpoint& checkpoint) {
   // Render the whole record first so the locked append is one write: a
   // kill can tear at most the record's own line, never interleave shards.
-  writer_.append_block(render_checkpoint_record(checkpoint));
+  append_line(render_checkpoint_record(checkpoint),
+              checkpoint.summary.info.scenario_index);
 }
 
-void CheckpointWriter::append_line(std::string_view line) {
-  writer_.append_line(line);
+void CheckpointWriter::append_line(std::string_view line,
+                                   std::size_t scenario_index) {
+  writer_.append_line(line, [this, scenario_index](bool ok) {
+    canonical_ = canonical_ && ok &&
+                 (!last_index_.has_value() || scenario_index > *last_index_);
+    last_index_ = scenario_index;
+  });
 }
 
 std::string render_checkpoint_record(const ShardCheckpoint& checkpoint) {
@@ -192,25 +198,41 @@ bool parse_checkpoint_record(std::string_view line, ShardCheckpoint& out) {
   return false;
 }
 
-void compact_checkpoint(const std::string& path) {
+CompactionResult compact_checkpoint(const std::string& path,
+                                    const CheckpointVisitor& visit) {
   std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return;  // nothing to compact
+  if (!in.is_open()) return {};  // nothing to compact
   // Pass 1: byte offset of each scenario's winning (last complete) record —
-  // O(shards) offsets, not digests. Offsets are summed line lengths, not
-  // tellg() (a seek per line).
+  // O(shards) offsets, not digests — and whether the file is canonical
+  // already. Offsets are summed line lengths, not tellg() (a seek per line).
   LatestWinsMerge<std::streamoff> latest;
   ShardCheckpoint record;
   std::string line;
+  std::size_t records = 0;
+  std::optional<std::size_t> last_index;
+  bool canonical = true;
   {
     std::streamoff pos = 0;
     while (std::getline(in, line)) {
+      // A line read up to EOF lacks its '\n'.
+      canonical = canonical && !in.eof();
       if (parse_checkpoint_record(line, record)) {
-        latest.claim(record.summary.info.scenario_index, pos);
+        if (visit) visit(record);
+        const std::size_t index = record.summary.info.scenario_index;
+        canonical =
+            canonical && (!last_index.has_value() || index > *last_index);
+        last_index = index;
+        ++records;
+        latest.claim(index, pos);
+      } else {
+        canonical = false;  // a torn fragment or a blank line
       }
       pos += static_cast<std::streamoff>(line.size()) + (in.eof() ? 0 : 1);
     }
     in.clear();  // getline hit EOF; clear so pass 2 can seek
   }
+  if (canonical) return {records, last_index};
+  CompactionResult result;
   const std::string temp = path + ".compact";
   {
     std::ofstream out(temp, std::ios::trunc | std::ios::binary);
@@ -233,6 +255,8 @@ void compact_checkpoint(const std::string& path) {
               "compact_checkpoint: record moved during compaction");
       out.write(line.data(), static_cast<std::streamsize>(line.size()));
       out.put('\n');
+      ++result.records;
+      result.last_index = index;
       next = in.eof() ? -1
                       : pos + static_cast<std::streamoff>(line.size()) + 1;
     });
@@ -240,6 +264,7 @@ void compact_checkpoint(const std::string& path) {
     expects(out.good(), "compact_checkpoint: short write to temp file");
   }
   durable_replace(temp, path);
+  return result;
 }
 
 CheckpointReader::CheckpointReader(const std::string& path) : in_(path) {}

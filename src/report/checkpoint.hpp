@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,28 +65,58 @@ struct ShardCheckpoint {
   std::vector<WorkloadDigest> digests;
 };
 
+/// What compact_checkpoint() left at a path: the file is canonical — every
+/// line one complete record, scenario indices strictly ascending, ending in
+/// '\n' — or absent.
+struct CompactionResult {
+  /// Complete records in the file, one per scenario index.
+  std::size_t records = 0;
+  /// The last (highest) record's scenario index; empty without records.
+  std::optional<std::size_t> last_index;
+};
+
 /// Shared, thread-safe appender. Construct after load_checkpoint() — opening
 /// is append-mode (healing a previous kill's torn final line), so existing
 /// records survive.
 class CheckpointWriter {
  public:
-  /// Contract violation when `path` is unwritable.
+  /// Contract violation when `path` is unwritable. The file's shape is
+  /// unknown, so canonical() stays false.
   explicit CheckpointWriter(std::string path)
       : writer_(std::move(path), /*append=*/true) {}
 
-  /// Renders one record and appends it atomically, then flushes.
+  /// Opens the file compact_checkpoint() just reported as `compacted`, so
+  /// the writer knows it starts canonical.
+  CheckpointWriter(std::string path, const CompactionResult& compacted)
+      : writer_(std::move(path), /*append=*/true),
+        canonical_(true),
+        last_index_(compacted.last_index) {}
+
+  /// Renders one record and appends it atomically, then flushes. Contract
+  /// violation when the bytes did not reach the file (a full disk): the
+  /// caller must not merge a shard that is not durable.
   void append(const ShardCheckpoint& checkpoint);
 
   /// Appends a record line the caller already holds and has validated with
-  /// parse_checkpoint_record() (a fabric worker's shard_done line), adding
-  /// the '\n' if it lacks one. A parsed line is canonical, so these are the
-  /// bytes append() would write for the parsed record.
-  void append_line(std::string_view line);
+  /// parse_checkpoint_record() (a fabric worker's shard_done line) as the
+  /// record of `scenario_index`, adding the '\n' if it lacks one. A parsed
+  /// line is canonical, so these are the bytes append() would write for the
+  /// parsed record. Fails as append() does.
+  void append_line(std::string_view line, std::size_t scenario_index);
+
+  /// True while the file is what compact_checkpoint() would write: the
+  /// writer was opened on a compacted file and every append since carried
+  /// a strictly higher scenario index than the record before it. Read it
+  /// once the appenders have stopped.
+  [[nodiscard]] bool canonical() const { return canonical_; }
 
   [[nodiscard]] const std::string& path() const { return writer_.path(); }
 
  private:
   LineWriter writer_;
+  // Guarded by writer_'s lock: updated in the order the lines land.
+  bool canonical_ = false;
+  std::optional<std::size_t> last_index_;
 };
 
 /// Streaming cursor over the records at `path`, in file order. Holds one
@@ -141,19 +172,28 @@ void for_each_checkpoint(const std::string& path,
 [[nodiscard]] bool parse_checkpoint_record(std::string_view line,
                                            ShardCheckpoint& out);
 
+/// Sees each complete record of a compaction's first pass, in file order.
+using CheckpointVisitor = std::function<void(const ShardCheckpoint&)>;
+
 /// Rewrites `path` to one record per shard: records are deduplicated by
 /// scenario index — the last complete record wins (report::LatestWinsMerge)
 /// — and written in ascending scenario order, without ever materializing
-/// the file. Pass 1 records the byte offset of the last complete record per
-/// scenario index (O(shards) offsets, not digests); pass 2 visits the
-/// winners in ascending order, reading forward and seeking only past lines
-/// that lost, re-parses each and copies its validated bytes into the temp
-/// file. The rewrite is crash-safe: the temp file is flushed and fsync'd
-/// before being renamed over `path` (with a best-effort directory fsync
-/// after), so a power cut mid-compaction leaves either the old complete
-/// file or the new complete file, never a truncated hybrid. Call before
-/// opening an append-mode CheckpointWriter on the same path. A missing file
-/// is a no-op.
-void compact_checkpoint(const std::string& path);
+/// the file. Pass 1 parses every line, hands each complete record to
+/// `visit` (when given) and records the byte offset of the last complete
+/// record per scenario index (O(shards) offsets, not digests). A file pass 1
+/// finds canonical (see CompactionResult) is already what compaction would
+/// write and is left as it is: no temp file, no rename, no fsync. Otherwise
+/// pass 2 visits the winners in ascending order, reading forward and
+/// seeking only past lines that lost, re-parses each and copies its
+/// validated bytes into the temp file. The rewrite is crash-safe: the temp
+/// file is flushed and fsync'd before being renamed over `path` (with a
+/// best-effort directory fsync after), so a power cut mid-compaction leaves
+/// either the old complete file or the new complete file, never a truncated
+/// hybrid. An exception from `visit` (or a loud parse failure) leaves the
+/// file untouched, since pass 1 writes nothing. Call before opening an
+/// append-mode CheckpointWriter on the same path. A missing file is a
+/// no-op.
+CompactionResult compact_checkpoint(const std::string& path,
+                                    const CheckpointVisitor& visit = {});
 
 }  // namespace acute::report

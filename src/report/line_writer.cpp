@@ -11,9 +11,18 @@ using sim::expects;
 
 struct LineWriter::Impl {
   std::ofstream out;
+
+  /// Flushes; true when every byte so far reached the file.
+  bool flush() {
+    out.flush();
+    return out.good();
+  }
 };
 
 namespace {
+
+constexpr const char* kShortWrite =
+    "LineWriter: append did not reach the file (short write)";
 
 /// True when `path` exists, is non-empty and does not end in '\n' — the
 /// torn last line of a killed writer. An appender must close that line
@@ -45,14 +54,17 @@ LineWriter::~LineWriter() = default;
 void LineWriter::append_block(const std::string& block) {
   const std::lock_guard<std::mutex> lock(mutex_);
   impl_->out << block;
-  impl_->out.flush();
+  expects(impl_->flush(), kShortWrite);
 }
 
-void LineWriter::append_line(std::string_view line) {
+void LineWriter::append_line(std::string_view line,
+                             const std::function<void(bool ok)>& landed) {
   const std::lock_guard<std::mutex> lock(mutex_);
   impl_->out << line;
   if (line.empty() || line.back() != '\n') impl_->out << '\n';
-  impl_->out.flush();
+  const bool ok = impl_->flush();
+  if (landed) landed(ok);
+  expects(ok, kShortWrite);
 }
 
 }  // namespace acute::report

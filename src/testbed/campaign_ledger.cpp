@@ -18,26 +18,25 @@ CampaignLedger::CampaignLedger(const Campaign& campaign)
   report_.frontier.shard_count = shard_count;
   slots_.assign(shard_count, MergeFrontier::Slot::skipped);
 
-  // Restore: validate every record on disk (streaming, one record in
-  // memory), compact the file back to one ascending line per shard, then
-  // re-read the compacted file as the fold reaches each restored index.
+  // Restore: one pass over the file validates and classifies every record
+  // on disk (streaming, one record in memory) before any byte is
+  // rewritten; compaction then drops torn fragments and duplicate re-runs
+  // (so a many-times-resumed sweep's checkpoint stays O(completed shards))
+  // unless the file is one ascending line per shard already. The fold
+  // re-reads the compacted file as it reaches each restored index.
   if (!spec.checkpoint_path.empty()) {
     const auto restore_start = std::chrono::steady_clock::now();
-    report::for_each_checkpoint(
-        spec.checkpoint_path, [&](report::ShardCheckpoint&& record) {
+    const report::CompactionResult compacted = report::compact_checkpoint(
+        spec.checkpoint_path, [this](const report::ShardCheckpoint& record) {
           validate(record, "checkpoint");
-          MergeFrontier::Slot& slot =
-              slots_[record.summary.info.scenario_index];
-          if (slot != MergeFrontier::Slot::restored) ++restored_count_;
-          slot = MergeFrontier::Slot::restored;
+          slots_[record.summary.info.scenario_index] =
+              MergeFrontier::Slot::restored;
         });
-    // Drops torn fragments and duplicate re-runs, so a many-times-resumed
-    // sweep's checkpoint stays O(completed shards).
-    if (restored_count_ > 0) report::compact_checkpoint(spec.checkpoint_path);
+    restored_count_ = compacted.records;
     restored_ =
         std::make_unique<report::CheckpointReader>(spec.checkpoint_path);
-    checkpoint_ =
-        std::make_unique<report::CheckpointWriter>(spec.checkpoint_path);
+    checkpoint_ = std::make_unique<report::CheckpointWriter>(
+        spec.checkpoint_path, compacted);
     report_.stage.restore = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() -
                                 restore_start)
@@ -97,9 +96,11 @@ CampaignReport CampaignLedger::finish(bool compact) {
   report_.stage.merge = frontier_->fold_seconds();
   report_.frontier.high_water = frontier_->high_water();
   if (compact && checkpoint_ != nullptr) {
+    // Appends that kept the file canonical left nothing to compact.
+    const bool canonical = checkpoint_->canonical();
     const std::string path = checkpoint_->path();
     checkpoint_.reset();  // flush before the compaction rewrite
-    report::compact_checkpoint(path);
+    if (!canonical) report::compact_checkpoint(path);
   }
   return std::move(report_);
 }

@@ -6,10 +6,10 @@
 //   * restore — every complete record already at CampaignSpec::
 //     checkpoint_path is validated against the campaign (scenario index in
 //     range, Rng(S).fork(i) seed, CampaignSpec::shard_hash), one record in
-//     memory at a time;
-//   * compact — the file is rewritten to one ascending line per shard
-//     (report::compact_checkpoint's shared last-wins rule) and reopened for
-//     appending;
+//     memory at a time, inside compaction's first pass;
+//   * compact — unless it is one ascending line per shard already, the
+//     file is rewritten to that (report::compact_checkpoint's shared
+//     last-wins rule), and it is reopened for appending;
 //   * classify — each scenario index becomes restored (folded from the
 //     compacted file), pending (this invocation runs it; the first
 //     max_shards non-restored indices) or skipped (the capped tail).
@@ -76,7 +76,9 @@ class CampaignLedger {
   /// Drains the fold once the producers stop and returns the report
   /// (totals, restore and merge seconds, frontier high water). With
   /// `compact` the checkpoint is then closed and compacted to one ascending
-  /// line per shard. Rethrows an earlier fold failure.
+  /// line per shard, unless every append kept it so (see
+  /// report::CheckpointWriter::canonical). Rethrows an earlier fold
+  /// failure.
   [[nodiscard]] CampaignReport finish(bool compact = false);
 
  private:

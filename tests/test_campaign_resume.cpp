@@ -3,6 +3,7 @@
 // digests to an uninterrupted run — for any worker count (the ISSUE's
 // acceptance criterion, exercised at 1 and 8 workers).
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <fstream>
@@ -52,6 +53,19 @@ CampaignSpec resume_campaign() {
   return spec;
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+ino_t file_inode(const std::string& path) {
+  struct stat info {};
+  EXPECT_EQ(::stat(path.c_str(), &info), 0);
+  return info.st_ino;
+}
+
 void expect_digests_bit_identical(const CampaignReport& a,
                                   const CampaignReport& b) {
   EXPECT_EQ(testing::digest_dump(a), testing::digest_dump(b));
@@ -70,6 +84,7 @@ void kill_and_resume(std::size_t kill_workers, std::size_t resume_workers) {
   const CampaignReport partial = Campaign(killed).run(kill_workers);
   EXPECT_EQ(partial.completed_shards(), 3u);
   EXPECT_LT(partial.total_probes(), uninterrupted.total_probes());
+  const ino_t killed_inode = file_inode(checkpoint.path);
 
   // Resume: same spec, no cap. Only the 5 pending shards execute.
   CampaignSpec resumed_spec = resume_campaign();
@@ -83,6 +98,9 @@ void kill_and_resume(std::size_t kill_workers, std::size_t resume_workers) {
   const CampaignReport resumed = Campaign(resumed_spec).run(resume_workers);
   if (resume_workers == 1) EXPECT_EQ(executed, 5u);
   EXPECT_EQ(resumed.completed_shards(), resumed.shard_count());
+  // One serial worker appends in ascending order, so the restore found
+  // nothing to compact and appended to the same file.
+  if (kill_workers == 1) EXPECT_EQ(file_inode(checkpoint.path), killed_inode);
 
   expect_digests_bit_identical(resumed, uninterrupted);
 }
@@ -136,16 +154,32 @@ TEST(CampaignResume, IncrementalInvocationsWalkTheCampaign) {
 }
 
 TEST(CampaignResume, MismatchedCheckpointIsAContractViolation) {
+  // A record of another campaign, or a corrupt complete one, stops the
+  // restore before any byte is rewritten — here in a file that needs
+  // compaction (a duplicate re-run), so a rewrite would otherwise follow.
   TempFile checkpoint("mismatch");
   CampaignSpec spec = resume_campaign();
   spec.checkpoint_path = checkpoint.path;
   spec.max_shards = 2;
   (void)Campaign(spec).run(1);
+  {
+    const auto records = report::load_checkpoint(checkpoint.path);
+    ASSERT_EQ(records.size(), 2u);
+    std::ofstream(checkpoint.path, std::ios::app)
+        << report::render_checkpoint_record(records[0]);
+  }
+  const std::string mismatched = file_bytes(checkpoint.path);
 
   CampaignSpec other = resume_campaign();
   other.seed = spec.seed + 1;  // different campaign, same checkpoint file
   other.checkpoint_path = checkpoint.path;
   EXPECT_THROW((void)Campaign(other).run(1), sim::ContractViolation);
+  EXPECT_EQ(file_bytes(checkpoint.path), mismatched);
+
+  std::ofstream(checkpoint.path, std::ios::app) << "ckpt2 0 not-a-seed 1 end\n";
+  const std::string corrupt = file_bytes(checkpoint.path);
+  EXPECT_THROW((void)Campaign(spec).run(1), sim::ContractViolation);
+  EXPECT_EQ(file_bytes(checkpoint.path), corrupt);
 }
 
 TEST(CampaignResume, EditedSpecIsAContractViolation) {
@@ -178,13 +212,7 @@ TEST(CampaignResume, TornCheckpointLineRerunsOnlyThatShard) {
   spec.checkpoint_path = checkpoint.path;
   spec.max_shards = 3;
   (void)Campaign(spec).run(1);
-  std::string contents;
-  {
-    std::ifstream in(checkpoint.path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    contents = buffer.str();
-  }
+  const std::string contents = file_bytes(checkpoint.path);
   {
     std::ofstream out(checkpoint.path, std::ios::trunc);
     out << contents.substr(0, contents.size() - 25);  // tear record 2

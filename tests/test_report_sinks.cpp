@@ -3,6 +3,7 @@
 // export shape, and the sink event-delivery contract driven by a real
 // campaign shard.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "report/checkpoint.hpp"
@@ -478,37 +480,150 @@ TEST(Checkpoint, TornUnknownKindFragmentIsStillSkipped) {
   EXPECT_EQ(records[0].summary.info.scenario_index, 0u);
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+ino_t file_inode(const std::string& path) {
+  struct stat info {};
+  EXPECT_EQ(::stat(path.c_str(), &info), 0);
+  return info.st_ino;
+}
+
 TEST(Checkpoint, CompactionDedupesAndSortsRecords) {
-  TempFile file("ckpt_compact");
+  // Each case is a file's lines — a scenario index stands for
+  // sample_checkpoint(index)'s rendered record, anything else is written
+  // as is — and the ascending unique indices compaction must leave. A
+  // canonical file (complete records, strictly ascending, final '\n') is
+  // left untouched; every other shape is rewritten through a temp file to
+  // exactly the rendered winners.
+  using Line = std::variant<std::size_t, std::string>;
+  struct Case {
+    const char* name;
+    std::vector<Line> lines;
+    std::vector<std::size_t> expected;
+    bool rewritten;
+  };
+  const std::string torn = "ckpt1 11 123 torn-fragmen";
+  std::string unterminated = render_checkpoint_record(sample_checkpoint(5));
+  unterminated.pop_back();
+  const std::vector<Case> cases = {
+      {"canonical", {2u, 5u, 9u}, {2, 5, 9}, false},
+      {"empty", {}, {}, false},
+      {"duplicate", {2u, 5u, 5u, 9u}, {2, 5, 9}, true},
+      {"descending_pair", {2u, 9u, 5u}, {2, 5, 9}, true},
+      {"torn_tail", {2u, 5u, torn}, {2, 5}, true},
+      {"torn_middle", {2u, torn + "\n", 5u}, {2, 5}, true},
+      {"blank_line", {2u, std::string("\n"), 5u}, {2, 5}, true},
+      {"no_final_newline", {2u, unterminated}, {2, 5}, true},
+      {"mixed", {9u, 2u, 9u, 5u, torn}, {2, 5, 9}, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TempFile file(std::string("ckpt_compact_") + c.name);
+    {
+      std::ofstream out(file.path, std::ios::binary | std::ios::trunc);
+      for (const Line& line : c.lines) {
+        if (const auto* index = std::get_if<std::size_t>(&line)) {
+          out << render_checkpoint_record(sample_checkpoint(*index));
+        } else {
+          out << std::get<std::string>(line);
+        }
+      }
+    }
+    std::string expected;
+    for (const std::size_t index : c.expected) {
+      expected += render_checkpoint_record(sample_checkpoint(index));
+    }
+    const std::string before = file_bytes(file.path);
+    const ino_t inode = file_inode(file.path);
+    std::vector<std::size_t> visited;
+    const CompactionResult result = compact_checkpoint(
+        file.path, [&visited](const ShardCheckpoint& record) {
+          visited.push_back(record.summary.info.scenario_index);
+        });
+
+    EXPECT_EQ(result.records, c.expected.size());
+    EXPECT_EQ(result.last_index.has_value(), !c.expected.empty());
+    if (!c.expected.empty()) EXPECT_EQ(*result.last_index, c.expected.back());
+    EXPECT_EQ(file_bytes(file.path), expected);
+    EXPECT_EQ(file_inode(file.path) == inode, !c.rewritten);
+    if (!c.rewritten) EXPECT_EQ(file_bytes(file.path), before);
+    EXPECT_FALSE(std::ifstream(file.path + ".compact").is_open());
+    // The visitor sees every complete record in file order, duplicates
+    // included, before anything is rewritten.
+    std::vector<std::size_t> complete;
+    for (const Line& line : c.lines) {
+      ShardCheckpoint record;
+      if (const auto* index = std::get_if<std::size_t>(&line)) {
+        complete.push_back(*index);
+      } else if (parse_checkpoint_record(std::get<std::string>(line),
+                                         record)) {
+        complete.push_back(record.summary.info.scenario_index);
+      }
+    }
+    EXPECT_EQ(visited, complete);
+  }
+}
+
+TEST(Checkpoint, VisitorFailureLeavesTheFileUntouched) {
+  // Pass 1 writes nothing: a record the visitor refuses stops compaction
+  // before any byte of a file that needs rewriting moves.
+  TempFile file("ckpt_compact_refused");
   {
     CheckpointWriter writer(file.path);
     writer.append(sample_checkpoint(9));
     writer.append(sample_checkpoint(2));
-    writer.append(sample_checkpoint(9));  // duplicate re-run: last wins
-    writer.append(sample_checkpoint(5));
   }
-  // Tear the tail as a kill would; compaction input is what load accepts.
-  {
-    std::ofstream out(file.path, std::ios::app);
-    out << "ckpt1 11 123 torn-fragmen";
-  }
-  compact_checkpoint(file.path);
+  const std::string before = file_bytes(file.path);
+  EXPECT_THROW(compact_checkpoint(file.path,
+                                  [](const ShardCheckpoint& record) {
+                                    sim::expects(
+                                        record.summary.info.scenario_index !=
+                                            2,
+                                        "refused");
+                                  }),
+               sim::ContractViolation);
+  EXPECT_EQ(file_bytes(file.path), before);
+  EXPECT_FALSE(std::ifstream(file.path + ".compact").is_open());
+}
 
-  std::size_t lines = 0;
+TEST(Checkpoint, WriterTracksWhetherAppendsKeepTheFileCanonical) {
+  TempFile file("ckpt_writer_canonical");
   {
-    std::ifstream in(file.path);
-    std::string line;
-    while (std::getline(in, line)) ++lines;
+    CheckpointWriter unknown(file.path);  // shape unknown: never canonical
+    unknown.append(sample_checkpoint(1));
+    EXPECT_FALSE(unknown.canonical());
   }
-  EXPECT_EQ(lines, 3u);  // 9's duplicate and the torn fragment are gone
-  const auto records = load_checkpoint(file.path);
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].summary.info.scenario_index, 2u);
-  EXPECT_EQ(records[1].summary.info.scenario_index, 5u);
-  EXPECT_EQ(records[2].summary.info.scenario_index, 9u);
-  // Byte-exact round trip: a compacted record re-renders identically.
-  EXPECT_EQ(render_checkpoint_record(records[2]),
-            render_checkpoint_record(sample_checkpoint(9)));
+  const CompactionResult compacted = compact_checkpoint(file.path);
+  CheckpointWriter writer(file.path, compacted);
+  EXPECT_TRUE(writer.canonical());
+  writer.append(sample_checkpoint(4));
+  writer.append_line(render_checkpoint_record(sample_checkpoint(6)), 6);
+  EXPECT_TRUE(writer.canonical());
+  writer.append(sample_checkpoint(6));  // a duplicate breaks the order
+  EXPECT_FALSE(writer.canonical());
+  writer.append(sample_checkpoint(8));  // and nothing restores it
+  EXPECT_FALSE(writer.canonical());
+}
+
+TEST(Checkpoint, FailedAppendsAreLoudNotSilentlyDropped) {
+  // A record that never reached the disk must not pass for durable: the
+  // campaign appends before it merges, so a silent failure would merge a
+  // shard the checkpoint does not hold. /dev/full accepts the open and
+  // fails every write with ENOSPC. The JSONL export shares the backend.
+  if (!std::ifstream("/dev/full").is_open()) GTEST_SKIP() << "no /dev/full";
+  CheckpointWriter writer("/dev/full");
+  EXPECT_THROW(writer.append(sample_checkpoint(3)), sim::ContractViolation);
+  EXPECT_THROW(
+      writer.append_line(render_checkpoint_record(sample_checkpoint(4)), 4),
+      sim::ContractViolation);
+  EXPECT_FALSE(writer.canonical());
+  JsonlWriter export_writer("/dev/full", /*append=*/true);
+  EXPECT_THROW(export_writer.append_block("{}\n"), sim::ContractViolation);
 }
 
 TEST(Checkpoint, StreamingCompactionOfMissingFileIsANoop) {
