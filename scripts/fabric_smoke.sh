@@ -9,7 +9,11 @@
 # pins the compaction rewrite. A second pin runs one forked worker as a
 # tick (--max-shards 500) and a resume: its appends stay ascending, so
 # neither coordinator rewrites the checkpoint, and the checkpoint and the
-# digest dump must still cmp equal to the reference.
+# digest dump must still cmp equal to the reference. A third pin serves the
+# campaign to one forked worker plus two external joiners on a unix socket
+# (`acute_fabric work --socket`), the listener/accept/connect path: both
+# joiners must exit cleanly, at least two workers must have joined, and the
+# digest dump and checkpoint must cmp equal to the reference.
 #
 # Usage: scripts/fabric_smoke.sh [path/to/acute_fabric] [output-dir]
 set -euo pipefail
@@ -24,7 +28,8 @@ PROBES=60
 mkdir -p "$OUT"
 rm -f "$OUT"/reference.txt "$OUT"/reference.ckpt "$OUT"/fabric.txt \
       "$OUT"/coordinator.ckpt "$OUT"/coordinator.log "$OUT"/coordinator.stdout \
-      "$OUT"/tick.txt "$OUT"/tick.ckpt
+      "$OUT"/tick.txt "$OUT"/tick.ckpt "$OUT"/socket.txt "$OUT"/socket.ckpt \
+      "$OUT"/socket.log "$OUT"/socket.stdout "$OUT"/joiners.log
 
 echo "== single-process single-thread reference =="
 "$BIN" local --shards $SHARDS --probes $PROBES \
@@ -111,5 +116,38 @@ cmp "$OUT/reference.txt" "$OUT/tick.txt"
 echo "OK: tick + resume digest dump is byte-identical to the reference"
 cmp "$OUT/reference.ckpt" "$OUT/tick.ckpt"
 echo "OK: tick + resume checkpoint is byte-identical to the reference"
+
+echo "== coordinator + 1 forked worker + 2 socket joiners =="
+SOCKET="$OUT/coordinator.sock"
+"$BIN" coordinate --spawn 1 --socket "$SOCKET" --shards $SHARDS \
+  --probes $PROBES --batch 8 --checkpoint "$OUT/socket.ckpt" \
+  --digest-out "$OUT/socket.txt" >"$OUT/socket.stdout" 2>"$OUT/socket.log" &
+COORD=$!
+# unix_connect retries while the coordinator binds its socket.
+JOINERS=()
+for _ in 1 2; do
+  "$BIN" work --socket "$SOCKET" --shards $SHARDS --probes $PROBES \
+    >>"$OUT/joiners.log" 2>&1 &
+  JOINERS+=($!)
+done
+wait "$COORD"
+JOINER_STATUS=0
+for pid in "${JOINERS[@]}"; do wait "$pid" || JOINER_STATUS=1; done
+cat "$OUT/socket.log" "$OUT/socket.stdout" "$OUT/joiners.log"
+if [ "$JOINER_STATUS" -ne 0 ]; then
+  echo "FAIL: a socket joiner exited with an error" >&2
+  exit 1
+fi
+JOINED=$(sed -n 's/^fabric: \([0-9]*\) workers joined.*/\1/p' \
+         "$OUT/socket.stdout")
+if [ "${JOINED:-0}" -lt 2 ]; then
+  echo "FAIL: ${JOINED:-0} workers joined, want at least 2" >&2
+  exit 1
+fi
+echo "OK: $JOINED workers joined, socket joiners included"
+cmp "$OUT/reference.txt" "$OUT/socket.txt"
+echo "OK: socket-fleet digest dump is byte-identical to the reference"
+cmp "$OUT/reference.ckpt" "$OUT/socket.ckpt"
+echo "OK: socket-fleet checkpoint is byte-identical to the reference"
 
 echo "fabric smoke: PASS"

@@ -5,18 +5,290 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <exception>
-#include <set>
 #include <utility>
 
-#include "fabric/wire.hpp"
 #include "report/checkpoint.hpp"
 #include "sim/contracts.hpp"
-#include "testbed/campaign_ledger.hpp"
 
 namespace acute::fabric {
 
 using sim::expects;
+
+namespace {
+
+/// The pending shards of `ledger` as LeaseTable's leasable mask.
+std::vector<bool> leasable_shards(const testbed::CampaignLedger& ledger,
+                                  std::size_t shard_count) {
+  std::vector<bool> leasable(shard_count, false);
+  for (const std::size_t index : ledger.pending()) leasable[index] = true;
+  return leasable;
+}
+
+}  // namespace
+
+// ------------------------------------------------------------------- core
+
+CoordinatorCore::CoordinatorCore(const testbed::Campaign& campaign,
+                                 CoordinatorConfig config)
+    : campaign_(campaign),
+      config_(config),
+      // O(shards) to compute, so hash once here, not per hello.
+      campaign_hash_(campaign.spec().spec_hash()),
+      // Restore, validate, compact and classify exactly as Campaign::run
+      // does: the pending shards become leasable, restored ones fold from
+      // disk. A killed coordinator loses nothing but in-flight leases.
+      ledger_(campaign),
+      table_(leasable_shards(ledger_, campaign.scenario_count()),
+             config.lease) {
+  if (ledger_.restored() > 0) {
+    log("restored " + std::to_string(ledger_.restored()) +
+        " shards from checkpoint");
+  }
+  ledger_.start();
+}
+
+std::size_t CoordinatorCore::connect() {
+  conns_.emplace_back();
+  return conns_.size() - 1;
+}
+
+void CoordinatorCore::receive(std::size_t id, const FrameView& frame,
+                              std::uint64_t now_ms) {
+  expects(id < conns_.size(), "fabric coordinator: unknown connection");
+  now_ms_ = now_ms;
+  Conn& conn = conns_[id];
+  const bool hello = frame.type == FrameType::hello;
+  if (conn.state == Conn::State::closed ||
+      (complete() && (conn.state != Conn::State::handshaking || !hello))) {
+    return;
+  }
+  // Decode, parse and validate the worker's bytes first: a failure here is
+  // the worker's, and buries it (its work is re-leased). What runs after
+  // acts on checked values, so whatever it throws — a checkpoint write, a
+  // fold — is the coordinator's own failure and propagates.
+  HelloBody body;
+  std::uint64_t lease_id = 0;
+  std::string_view line;
+  report::ShardCheckpoint record;
+  try {
+    expects(hello == (conn.state == Conn::State::handshaking),
+            "fabric coordinator: hello must come first, and only once");
+    if (hello) {
+      body = decode_hello(frame.payload);
+    } else if (frame.type == FrameType::lease_request) {
+      expects(frame.payload.empty(),
+              "fabric coordinator: lease_request carries a payload");
+    } else if (frame.type == FrameType::heartbeat ||
+               frame.type == FrameType::lease_done) {
+      lease_id = decode_lease_id(frame.payload);
+    } else {
+      expects(frame.type == FrameType::shard_done,
+              "fabric coordinator: unexpected frame from worker");
+      line = view_shard_done(frame.payload).record_line;
+      expects(report::parse_checkpoint_record(line, record),
+              "fabric coordinator: shard_done carried a torn record");
+      ledger_.validate(record, "fabric coordinator: shard_done");
+    }
+  } catch (const sim::ContractViolation& violation) {
+    bury(id, std::string("sent a torn or invalid frame: ") + violation.what());
+    return;
+  }
+
+  if (hello) {
+    accept(id, body);
+  } else if (frame.type == FrameType::lease_request) {
+    grant(id);
+  } else if (frame.type == FrameType::heartbeat) {
+    // Only the sender's own leases: one it lost to an expiry was re-leased,
+    // and its completions now arrive as harmless duplicates.
+    if (conn.leases.count(lease_id) > 0) table_.heartbeat(lease_id, now_ms);
+  } else if (frame.type == FrameType::lease_done) {
+    if (conn.leases.erase(lease_id) > 0) table_.finish(lease_id);
+  } else {
+    const std::size_t index = record.summary.info.scenario_index;
+    // Checkpoint first (matching the single-process order: durable before
+    // merged), every arrival — compaction keeps the last record per index,
+    // exactly as it does for a re-run shard. The line parsed, so it is
+    // canonical: its bytes are the ones rendering `record` again would
+    // write, and they are stored as received.
+    if (ledger_.checkpoint() != nullptr) {
+      ledger_.checkpoint()->append_line(line, index);
+    }
+    if (table_.complete(index)) {
+      ledger_.submit(index, std::move(record));
+      ++stats_.shards_merged;
+    } else {
+      // The re-lease race: another worker already delivered this index.
+      // Determinism makes both copies bit-identical, so dropping the late
+      // one loses nothing.
+      ++stats_.duplicate_shards;
+      log("duplicate completion of shard " + std::to_string(index) +
+          " (re-lease race; merged copy wins)");
+    }
+  }
+  if (complete()) release_fleet();
+}
+
+void CoordinatorCore::disconnect(std::size_t id, std::string_view cause) {
+  expects(id < conns_.size(), "fabric coordinator: unknown connection");
+  if (conns_[id].state != Conn::State::closed) bury(id, cause);
+}
+
+void CoordinatorCore::tick(std::uint64_t now_ms) {
+  now_ms_ = now_ms;
+  if (complete()) {
+    // receive() releases the fleet as the campaign completes; this covers a
+    // checkpoint that restored every shard, where no frame completes it.
+    if (!drain_deadline_ms_.has_value()) release_fleet();
+    if (now_ms < *drain_deadline_ms_) return;
+    for (std::size_t id = 0; id < conns_.size(); ++id) {
+      if (conns_[id].state != Conn::State::handshaking) continue;
+      log("worker " + std::to_string(id) +
+          " never sent its hello; dropping it");
+      close(id);
+    }
+    return;
+  }
+  // Expired leases (stalled or slow workers) go back to pending with
+  // backoff; their holders keep running — late results dedupe.
+  for (const Lease& lease : table_.expire(now_ms)) {
+    ++stats_.leases_expired;
+    log("lease " + std::to_string(lease.id) + " [" +
+        std::to_string(lease.begin) + ", " + std::to_string(lease.end) +
+        ") expired without heartbeat; re-leasing");
+    for (Conn& conn : conns_) conn.leases.erase(lease.id);
+  }
+  offer_pending();
+}
+
+std::vector<Outbound> CoordinatorCore::take_outbox() {
+  return std::exchange(outbox_, {});
+}
+
+std::optional<std::uint64_t> CoordinatorCore::next_deadline_ms() const {
+  return complete() ? drain_deadline_ms_ : table_.next_deadline_ms();
+}
+
+bool CoordinatorCore::done() const {
+  return complete() &&
+         std::none_of(conns_.begin(), conns_.end(), [](const Conn& conn) {
+           return conn.state == Conn::State::handshaking;
+         });
+}
+
+testbed::CampaignReport CoordinatorCore::finish() {
+  expects(done(), "fabric coordinator: finish() before the campaign is done");
+  testbed::CampaignReport report = ledger_.finish(/*compact=*/true);
+  log("campaign complete: " + std::to_string(report.frontier.completed) +
+      "/" + std::to_string(campaign_.scenario_count()) + " shards merged, " +
+      std::to_string(stats_.leases_granted) + " leases, " +
+      std::to_string(stats_.duplicate_shards) + " duplicates");
+  return report;
+}
+
+void CoordinatorCore::accept(std::size_t id, const HelloBody& hello) {
+  std::string why;
+  if (hello.protocol != kProtocolVersion) {
+    why = "protocol version mismatch";
+  } else if (hello.spec_hash != campaign_hash_) {
+    why = "campaign spec (grid) hash mismatch";
+  } else if (hello.seed != campaign_.spec().seed) {
+    why = "campaign seed mismatch";
+  } else if (hello.shard_count != campaign_.scenario_count()) {
+    why = "shard count mismatch";
+  }
+  if (!why.empty()) {
+    ++stats_.workers_rejected;
+    log("REJECTED worker " + std::to_string(id) + ": " + why);
+    send(id, FrameType::reject, why);
+    close(id);
+    return;
+  }
+  ++stats_.workers_joined;
+  log("worker " + std::to_string(id) + " joined");
+  send(id, FrameType::hello_ok);
+  conns_[id].state = Conn::State::active;
+}
+
+void CoordinatorCore::grant(std::size_t id) {
+  Conn& conn = conns_[id];
+  const std::optional<Lease> lease = table_.grant(now_ms_);
+  if (!lease.has_value()) {
+    send(id, FrameType::idle);
+    conn.state = Conn::State::parked;
+    return;
+  }
+  send(id, FrameType::lease_grant,
+       encode_lease_grant(LeaseGrantBody{lease->id, lease->begin, lease->end}));
+  conn.leases.insert(lease->id);
+  conn.state = Conn::State::active;
+  ++stats_.leases_granted;
+}
+
+void CoordinatorCore::bury(std::size_t id, std::string_view cause) {
+  Conn& conn = conns_[id];
+  std::size_t returned = 0;
+  for (const std::uint64_t lease_id : conn.leases) {
+    const std::size_t before = table_.pending_count();
+    table_.revoke(lease_id);
+    returned += table_.pending_count() - before;
+  }
+  if (conn.state != Conn::State::handshaking) ++stats_.workers_died;
+  log("worker " + std::to_string(id) + " " + std::string(cause) +
+      (returned > 0 ? "; re-leasing " + std::to_string(returned) + " shards"
+                    : ""));
+  close(id);
+  offer_pending();
+}
+
+void CoordinatorCore::offer_pending() {
+  // Push pending work to parked workers instead of waiting for them to ask
+  // again (they block after idle by design). Runs wherever work re-enters
+  // pending: no deadline may be left to wake the driver for it.
+  for (std::size_t id = 0; id < conns_.size() && table_.pending_count() > 0;
+       ++id) {
+    if (conns_[id].state == Conn::State::parked) grant(id);
+  }
+}
+
+void CoordinatorCore::close(std::size_t id) {
+  conns_[id].state = Conn::State::closed;
+  conns_[id].leases.clear();
+  outbox_.push_back(Outbound{Outbound::Kind::close, id, {}, {}});
+}
+
+void CoordinatorCore::release_fleet() {
+  // Every joined worker gets shutdown (best effort: a worker killed between
+  // its last shard and here is indistinguishable from one that left).
+  // Handshakes in flight are still answered, hello_ok then shutdown or
+  // reject, so the joined/rejected counts and a mismatched worker's loud
+  // failure never depend on scheduling; a peer silent for a whole lease
+  // timeout past completion is dropped.
+  if (!drain_deadline_ms_.has_value()) {
+    drain_deadline_ms_ = now_ms_ + config_.lease.lease_timeout_ms;
+  }
+  for (std::size_t id = 0; id < conns_.size(); ++id) {
+    const Conn::State state = conns_[id].state;
+    if (state == Conn::State::active || state == Conn::State::parked) {
+      send(id, FrameType::shutdown);
+      close(id);
+    }
+  }
+}
+
+void CoordinatorCore::send(std::size_t id, FrameType type,
+                           std::string payload) {
+  outbox_.push_back(
+      Outbound{Outbound::Kind::send, id, type, std::move(payload)});
+}
+
+void CoordinatorCore::log(const std::string& line) const {
+  if (config_.log != nullptr) {
+    *config_.log << "fabric coordinator: " << line << std::endl;
+  }
+}
+
+// ----------------------------------------------------------------- driver
 
 namespace {
 
@@ -27,253 +299,98 @@ std::uint64_t now_ms() {
           .count());
 }
 
-}  // namespace
-
-/// One connected worker: its transport and frame buffer, handshake progress
-/// and the leases it currently holds.
-struct Coordinator::Conn {
-  Conn(std::unique_ptr<Transport> transport_in, std::size_t id_in)
-      : transport(std::move(transport_in)), reader(*transport), id(id_in) {}
+/// The driver's end of one connection: its transport and frame buffer.
+struct Link {
+  explicit Link(std::unique_ptr<Transport> transport_in)
+      : transport(std::move(transport_in)), reader(*transport) {}
 
   std::unique_ptr<Transport> transport;
   FrameReader reader;
-  enum class State { handshaking, active, parked } state = State::handshaking;
-  std::set<std::uint64_t> leases;
-  std::size_t id;  // stable worker number, for the log
-  bool dead = false;
 };
 
-Coordinator::Coordinator(testbed::CampaignSpec spec, CoordinatorConfig config)
-    : campaign_(std::move(spec)), config_(config) {}
-
-testbed::CampaignReport Coordinator::run(
-    std::vector<std::unique_ptr<Transport>> workers, UnixListener* listener) {
-  const testbed::CampaignSpec& spec = campaign_.spec();
-  const std::size_t shard_count = campaign_.scenario_count();
-  // O(shards) to compute, so hash once here, not per hello.
-  const std::uint64_t campaign_hash = spec.spec_hash();
-  auto log = [this](const std::string& line) {
-    if (config_.log != nullptr) {
-      *config_.log << "fabric coordinator: " << line << std::endl;
-    }
+/// The poll loop: serves `core` until it is done.
+void drive(CoordinatorCore& core,
+           std::vector<std::unique_ptr<Transport>> workers,
+           UnixListener* listener) {
+  // By connection number; null once closed.
+  std::vector<std::unique_ptr<Link>> links;
+  const auto add = [&](std::unique_ptr<Transport> transport) {
+    const std::size_t id = core.connect();
+    links.resize(id + 1);
+    links[id] = std::make_unique<Link>(std::move(transport));
   };
-
-  // Restore, validate, compact and classify exactly as Campaign::run does:
-  // the pending shards become leasable, restored ones fold from disk. A
-  // killed coordinator loses nothing but in-flight leases.
-  testbed::CampaignLedger ledger(campaign_);
-  if (ledger.restored() > 0) {
-    log("restored " + std::to_string(ledger.restored()) +
-        " shards from checkpoint");
-  }
-  std::vector<bool> leasable(shard_count, false);
-  for (const std::size_t index : ledger.pending()) leasable[index] = true;
-  LeaseTable table(std::move(leasable), config_.lease);
-  ledger.start();
-
-  std::vector<std::unique_ptr<Conn>> conns;
-  std::size_t next_worker_id = 0;
   for (std::unique_ptr<Transport>& transport : workers) {
-    conns.push_back(std::make_unique<Conn>(std::move(transport),
-                                           next_worker_id++));
+    add(std::move(transport));
   }
 
-  // Grants one lease (or parks the worker) — the only way work leaves the
-  // table. Throws whatever the transport throws; callers route that to the
-  // death path.
-  auto try_grant = [&](Conn& conn) {
-    const std::optional<Lease> lease = table.grant(now_ms());
-    if (!lease.has_value()) {
-      write_frame(*conn.transport, FrameType::idle);
-      conn.state = Conn::State::parked;
-      return;
+  // Carries out the core's outputs in order, one frame per write_frame. A
+  // send that fails is that worker's death.
+  const auto flush = [&] {
+    for (std::vector<Outbound> out = core.take_outbox(); !out.empty();
+         out = core.take_outbox()) {
+      for (const Outbound& action : out) {
+        std::unique_ptr<Link>& link = links[action.conn];
+        if (link == nullptr) continue;
+        if (action.kind == Outbound::Kind::close) {
+          link.reset();
+          continue;
+        }
+        try {
+          write_frame(*link->transport, action.type, action.payload);
+        } catch (const sim::ContractViolation&) {
+          link.reset();
+          core.disconnect(action.conn, "could not be sent a frame");
+        }
+      }
     }
-    LeaseGrantBody body{lease->id, lease->begin, lease->end};
+  };
+
+  // One wakeup of a worker: one recv, then every complete frame it
+  // buffered (each payload stays valid until the next fill). Only the
+  // reader's calls are caught: a torn frame is the worker's fault, while
+  // whatever receive() throws is the coordinator's own and propagates.
+  std::vector<FrameView> frames;
+  const auto serve = [&](std::size_t id) {
+    FrameReader& reader = links[id]->reader;
+    frames.clear();
+    std::string torn;
     try {
-      write_frame(*conn.transport, FrameType::lease_grant,
-                  encode_lease_grant(body));
-    } catch (...) {
-      // The worker died between asking and receiving: the grant never
-      // reached anyone, so reclaim it NOW instead of waiting out a
-      // deadline nobody will ever heartbeat.
-      table.revoke(lease->id);
-      log("worker " + std::to_string(conn.id) +
-          " died before receiving lease " + std::to_string(lease->id) +
-          "; re-leasing [" + std::to_string(lease->begin) + ", " +
-          std::to_string(lease->end) + ")");
-      throw;
-    }
-    conn.leases.insert(lease->id);
-    conn.state = Conn::State::active;
-    ++stats_.leases_granted;
-  };
-
-  auto bury = [&](Conn& conn, const char* cause) {
-    conn.dead = true;
-    std::size_t returned = 0;
-    for (const std::uint64_t id : conn.leases) {
-      const std::size_t before = table.pending_count();
-      table.revoke(id);
-      returned += table.pending_count() - before;
-    }
-    const bool had_leases = !conn.leases.empty();
-    conn.leases.clear();
-    if (conn.state != Conn::State::handshaking || had_leases) {
-      ++stats_.workers_died;
-    }
-    log("worker " + std::to_string(conn.id) + " " + cause +
-        (returned > 0
-             ? "; re-leasing " + std::to_string(returned) + " shards"
-             : ""));
-  };
-
-  // Handles one frame from `conn`; throws on a malformed one (the caller
-  // buries the worker).
-  auto handle_frame = [&](Conn& conn, const FrameView& frame) {
-    switch (frame.type) {
-      case FrameType::hello: {
-        const HelloBody hello = decode_hello(frame.payload);
-        std::string why;
-        if (hello.protocol != kProtocolVersion) {
-          why = "protocol version mismatch";
-        } else if (hello.spec_hash != campaign_hash) {
-          why = "campaign spec (grid) hash mismatch";
-        } else if (hello.seed != spec.seed) {
-          why = "campaign seed mismatch";
-        } else if (hello.shard_count != shard_count) {
-          why = "shard count mismatch";
-        }
-        if (!why.empty()) {
-          ++stats_.workers_rejected;
-          log("REJECTED worker " + std::to_string(conn.id) + ": " + why);
-          write_frame(*conn.transport, FrameType::reject, why);
-          conn.dead = true;
-          return;
-        }
-        ++stats_.workers_joined;
-        log("worker " + std::to_string(conn.id) + " joined");
-        write_frame(*conn.transport, FrameType::hello_ok);
-        conn.state = Conn::State::active;
-        break;
-      }
-      case FrameType::lease_request:
-        expects(conn.state == Conn::State::active,
-                "fabric coordinator: lease_request before handshake");
-        try_grant(conn);
-        break;
-      case FrameType::heartbeat:
-        // False (unknown lease) means the lease already expired and was
-        // re-leased; the stalled worker's completions arrive as harmless
-        // duplicates, so nothing to do here.
-        (void)table.heartbeat(decode_lease_id(frame.payload), now_ms());
-        break;
-      case FrameType::shard_done: {
-        const ShardDoneView done = view_shard_done(frame.payload);
-        report::ShardCheckpoint record;
-        expects(report::parse_checkpoint_record(done.record_line, record),
-                "fabric coordinator: shard_done carried a torn record");
-        ledger.validate(record, "fabric coordinator: shard_done");
-        const std::size_t index = record.summary.info.scenario_index;
-        // Checkpoint first (matching the single-process order: durable
-        // before merged), every arrival — compaction's last-wins rule
-        // collapses duplicates exactly as it does for a re-run shard. The
-        // line parsed, so it is canonical: its bytes are the ones rendering
-        // `record` again would write, and they are stored as received.
-        if (ledger.checkpoint() != nullptr) {
-          ledger.checkpoint()->append_line(done.record_line, index);
-        }
-        if (table.complete(index)) {
-          ledger.submit(index, std::move(record));
-          ++stats_.shards_merged;
-        } else {
-          // The re-lease race: another worker already delivered this index.
-          // Determinism makes both copies bit-identical, so dropping the
-          // late one loses nothing.
-          ++stats_.duplicate_shards;
-          log("duplicate completion of shard " + std::to_string(index) +
-              " (re-lease race; merged copy wins)");
-        }
-        break;
-      }
-      case FrameType::lease_done: {
-        const std::uint64_t lease_id = decode_lease_id(frame.payload);
-        table.finish(lease_id);
-        conn.leases.erase(lease_id);
-        break;
-      }
-      default:
-        expects(false, "fabric coordinator: unexpected frame from worker");
-    }
-  };
-
-  // One wakeup of `conn`: one recv, then every complete frame it buffered
-  // while `more()` holds. A torn or invalid frame buries the worker, loudly:
-  // that worker is compromised, the campaign is not, and its work is
-  // re-leased.
-  auto serve = [&](Conn& conn, auto&& more) {
-    try {
-      if (!conn.reader.fill()) {
-        bury(conn, "closed its connection");
-        return;
-      }
-      FrameView frame;
-      while (!conn.dead && more() && conn.reader.next(frame)) {
-        handle_frame(conn, frame);
-      }
+      if (!reader.fill()) return core.disconnect(id, "closed its connection");
+      for (FrameView frame; reader.next(frame);) frames.push_back(frame);
     } catch (const sim::ContractViolation& violation) {
-      log(std::string("worker ") + std::to_string(conn.id) +
-          " sent a torn or invalid frame: " + violation.what());
-      bury(conn, "is being dropped after a torn frame");
+      torn = std::string("sent a torn or invalid frame: ") + violation.what();
     }
+    const std::uint64_t now = now_ms();
+    for (const FrameView& frame : frames) core.receive(id, frame, now);
+    if (!torn.empty()) core.disconnect(id, torn);
   };
 
+  constexpr std::size_t kListener = static_cast<std::size_t>(-1);
   // Reused across iterations: the poll set is rebuilt, not reallocated.
   std::vector<pollfd> fds;
-  std::vector<Conn*> fd_conns;
-  while (!table.all_complete()) {
-    // Expired leases (stalled or slow workers) go back to pending with
-    // backoff; their holders keep running — late results dedupe.
-    for (const Lease& lease : table.expire(now_ms())) {
-      ++stats_.leases_expired;
-      log("lease " + std::to_string(lease.id) + " [" +
-          std::to_string(lease.begin) + ", " + std::to_string(lease.end) +
-          ") expired without heartbeat; re-leasing");
-      for (std::unique_ptr<Conn>& conn : conns) conn->leases.erase(lease.id);
-    }
-
-    // Push re-queued work to parked workers instead of waiting for them to
-    // ask again (they block after idle by design).
-    for (std::unique_ptr<Conn>& conn : conns) {
-      if (conn->dead || conn->state != Conn::State::parked) continue;
-      if (table.pending_count() == 0) break;
-      try {
-        try_grant(*conn);
-      } catch (const sim::ContractViolation&) {
-        bury(*conn, "died while being granted a lease");
-      }
-    }
-    conns.erase(std::remove_if(conns.begin(), conns.end(),
-                               [](const std::unique_ptr<Conn>& conn) {
-                                 return conn->dead;
-                               }),
-                conns.end());
-    if (table.all_complete()) break;
-    expects(!conns.empty() || listener != nullptr,
-            "fabric coordinator: every worker is gone (and no listener "
-            "remains) with shards still pending");
+  std::vector<std::size_t> fd_conns;
+  while (true) {
+    core.tick(now_ms());
+    flush();
+    if (core.done()) return;
 
     fds.clear();
     fd_conns.clear();
-    if (listener != nullptr) {
+    // Joiners are accepted until the campaign completes.
+    if (listener != nullptr && !core.complete()) {
       fds.push_back(pollfd{listener->fd(), POLLIN, 0});
-      fd_conns.push_back(nullptr);
+      fd_conns.push_back(kListener);
     }
-    for (std::unique_ptr<Conn>& conn : conns) {
-      fds.push_back(pollfd{conn->transport->fd(), POLLIN, 0});
-      fd_conns.push_back(conn.get());
+    for (std::size_t id = 0; id < links.size(); ++id) {
+      if (links[id] == nullptr) continue;
+      fds.push_back(pollfd{links[id]->transport->fd(), POLLIN, 0});
+      fd_conns.push_back(id);
     }
+    expects(!fds.empty(),
+            "fabric coordinator: every worker is gone (and no listener "
+            "remains) with shards still pending");
     int timeout = -1;
-    if (const auto deadline = table.next_deadline_ms(); deadline.has_value()) {
+    if (const auto deadline = core.next_deadline_ms(); deadline.has_value()) {
       const std::uint64_t now = now_ms();
       timeout = *deadline <= now
                     ? 0
@@ -282,72 +399,34 @@ testbed::CampaignReport Coordinator::run(
     }
     const int ready = ::poll(fds.data(), fds.size(), timeout);
     expects(ready >= 0 || errno == EINTR, "fabric coordinator: poll failed");
-    if (ready <= 0) continue;  // timeout: loop to expire leases
+    if (ready <= 0) continue;  // timeout: tick expires leases
 
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      if (fd_conns[i] == nullptr) {
-        conns.push_back(
-            std::make_unique<Conn>(listener->accept(), next_worker_id++));
-        continue;
+      if (fd_conns[i] == kListener) {
+        add(listener->accept());
+      } else if (links[fd_conns[i]] != nullptr) {
+        serve(fd_conns[i]);
       }
-      Conn& conn = *fd_conns[i];
-      if (conn.dead) continue;
-      serve(conn, [&] { return !table.all_complete(); });
-      if (table.all_complete()) break;
     }
-    conns.erase(std::remove_if(conns.begin(), conns.end(),
-                               [](const std::unique_ptr<Conn>& conn) {
-                                 return conn->dead;
-                               }),
-                conns.end());
   }
+}
 
-  // Answer every handshake still in flight before shutting down: a worker
-  // that connected while the rest of the fleet finished the campaign still
-  // gets its hello_ok or reject, so the joined/rejected counts and a
-  // mismatched worker's loud failure never depend on scheduling. A peer
-  // that stays silent for a whole lease timeout is dropped.
-  const std::uint64_t handshake_deadline =
-      now_ms() + config_.lease.lease_timeout_ms;
-  for (std::unique_ptr<Conn>& conn : conns) {
-    while (!conn->dead && conn->state == Conn::State::handshaking) {
-      const std::uint64_t now = now_ms();
-      pollfd fd{conn->transport->fd(), POLLIN, 0};
-      const int ready = ::poll(
-          &fd, 1,
-          now >= handshake_deadline
-              ? 0
-              : static_cast<int>(std::min<std::uint64_t>(
-                    handshake_deadline - now, 60'000)));
-      expects(ready >= 0 || errno == EINTR, "fabric coordinator: poll failed");
-      if (ready < 0) continue;
-      if (ready == 0) {
-        log("worker " + std::to_string(conn->id) +
-            " never sent its hello; dropping it");
-        break;
-      }
-      serve(*conn, [&] { return conn->state == Conn::State::handshaking; });
-    }
-  }
+}  // namespace
 
-  // Campaign complete: release the fleet (best effort — a worker killed
-  // between its last shard and here is indistinguishable from one that
-  // left) and seal the merge + checkpoint.
-  for (std::unique_ptr<Conn>& conn : conns) {
-    if (conn->dead) continue;  // rejected during the handshake drain
-    try {
-      write_frame(*conn->transport, FrameType::shutdown);
-    } catch (const sim::ContractViolation&) {
-      // Already gone; the work is done, nothing to re-lease.
-    }
-  }
-  testbed::CampaignReport report = ledger.finish(/*compact=*/true);
-  log("campaign complete: " + std::to_string(report.frontier.completed) +
-      "/" + std::to_string(shard_count) + " shards merged, " +
-      std::to_string(stats_.leases_granted) + " leases, " +
-      std::to_string(stats_.duplicate_shards) + " duplicates");
-  return report;
+Coordinator::Coordinator(testbed::CampaignSpec spec, CoordinatorConfig config)
+    : campaign_(std::move(spec)), config_(config) {}
+
+testbed::CampaignReport Coordinator::run(
+    std::vector<std::unique_ptr<Transport>> workers, UnixListener* listener) {
+  CoordinatorCore& core = core_.emplace(campaign_, config_);
+  drive(core, std::move(workers), listener);
+  return core.finish();
+}
+
+const CoordinatorStats& Coordinator::stats() const {
+  static const CoordinatorStats kNone;
+  return core_.has_value() ? core_->stats() : kNone;
 }
 
 }  // namespace acute::fabric

@@ -22,6 +22,8 @@ LeaseTable::LeaseTable(std::vector<bool> leasable, LeaseConfig config)
     if (leasable[i]) {
       pending_.insert(pending_.end(), i);
       ++leasable_;
+    } else {
+      done_[i] = true;  // restored or capped: a completion is a duplicate
     }
   }
 }

@@ -20,7 +20,8 @@
 // index. The first claim flips it to done and returns true; later claims
 // return false — the coordinator's cue to count a duplicate and skip the
 // merge (the bytes are identical anyway, shards being pure functions of
-// (spec, seed, index); report::LatestWinsMerge documents the shared rule).
+// (spec, seed, index); the checkpoint keeps every copy, and compaction keeps
+// the last).
 //
 // grant() hands out the lowest contiguous run of pending indices (capped at
 // batch), so under ascending completion the coordinator's merge frontier
@@ -63,7 +64,8 @@ class LeaseTable {
  public:
   /// `leasable[i]` false marks indices this run will never lease (already
   /// restored from the coordinator's checkpoint, or beyond the max_shards
-  /// cap); they count as neither pending nor done.
+  /// cap); they are never pending, all_complete() does not wait for them,
+  /// and complete() reports them as duplicates.
   LeaseTable(std::vector<bool> leasable, LeaseConfig config);
 
   /// Leases the lowest contiguous pending run (≤ config.batch indices);

@@ -6,9 +6,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <utility>
 
-#include "report/latest_wins.hpp"
 #include "sim/contracts.hpp"
 #include "stats/digest_io.hpp"
 
@@ -205,7 +205,15 @@ CompactionResult compact_checkpoint(const std::string& path,
   // Pass 1: byte offset of each scenario's winning (last complete) record —
   // O(shards) offsets, not digests — and whether the file is canonical
   // already. Offsets are summed line lengths, not tellg() (a seek per line).
-  LatestWinsMerge<std::streamoff> latest;
+  // This is the one duplicate-record rule of the results pipeline: among
+  // records claiming the same scenario index, the LAST complete one wins (a
+  // checkpoint appended across kill/resume ticks, or a shard the fabric
+  // coordinator received from both a stalled lease holder and its
+  // re-lease). Every claimant carries bit-identical bytes, a shard being a
+  // pure function of (spec, seed, index), so the tiebreak is arbitrary but
+  // fixed, and the campaign ledger's restore inherits it by reading this
+  // function's output. The map yields the winners in ascending order.
+  std::map<std::size_t, std::streamoff> latest;
   ShardCheckpoint record;
   std::string line;
   std::size_t records = 0;
@@ -223,7 +231,7 @@ CompactionResult compact_checkpoint(const std::string& path,
             canonical && (!last_index.has_value() || index > *last_index);
         last_index = index;
         ++records;
-        latest.claim(index, pos);
+        latest.insert_or_assign(index, pos);
       } else {
         canonical = false;  // a torn fragment or a blank line
       }
@@ -242,7 +250,7 @@ CompactionResult compact_checkpoint(const std::string& path,
     // and since a parsed line is canonical, its bytes are what rendering
     // the record again would produce: they are copied, not re-rendered.
     std::streamoff next = -1;  // the offset `in` is positioned at, if known
-    latest.for_each([&](std::size_t index, std::streamoff pos) {
+    for (const auto& [index, pos] : latest) {
       if (pos != next) {
         in.clear();
         in.seekg(pos);
@@ -259,7 +267,7 @@ CompactionResult compact_checkpoint(const std::string& path,
       result.last_index = index;
       next = in.eof() ? -1
                       : pos + static_cast<std::streamoff>(line.size()) + 1;
-    });
+    }
     out.flush();
     expects(out.good(), "compact_checkpoint: short write to temp file");
   }

@@ -176,7 +176,7 @@ void for_each_checkpoint(const std::string& path,
 using CheckpointVisitor = std::function<void(const ShardCheckpoint&)>;
 
 /// Rewrites `path` to one record per shard: records are deduplicated by
-/// scenario index — the last complete record wins (report::LatestWinsMerge)
+/// scenario index — the last complete record wins (the one duplicate rule)
 /// — and written in ascending scenario order, without ever materializing
 /// the file. Pass 1 parses every line, hands each complete record to
 /// `visit` (when given) and records the byte offset of the last complete

@@ -83,8 +83,6 @@ class SinkChain {
     for (ResultSink* sink : sinks_) sink->shard_finished(summary);
   }
 
-  [[nodiscard]] std::size_t size() const { return sinks_.size(); }
-
  private:
   std::vector<ResultSink*> sinks_;
   std::vector<std::unique_ptr<ResultSink>> owned_;

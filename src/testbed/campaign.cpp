@@ -357,12 +357,6 @@ std::size_t Campaign::scenario_count() const {
   return spec_.grid.has_value() ? spec_.grid->size() : spec_.scenarios.size();
 }
 
-ScenarioSpec Campaign::scenario_at(std::size_t index) const {
-  expects(index < scenario_count(), "Campaign scenario index out of range");
-  return spec_.grid.has_value() ? spec_.grid->at(index)
-                                : spec_.scenarios[index];
-}
-
 std::uint64_t Campaign::shard_seed(std::uint64_t campaign_seed,
                                    std::size_t shard_index) {
   return sim::Rng(campaign_seed)
@@ -699,28 +693,6 @@ CampaignReport Campaign::run(std::size_t workers) {
   // pool to keep parking while one worker folds, and a cap on the held map
   // when the producers outrun that single folder.
   ledger.start(/*park_bound=*/2 * workers * batch);
-
-  if (workers <= 1) {
-    // One warm shard context for the whole serial sweep (the pool below
-    // gives each worker its own).
-    ShardContext context;
-    StageSeconds stage;
-    for (std::size_t p = 0; p < pending.size(); ++p) {
-      const std::size_t index = pending[p];
-      try {
-        ledger.submit(index, run_shard(index, /*run_sequence=*/p, checkpoint,
-                                       /*hash=*/false, &stage, context));
-      } catch (...) {
-        ledger.abandon(index);
-        throw;
-      }
-    }
-    CampaignReport report = ledger.finish();
-    report.stage.build = stage.build;
-    report.stage.simulate = stage.simulate;
-    report.stage.sink = stage.sink;
-    return report;
-  }
 
   // Work-stealing by atomic cursor: each worker owns the slots it claims,
   // so no locking is needed; determinism comes from per-shard seeding, not

@@ -249,13 +249,10 @@ class Campaign {
   /// Number of shards (scenarios.size() or grid->size()).
   [[nodiscard]] std::size_t scenario_count() const;
 
-  /// The scenario shard `index` runs (materialized copy; the lazy-grid path
-  /// builds it on demand). Seed not yet assigned — the shard run does that.
-  [[nodiscard]] ScenarioSpec scenario_at(std::size_t index) const;
-
-  /// scenario_at(), filled into `out` in place (capacity-reusing; the grid
-  /// path delegates to ScenarioGrid::at_into, the materialized path
-  /// copy-assigns).
+  /// The scenario shard `index` runs, filled into `out` in place
+  /// (capacity-reusing; the grid path delegates to ScenarioGrid::at_into,
+  /// the materialized path copy-assigns). Seed not yet assigned — the shard
+  /// run does that.
   void scenario_into(std::size_t index, ScenarioSpec& out) const;
 
   /// The deterministic seed shard `shard_index` runs its scenario with:

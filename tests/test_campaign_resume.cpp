@@ -9,6 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -228,6 +229,51 @@ TEST(CampaignResume, TornCheckpointLineRerunsOnlyThatShard) {
   // shards (resume's compaction pass dropped the torn fragment entirely).
   EXPECT_EQ(report::load_checkpoint(checkpoint.path).size(),
             resumed.shard_count());
+}
+
+/// Fails its shard when the shard finishes, before the checkpoint append.
+struct FailingSink : report::ResultSink {
+  void probe_completed(const report::ProbeEvent&) override {}
+  void shard_finished(const report::ShardSummary& summary) override {
+    throw std::runtime_error("shard " +
+                             std::to_string(summary.info.scenario_index) +
+                             " failed");
+  }
+};
+
+TEST(CampaignResume, AShardFailureIsRethrownAfterTheSweepAtAnyWorkerCount) {
+  // One executor at every worker count: the failing shard is rethrown only
+  // after the sweep, so the checkpoint holds every other shard.
+  std::string one_worker_bytes;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    TempFile checkpoint("failing_" + std::to_string(workers));
+    CampaignSpec spec = resume_campaign();
+    spec.checkpoint_path = checkpoint.path;
+    spec.sinks = [](const report::ShardInfo& info) {
+      std::vector<std::unique_ptr<report::ResultSink>> sinks;
+      if (info.scenario_index == 2) {
+        sinks.push_back(std::make_unique<FailingSink>());
+      }
+      return sinks;
+    };
+    std::string error;
+    try {
+      (void)Campaign(spec).run(workers);
+    } catch (const std::runtime_error& failure) {
+      error = failure.what();
+    }
+    EXPECT_EQ(error, "shard 2 failed");
+    report::compact_checkpoint(checkpoint.path);
+    const std::vector<report::ShardCheckpoint> records =
+        report::load_checkpoint(checkpoint.path);
+    EXPECT_EQ(records.size(), spec.scenarios.size() - 1);
+    for (const report::ShardCheckpoint& record : records) {
+      EXPECT_NE(record.summary.info.scenario_index, 2u);
+    }
+    if (workers == 1) one_worker_bytes = file_bytes(checkpoint.path);
+    EXPECT_EQ(file_bytes(checkpoint.path), one_worker_bytes);
+  }
 }
 
 std::size_t raw_line_count(const std::string& path) {

@@ -1,16 +1,17 @@
-// The distributed campaign fabric: a coordinator plus any number of worker
-// processes over the pipe transport must reproduce a single-process,
-// single-thread campaign bit-for-bit — merged digests AND compacted
-// checkpoint bytes — for any worker count, lease batch size and kill
-// schedule. The fault paths are exercised in-process: a worker killed
-// mid-lease (WorkerConfig::max_shards closes the transport exactly like
-// SIGKILL), a torn wire frame, a stalled lease expiring past its heartbeat
-// deadline, duplicate completions from the re-lease race, and a mismatched
-// worker rejected at the hello handshake.
+// The distributed campaign fabric: the lease table, the wire codec, the
+// coordinator over real pipe transports (a worker killed mid-lease by
+// WorkerConfig::max_shards, which closes the transport exactly like
+// SIGKILL; mismatched workers rejected at the hello; a checkpoint write
+// failure; a resume from the coordinator's own checkpoint) and its
+// CoordinatorCore driven frame by frame. The seeded fault-schedule
+// explorer over the core lives beside the golden files, in
+// test_golden_checkpoint.cpp.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -176,33 +177,51 @@ void expect_reports_bit_identical(const CampaignReport& a,
 struct FabricRun {
   CampaignReport report;
   CoordinatorStats stats;
+  std::string error;                       ///< what Coordinator::run threw
+  std::vector<std::string> worker_errors;  ///< what each Worker::run threw
 };
 
 /// Coordinator on this thread, one fabric::Worker per config on its own
 /// thread, connected by transport_pair — the in-process model of the
 /// forked-worker topology (a worker whose max_shards fires returns
 /// mid-lease and its transport closes, exactly what SIGKILL looks like).
+/// Worker i holds worker_specs[i] when given, `spec` otherwise.
 FabricRun run_fabric(const CampaignSpec& spec,
                      const std::vector<WorkerConfig>& worker_configs,
-                     LeaseConfig lease = {}, std::ostream* log = nullptr) {
+                     LeaseConfig lease = {}, std::ostream* log = nullptr,
+                     std::vector<CampaignSpec> worker_specs = {}) {
+  worker_specs.resize(worker_configs.size(), spec);
+  FabricRun run;
+  run.worker_errors.resize(worker_configs.size());
   std::vector<std::unique_ptr<Transport>> coordinator_ends;
   std::vector<std::thread> threads;
-  for (const WorkerConfig& worker_config : worker_configs) {
+  for (std::size_t i = 0; i < worker_configs.size(); ++i) {
     auto ends = transport_pair();
     coordinator_ends.push_back(std::move(ends.first));
-    threads.emplace_back(
-        [end = std::move(ends.second), spec, worker_config]() mutable {
-          Worker worker(spec, worker_config);
-          (void)worker.run(*end);
-        });
+    threads.emplace_back([end = std::move(ends.second),
+                          worker_spec = worker_specs[i],
+                          worker_config = worker_configs[i],
+                          &error = run.worker_errors[i]]() mutable {
+      try {
+        Worker worker(worker_spec, worker_config);
+        (void)worker.run(*end);
+      } catch (const sim::ContractViolation& violation) {
+        error = violation.what();
+      }
+    });
   }
   CoordinatorConfig config;
   config.lease = lease;
   config.log = log;
   Coordinator coordinator(spec, config);
-  CampaignReport report = coordinator.run(std::move(coordinator_ends));
+  try {
+    run.report = coordinator.run(std::move(coordinator_ends));
+  } catch (const sim::ContractViolation& violation) {
+    run.error = violation.what();
+  }
   for (std::thread& thread : threads) thread.join();
-  return FabricRun{std::move(report), coordinator.stats()};
+  run.stats = coordinator.stats();
+  return run;
 }
 
 // ---------------------------------------------------------------- LeaseTable
@@ -254,7 +273,11 @@ TEST(LeaseTable, NonLeasableIndicesSplitRunsAndNeverLease) {
   ASSERT_TRUE(third.has_value());
   EXPECT_EQ(third->begin, 5u);
   EXPECT_EQ(third->end, 6u);
+  // A completion of a restored index is a duplicate: it neither merges nor
+  // counts toward all_complete.
+  EXPECT_FALSE(table.complete(1));
   for (const std::size_t index : {0u, 2u, 3u, 5u}) {
+    EXPECT_FALSE(table.all_complete());
     EXPECT_TRUE(table.complete(index));
   }
   EXPECT_TRUE(table.all_complete());
@@ -681,424 +704,385 @@ TEST(Fabric, RejectsMismatchedWorkersLoudlyWhileTheRestFinish) {
   wrong_seed.seed = spec.seed + 1;
   CampaignSpec wrong_shape = spec;
   wrong_shape.grid->loss_rates.push_back(0.3);  // different grid, hash moves
-
-  auto good = transport_pair();
-  auto bad_seed = transport_pair();
-  auto bad_shape = transport_pair();
-  std::string seed_error;
-  std::string shape_error;
-  std::thread bad_seed_thread(
-      [end = std::move(bad_seed.second), wrong_seed, &seed_error]() mutable {
-        try {
-          Worker worker(wrong_seed);
-          (void)worker.run(*end);
-        } catch (const sim::ContractViolation& violation) {
-          seed_error = violation.what();
-        }
-      });
-  std::thread bad_shape_thread(
-      [end = std::move(bad_shape.second), wrong_shape,
-       &shape_error]() mutable {
-        try {
-          Worker worker(wrong_shape);
-          (void)worker.run(*end);
-        } catch (const sim::ContractViolation& violation) {
-          shape_error = violation.what();
-        }
-      });
-  std::thread good_thread([end = std::move(good.second), spec]() mutable {
-    Worker worker(spec);
-    (void)worker.run(*end);
-  });
-
-  std::vector<std::unique_ptr<Transport>> ends;
-  ends.push_back(std::move(good.first));
-  ends.push_back(std::move(bad_seed.first));
-  ends.push_back(std::move(bad_shape.first));
   std::ostringstream log;
-  CoordinatorConfig config;
-  config.log = &log;
-  Coordinator coordinator(spec, config);
-  const CampaignReport report = coordinator.run(std::move(ends));
-  bad_seed_thread.join();
-  bad_shape_thread.join();
-  good_thread.join();
+  const FabricRun run = run_fabric(spec, std::vector<WorkerConfig>(3), {},
+                                   &log, {spec, wrong_seed, wrong_shape});
 
   // Both mismatches die loudly on their own side AND in the coordinator's
   // log; the healthy worker completes the campaign alone, bit-identical.
-  EXPECT_NE(seed_error.find("rejected handshake"), std::string::npos);
-  EXPECT_NE(seed_error.find("seed mismatch"), std::string::npos);
-  EXPECT_NE(shape_error.find("rejected handshake"), std::string::npos);
-  EXPECT_NE(shape_error.find("hash mismatch"), std::string::npos);
-  EXPECT_EQ(coordinator.stats().workers_rejected, 2u);
-  EXPECT_EQ(coordinator.stats().workers_joined, 1u);
-  expect_reports_bit_identical(report, Campaign(small_spec()).run(1));
+  EXPECT_EQ(run.worker_errors[0], "");
+  EXPECT_NE(run.worker_errors[1].find("rejected handshake"), std::string::npos);
+  EXPECT_NE(run.worker_errors[1].find("seed mismatch"), std::string::npos);
+  EXPECT_NE(run.worker_errors[2].find("rejected handshake"), std::string::npos);
+  EXPECT_NE(run.worker_errors[2].find("hash mismatch"), std::string::npos);
+  EXPECT_NE(log.str().find("REJECTED worker 1"), std::string::npos);
+  EXPECT_EQ(run.stats.workers_rejected, 2u);
+  EXPECT_EQ(run.stats.workers_joined, 1u);
+  expect_reports_bit_identical(run.report, Campaign(small_spec()).run(1));
 }
 
-TEST(Fabric, DuplicateCompletionsFromTheReLeaseRaceAreTolerated) {
-  // Hand-driven worker: obeys the protocol but reports the first shard of
-  // each lease twice — exactly what a stalled worker whose lease expired
-  // and was re-run elsewhere looks like. The first copy merges, the second
-  // is counted and dropped, and the result stays bit-identical.
+TEST(Fabric, TornBytesBuryTheirWorker) {
+  // The driver's own decoding: a worker that says hello and then sends a
+  // frame with an unknown type is buried by the FrameReader's verdict.
+  // Written ahead into the socket buffer, so no thread is needed; with the
+  // only worker gone, run() fails loudly instead of idling.
   const CampaignSpec spec = small_spec();
-  const Campaign campaign(spec);
-  auto ends = transport_pair();
-
-  std::optional<CampaignReport> merged;
-  std::ostringstream log;
-  CoordinatorConfig config;
-  config.lease.batch = 4;
-  config.log = &log;
-  Coordinator coordinator(spec, config);
-  std::thread coordinator_thread([&coordinator, &merged,
-                                  end = std::move(ends.first)]() mutable {
-    std::vector<std::unique_ptr<Transport>> workers;
-    workers.push_back(std::move(end));
-    merged = coordinator.run(std::move(workers));
-  });
-
-  Transport& wire = *ends.second;
-  HelloBody hello;
-  hello.spec_hash = spec.spec_hash();
-  hello.seed = spec.seed;
-  hello.shard_count = campaign.scenario_count();
-  write_frame(wire, FrameType::hello, encode_hello(hello));
-  Frame frame;
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::hello_ok);
-
-  // Our writes race the coordinator's post-campaign close exactly as a real
-  // worker's do (the campaign completes at OUR final shard_done): on a
-  // failed send, a buffered shutdown frame means we are simply done.
-  bool serving = true;
-  const auto send_checked = [&wire, &serving](FrameType type,
-                                              const std::string& payload) {
-    try {
-      write_frame(wire, type, payload);
-    } catch (const sim::ContractViolation&) {
-      serving = false;
-      Frame pending;
-      ASSERT_TRUE(read_frame(wire, pending));
-      ASSERT_EQ(pending.type, FrameType::shutdown);
-    }
-  };
-
-  testbed::ShardContext context;
-  while (serving) {
-    send_checked(FrameType::lease_request, {});
-    if (!serving) break;
-    ASSERT_TRUE(read_frame(wire, frame));
-    switch (frame.type) {
-      case FrameType::shutdown:
-        serving = false;
-        break;
-      case FrameType::lease_grant: {
-        const LeaseGrantBody lease = decode_lease_grant(frame.payload);
-        for (std::uint64_t index = lease.begin;
-             serving && index < lease.end; ++index) {
-          send_checked(FrameType::heartbeat, encode_lease_id(lease.lease_id));
-          if (!serving) break;
-          ShardDoneBody done;
-          done.lease_id = lease.lease_id;
-          done.record_line = report::render_checkpoint_record(
-              campaign.run_shard_record(static_cast<std::size_t>(index),
-                                        context));
-          send_checked(FrameType::shard_done, encode_shard_done(done));
-          if (serving && index == lease.begin) {  // the duplicate
-            send_checked(FrameType::shard_done, encode_shard_done(done));
-          }
-        }
-        if (serving) {
-          send_checked(FrameType::lease_done, encode_lease_id(lease.lease_id));
-        }
-        break;
-      }
-      default:
-        FAIL() << "unexpected frame type "
-               << static_cast<int>(frame.type);
-    }
-  }
-  coordinator_thread.join();
-
-  ASSERT_TRUE(merged.has_value());
-  // 8 shards / batch 4 = 2 leases, one duplicated head each.
-  EXPECT_EQ(coordinator.stats().duplicate_shards, 2u);
-  EXPECT_EQ(coordinator.stats().shards_merged, 8u);
-  EXPECT_NE(log.str().find("duplicate completion"), std::string::npos);
-  expect_reports_bit_identical(*merged, Campaign(small_spec()).run(1));
-}
-
-TEST(Fabric, TornFrameBuriesTheWorkerAndItsWorkIsReLeased) {
-  // A worker that takes a lease and then sends garbage is compromised; the
-  // coordinator must bury it, re-lease its range and finish the campaign
-  // through the healthy worker — still bit-identical.
-  const CampaignSpec spec = small_spec();
-  auto evil = transport_pair();
-  auto good = transport_pair();
-
-  std::optional<CampaignReport> merged;
-  std::ostringstream log;
-  CoordinatorConfig config;
-  config.lease.batch = 2;
-  config.log = &log;
-  Coordinator coordinator(spec, config);
-  std::thread coordinator_thread(
-      [&coordinator, &merged, evil_end = std::move(evil.first),
-       good_end = std::move(good.first)]() mutable {
-        std::vector<std::unique_ptr<Transport>> workers;
-        workers.push_back(std::move(evil_end));
-        workers.push_back(std::move(good_end));
-        merged = coordinator.run(std::move(workers));
-      });
-
-  // Evil handshakes correctly and takes a lease first...
-  Transport& wire = *evil.second;
+  auto [coordinator_end, worker_end] = transport_pair();
   HelloBody hello;
   hello.spec_hash = spec.spec_hash();
   hello.seed = spec.seed;
   hello.shard_count = Campaign(spec).scenario_count();
-  write_frame(wire, FrameType::hello, encode_hello(hello));
-  Frame frame;
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::hello_ok);
-  write_frame(wire, FrameType::lease_request);
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::lease_grant);
-  // ...then emits a frame with an unknown type byte.
-  const unsigned char garbage[] = {1, 0, 0, 0, 99};
-  wire.send_all(garbage, sizeof garbage);
-
-  // Only now start the healthy worker: the evil one provably held a lease.
-  std::thread good_thread([end = std::move(good.second), spec]() mutable {
-    Worker worker(spec);
-    (void)worker.run(*end);
-  });
-  coordinator_thread.join();
-  good_thread.join();
-
-  ASSERT_TRUE(merged.has_value());
+  std::string bytes;
+  append_frame(bytes, FrameType::hello, encode_hello(hello));
+  bytes += std::string{1, 0, 0, 0, 99};
+  worker_end->send_all(bytes.data(), bytes.size());
+  std::vector<std::unique_ptr<Transport>> ends;
+  ends.push_back(std::move(coordinator_end));
+  std::ostringstream log;
+  CoordinatorConfig config;
+  config.log = &log;
+  Coordinator coordinator(spec, config);
+  EXPECT_THROW((void)coordinator.run(std::move(ends)), sim::ContractViolation);
   EXPECT_EQ(coordinator.stats().workers_died, 1u);
-  EXPECT_NE(log.str().find("torn"), std::string::npos);
-  expect_reports_bit_identical(*merged, Campaign(small_spec()).run(1));
+  EXPECT_NE(log.str().find("worker 0 sent a torn or invalid frame"),
+            std::string::npos);
+  EXPECT_NE(log.str().find("torn frame (unknown frame type)"),
+            std::string::npos);
 }
 
-TEST(Fabric, StoresWorkerLinesVerbatimAndBuriesNonCanonicalOnes) {
-  // The coordinator appends each validated shard_done line as received
-  // instead of rendering the parsed record again. A scripted worker sends
-  // one line without its '\n' — it must land as exactly one checkpoint
-  // line — and then a complete line with a non-canonical token, which must
-  // bury the worker (its lease re-runs on a healthy one). Either way the
-  // compacted checkpoint stays byte-identical to a single-thread run.
-  TempFile reference_ckpt("verbatim_reference");
-  {
-    CampaignSpec reference = small_spec();
-    reference.checkpoint_path = reference_ckpt.path;
-    (void)Campaign(reference).run(1);
-    report::compact_checkpoint(reference_ckpt.path);
+/// Caps this process's file size, with SIGXFSZ ignored so an oversized
+/// write fails with EFBIG instead of killing the process; restores both
+/// when it goes out of scope.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes)
+      : handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
   }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
 
-  TempFile checkpoint("verbatim");
+ private:
+  void (*handler_)(int);
+  rlimit saved_{};
+};
+
+TEST(Fabric, CheckpointWriteFailureIsTheCoordinatorsOwnNotTheWorkers) {
+  // A short checkpoint write fails the coordinator, not the healthy worker
+  // whose record it was writing: run() throws the writer's message, and no
+  // worker is buried (burying them would re-lease into the same failed
+  // stream until the fleet is gone).
+  TempFile checkpoint("short_write");
   CampaignSpec spec = small_spec();
   spec.checkpoint_path = checkpoint.path;
-  const Campaign campaign(spec);
-  auto scripted = transport_pair();
-  auto good = transport_pair();
-  std::optional<CampaignReport> merged;
-  std::ostringstream log;
-  CoordinatorConfig config;
-  config.lease.batch = 2;
-  config.log = &log;
-  Coordinator coordinator(spec, config);
-  std::thread coordinator_thread(
-      [&coordinator, &merged, scripted_end = std::move(scripted.first),
-       good_end = std::move(good.first)]() mutable {
-        std::vector<std::unique_ptr<Transport>> workers;
-        workers.push_back(std::move(scripted_end));
-        workers.push_back(std::move(good_end));
-        merged = coordinator.run(std::move(workers));
-      });
-
-  Transport& wire = *scripted.second;
-  HelloBody hello;
-  hello.spec_hash = spec.spec_hash();
-  hello.seed = spec.seed;
-  hello.shard_count = campaign.scenario_count();
-  write_frame(wire, FrameType::hello, encode_hello(hello));
-  Frame frame;
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::hello_ok);
-  testbed::ShardContext context;
-  const auto line_of = [&](std::uint64_t index) {
-    return report::render_checkpoint_record(
-        campaign.run_shard_record(static_cast<std::size_t>(index), context));
-  };
-
-  // Lease 1: the first line newline-less, the second as rendered.
-  write_frame(wire, FrameType::lease_request);
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::lease_grant);
-  const LeaseGrantBody first = decode_lease_grant(frame.payload);
-  ASSERT_EQ(first.end - first.begin, 2u);
-  std::string expected_bytes;
-  for (std::uint64_t index = first.begin; index < first.end; ++index) {
-    ShardDoneBody done;
-    done.lease_id = first.lease_id;
-    done.record_line = line_of(index);
-    expected_bytes += done.record_line;
-    if (index == first.begin) done.record_line.pop_back();
-    write_frame(wire, FrameType::shard_done, encode_shard_done(done));
+  FabricRun run;
+  {
+    const FileSizeLimit limit(64);
+    run = run_fabric(spec, {WorkerConfig{}, WorkerConfig{}});
   }
-  write_frame(wire, FrameType::lease_done, encode_lease_id(first.lease_id));
-  // The reply to the next request proves both records were handled.
-  write_frame(wire, FrameType::lease_request);
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::lease_grant);
-  EXPECT_EQ(read_file(checkpoint.path), expected_bytes);
-
-  // Lease 2: a complete record whose scenario index has a leading zero.
-  // The istream parser read it as the same record; stored verbatim, it
-  // would have put non-canonical bytes in the checkpoint.
-  const LeaseGrantBody second = decode_lease_grant(frame.payload);
-  ShardDoneBody done;
-  done.lease_id = second.lease_id;
-  done.record_line = line_of(second.begin);
-  const std::string prefix = "ckpt2 " + std::to_string(second.begin) + ' ';
-  ASSERT_EQ(done.record_line.rfind(prefix, 0), 0u);
-  done.record_line.insert(6, "0");
-  write_frame(wire, FrameType::shard_done, encode_shard_done(done));
-  // Hang up rather than wait for the verdict: the coordinator reads the
-  // frame before the EOF, and its log below tells a burial for the bad
-  // line apart from a plain disconnect.
-  scripted.second.reset();
-
-  std::thread good_thread([end = std::move(good.second), spec]() mutable {
-    Worker worker(spec);
-    (void)worker.run(*end);
-  });
-  coordinator_thread.join();
-  good_thread.join();
-
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(coordinator.stats().workers_died, 1u);
-  EXPECT_NE(log.str().find("torn or invalid frame"), std::string::npos);
-  expect_reports_bit_identical(*merged, Campaign(small_spec()).run(1));
-  const std::string reference_bytes = read_file(reference_ckpt.path);
-  ASSERT_FALSE(reference_bytes.empty());
-  EXPECT_EQ(read_file(checkpoint.path), reference_bytes);
-}
-
-TEST(Fabric, HeartbeatExpiryReLeasesAStalledRange) {
-  // A worker that takes a lease and then never heartbeats: its deadline
-  // passes, the range re-enters pending with backoff, and the parked
-  // healthy worker is pushed the re-leased grant. The stalled worker stays
-  // connected the whole time — stall, not death.
-  const CampaignSpec spec = small_spec();
-  auto stalled = transport_pair();
-  auto good = transport_pair();
-
-  std::optional<CampaignReport> merged;
-  std::ostringstream log;
-  CoordinatorConfig config;
-  config.lease.batch = 2;
-  config.lease.lease_timeout_ms = 50;  // stall detection worth waiting for
-  config.log = &log;
-  Coordinator coordinator(spec, config);
-  std::thread coordinator_thread(
-      [&coordinator, &merged, stalled_end = std::move(stalled.first),
-       good_end = std::move(good.first)]() mutable {
-        std::vector<std::unique_ptr<Transport>> workers;
-        workers.push_back(std::move(stalled_end));
-        workers.push_back(std::move(good_end));
-        merged = coordinator.run(std::move(workers));
-      });
-
-  // The stalling worker joins and takes a lease before the healthy worker
-  // exists, so the stall provably covers real work...
-  Transport& wire = *stalled.second;
-  HelloBody hello;
-  hello.spec_hash = spec.spec_hash();
-  hello.seed = spec.seed;
-  hello.shard_count = Campaign(spec).scenario_count();
-  write_frame(wire, FrameType::hello, encode_hello(hello));
-  Frame frame;
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::hello_ok);
-  write_frame(wire, FrameType::lease_request);
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::lease_grant);
-
-  // ...then goes silent until shutdown.
-  std::thread good_thread([end = std::move(good.second), spec]() mutable {
-    Worker worker(spec);
-    (void)worker.run(*end);
-  });
-  ASSERT_TRUE(read_frame(wire, frame));
-  EXPECT_EQ(frame.type, FrameType::shutdown);
-  coordinator_thread.join();
-  good_thread.join();
-
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_GE(coordinator.stats().leases_expired, 1u);
-  EXPECT_EQ(coordinator.stats().workers_died, 0u);
-  EXPECT_NE(log.str().find("expired without heartbeat"), std::string::npos);
-  expect_reports_bit_identical(*merged, Campaign(small_spec()).run(1));
+  EXPECT_NE(run.error.find("short write"), std::string::npos) << run.error;
+  EXPECT_EQ(run.stats.workers_died, 0u);
 }
 
 TEST(Fabric, CoordinatorResumesFromItsCheckpoint) {
-  const CampaignReport reference = Campaign(small_spec()).run(1);
   TempFile reference_ckpt("resume_reference");
-  {
-    CampaignSpec full = small_spec();
-    full.checkpoint_path = reference_ckpt.path;
-    (void)Campaign(full).run(1);
-    report::compact_checkpoint(reference_ckpt.path);
-  }
+  CampaignSpec full = small_spec();
+  full.checkpoint_path = reference_ckpt.path;
+  const CampaignReport reference = Campaign(full).run(1);
 
-  // A single-process run killed after 3 shards leaves a checkpoint; a
-  // fresh coordinator restores it and leases only the remaining 5 — the
-  // merged report and the final checkpoint bytes match an uninterrupted
-  // run exactly.
+  // Three ticks on one checkpoint: a single-process run stopped after 3
+  // shards, a one-worker coordinator tick of 2 more, and a coordinator
+  // resume of the last 3. Every append arrives in ascending order, so no
+  // restore and no closing compaction rewrites the file — it keeps its
+  // inode — and the merged report and the bytes match an uninterrupted run.
   TempFile checkpoint("resume");
-  {
-    CampaignSpec partial = small_spec();
-    partial.checkpoint_path = checkpoint.path;
-    partial.max_shards = 3;
-    (void)Campaign(partial).run(1);
-  }
-  CampaignSpec resumed = small_spec();
-  resumed.checkpoint_path = checkpoint.path;
+  CampaignSpec tick = small_spec();
+  tick.checkpoint_path = checkpoint.path;
+  tick.max_shards = 3;
+  (void)Campaign(tick).run(1);
+  const auto inode = [&checkpoint] {
+    struct stat info {};
+    EXPECT_EQ(::stat(checkpoint.path.c_str(), &info), 0);
+    return info.st_ino;
+  };
+  const ino_t first_inode = inode();
   LeaseConfig lease;
   lease.batch = 2;
+  FabricRun run;
+  for (const std::size_t cap : {std::size_t{2}, std::size_t{0}}) {
+    tick.max_shards = cap;
+    std::ostringstream log;
+    run = run_fabric(tick, {WorkerConfig{}}, lease, &log);
+    EXPECT_NE(log.str().find("restored " + std::to_string(cap == 0 ? 5 : 3) +
+                             " shards"),
+              std::string::npos);
+    EXPECT_EQ(run.stats.shards_merged, cap == 0 ? 3u : 2u);
+    EXPECT_EQ(inode(), first_inode);
+  }
+  expect_reports_bit_identical(run.report, reference);
+  EXPECT_EQ(read_file(checkpoint.path), read_file(reference_ckpt.path));
+
+  // A two-worker resume of the same 3-shard start: its appends may arrive
+  // out of order, so the restore and the closing compaction go through the
+  // real driver, and the bytes still match.
+  TempFile interleaved("resume_two_workers");
+  CampaignSpec partial = small_spec();
+  partial.checkpoint_path = interleaved.path;
+  partial.max_shards = 3;
+  (void)Campaign(partial).run(1);
+  partial.max_shards = 0;
   std::ostringstream log;
   const FabricRun fabric =
-      run_fabric(resumed, {WorkerConfig{}, WorkerConfig{}}, lease, &log);
-
+      run_fabric(partial, {WorkerConfig{}, WorkerConfig{}}, lease, &log);
   EXPECT_NE(log.str().find("restored 3 shards"), std::string::npos);
   EXPECT_EQ(fabric.stats.shards_merged, 5u);
   EXPECT_EQ(fabric.report.completed_shards(), fabric.report.shard_count());
   expect_reports_bit_identical(fabric.report, reference);
-  EXPECT_EQ(read_file(checkpoint.path), read_file(reference_ckpt.path));
+  EXPECT_EQ(read_file(interleaved.path), read_file(reference_ckpt.path));
+}
 
-  // A one-worker coordinator tick and resume: its appends arrive in
-  // ascending order, so neither the restore nor either closing compaction
-  // rewrites the file — it keeps its inode — and the bytes still match.
-  TempFile ticked("resume_one_worker");
-  ino_t inode = 0;
-  for (const std::size_t cap : {std::size_t{3}, std::size_t{0}}) {
-    CampaignSpec tick = small_spec();
-    tick.checkpoint_path = ticked.path;
-    tick.max_shards = cap;
-    const FabricRun run = run_fabric(tick, {WorkerConfig{}}, lease);
-    EXPECT_EQ(run.stats.shards_merged, cap == 0 ? 5u : 3u);
-    struct stat info {};
-    ASSERT_EQ(::stat(ticked.path.c_str(), &info), 0);
-    if (cap == 0) {
-      EXPECT_EQ(info.st_ino, inode);
-      expect_reports_bit_identical(run.report, reference);
-    }
-    inode = info.st_ino;
+// ------------------------------------------------------------------- core
+//
+// CoordinatorCore driven frame by frame: no sockets, threads or clock.
+// GoldenDigests.SeededFaultSchedules... explores it over seeded schedules.
+
+/// A core over `spec`, and a scripted worker's vocabulary.
+struct CoreHarness {
+  CoreHarness(const CampaignSpec& spec, CoordinatorConfig config)
+      : campaign(spec), core(campaign, config) {}
+
+  void send(std::size_t conn, FrameType type, const std::string& payload = {},
+            std::uint64_t now = 0) {
+    core.receive(conn, FrameView{type, payload}, now);
   }
-  EXPECT_EQ(read_file(ticked.path), read_file(reference_ckpt.path));
+  std::string hello() const {
+    HelloBody body;
+    body.spec_hash = campaign.spec().spec_hash();
+    body.seed = campaign.spec().seed;
+    body.shard_count = campaign.scenario_count();
+    return encode_hello(body);
+  }
+  std::size_t join() {
+    const std::size_t conn = core.connect();
+    send(conn, FrameType::hello, hello());
+    return conn;
+  }
+  /// Asks for a lease on `conn`; the last grant the core queued for it.
+  LeaseGrantBody lease(std::size_t conn) {
+    send(conn, FrameType::lease_request);
+    LeaseGrantBody grant;
+    for (const Outbound& out : core.take_outbox()) {
+      if (out.conn == conn && out.type == FrameType::lease_grant) {
+        grant = decode_lease_grant(out.payload);
+      }
+    }
+    return grant;
+  }
+  std::string line(std::size_t index) {
+    return report::render_checkpoint_record(
+        campaign.run_shard_record(index, context));
+  }
+  /// Runs `lease` on `conn`: every shard's line, then lease_done.
+  void run_lease(std::size_t conn, const LeaseGrantBody& lease,
+                 std::uint64_t now = 0) {
+    for (std::size_t index = lease.begin; index < lease.end; ++index) {
+      send(conn, FrameType::shard_done,
+           encode_shard_done({lease.lease_id, line(index)}), now);
+    }
+    send(conn, FrameType::lease_done, encode_lease_id(lease.lease_id), now);
+  }
+
+  Campaign campaign;
+  testbed::ShardContext context;
+  CoordinatorCore core;
+};
+
+TEST(CoordinatorCore, StoresWorkerLinesVerbatimAndBuriesNonCanonicalOnes) {
+  // The core appends each validated shard_done line as received instead of
+  // rendering the parsed record again. A line without its '\n' must land as
+  // exactly one checkpoint line; a complete line with a non-canonical token
+  // must bury its worker, whose range then runs on a healthy one. Either
+  // way the compacted checkpoint stays byte-identical to a single-thread
+  // run.
+  TempFile reference("verbatim_reference");
+  {
+    CampaignSpec spec = small_spec();
+    spec.checkpoint_path = reference.path;
+    (void)Campaign(spec).run(1);
+    report::compact_checkpoint(reference.path);
+  }
+  TempFile checkpoint("verbatim");
+  CampaignSpec spec = small_spec();
+  spec.checkpoint_path = checkpoint.path;
+  std::ostringstream log;
+  CoordinatorConfig config;
+  config.lease.batch = 2;
+  config.log = &log;
+  CoreHarness harness(spec, config);
+
+  // Lease 1: the first line newline-less, the second as rendered.
+  const std::size_t scripted = harness.join();
+  const LeaseGrantBody first = harness.lease(scripted);
+  ASSERT_EQ(first.end - first.begin, 2u);
+  std::string expected_bytes;
+  for (std::size_t index = first.begin; index < first.end; ++index) {
+    std::string line = harness.line(index);
+    expected_bytes += line;
+    if (index == first.begin) line.pop_back();
+    harness.send(scripted, FrameType::shard_done,
+                 encode_shard_done({first.lease_id, line}));
+  }
+  harness.send(scripted, FrameType::lease_done,
+               encode_lease_id(first.lease_id));
+  EXPECT_EQ(read_file(checkpoint.path), expected_bytes);
+
+  // Lease 2: a complete record whose scenario index has a leading zero. The
+  // istream parser read it as the same record; stored verbatim, it would
+  // have put non-canonical bytes in the checkpoint.
+  const LeaseGrantBody second = harness.lease(scripted);
+  std::string line = harness.line(second.begin);
+  ASSERT_EQ(line.rfind("ckpt2 " + std::to_string(second.begin) + ' ', 0), 0u);
+  line.insert(6, "0");
+  harness.send(scripted, FrameType::shard_done,
+               encode_shard_done({second.lease_id, line}));
+  EXPECT_EQ(harness.core.stats().workers_died, 1u);
+  EXPECT_NE(log.str().find("worker 0 sent a torn or invalid frame"),
+            std::string::npos);
+  EXPECT_NE(log.str().find("re-leasing 2 shards"), std::string::npos);
+
+  const std::size_t healthy = harness.join();
+  for (int leases = 0; leases < 4 && !harness.core.complete(); ++leases) {
+    harness.run_lease(healthy, harness.lease(healthy));
+  }
+  ASSERT_TRUE(harness.core.done());
+  expect_reports_bit_identical(harness.core.finish(),
+                               Campaign(small_spec()).run(1));
+  EXPECT_EQ(read_file(checkpoint.path), read_file(reference.path));
+}
+
+TEST(CoordinatorCore, AnswersHandshakesInFlightAtCompletionAndDropsSilentOne) {
+  // The campaign completes while two more workers are connected but have
+  // not said hello. The fleet gets shutdown at once; a late hello still
+  // gets hello_ok then shutdown; a peer silent for one lease timeout past
+  // completion is dropped. After completion only a hello gets through.
+  std::ostringstream log;
+  CoordinatorConfig config;
+  config.lease.batch = 8;
+  config.lease.lease_timeout_ms = 100;
+  config.log = &log;
+  CoreHarness harness(small_spec(), config);
+  CoordinatorCore& core = harness.core;
+  const std::size_t worker = harness.join();
+  const std::size_t late = core.connect();
+  const std::size_t silent = core.connect();
+  const LeaseGrantBody lease = harness.lease(worker);
+  ASSERT_EQ(lease.end - lease.begin, 8u);
+  harness.run_lease(worker, lease, /*now=*/5);
+  ASSERT_TRUE(core.complete());
+  EXPECT_FALSE(core.done());
+  EXPECT_EQ(core.next_deadline_ms(), std::optional<std::uint64_t>(105));
+  std::vector<Outbound> out = core.take_outbox();
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].type, FrameType::shutdown);
+  EXPECT_EQ(out[1].kind, Outbound::Kind::close);
+  EXPECT_EQ(out[1].conn, worker);
+
+  harness.send(worker, FrameType::lease_request, {}, 50);  // closed
+  harness.send(late, FrameType::lease_request, {}, 50);    // dropped
+  harness.send(late, FrameType::hello, harness.hello(), 50);
+  out = core.take_outbox();
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].type, FrameType::hello_ok);
+  EXPECT_EQ(out[1].type, FrameType::shutdown);
+  EXPECT_EQ(out[2].kind, Outbound::Kind::close);
+  EXPECT_EQ(out[2].conn, late);
+  core.tick(104);
+  EXPECT_FALSE(core.done());
+  core.tick(105);
+  EXPECT_TRUE(core.done());
+  EXPECT_NE(log.str().find("worker " + std::to_string(silent) +
+                           " never sent its hello; dropping it"),
+            std::string::npos);
+  EXPECT_EQ(core.stats().workers_joined, 2u);
+  EXPECT_EQ(core.stats().workers_died, 0u);
+  expect_reports_bit_identical(core.finish(), Campaign(small_spec()).run(1));
+}
+
+TEST(CoordinatorCore, ARangeRevokedAfterATickReachesTheNextParkedWorker) {
+  // tick() pushes an expired range to the first parked worker, and the
+  // driver's send to it fails after that tick: disconnect() must hand the
+  // range to the next parked worker at once. Parked workers never ask
+  // again, and no lease deadline is left to wake the driver for it.
+  CoordinatorConfig config;
+  config.lease.batch = 8;
+  config.lease.lease_timeout_ms = 100;
+  CoreHarness harness(small_spec(), config);
+  CoordinatorCore& core = harness.core;
+  const std::size_t stalled = harness.join();
+  const LeaseGrantBody lease = harness.lease(stalled);
+  ASSERT_EQ(lease.end - lease.begin, 8u);
+  const std::size_t first = harness.join();
+  const std::size_t second = harness.join();
+  harness.send(first, FrameType::lease_request);
+  harness.send(second, FrameType::lease_request);
+  const auto grants = [&core] {
+    std::vector<std::pair<std::size_t, LeaseGrantBody>> out;
+    for (const Outbound& action : core.take_outbox()) {
+      if (action.type == FrameType::lease_grant) {
+        out.emplace_back(action.conn, decode_lease_grant(action.payload));
+      }
+    }
+    return out;
+  };
+  EXPECT_TRUE(grants().empty());  // both idle: parked
+  core.tick(100);
+  auto pushed = grants();
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_EQ(pushed[0].first, first);
+  core.disconnect(first, "could not be sent a frame");
+  pushed = grants();
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_EQ(pushed[0].first, second);
+  EXPECT_EQ(pushed[0].second.begin, lease.begin);
+  EXPECT_EQ(pushed[0].second.end, lease.end);
+  harness.run_lease(second, pushed[0].second, 150);
+  ASSERT_TRUE(core.done());
+  EXPECT_EQ(core.stats().workers_died, 1u);
+  expect_reports_bit_identical(core.finish(), Campaign(small_spec()).run(1));
+}
+
+TEST(CoordinatorCore, ACompletionOfARestoredShardIsADuplicate) {
+  // A worker may report a shard this run restored from the checkpoint
+  // (its record validates: any worker can compute any shard). It must
+  // count as a duplicate — neither folded a second time nor counted
+  // toward completion.
+  TempFile checkpoint("restored_duplicate");
+  CampaignSpec spec = small_spec();
+  spec.checkpoint_path = checkpoint.path;
+  spec.max_shards = 3;
+  (void)Campaign(spec).run(1);
+  spec.max_shards = 0;
+  CoordinatorConfig config;
+  config.lease.batch = 8;
+  CoreHarness harness(spec, config);
+  const std::size_t worker = harness.join();
+  harness.send(worker, FrameType::shard_done,
+               encode_shard_done({1, harness.line(0)}));
+  EXPECT_EQ(harness.core.stats().duplicate_shards, 1u);
+  EXPECT_EQ(harness.core.stats().shards_merged, 0u);
+  const LeaseGrantBody lease = harness.lease(worker);
+  EXPECT_EQ(lease.begin, 3u);
+  harness.run_lease(worker, lease);
+  ASSERT_TRUE(harness.core.done());
+  expect_reports_bit_identical(harness.core.finish(),
+                               Campaign(small_spec()).run(1));
 }
 
 }  // namespace

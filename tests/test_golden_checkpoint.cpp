@@ -30,12 +30,24 @@
 //
 // Regenerate any of these files only with a deliberate change to output
 // bits, by the same steps.
+//
+// The fabric coordinator's core is also replayed here over seeded fault
+// schedules (GoldenDigests.SeededFaultSchedules...), without sockets,
+// threads or a clock: whatever a schedule does to the fleet, the merged
+// digests and the compacted checkpoint must still be these files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
+#include <exception>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -44,6 +56,7 @@
 #include "campaign_testing.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/transport.hpp"
+#include "fabric/wire.hpp"
 #include "fabric/worker.hpp"
 #include "report/checkpoint.hpp"
 #include "sim/random.hpp"
@@ -281,6 +294,299 @@ TEST(GoldenDigests, OnePingGridReproducesTheFile) {
   TempFile fabric_checkpoint("one_ping_fabric");
   spec.checkpoint_path = fabric_checkpoint.path;
   EXPECT_EQ(digest_dump(run_fabric(spec)), golden);
+}
+
+// ------------------------------------------------- seeded fault schedules
+//
+// Scripted in-memory workers answer the coordinator core's frames as
+// fabric::Worker would, sending the golden lines as their shard_done
+// records. Each seed draws the interleaving of their frames, duplicate
+// completions, mutated records, stalls (the clock jumped to the next lease
+// deadline), disconnects mid-lease (half with no tick() after them, as
+// when the driver's send fails), late joiners (a quarter of them with a
+// mismatched hello) and one coordinator torn down and rebuilt on its
+// checkpoint. A model beside the core predicts its counters: a processed
+// shard_done merges unless its index merged (or was restored) before, and a
+// mutated one buries its worker.
+
+struct ScriptedWorker {
+  std::size_t conn = 0;
+  bool rogue = false;   // says hello with the wrong seed
+  bool open = true;     // the core has not closed it
+  bool joined = false;  // its hello was accepted
+  std::deque<std::pair<fabric::FrameType, std::string>> outbox;
+};
+
+/// The counters the model predicts, as one comparable line.
+std::string predicted(const fabric::CoordinatorStats& stats) {
+  return "joined " + std::to_string(stats.workers_joined) + ", rejected " +
+         std::to_string(stats.workers_rejected) + ", died " +
+         std::to_string(stats.workers_died) + ", merged " +
+         std::to_string(stats.shards_merged) + ", duplicates " +
+         std::to_string(stats.duplicate_shards);
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+/// A uniform draw from [lo, hi].
+std::size_t pick(sim::Rng& rng, std::size_t lo, std::size_t hi) {
+  return static_cast<std::size_t>(rng.uniform_int(
+      static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+}
+
+/// Corrupts a shard_done (payload: u64 lease id, then the line) so the core
+/// must reject it: another frame type, a byte of the line's "ckpt2 <index>
+/// <seed> <spec hash> " head or of its "end\n" tail, or a cut past the
+/// tail. (A flipped digest bit would pass: the wire trusts a validated
+/// worker's arithmetic.)
+void mutate(fabric::FrameType& type, std::string& payload, sim::Rng& rng) {
+  const auto flip = [&rng] { return static_cast<char>(pick(rng, 1, 255)); };
+  switch (pick(rng, 0, 3)) {
+    case 0: {
+      const std::size_t other = pick(rng, 1, 9);  // all but shard_done (6)
+      type = static_cast<fabric::FrameType>(other < 6 ? other : other + 1);
+      break;
+    }
+    case 1: {
+      std::size_t head_end = 8;
+      for (int spaces = 0; spaces < 4; ++head_end) {
+        spaces += payload[head_end] == ' ' ? 1 : 0;
+      }
+      payload[pick(rng, 8, head_end - 1)] ^= flip();
+      break;
+    }
+    case 2:
+      payload[payload.size() - 1 - pick(rng, 0, 3)] ^= flip();
+      break;
+    default:
+      payload.resize(payload.size() - pick(rng, 2, payload.size() - 8));
+  }
+}
+
+/// Replays fault schedule `seed` over a CoordinatorCore serving `campaign`
+/// (which checkpoints); returns what went wrong, or an empty string.
+std::string replay_fault_schedule(const Campaign& campaign,
+                                  const std::vector<std::string>& lines,
+                                  std::uint64_t seed) {
+  constexpr std::size_t kMaxSteps = 4000;
+  sim::Rng rng(seed);
+  const std::string& path = campaign.spec().checkpoint_path;
+  std::remove(path.c_str());
+  std::ostringstream log;
+  fabric::CoordinatorConfig config;
+  config.lease.batch = std::size_t{1} << pick(rng, 0, 4);
+  config.lease.lease_timeout_ms = 1000;
+  config.log = &log;
+  std::optional<fabric::CoordinatorCore> core(std::in_place, campaign, config);
+  std::vector<ScriptedWorker> workers;  // by connection number
+  fabric::CoordinatorStats model;
+  std::set<std::size_t> merged;  // indices merged or restored
+  std::size_t torn = 0;          // mutated records processed
+  std::size_t stalls = 0;        // deadline jumps with leases outstanding
+  std::size_t joins = 0;
+  std::size_t faults = pick(rng, 0, 6);
+  const std::size_t restart_at = pick(rng, 0, 150);
+  std::uint64_t now = 0;
+
+  const auto join = [&](bool rogue) {
+    fabric::HelloBody hello;
+    hello.spec_hash = campaign.spec().spec_hash();
+    hello.seed = campaign.spec().seed + (rogue ? 1 : 0);
+    hello.shard_count = campaign.scenario_count();
+    workers.push_back(ScriptedWorker{core->connect(), rogue});
+    workers.back().outbox.emplace_back(fabric::FrameType::hello,
+                                       fabric::encode_hello(hello));
+    ++joins;
+  };
+  // Each worker answers the core's frames as fabric::Worker does.
+  const auto route = [&] {
+    for (const fabric::Outbound& out : core->take_outbox()) {
+      ScriptedWorker& worker = workers[out.conn];
+      auto& outbox = worker.outbox;
+      if (out.kind == fabric::Outbound::Kind::close) worker.open = false;
+      if (out.kind == fabric::Outbound::Kind::close ||
+          out.type == fabric::FrameType::shutdown) {
+        outbox.clear();
+      } else if (out.type == fabric::FrameType::hello_ok) {
+        worker.joined = true;
+        outbox.emplace_back(fabric::FrameType::lease_request, "");
+      } else if (out.type == fabric::FrameType::lease_grant) {
+        const fabric::LeaseGrantBody lease =
+            fabric::decode_lease_grant(out.payload);
+        const std::string id = fabric::encode_lease_id(lease.lease_id);
+        for (std::size_t index = lease.begin; index < lease.end; ++index) {
+          outbox.emplace_back(fabric::FrameType::heartbeat, id);
+          outbox.emplace_back(
+              fabric::FrameType::shard_done,
+              fabric::encode_shard_done({lease.lease_id, lines[index]}));
+        }
+        outbox.emplace_back(fabric::FrameType::lease_done, id);
+        outbox.emplace_back(fabric::FrameType::lease_request, "");
+      }
+    }
+  };
+  // Sends `worker`'s next frame, mutated or twice as the seed says, and
+  // tells the model.
+  const auto deliver = [&](ScriptedWorker& worker) {
+    auto [type, payload] = std::move(worker.outbox.front());
+    worker.outbox.pop_front();
+    int sends = 1;
+    if (type == fabric::FrameType::hello) {
+      ++(worker.rogue ? model.workers_rejected : model.workers_joined);
+    } else if (type == fabric::FrameType::shard_done && !core->complete()) {
+      if (faults > 0 && rng.bernoulli(0.08)) {
+        --faults;
+        ++torn;
+        ++model.workers_died;
+        mutate(type, payload, rng);
+      } else {
+        // After the u64 lease id and "ckpt2 ", the scenario index.
+        ++(merged.insert(std::stoull(payload.substr(14))).second
+               ? model.shards_merged
+               : model.duplicate_shards);
+        sends = rng.bernoulli(0.1) ? 2 : 1;
+      }
+    }
+    for (int send = 0; send < sends; ++send) {
+      // A repeat of the completing copy is dropped unseen.
+      if (send == 1 && !core->complete()) ++model.duplicate_shards;
+      core->receive(worker.conn, fabric::FrameView{type, payload}, now);
+    }
+  };
+  // The core's counters and log against the model; empty when they agree.
+  const auto counters_differ = [&]() -> std::string {
+    const fabric::CoordinatorStats& stats = core->stats();
+    const std::string text = log.str();
+    if (predicted(stats) == predicted(model) &&
+        count_of(text, "duplicate completion") == stats.duplicate_shards &&
+        count_of(text, "sent a torn or invalid frame") == torn &&
+        count_of(text, "REJECTED") == stats.workers_rejected &&
+        count_of(text, "expired without heartbeat") == stats.leases_expired &&
+        stats.leases_expired >= stalls) {
+      return "";
+    }
+    return "counters " + predicted(stats) + ", expired " +
+           std::to_string(stats.leases_expired) + "; model " +
+           predicted(model) + ", torn " + std::to_string(torn) + ", stalls " +
+           std::to_string(stalls) + "; log:\n" + text;
+  };
+
+  for (std::size_t i = pick(rng, 1, 4); i > 0; --i) join(false);
+  route();
+  for (std::size_t step = 0; !core->done(); ++step) {
+    if (step == kMaxSteps) {
+      return "not done after " + std::to_string(kMaxSteps) + " steps";
+    }
+    if (step == restart_at) {
+      // The coordinator dies; its fleet goes with it, its checkpoint stays.
+      if (std::string why = counters_differ(); !why.empty()) {
+        return "before the restart: " + why;
+      }
+      core.reset();
+      workers.clear();
+      model = {};
+      torn = stalls = 0;
+      log.str("");
+      core.emplace(campaign, config);
+      join(false);
+    }
+    std::vector<ScriptedWorker*> open;
+    std::vector<ScriptedWorker*> sending;
+    for (ScriptedWorker& worker : workers) {
+      if (!worker.open) continue;
+      open.push_back(&worker);
+      if (!worker.outbox.empty()) sending.push_back(&worker);
+    }
+    // A correct core leaves no worker idle while work is pending: a dead
+    // worker's leases return to pending and reach the parked at once, and
+    // tick() pushes expired ones to them.
+    if (sending.empty() && !core->complete()) {
+      return "stuck at step " + std::to_string(step) +
+             ": every worker waits while shards are pending; log:\n" +
+             log.str();
+    }
+    bool tick = true;
+    const std::size_t draw = pick(rng, 0, 99);
+    const std::optional<std::uint64_t> deadline = core->next_deadline_ms();
+    if (draw < 5 && faults > 0 && deadline.has_value() && !core->complete()) {
+      --faults;  // a stall: every heartbeat late
+      ++stalls;
+      now = std::max(now, *deadline);
+    } else if (draw < 10 && faults > 0 && !open.empty()) {
+      --faults;  // a disconnect, mid-lease or not
+      ScriptedWorker& victim = *open[pick(rng, 0, open.size() - 1)];
+      if (victim.joined) ++model.workers_died;
+      core->disconnect(victim.conn, "closed its connection");
+      // Half land as a failed send does, after the driver's tick: nothing
+      // ticks again before the next input.
+      tick = rng.bernoulli(0.5);
+    } else if (draw < 14 && joins < 8) {
+      join(rng.bernoulli(0.25));
+    } else if (draw < 30) {
+      now += pick(rng, 0, 200);
+    } else if (!sending.empty()) {
+      deliver(*sending[pick(rng, 0, sending.size() - 1)]);
+    }
+    if (tick) core->tick(now);
+    route();
+    const bool anyone = std::any_of(workers.begin(), workers.end(),
+                                    std::mem_fn(&ScriptedWorker::open));
+    if (!anyone && !core->complete()) {
+      join(false);  // nobody is left to serve the campaign
+      route();
+    }
+  }
+
+  const CampaignReport report = core->finish();
+  if (digest_dump(report) != read_file(kGoldenDigestsPath)) {
+    return "merged digests differ from mixed_workloads.digests";
+  }
+  if (read_file(path) != read_file(kGoldenPath)) {
+    return "compacted checkpoint differs from mixed_workloads.ckpt2";
+  }
+  if (merged.size() != lines.size() ||
+      report.completed_shards() != lines.size()) {
+    return std::to_string(merged.size()) + " shards merged, want every one";
+  }
+  return counters_differ();
+}
+
+TEST(GoldenDigests, SeededFaultSchedulesOverTheCoordinatorCoreReproduceIt) {
+  constexpr std::uint64_t kSeeds = 1000;
+  const std::vector<std::string> lines = golden_lines();
+  ASSERT_EQ(lines.size(), 16u);
+  TempFile checkpoint("fault_schedule");
+  CampaignSpec spec = golden_spec();
+  spec.checkpoint_path = checkpoint.path;
+  const Campaign campaign(spec);
+  const auto start = std::chrono::steady_clock::now();
+  std::uint64_t seed = 1;
+  for (std::size_t failed = 0; seed <= kSeeds && failed < 3; ++seed) {
+    std::string failure;
+    try {
+      failure = replay_fault_schedule(campaign, lines, seed);
+    } catch (const std::exception& error) {
+      failure = std::string("threw: ") + error.what();
+    }
+    if (!failure.empty()) {
+      ++failed;
+      ADD_FAILURE() << "fault schedule seed " << seed
+                    << " (replay_fault_schedule(campaign, lines, " << seed
+                    << ")): " << failure;
+    }
+  }
+  std::printf("replayed %llu fault schedules in %.2f s\n",
+              static_cast<unsigned long long>(seed - 1),
+              std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count());
 }
 
 }  // namespace
