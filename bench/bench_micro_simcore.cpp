@@ -57,6 +57,18 @@ void BM_RngTruncatedNormal(benchmark::State& state) {
 }
 BENCHMARK(BM_RngTruncatedNormal);
 
+// What a campaign shard pays per stream: fork a fresh child and draw once.
+// Seeding dominates, so this isolates the engine's seeding cost.
+void BM_RngForkFirstDraw(benchmark::State& state) {
+  const sim::Rng parent(7);
+  std::uint64_t tag = 0;
+  for (auto _ : state) {
+    sim::Rng child = parent.fork(tag++);
+    benchmark::DoNotOptimize(child.uniform_int(0, 1000));
+  }
+}
+BENCHMARK(BM_RngForkFirstDraw);
+
 void BM_StackPipelineTransit(benchmark::State& state) {
   // One packet descending the full five-layer phone stack onto the medium,
   // amortized — the move-based hot path the zero-copy refactor targets.

@@ -18,79 +18,9 @@ std::uint64_t fnv1a(std::string_view text) {
   return h;
 }
 
-// SplitMix64 finaliser: decorrelates seed/tag mixtures.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-// std::mt19937_64's parameters ([rand.predef]).
-constexpr std::uint32_t kShift = 156;  // m: the twist of word k reads k+m
-constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
-constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
-constexpr std::uint64_t kLowerMask = ~kUpperMask;
-constexpr std::uint64_t kSeedMultiplier = 6364136223846793005ULL;
-
-/// One step of the recurrence: the new value of word k from the old word k,
-/// word k+1 and word k+m (indices mod n).
-std::uint64_t twist(std::uint64_t word, std::uint64_t next,
-                    std::uint64_t far) {
-  const std::uint64_t y = (word & kUpperMask) | (next & kLowerMask);
-  return far ^ (y >> 1) ^ ((y & 1) != 0 ? kMatrixA : 0);
-}
+// One SplitMix64 step from x: decorrelates seed/tag mixtures.
+std::uint64_t mix(std::uint64_t x) { return SplitMix64(x)(); }
 }  // namespace
-
-LazyMt19937_64::LazyMt19937_64(const LazyMt19937_64& other)
-    : seeded_(other.seeded_), ready_(other.ready_), next_(other.next_) {
-  std::copy_n(other.state_.begin(), seeded_, state_.begin());
-}
-
-LazyMt19937_64& LazyMt19937_64::operator=(const LazyMt19937_64& other) {
-  if (this == &other) return *this;
-  seeded_ = other.seeded_;
-  ready_ = other.ready_;
-  next_ = other.next_;
-  std::copy_n(other.state_.begin(), seeded_, state_.begin());
-  return *this;
-}
-
-void LazyMt19937_64::refill() {
-  if (ready_ == kWords) {
-    // Past the first block: regenerate the whole state in place, as std
-    // does. Words k+1 and k+m past the end wrap to already-new words.
-    for (std::uint32_t k = 0; k < kWords - kShift; ++k) {
-      state_[k] = twist(state_[k], state_[k + 1], state_[k + kShift]);
-    }
-    for (std::uint32_t k = kWords - kShift; k < kWords - 1; ++k) {
-      state_[k] = twist(state_[k], state_[k + 1], state_[k + kShift - kWords]);
-    }
-    state_[kWords - 1] =
-        twist(state_[kWords - 1], state_[0], state_[kShift - 1]);
-    next_ = 0;
-    return;
-  }
-  // First block: word k reads words k+1 and k+m. Seed up to k+m (or the
-  // last word), then twist word k alone; words below k are already new,
-  // exactly as in std's in-place pass.
-  const std::uint32_t k = ready_;
-  const std::uint32_t end = std::min(k + kShift + 1, kWords);
-  if (seeded_ < end) {
-    // The previous word rides in a register, off the store-to-load path.
-    std::uint64_t word = state_[seeded_ - 1];
-    for (std::uint32_t i = seeded_; i < end; ++i) {
-      word = kSeedMultiplier * (word ^ (word >> 62)) + i;
-      state_[i] = word;
-    }
-    seeded_ = end;
-  }
-  const std::uint32_t next = k + 1 == kWords ? 0 : k + 1;
-  const std::uint32_t far =
-      k < kWords - kShift ? k + kShift : k + kShift - kWords;
-  state_[k] = twist(state_[k], state_[next], state_[far]);
-  ++ready_;
-}
 
 Rng Rng::fork(std::string_view tag) const {
   return Rng(mix(seed_ ^ fnv1a(tag)));

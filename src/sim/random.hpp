@@ -3,9 +3,20 @@
 // A single master seed fans out into independent named streams via fork(),
 // so adding a new consumer never perturbs the draws seen by existing ones —
 // essential for reproducible experiments.
+//
+// Each stream's engine is xoshiro256** whose four state words are the first
+// four SplitMix64 outputs of the stream seed, and a fork's seed is one
+// SplitMix64 step of the parent seed mixed with the tag. Seeding a stream
+// costs four such steps, which matters because a campaign shard forks a
+// dozen fresh streams and draws only a few values from each. Raw engine
+// words and fork seeds are fixed by the published algorithms
+// (tests/golden/rng_draws.txt pins them); the draws of each kind still go
+// through libstdc++'s std::*_distribution, so those are bit-identical only
+// on that standard library.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string_view>
 
@@ -13,50 +24,62 @@
 
 namespace acute::sim {
 
-/// A UniformRandomBitGenerator whose output is exactly std::mt19937_64(seed)'s
-/// — the seeding recurrence, twist and tempering are fixed by the standard
-/// ([rand.eng.mers]), so the stream matches on every standard library — but
-/// which materialises only the state it needs.
-///
-/// std seeds all 312 state words and twists all of them before the first
-/// draw. Here construction stores the seed word alone. Within the first
-/// block, draw k seeds state words only up to k+156 (the highest word the
-/// twist of word k reads) and twists only word k, so a stream that draws a
-/// handful of values pays for a handful of words. Once the first block is
-/// used up, whole blocks are twisted at a time exactly as std does, so long
-/// streams pay the same per draw.
-class LazyMt19937_64 {
+/// SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
+/// generators", OOPSLA 2014; Vigna's splitmix64.c): a counter stepped by the
+/// golden gamma and passed through a bijective finaliser. It seeds
+/// Xoshiro256ss and derives fork seeds.
+class SplitMix64 {
+ public:
+  explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
+
+  std::uint64_t operator()() {
+    std::uint64_t z = state_ += 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+/// xoshiro256** (Blackman & Vigna, "Scrambled linear pseudorandom number
+/// generators", https://arxiv.org/abs/1805.01407): a UniformRandomBitGenerator
+/// with four words of state, period 2^256 - 1, and a stream fixed by the
+/// reference xoshiro256starstar.c on every platform and standard library.
+/// Seeding is four SplitMix64 steps, so a fresh stream's first draw costs
+/// about as much as any other.
+class Xoshiro256ss {
  public:
   using result_type = std::uint64_t;
+  using State = std::array<result_type, 4>;
 
-  explicit LazyMt19937_64(result_type seed) { state_[0] = seed; }
-  /// Copies only the seeded prefix: no unseeded word is ever read.
-  LazyMt19937_64(const LazyMt19937_64& other);
-  LazyMt19937_64& operator=(const LazyMt19937_64& other);
+  /// The state is four consecutive SplitMix64(seed) outputs, as the
+  /// reference recommends; they are never all zero.
+  explicit Xoshiro256ss(result_type seed) {
+    SplitMix64 seeder(seed);
+    for (result_type& word : s_) word = seeder();
+  }
+  /// Starts from the given state words, which must not all be zero.
+  explicit Xoshiro256ss(const State& state) : s_(state) {}
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
   result_type operator()() {
-    if (next_ == ready_) refill();
-    result_type z = state_[next_++];
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71d67fffeda60000ULL;
-    z ^= (z << 37) & 0xfff7eee000000000ULL;
-    return z ^ (z >> 43);
+    const result_type result = std::rotl(s_[1] * 5, 7) * 9;
+    const result_type t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
   }
 
  private:
-  static constexpr std::uint32_t kWords = 312;
-
-  /// Makes word next_ ready: twists the next word of the first block, or
-  /// the whole next block once the first is used up.
-  void refill();
-
-  std::uint32_t seeded_ = 1;  // state_[0, seeded_) hold defined words
-  std::uint32_t ready_ = 0;   // state_[0, ready_) are twisted for this block
-  std::uint32_t next_ = 0;    // next word to temper and return
-  std::array<result_type, kWords> state_;  // only [0, seeded_) is ever read
+  State s_;
 };
 
 class Rng {
@@ -100,16 +123,13 @@ class Rng {
   Duration truncated_normal_ms(double mu_ms, double sigma_ms, double lo_ms,
                                double hi_ms);
 
-  /// The raw engine, for std:: distributions. It yields exactly
-  /// std::mt19937_64(seed())'s stream, but a stream that is only forked
-  /// onward never seeds more than its seed word, and one that draws
-  /// k <= 156 values seeds k+156 state words and twists k, where std seeds
-  /// and twists all 312 up front.
-  LazyMt19937_64& engine() { return engine_; }
+  /// The raw engine, for std:: distributions: xoshiro256** seeded by
+  /// SplitMix64(seed()).
+  Xoshiro256ss& engine() { return engine_; }
 
  private:
   std::uint64_t seed_;
-  LazyMt19937_64 engine_;
+  Xoshiro256ss engine_;
 };
 
 }  // namespace acute::sim

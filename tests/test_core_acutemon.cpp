@@ -3,6 +3,8 @@
 // <3 ms median overhead across handsets and path lengths.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/acutemon.hpp"
 #include "core/layer_sample.hpp"
 #include "stats/summary.hpp"
@@ -142,9 +144,16 @@ TEST(AcuteMon, OptionContracts) {
 }
 
 // ---- The headline property (§4.2.2): for every handset and every path
-// length, AcuteMon's median total overhead stays within 3 ms (4 ms for the
+// length, AcuteMon's median total overhead stays within 3 ms (4.5 ms for the
 // slow single-core Xperia J whose driver costs reach that level), and the
 // overhead is independent of the emulated RTT.
+//
+// Each case pools the samples of kSeeds replicate seeds and bounds the
+// pooled median. The Galaxy Grand's median sits about 0.04 ms under its
+// bound, and one 60-probe run's median varies from seed to seed by more
+// than that (about one seed in four fails), so a single seed would decide
+// the case by luck. The pooled median varies far less, so it passes a
+// model that meets the bound and fails one that misses it.
 struct AccuracyCase {
   int phone_index;
   int rtt_ms;
@@ -153,6 +162,7 @@ struct AccuracyCase {
 class AcuteMonAccuracy : public ::testing::TestWithParam<AccuracyCase> {};
 
 TEST_P(AcuteMonAccuracy, MedianOverheadWithinPaperBound) {
+  constexpr int kSeeds = 32;
   const auto param = GetParam();
   const auto profile = phone::PhoneProfile::all()[param.phone_index];
   testbed::ScenarioSpec spec;
@@ -160,18 +170,25 @@ TEST_P(AcuteMonAccuracy, MedianOverheadWithinPaperBound) {
   spec.phones.front().workload = {.tool = tools::ToolKind::acutemon,
                                   .probe_count = 60};
   spec.emulated_rtt = Duration::millis(param.rtt_ms);
-  spec.seed = 42 + param.phone_index * 10 + param.rtt_ms;
-  const auto result = testbed::Experiment::run(spec);
+  std::vector<double> overheads;
+  std::vector<double> dns;
+  for (int k = 0; k < kSeeds; ++k) {
+    spec.seed = 42 + param.phone_index * 10 + param.rtt_ms + 1000 * k;
+    const auto result = testbed::Experiment::run(spec);
+    ASSERT_GE(result.samples.size(), 55u) << "seed " << spec.seed;
+    for (const LayerSample& sample : result.samples) {
+      overheads.push_back(sample.total_overhead());
+      dns.push_back(sample.dn_ms);
+    }
+  }
 
-  ASSERT_GE(result.samples.size(), 55u);
-  const stats::Summary overhead(
-      result.values(&LayerSample::total_overhead));
+  const stats::Summary overhead(overheads);
   const double bound = profile.name == "Sony Xperia J" ? 4.5 : 3.0;
   EXPECT_LT(overhead.median(), bound) << profile.name;
   EXPECT_GE(overhead.median(), 0.0) << profile.name;
 
   // dn itself stays glued to the emulated value (Table 5).
-  const stats::Summary dn(result.values(&LayerSample::dn_ms));
+  const stats::Summary dn(dns);
   EXPECT_NEAR(dn.mean(), param.rtt_ms, 3.0) << profile.name;
 }
 

@@ -7,13 +7,10 @@
 // both passive vantages, and Java ping, so du/dk/dv/dn and both passive
 // digests carry centroids) ran through Campaign::run(1) with
 // checkpoint_path set, and the file was then compacted with
-// compact_checkpoint(path). It was written by the iostream codec that
-// preceded the canonical string codec, so these bytes are also the
-// compatibility pin.
+// compact_checkpoint(path).
 //
 // How mixed_workloads.digests was generated: the same golden_spec(), with
-// no checkpoint, ran through Campaign::run(1) while the campaign still had
-// its buffered mode (before the frontier became the only path), and
+// no checkpoint, ran through Campaign::run(1), and
 // testbed::write_report_digests' format — the `acute_fabric --digest-out`
 // dump, doubles as IEEE-754 bit patterns — was written to the file. Every
 // determinism path below must reproduce it byte for byte: worker counts,
@@ -26,10 +23,13 @@
 // Its ~1700 one-sample shard digests cross the campaign digest's
 // 4*compression pending threshold by merges alone, which the 16 shards
 // above never do, so this file pins the buffered merge's compaction points.
-// It was written when merges became appends to the pending buffer.
 //
-// Regenerate any of these files only with a deliberate change to output
-// bits, by the same steps.
+// All three were last regenerated when sim::Rng's engine became
+// xoshiro256** (every draw moved), by a program that called these steps on
+// golden_spec() and one_ping_spec() below. The same program, built against
+// the library before that change, reproduced the previous files byte for
+// byte. Regenerate any of these files only with a deliberate change to
+// output bits, by the same steps.
 //
 // The fabric coordinator's core is also replayed here over seeded fault
 // schedules (GoldenDigests.SeededFaultSchedules...), without sockets,

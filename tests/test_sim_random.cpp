@@ -4,8 +4,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/contracts.hpp"
 #include "sim/random.hpp"
@@ -132,38 +136,89 @@ TEST(Rng, ContractViolations) {
   EXPECT_THROW((void)rng.bernoulli(1.5), ContractViolation);
 }
 
-// The lazy engine is pinned to the standard bit for bit: draw counts around
-// the first block's seeding and twisting boundaries (word k reads k+1 and
-// k+156; the block is 312 words) and well past it.
+static_assert(sizeof(Rng) <= 48,
+              "a stream is a seed and four engine words; campaigns fork "
+              "a dozen per shard");
+
+// An independent transcription of the reference splitmix64.c and
+// xoshiro256starstar.c (Vigna, public domain), seeded the way Rng documents.
+// It satisfies UniformRandomBitGenerator, so it can drive the std
+// distributions Rng wraps.
+class ReferenceEngine {
+ public:
+  using result_type = std::uint64_t;
+  explicit ReferenceEngine(std::uint64_t seed) : x_(seed) {
+    for (std::uint64_t& word : s_) word = splitmix64();
+  }
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return UINT64_MAX; }
+  result_type operator()() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
+
+ private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  std::uint64_t splitmix64() {
+    std::uint64_t z = (x_ += 0x9e3779b97f4a7c15);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111eb;
+    return z ^ (z >> 31);
+  }
+  std::uint64_t x_;
+  std::uint64_t s_[4];
+};
+
 constexpr std::uint64_t kEngineSeeds[] = {0, 1, 42, ~std::uint64_t{0}};
 
-TEST(LazyMt19937_64, EngineMatchesStdMt19937_64) {
+TEST(Xoshiro256ss, PublishedVectors) {
+  // xoshiro256** from the state {1, 2, 3, 4}, and SplitMix64 from 1234567.
+  Xoshiro256ss engine(Xoshiro256ss::State{1, 2, 3, 4});
+  for (const std::uint64_t want :
+       {11520ULL, 0ULL, 1509978240ULL, 1215971899390074240ULL}) {
+    EXPECT_EQ(engine(), want);
+  }
+  SplitMix64 seeder(1234567);
+  for (const std::uint64_t want :
+       {6457827717110365317ULL, 3203168211198807973ULL,
+        9817491932198370423ULL}) {
+    EXPECT_EQ(seeder(), want);
+  }
+}
+
+TEST(Xoshiro256ss, RngEngineMatchesTheReferenceTranscription) {
   for (const std::uint64_t seed : kEngineSeeds) {
-    for (const int draws : {1, 155, 156, 157, 311, 312, 313, 5000}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " draws " +
-                   std::to_string(draws));
-      Rng rng(seed);
-      std::mt19937_64 reference(seed);
-      for (int i = 0; i < draws; ++i) {
-        ASSERT_EQ(rng.engine()(), reference()) << "draw " << i;
-      }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ReferenceEngine reference(seed);
+    for (int i = 0; i < 5000; ++i) {
+      ASSERT_EQ(rng.engine()(), reference()) << "draw " << i;
     }
   }
 }
 
-TEST(LazyMt19937_64, CopyContinuesLikeTheOriginal) {
+TEST(Xoshiro256ss, CopyContinuesLikeTheOriginal) {
   for (const std::uint64_t seed : kEngineSeeds) {
-    for (const int before : {0, 1, 100, 155, 156, 157, 311, 312, 700}) {
+    for (const int before : {0, 1, 3, 4, 700}) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " copied after " +
                    std::to_string(before));
-      LazyMt19937_64 original(seed);
-      std::mt19937_64 reference(seed);
+      Xoshiro256ss original(seed);
+      ReferenceEngine reference(seed);
       for (int i = 0; i < before; ++i) {
         ASSERT_EQ(original(), reference());
       }
-      LazyMt19937_64 copy = original;
-      LazyMt19937_64 assigned(seed ^ 1);
-      (void)assigned();  // a partly seeded target, overwritten below
+      Xoshiro256ss copy = original;
+      Xoshiro256ss assigned(seed ^ 1);
+      (void)assigned();  // a target with its own state, overwritten below
       assigned = original;
       for (int i = 0; i < 1000; ++i) {
         const std::uint64_t want = reference();
@@ -175,18 +230,17 @@ TEST(LazyMt19937_64, CopyContinuesLikeTheOriginal) {
   }
 }
 
-TEST(LazyMt19937_64, DistributionsMatchStdDrivenByMt19937_64) {
+TEST(Xoshiro256ss, DistributionsMatchStdDrivenByTheReferenceEngine) {
   // Interleaved draws of every kind, each against the std distribution the
-  // Rng documents, driven by a std engine on the same seed. The op sequence
-  // comes from a separate generator, so it straddles the first block's
-  // boundaries at varying offsets.
+  // Rng documents, driven by the reference transcription on the same seed.
+  // The op sequence comes from a separate generator.
   const auto same = [](double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
   };
   for (const std::uint64_t seed : kEngineSeeds) {
     Rng rng(seed);
-    std::mt19937_64 reference(seed);
-    std::mt19937_64 ops(seed + 7);
+    ReferenceEngine reference(seed);
+    ReferenceEngine ops(seed + 7);
     for (int step = 0; step < 3000; ++step) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
                    std::to_string(step));
@@ -236,6 +290,85 @@ TEST(LazyMt19937_64, DistributionsMatchStdDrivenByMt19937_64) {
       }
     }
   }
+}
+
+TEST(Rng, FirstDrawsOfForkedStreamsAreUniform) {
+  // A campaign draws a handful of values from each of many sibling forks,
+  // so the first draw across forks must be uniform. Pearson's chi-square
+  // over 256 buckets (255 degrees of freedom) of the top and of the bottom
+  // byte, against its 0.1% critical value.
+  constexpr int kStreams = 1 << 16;
+  constexpr double kCritical = 330.5;
+  std::vector<int> top(256), bottom(256);
+  const Rng campaign(2016);
+  for (int i = 0; i < kStreams; ++i) {
+    const std::uint64_t word =
+        campaign.fork(static_cast<std::uint64_t>(i)).engine()();
+    ++top[word >> 56];
+    ++bottom[word & 0xff];
+  }
+  const auto chi_square = [](const std::vector<int>& counts) {
+    const double expected = static_cast<double>(kStreams) / 256;
+    double sum = 0;
+    for (const int count : counts) {
+      sum += (count - expected) * (count - expected) / expected;
+    }
+    return sum;
+  };
+  EXPECT_LT(chi_square(top), kCritical);
+  EXPECT_LT(chi_square(bottom), kCritical);
+}
+
+// Committed output bytes: tests/golden/rng_draws.txt pins the raw engine
+// words and fork seeds to the published algorithms, so any platform and
+// standard library must reproduce them. Lines:
+//   engine <seed> <w0> ... <w7>   the first 8 words of Rng(seed).engine()
+//   fork <seed> <tag> <child>     Rng(seed).fork("tag").seed()
+//   fork <seed> #<n> <child>      Rng(seed).fork(n).seed()
+// every number as 16 lowercase hex digits. It was generated by an
+// independent transcription of splitmix64.c, xoshiro256starstar.c and the
+// fork rules (FNV-1a of the tag, or one SplitMix64 step of n, xored into the
+// seed, then one SplitMix64 step). Per-distribution lines come when the
+// draws use in-repo algorithms instead of std::*_distribution.
+const std::string kGoldenDrawsPath =
+    std::string(ACUTE_GOLDEN_DIR) + "/rng_draws.txt";
+
+std::string hex64(std::uint64_t value) {
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx",
+                static_cast<unsigned long long>(value));
+  return text;
+}
+
+std::string render_rng_draws() {
+  constexpr std::uint64_t kSeeds[] = {0, 1, 42, 2016, ~std::uint64_t{0}};
+  std::string out;
+  for (const std::uint64_t seed : kSeeds) {
+    Rng rng(seed);
+    out += "engine " + hex64(seed);
+    for (int i = 0; i < 8; ++i) out += ' ' + hex64(rng.engine()());
+    out += '\n';
+  }
+  for (const std::uint64_t seed : kSeeds) {
+    const Rng rng(seed);
+    for (const char* tag : {"phone", "channel", "station", "netem"}) {
+      out += "fork " + hex64(seed) + ' ' + tag + ' ' +
+             hex64(rng.fork(tag).seed()) + '\n';
+    }
+    for (const std::uint64_t tag : {0, 1, 7, 9999}) {
+      out += "fork " + hex64(seed) + " #" + std::to_string(tag) + ' ' +
+             hex64(rng.fork(tag).seed()) + '\n';
+    }
+  }
+  return out;
+}
+
+TEST(Rng, ReproducesGoldenDrawFile) {
+  std::ifstream in(kGoldenDrawsPath, std::ios::binary);
+  ASSERT_TRUE(in.good()) << kGoldenDrawsPath;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(render_rng_draws(), golden.str());
 }
 
 // Property sweep: sample means of the latency-style distributions track

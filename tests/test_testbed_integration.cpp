@@ -259,18 +259,17 @@ TEST(Testbed, ToolKindNames) {
 // Committed output bytes: tests/golden/experiments.txt pins Experiment::run
 // to a file, not only to the shape bands above.
 //
-// How experiments.txt was generated: the cases render_golden_cases() lists
-// (ICMP ping for Nexus 5 and Nexus 4 x 30/60 ms x 10 ms/1 s intervals, one
-// seed each; the driver logs with the bus sleep on and off; all four tools
-// with and without cross traffic; AcuteMon with its background thread on
-// and off on the rooted driver; the Table 4 inference for the Galaxy Grand)
-// ran through the four single-run entry points that preceded
-// Experiment::run (one each for stock ping, the driver logs, any tool and
-// AcuteMon, each with its own spec struct and the same settings as the
-// cases below), and the same format was written to the file: one `case`
-// line, then one line per series, every double as `%a`. Experiment::run
-// must reproduce it byte for byte. Regenerate the file only with a
-// deliberate change to output bits, from render_golden_cases().
+// How experiments.txt was generated: a program wrote render_golden_cases()
+// to the file. The cases it lists are ICMP ping for Nexus 5 and Nexus 4 x
+// 30/60 ms x 10 ms/1 s intervals, one seed each; the driver logs with the
+// bus sleep on and off; all four tools with and without cross traffic;
+// AcuteMon with its background thread on and off on the rooted driver; and
+// the Table 4 inference for the Galaxy Grand. Each case is one `case` line,
+// then one line per series, every double as `%a`. The file was last
+// regenerated when sim::Rng's engine became xoshiro256** (every draw
+// moved); built against the library before that change, the same program
+// reproduced the previous file byte for byte. Regenerate the file only with
+// a deliberate change to output bits, by the same step.
 const std::string kGoldenExperimentsPath =
     std::string(ACUTE_GOLDEN_DIR) + "/experiments.txt";
 
