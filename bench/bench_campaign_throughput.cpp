@@ -350,10 +350,17 @@ testbed::CampaignSpec smoke_campaign() {
 }
 
 // Per-workload throughput matrix: the same small grid once per tool kind,
-// so the JSON carries a scenarios/s row per workload.
+// so the JSON carries a scenarios/s row per workload. A row is one 6-12 ms
+// campaign, which a single shot times to within 3x on a shared host, so
+// each row is the median of kMatrixShots shots, with the fastest and the
+// slowest beside it.
+constexpr int kMatrixShots = 5;
+
 struct WorkloadRow {
   tools::ToolKind kind = tools::ToolKind::icmp_ping;
-  double wall_seconds = 0;
+  double wall_seconds = 0;  // median shot
+  double wall_seconds_min = 0;
+  double wall_seconds_max = 0;
   double scenarios_per_sec = 0;
   double probes_per_sec = 0;
   double median_rtt_ms = 0;
@@ -375,11 +382,19 @@ WorkloadRow run_workload(tools::ToolKind kind, std::size_t workers) {
   spec.probe_interval = Duration::millis(200);
 
   testbed::Campaign campaign(spec);
-  const auto start = std::chrono::steady_clock::now();
-  const testbed::CampaignReport report = campaign.run(workers);
+  std::vector<double> walls;
+  testbed::CampaignReport report;  // every shot's is bit-identical
+  for (int shot = 0; shot < kMatrixShots; ++shot) {
+    const auto start = std::chrono::steady_clock::now();
+    report = campaign.run(workers);
+    walls.push_back(wall_seconds_since(start));
+  }
+  std::sort(walls.begin(), walls.end());
   WorkloadRow row;
   row.kind = kind;
-  row.wall_seconds = wall_seconds_since(start);
+  row.wall_seconds = walls[walls.size() / 2];
+  row.wall_seconds_min = walls.front();
+  row.wall_seconds_max = walls.back();
   row.scenarios_per_sec = double(report.shard_count()) / row.wall_seconds;
   row.probes_per_sec = double(report.total_probes()) / row.wall_seconds;
   row.probes = report.total_probes();
@@ -624,18 +639,19 @@ int main(int argc, char** argv) {
   std::vector<WorkloadRow> matrix;
   const std::size_t matrix_workers = std::min<std::size_t>(max_workers, 4);
   std::printf("workload matrix (8 scenarios/tool, %zu workers, streaming "
-              "merge):\n",
-              matrix_workers);
+              "merge, median of %d shots [min, max]):\n",
+              matrix_workers, kMatrixShots);
   for (const auto kind :
        {tools::ToolKind::acutemon, tools::ToolKind::icmp_ping,
         tools::ToolKind::httping, tools::ToolKind::java_ping}) {
     const WorkloadRow row = run_workload(kind, matrix_workers);
     matrix.push_back(row);
     std::printf(
-        "  %-10s wall=%.3fs  scenarios/s=%.1f  probes/s=%.0f  "
+        "  %-10s wall=%.4fs [%.4f, %.4f]  scenarios/s=%.1f  probes/s=%.0f  "
         "median=%.2f ms  (lost %zu/%zu)\n",
-        tools::to_string(row.kind), row.wall_seconds, row.scenarios_per_sec,
-        row.probes_per_sec, row.median_rtt_ms, row.lost, row.probes);
+        tools::to_string(row.kind), row.wall_seconds, row.wall_seconds_min,
+        row.wall_seconds_max, row.scenarios_per_sec, row.probes_per_sec,
+        row.median_rtt_ms, row.lost, row.probes);
   }
 
   // Passive-vantage overhead: the <= 5% budget of the pure-observer rung.
@@ -719,11 +735,14 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < matrix.size(); ++i) {
     const WorkloadRow& row = matrix[i];
     std::fprintf(json,
-                 "      {\"tool\": \"%s\", \"wall_seconds\": %.4f, "
+                 "      {\"tool\": \"%s\", \"shots\": %d, "
+                 "\"wall_seconds\": %.4f, \"wall_seconds_min\": %.4f, "
+                 "\"wall_seconds_max\": %.4f, "
                  "\"scenarios_per_sec\": %.2f, \"probes_per_sec\": %.1f, "
                  "\"median_rtt_ms\": %.2f, \"probes\": %zu, "
                  "\"lost\": %zu}%s\n",
-                 tools::to_string(row.kind), row.wall_seconds,
+                 tools::to_string(row.kind), kMatrixShots, row.wall_seconds,
+                 row.wall_seconds_min, row.wall_seconds_max,
                  row.scenarios_per_sec, row.probes_per_sec,
                  row.median_rtt_ms, row.probes, row.lost,
                  i + 1 < matrix.size() ? "," : "");

@@ -6,7 +6,7 @@
 // shard count — any mismatch is rejected loudly), then pulls leases of
 // contiguous scenario-index ranges. Completed shards stream back as ckpt2
 // record lines; the coordinator validates each against the spec (index
-// range, Rng(S).fork(i) seed, CampaignSpec::shard_hash), appends it to its
+// range, Rng(S).fork(i) seed, Campaign::shard_hash), appends it to its
 // own checkpoint file, and folds the first completion per index in
 // ascending scenario order — all through the same testbed::CampaignLedger
 // Campaign::run uses — so the merged digests are bit-identical to a

@@ -128,8 +128,8 @@ class FrameReader {
 };
 
 /// hello payload: everything the coordinator checks before leasing work.
-/// spec_hash is CampaignSpec::spec_hash() (shape-only); the seed rides
-/// separately so a seed mismatch gets its own loud message.
+/// spec_hash is CampaignSpec::spec_hash() (shape-only, O(axes) for a grid);
+/// the seed rides separately so a seed mismatch gets its own loud message.
 struct HelloBody {
   std::uint32_t protocol = kProtocolVersion;
   std::uint64_t spec_hash = 0;

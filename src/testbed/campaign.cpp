@@ -32,6 +32,10 @@ namespace {
 /// merging them — the seed check alone cannot see spec edits.
 class SpecHash {
  public:
+  SpecHash() = default;
+  /// Resumes from a value() taken earlier: mixing on continues that stream.
+  explicit SpecHash(std::uint64_t state) : hash_(state) {}
+
   SpecHash& mix(std::uint64_t value) {
     for (int byte = 0; byte < 8; ++byte) {
       hash_ = (hash_ ^ ((value >> (8 * byte)) & 0xff)) * 0x100000001b3ull;
@@ -42,6 +46,10 @@ class SpecHash {
     return mix(static_cast<std::uint64_t>(duration.count_nanos()));
   }
   SpecHash& mix(double value) { return mix(stats::double_bits(value)); }
+  SpecHash& mix(bool value) { return mix(std::uint64_t{value}); }
+  SpecHash& mix(phone::RadioKind radio) {
+    return mix(static_cast<std::uint64_t>(radio));
+  }
   SpecHash& mix(const std::string& text) {
     for (const char c : text) {
       hash_ = (hash_ ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
@@ -95,68 +103,65 @@ class SpecHash {
         .mix(rrc.fach_latency)
         .mix(std::uint64_t{rrc.fach_size_threshold});
   }
+  SpecHash& mix(const WorkloadSpec& workload) {
+    return mix(static_cast<std::uint64_t>(workload.tool))
+        .mix(static_cast<std::uint64_t>(workload.probe_count))
+        .mix(workload.interval)
+        .mix(workload.timeout)
+        .mix(static_cast<std::uint64_t>(workload.passive));
+  }
+  SpecHash& mix(const PhoneSpec& phone) {
+    return mix(phone.profile)
+        .mix(phone.label)  // selects the phone's rng streams
+        .mix(phone.radio)
+        .mix(phone.rrc)
+        .mix(phone.workload);
+  }
+  /// One grid axis: its length, then each entry in order.
+  template <class Entry>
+  SpecHash& mix_axis(const std::vector<Entry>& axis) {
+    mix(axis.size());
+    for (const auto& entry : axis) mix(entry);
+    return *this;
+  }
   [[nodiscard]] std::uint64_t value() const { return hash_; }
 
  private:
   std::uint64_t hash_ = 0xcbf29ce484222325ull;  // FNV offset basis
 };
 
-std::uint64_t shard_spec_hash(const CampaignSpec& spec,
-                              const ScenarioSpec& scenario) {
+/// The two halves of a shard hash. The phones prefix (the campaign probe
+/// schedule, then the phone list) is the FNV-1a state the scenario tail
+/// (the scenario's scalar fields) continues from. In a grid the prefix
+/// depends only on the (phone count, profile, radio, workload) axis tuple,
+/// so Campaign computes each tuple's prefix once and every shard pays only
+/// for its tail; explicit scenario lists run both halves per scenario.
+SpecHash phones_prefix(const CampaignSpec& spec,
+                       const std::vector<PhoneSpec>& phones) {
   SpecHash hash;
   hash.mix(static_cast<std::uint64_t>(spec.probes_per_phone))
       .mix(spec.probe_interval)
       .mix(spec.probe_timeout)
       .mix(spec.settle);
-  hash.mix(scenario.phones.size());
-  for (const PhoneSpec& phone : scenario.phones) {
-    hash.mix(phone.profile)
-        .mix(phone.label)  // selects the phone's rng streams
-        .mix(static_cast<std::uint64_t>(phone.radio))
-        .mix(phone.rrc)
-        .mix(static_cast<std::uint64_t>(phone.workload.tool))
-        .mix(static_cast<std::uint64_t>(phone.workload.probe_count))
-        .mix(phone.workload.interval)
-        .mix(phone.workload.timeout)
-        .mix(static_cast<std::uint64_t>(phone.workload.passive));
-  }
+  hash.mix(phones.size());
+  for (const PhoneSpec& phone : phones) hash.mix(phone);
+  return hash;
+}
+
+std::uint64_t scenario_tail(SpecHash hash, const ScenarioSpec& scenario) {
   hash.mix(scenario.emulated_rtt)
       .mix(scenario.netem_jitter)
-      .mix(std::uint64_t{scenario.congested_phy})
+      .mix(scenario.congested_phy)
       .mix(scenario.cross_connections)
       .mix(scenario.cross_flow_mbps)
-      .mix(std::uint64_t{scenario.send_ttl_exceeded})
+      .mix(scenario.send_ttl_exceeded)
       .mix(scenario.sniffer_noise)
       .mix(scenario.sniffer_count)
       .mix(scenario.cellular_core_rtt)
       .mix(scenario.netem_loss)
-      .mix(std::uint64_t{scenario.netem_reorder});
+      .mix(scenario.netem_reorder);
   return hash.value();
 }
-
-}  // namespace
-
-std::uint64_t CampaignSpec::shard_hash(const ScenarioSpec& scenario) const {
-  return shard_spec_hash(*this, scenario);
-}
-
-std::uint64_t CampaignSpec::spec_hash() const {
-  SpecHash hash;
-  const std::size_t count = grid.has_value() ? grid->size() : scenarios.size();
-  hash.mix(count);
-  ScenarioSpec scratch;  // capacity-reused across the grid sweep
-  for (std::size_t i = 0; i < count; ++i) {
-    if (grid.has_value()) {
-      grid->at_into(i, scratch);
-    } else {
-      scratch = scenarios[i];
-    }
-    hash.mix(shard_spec_hash(*this, scratch));
-  }
-  return hash.value();
-}
-
-namespace {
 
 /// Shared axis validation of expand() and at().
 void validate_grid(const ScenarioGrid& grid) {
@@ -174,9 +179,46 @@ void validate_grid(const ScenarioGrid& grid) {
   }
 }
 
-/// The one scenario-construction routine behind expand(), at() and
-/// at_into(): fills `out` for one tuple of axis positions. Sharing it is
-/// what makes at(i) == expand()[i] hold element for element by
+/// One scenario's position on each grid axis.
+struct AxisDigits {
+  std::size_t count, profile, radio, rtt, cross, loss, reorder, workload;
+};
+
+/// Decodes `index` as mixed-radix digits, innermost (workload) first — the
+/// inverse of expand()'s nesting order. `index` must be below grid.size().
+AxisDigits decode(const ScenarioGrid& grid, std::size_t index) {
+  auto digit = [&index](std::size_t radix) {
+    const std::size_t d = index % radix;
+    index /= radix;
+    return d;
+  };
+  AxisDigits at{};
+  at.workload = digit(grid.workloads.size());
+  at.reorder = digit(grid.reorder.size());
+  at.loss = digit(grid.loss_rates.size());
+  at.cross = digit(grid.cross_traffic.size());
+  at.rtt = digit(grid.emulated_rtts.size());
+  at.radio = digit(grid.radios.size());
+  at.profile = digit(grid.profiles.size());
+  at.count = digit(grid.phone_counts.size());
+  return at;
+}
+
+/// The flat slot of `at`'s (phone count, profile, radio, workload) tuple,
+/// in expand()'s nesting order: Campaign's phones-prefix table index.
+std::size_t phones_slot(const ScenarioGrid& grid, const AxisDigits& at) {
+  return ((at.count * grid.profiles.size() + at.profile) *
+              grid.radios.size() +
+          at.radio) *
+             grid.workloads.size() +
+         at.workload;
+}
+
+/// The one scenario-construction routine behind expand(), at(), at_into()
+/// and the grid shard hash, in two halves: the phone list (which only the
+/// phones-prefix tuple determines) and the scalar fields. Sharing it is
+/// what makes at(i) == expand()[i] hold element for element, and
+/// Campaign::shard_hash(i) == shard_hash(at(i)) hold bit for bit, by
 /// construction. Fills in place — every field is overwritten (the non-axis
 /// ones from a default-constructed ScenarioSpec), and the phones vector
 /// plus the strings inside reuse out's capacity, so a shape-stable grid
@@ -186,46 +228,77 @@ void validate_grid(const ScenarioGrid& grid) {
 /// reset list below, or a reused `out` would leak the previous shard's
 /// value into the next scenario. The context-reuse bit-identity tests catch
 /// any behavior-determining omission.
-void scenario_from_axes_into(const ScenarioGrid& grid, std::size_t count_i,
-                             std::size_t profile_i, std::size_t radio_i,
-                             std::size_t rtt_i, std::size_t cross_i,
-                             std::size_t loss_i, std::size_t reorder_i,
-                             std::size_t workload_i, ScenarioSpec& out) {
-  static const ScenarioSpec defaults;
+void phones_from_axes(const ScenarioGrid& grid, const AxisDigits& at,
+                      std::vector<PhoneSpec>& out) {
   static const PhoneSpec default_phone;
+  out.resize(grid.phone_counts[at.count]);
+  for (PhoneSpec& phone : out) {
+    phone = default_phone;
+    phone.profile = grid.profiles[at.profile];
+    phone.radio = grid.radios[at.radio];
+    phone.workload = grid.workloads[at.workload];
+  }
+}
+
+void fields_from_axes(const ScenarioGrid& grid, const AxisDigits& at,
+                      ScenarioSpec& out) {
+  static const ScenarioSpec defaults;
   out.seed = defaults.seed;
-  out.emulated_rtt = grid.emulated_rtts[rtt_i];
+  out.emulated_rtt = grid.emulated_rtts[at.rtt];
   out.netem_jitter = defaults.netem_jitter;
-  out.congested_phy = grid.cross_traffic[cross_i];
+  out.congested_phy = grid.cross_traffic[at.cross];
   out.cross_connections = defaults.cross_connections;
   out.cross_flow_mbps = defaults.cross_flow_mbps;
   out.send_ttl_exceeded = defaults.send_ttl_exceeded;
   out.sniffer_noise = defaults.sniffer_noise;
   out.sniffer_count = defaults.sniffer_count;
   out.cellular_core_rtt = defaults.cellular_core_rtt;
-  out.netem_loss = grid.loss_rates[loss_i];
-  out.netem_reorder = grid.reorder[reorder_i];
-  out.phones.resize(grid.phone_counts[count_i]);
-  for (PhoneSpec& phone : out.phones) {
-    phone = default_phone;
-    phone.profile = grid.profiles[profile_i];
-    phone.radio = grid.radios[radio_i];
-    phone.workload = grid.workloads[workload_i];
-  }
+  out.netem_loss = grid.loss_rates[at.loss];
+  out.netem_reorder = grid.reorder[at.reorder];
 }
 
-ScenarioSpec scenario_from_axes(const ScenarioGrid& grid, std::size_t count_i,
-                                std::size_t profile_i, std::size_t radio_i,
-                                std::size_t rtt_i, std::size_t cross_i,
-                                std::size_t loss_i, std::size_t reorder_i,
-                                std::size_t workload_i) {
-  ScenarioSpec scenario;
-  scenario_from_axes_into(grid, count_i, profile_i, radio_i, rtt_i, cross_i,
-                          loss_i, reorder_i, workload_i, scenario);
-  return scenario;
+void scenario_from_axes_into(const ScenarioGrid& grid, const AxisDigits& at,
+                             ScenarioSpec& out) {
+  fields_from_axes(grid, at, out);
+  phones_from_axes(grid, at, out.phones);
 }
 
 }  // namespace
+
+std::uint64_t CampaignSpec::shard_hash(const ScenarioSpec& scenario) const {
+  return scenario_tail(phones_prefix(*this, scenario.phones), scenario);
+}
+
+std::uint64_t CampaignSpec::spec_hash() const {
+  SpecHash hash;
+  const std::size_t count = grid.has_value() ? grid->size() : scenarios.size();
+  hash.mix(count);
+  if (!grid.has_value()) {
+    for (const ScenarioSpec& scenario : scenarios) {
+      hash.mix(shard_hash(scenario));
+    }
+    return hash.value();
+  }
+  // A grid determines every scenario, so its axes (in nesting order, each
+  // with its length) and the probe schedule identify the campaign in
+  // O(axes). Scenario 0's shard hash adds the fields no axis names — the
+  // ScenarioSpec/PhoneSpec defaults — so two builds that disagree on a
+  // default still disagree here.
+  return hash.mix(static_cast<std::uint64_t>(probes_per_phone))
+      .mix(probe_interval)
+      .mix(probe_timeout)
+      .mix(settle)
+      .mix_axis(grid->phone_counts)
+      .mix_axis(grid->profiles)
+      .mix_axis(grid->radios)
+      .mix_axis(grid->emulated_rtts)
+      .mix_axis(grid->cross_traffic)
+      .mix_axis(grid->loss_rates)
+      .mix_axis(grid->reorder)
+      .mix_axis(grid->workloads)
+      .mix(shard_hash(grid->at(0)))
+      .value();
+}
 
 std::vector<ScenarioSpec> ScenarioGrid::expand() const {
   validate_grid(*this);
@@ -239,8 +312,10 @@ std::vector<ScenarioSpec> ScenarioGrid::expand() const {
             for (std::size_t l = 0; l < loss_rates.size(); ++l) {
               for (std::size_t o = 0; o < reorder.size(); ++o) {
                 for (std::size_t w = 0; w < workloads.size(); ++w) {
-                  scenarios.push_back(
-                      scenario_from_axes(*this, c, p, r, t, x, l, o, w));
+                  ScenarioSpec& scenario = scenarios.emplace_back();
+                  scenario_from_axes_into(*this,
+                                          AxisDigits{c, p, r, t, x, l, o, w},
+                                          scenario);
                 }
               }
             }
@@ -261,22 +336,7 @@ ScenarioSpec ScenarioGrid::at(std::size_t index) const {
 void ScenarioGrid::at_into(std::size_t index, ScenarioSpec& out) const {
   validate_grid(*this);
   expects(index < size(), "ScenarioGrid::at index out of range");
-  // Decode the index as mixed-radix digits, innermost (workload) first —
-  // the inverse of expand()'s nesting order.
-  auto digit = [&index](std::size_t radix) {
-    const std::size_t d = index % radix;
-    index /= radix;
-    return d;
-  };
-  const std::size_t w = digit(workloads.size());
-  const std::size_t o = digit(reorder.size());
-  const std::size_t l = digit(loss_rates.size());
-  const std::size_t x = digit(cross_traffic.size());
-  const std::size_t t = digit(emulated_rtts.size());
-  const std::size_t r = digit(radios.size());
-  const std::size_t p = digit(profiles.size());
-  const std::size_t c = digit(phone_counts.size());
-  scenario_from_axes_into(*this, c, p, r, t, x, l, o, w, out);
+  scenario_from_axes_into(*this, decode(*this, index), out);
 }
 
 std::size_t ScenarioGrid::size() const {
@@ -334,15 +394,13 @@ void write_report_digests(std::ostream& out, const CampaignReport& report) {
   }
 }
 
-Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
+Campaign::Campaign(CampaignSpec spec)
+    : spec_(std::move(spec)),
+      shard_count_(spec_.grid.has_value() ? spec_.grid->size()
+                                          : spec_.scenarios.size()) {
   expects(spec_.scenarios.empty() || !spec_.grid.has_value(),
           "Campaign takes scenarios OR a lazy grid, not both");
-  if (spec_.grid.has_value()) {
-    expects(spec_.grid->size() > 0, "Campaign requires at least one scenario");
-  } else {
-    expects(!spec_.scenarios.empty(),
-            "Campaign requires at least one scenario");
-  }
+  expects(shard_count_ > 0, "Campaign requires at least one scenario");
   expects(spec_.probes_per_phone > 0,
           "Campaign requires probes_per_phone > 0");
   expects(spec_.probe_timeout > Duration{},
@@ -351,10 +409,34 @@ Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
           "CampaignSpec::keep_samples and retain_shards are retired and must "
           "stay false: campaigns always fold through the merge frontier; "
           "record per-probe samples through CampaignSpec::sinks");
+  if (spec_.grid.has_value()) {
+    // Every (phone count, profile, radio, workload) tuple's phones prefix,
+    // in phones_slot() order, so shard_hash(i) hashes only a scenario tail.
+    const ScenarioGrid& grid = *spec_.grid;
+    std::vector<PhoneSpec> phones;
+    AxisDigits at{};
+    for (at.count = 0; at.count < grid.phone_counts.size(); ++at.count) {
+      for (at.profile = 0; at.profile < grid.profiles.size(); ++at.profile) {
+        for (at.radio = 0; at.radio < grid.radios.size(); ++at.radio) {
+          for (at.workload = 0; at.workload < grid.workloads.size();
+               ++at.workload) {
+            phones_from_axes(grid, at, phones);
+            phones_prefixes_.push_back(phones_prefix(spec_, phones).value());
+          }
+        }
+      }
+    }
+  }
 }
 
-std::size_t Campaign::scenario_count() const {
-  return spec_.grid.has_value() ? spec_.grid->size() : spec_.scenarios.size();
+std::uint64_t Campaign::shard_hash(std::size_t index) const {
+  expects(index < scenario_count(), "Campaign::shard_hash index out of range");
+  if (!spec_.grid.has_value()) return spec_.shard_hash(spec_.scenarios[index]);
+  const AxisDigits at = decode(*spec_.grid, index);
+  ScenarioSpec tail{.phones = {}};  // no phones: allocation-free
+  fields_from_axes(*spec_.grid, at, tail);
+  return scenario_tail(SpecHash(phones_prefixes_[phones_slot(*spec_.grid, at)]),
+                       tail);
 }
 
 std::uint64_t Campaign::shard_seed(std::uint64_t campaign_seed,
@@ -641,7 +723,7 @@ report::ShardCheckpoint Campaign::run_shard(
   // so a shard is durable before it is folded. The hash covers only the
   // outcome-determining shape fields, so the seed written above is moot.
   if (hash || checkpoint != nullptr) {
-    record.spec_hash = spec_.shard_hash(scenario);
+    record.spec_hash = shard_hash(scenario_index);
   }
   if (checkpoint != nullptr) checkpoint->append(record);
   // Destroy the per-shard owned sinks now (matching the fresh path, where

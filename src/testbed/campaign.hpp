@@ -104,8 +104,9 @@ struct CampaignSpec {
   /// Lazy alternative to `scenarios`: shard i builds its ScenarioSpec on
   /// demand from grid->at(i), so campaign spec memory is O(1) instead of
   /// O(shards) — the 10^5–10^6-shard mode. Exactly one of `scenarios` /
-  /// `grid` may be set; shard indices, seeds, hashes and merge order are
-  /// identical to running grid->expand() materialized.
+  /// `grid` may be set; shard indices, seeds, shard hashes, checkpoints and
+  /// merge order are identical to running grid->expand() materialized (only
+  /// the campaign-wide spec_hash() differs).
   std::optional<ScenarioGrid> grid;
   /// Default per-phone probe schedule; a phone's WorkloadSpec may override
   /// any of the three fields (its zero/<=0 fields fall back to these).
@@ -141,15 +142,25 @@ struct CampaignSpec {
   /// Stamped into every checkpoint record (see report::ShardCheckpoint) so
   /// a resume against an edited spec rejects the stale shards loudly — the
   /// one hash both checkpoint validation and the fabric wire protocol use.
+  /// The reference form: Campaign::shard_hash(i) gives the same bits for
+  /// shard i without materializing its scenario.
   [[nodiscard]] std::uint64_t shard_hash(const ScenarioSpec& scenario) const;
 
-  /// Shape-only fingerprint of the whole campaign: the scenario count plus
-  /// every scenario's shard_hash() in index order (never the seed — the
+  /// Shape-only fingerprint of the whole campaign, never the seed (the
   /// fabric handshake carries the seed as its own field so a seed mismatch
-  /// gets its own loud message). A lazy grid and its materialized expand()
-  /// hash identically, because both feed the same scenarios through the
-  /// same per-shard hash. O(scenarios) to compute; computed once per
-  /// handshake, not per shard.
+  /// gets its own loud message); the hello's campaign identity.
+  ///   * A grid hashes the scenario count, the probe schedule and every
+  ///     axis vector in nesting order with its length — a grid determines
+  ///     every scenario, so this is O(axes), not O(shards) — plus scenario
+  ///     0's shard_hash(), which carries the ScenarioSpec/PhoneSpec
+  ///     defaults no axis names, so builds that disagree on a default
+  ///     still fail the hello.
+  ///   * An explicit `scenarios` list hashes its count plus every
+  ///     scenario's shard_hash() in index order: O(scenarios).
+  /// So a lazy grid and its materialized expand() have different
+  /// spec_hash()es (a worker must be given the same form as its
+  /// coordinator), although their shard hashes — and so their checkpoints
+  /// — are identical and interchangeable.
   [[nodiscard]] std::uint64_t spec_hash() const;
 };
 
@@ -241,19 +252,27 @@ class Campaign {
  public:
   /// Requires at least one scenario (exactly one of CampaignSpec::scenarios
   /// / CampaignSpec::grid set), a positive probe count, and the retired
-  /// keep_samples / retain_shards flags left false.
+  /// keep_samples / retain_shards flags left false. A grid's phones
+  /// prefixes (see shard_hash(std::size_t)) are hashed here.
   explicit Campaign(CampaignSpec spec);
 
   [[nodiscard]] const CampaignSpec& spec() const { return spec_; }
 
   /// Number of shards (scenarios.size() or grid->size()).
-  [[nodiscard]] std::size_t scenario_count() const;
+  [[nodiscard]] std::size_t scenario_count() const { return shard_count_; }
 
   /// The scenario shard `index` runs, filled into `out` in place
   /// (capacity-reusing; the grid path delegates to ScenarioGrid::at_into,
   /// the materialized path copy-assigns). Seed not yet assigned — the shard
   /// run does that.
   void scenario_into(std::size_t index, ScenarioSpec& out) const;
+
+  /// spec().shard_hash(scenario `index` runs), bit for bit, without
+  /// building that scenario: a grid shard mixes its scalar fields onto its
+  /// (phone count, profile, radio, workload) tuple's phones prefix, which
+  /// the constructor hashed once per tuple. O(1) per grid shard, and
+  /// thread-safe. Contract violation when `index` is out of range.
+  [[nodiscard]] std::uint64_t shard_hash(std::size_t index) const;
 
   /// The deterministic seed shard `shard_index` runs its scenario with:
   /// Rng(campaign_seed).fork(shard_index). Depends only on the arguments,
@@ -299,6 +318,11 @@ class Campaign {
       ShardContext& context) const;
 
   CampaignSpec spec_;
+  std::size_t shard_count_;
+  /// Grid only: the FNV-1a state after the probe schedule and the phone
+  /// list, one per (phone count, profile, radio, workload) tuple, in
+  /// expand()'s nesting order — at most one per shard.
+  std::vector<std::uint64_t> phones_prefixes_;
 };
 
 }  // namespace acute::testbed

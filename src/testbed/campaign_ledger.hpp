@@ -5,8 +5,9 @@
 // Construction does the serial part:
 //   * restore — every complete record already at CampaignSpec::
 //     checkpoint_path is validated against the campaign (scenario index in
-//     range, Rng(S).fork(i) seed, CampaignSpec::shard_hash), one record in
-//     memory at a time, inside compaction's first pass;
+//     range, Rng(S).fork(i) seed, Campaign::shard_hash(i), which for a grid
+//     costs O(1) and builds no scenario), one record in memory at a time,
+//     inside compaction's first pass;
 //   * compact — unless it is one ascending line per shard already, the
 //     file is rewritten to that (report::compact_checkpoint's shared
 //     last-wins rule), and it is reopened for appending;
@@ -56,9 +57,9 @@ class CampaignLedger {
   }
 
   /// Contract violation unless `record` belongs to this campaign: index in
-  /// range, shard seed and spec hash as the campaign derives them. `source`
-  /// names the record's origin in the message. Not thread-safe (reuses one
-  /// scenario scratch).
+  /// range, shard seed and spec hash as the campaign derives them
+  /// (Campaign::shard_hash, no scenario built). `source` names the record's
+  /// origin in the message. Runs on restore and on every fabric shard_done.
   void validate(const report::ShardCheckpoint& record, const char* source);
 
   /// Opens the in-order fold; `park_bound` as in MergeFrontier (0 never
@@ -90,9 +91,6 @@ class CampaignLedger {
   std::unique_ptr<report::CheckpointReader> restored_;
   std::unique_ptr<report::CheckpointWriter> checkpoint_;
   std::optional<MergeFrontier> frontier_;
-  // validate()'s capacity-reused scenario, built on first use so a run
-  // that validates nothing allocates nothing for it.
-  std::optional<ScenarioSpec> scratch_;
 };
 
 }  // namespace acute::testbed

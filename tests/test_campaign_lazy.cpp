@@ -3,8 +3,12 @@
 // from its materialized twin, and the determinism contract (bit-identical
 // merged digests for any worker count) must hold on a 10^4-shard grid
 // iterated lazily — the memory-bounded mode million-shard sweeps run in.
+// The campaign identity is pinned here too: Campaign::shard_hash(i) must be
+// CampaignSpec::shard_hash(grid.at(i)) bit for bit, and a grid's
+// spec_hash() must see every axis entry while costing O(axes).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -239,6 +243,206 @@ TEST(LazyCampaign, JsonlExportIsByteIdenticalAcrossWorkerCounts) {
   const std::string serial_bytes = read_file(serial.path);
   ASSERT_FALSE(serial_bytes.empty());
   EXPECT_EQ(serial_bytes, read_file(threaded.path));
+}
+
+// ------------------------------------------------------ campaign identity
+
+WorkloadSpec overridden_httping() {
+  WorkloadSpec workload{ToolKind::httping};
+  workload.passive = passive::PassiveVantage::both;
+  workload.probe_count = 3;
+  workload.interval = 70_ms;
+  workload.timeout = 600_ms;
+  return workload;
+}
+
+/// Nexus 5 with one behavior field changed and its name kept.
+PhoneProfile edited_nexus5() {
+  PhoneProfile profile = PhoneProfile::nexus5();
+  profile.cpu_scale *= 1.5;
+  return profile;
+}
+
+/// Grids that between them cover phone counts {1, 3}, an edited profile
+/// under an unchanged name, both radios, cross traffic, loss and reorder,
+/// and workloads with passive = both and overridden schedules.
+std::vector<ScenarioGrid> identity_grids() {
+  std::vector<ScenarioGrid> grids(5);
+  grids[0].phone_counts = {1, 3};
+  grids[0].profiles = {PhoneProfile::nexus5(), edited_nexus5()};
+  grids[0].radios = {RadioKind::wifi, RadioKind::cellular};
+  grids[0].workloads = {WorkloadSpec{ToolKind::icmp_ping},
+                        overridden_httping()};
+  grids[1].emulated_rtts = {10_ms, 30_ms};
+  grids[1].cross_traffic = {false, true};
+  grids[1].loss_rates = {0.0, 0.1};
+  grids[1].reorder = {false, true};
+  grids[2].phone_counts = {3};
+  grids[2].profiles = {PhoneProfile::nexus4()};
+  grids[2].radios = {RadioKind::cellular};
+  grids[2].workloads = {overridden_httping(), WorkloadSpec{ToolKind::acutemon},
+                        WorkloadSpec{ToolKind::java_ping}};
+  grids[2].cross_traffic = {true};
+  // Every axis with two entries (256 shards, 16 phones-prefix tuples).
+  grids[3] = grids[0];
+  grids[3].emulated_rtts = {10_ms, 30_ms};
+  grids[3].cross_traffic = {true, false};
+  grids[3].loss_rates = {0.2, 0.0};
+  grids[3].reorder = {true, false};
+  grids[4].phone_counts = {3, 1};
+  grids[4].profiles = {edited_nexus5(), PhoneProfile::nexus4(),
+                       PhoneProfile::nexus5()};
+  grids[4].workloads = {overridden_httping()};
+  return grids;
+}
+
+TEST(CampaignIdentity, GridShardHashEqualsTheMaterializedScenarioHash) {
+  for (const ScenarioGrid& grid : identity_grids()) {
+    CampaignSpec spec = small_spec();
+    spec.grid = grid;
+    const Campaign campaign(spec);
+    ASSERT_EQ(campaign.scenario_count(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      ASSERT_EQ(campaign.shard_hash(i), spec.shard_hash(grid.at(i)))
+          << "grid of " << grid.size() << " shards, index " << i;
+    }
+  }
+}
+
+TEST(CampaignIdentity, ListShardHashEqualsTheScenarioHash) {
+  CampaignSpec spec = small_spec();
+  spec.scenarios = identity_grids()[3].expand();
+  ScenarioSpec mixed;
+  mixed.phones.assign(4, PhoneSpec{});
+  mixed.phones[1].profile = edited_nexus5();
+  mixed.phones[2].radio = RadioKind::cellular;
+  mixed.phones[3].label = "handset-3";
+  mixed.assign_workloads({WorkloadSpec{ToolKind::acutemon},
+                          overridden_httping()});
+  mixed.sniffer_count = 1;
+  spec.scenarios.push_back(mixed);
+  const Campaign campaign(spec);
+  for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
+    ASSERT_EQ(campaign.shard_hash(i), spec.shard_hash(spec.scenarios[i]))
+        << "index " << i;
+  }
+}
+
+TEST(CampaignIdentity, ShardHashRejectsAnOutOfRangeIndex) {
+  CampaignSpec grid_spec = small_spec();
+  grid_spec.grid = small_grid();
+  const Campaign grid_campaign(grid_spec);
+  EXPECT_THROW((void)grid_campaign.shard_hash(grid_campaign.scenario_count()),
+               sim::ContractViolation);
+  CampaignSpec list_spec = small_spec();
+  list_spec.scenarios = small_grid().expand();
+  const Campaign list_campaign(list_spec);
+  EXPECT_THROW((void)list_campaign.shard_hash(list_campaign.scenario_count()),
+               sim::ContractViolation);
+}
+
+TEST(CampaignIdentity, ListSpecHashKeepsItsBits) {
+  // An explicit list still hashes every scenario's shard hash: this is the
+  // value the library gave before grids hashed their axes instead.
+  CampaignSpec spec = small_spec();
+  spec.scenarios = small_grid().expand();
+  EXPECT_EQ(spec.spec_hash(), 0x458bb806493d5daeull);
+}
+
+TEST(CampaignIdentity, EveryGridEditChangesTheSpecHash) {
+  CampaignSpec base = small_spec();
+  base.grid = small_grid();
+  base.grid->emulated_rtts = {10_ms, 30_ms};
+  base.grid->loss_rates = {0.0, 0.1};
+  base.grid->workloads = {WorkloadSpec{ToolKind::icmp_ping},
+                          overridden_httping()};
+  std::vector<std::pair<std::string, CampaignSpec>> edits;
+  const auto edit = [&](const std::string& name, auto&& change) {
+    CampaignSpec spec = base;
+    change(spec);
+    edits.emplace_back(name, std::move(spec));
+  };
+  edit("one axis value", [](CampaignSpec& s) {
+    s.grid->emulated_rtts[1] = 31_ms;
+  });
+  edit("two swapped RTTs", [](CampaignSpec& s) {
+    s.grid->emulated_rtts = {30_ms, 10_ms};
+  });
+  edit("one extra loss step", [](CampaignSpec& s) {
+    s.grid->loss_rates.push_back(0.2);
+  });
+  edit("one profile field", [](CampaignSpec& s) {
+    s.grid->profiles[0].psm_timeout += 1_ms;
+  });
+  edit("one workload field", [](CampaignSpec& s) {
+    s.grid->workloads[1].probe_count += 1;
+  });
+  edit("one probe-schedule field", [](CampaignSpec& s) {
+    s.probe_interval += 1_ms;
+  });
+  edit("settle", [](CampaignSpec& s) { s.settle += 1_ms; });
+  edit("cross traffic", [](CampaignSpec& s) {
+    s.grid->cross_traffic = {true};
+  });
+  edit("reorder axis length", [](CampaignSpec& s) {
+    s.grid->reorder = {false, false};
+  });
+  // Two grids with the same shard count, the same scenario 0 and the same
+  // entry bits in the same order (false and 0.0 are both zero words), a
+  // replicate entry moved between adjacent axes: only the axis lengths
+  // tell them apart.
+  edit("a replicate on the loss axis", [](CampaignSpec& s) {
+    s.grid->loss_rates = {0.0, 0.0};
+  });
+  edit("a replicate on the cross-traffic axis", [](CampaignSpec& s) {
+    s.grid->cross_traffic = {false, false};
+    s.grid->loss_rates = {0.0};
+  });
+  edit("radio", [](CampaignSpec& s) {
+    s.grid->radios = {RadioKind::cellular};
+  });
+  edit("phone count", [](CampaignSpec& s) { s.grid->phone_counts = {2}; });
+  std::set<std::uint64_t> hashes{base.spec_hash()};
+  for (const auto& [name, spec] : edits) {
+    EXPECT_TRUE(hashes.insert(spec.spec_hash()).second)
+        << name << " left the spec hash unchanged (or collided)";
+  }
+  // The seed is the hello's own field, never part of the shape hash.
+  CampaignSpec reseeded = base;
+  reseeded.seed += 1;
+  EXPECT_EQ(reseeded.spec_hash(), base.spec_hash());
+}
+
+TEST(CampaignIdentity, ATrillionShardGridHashesAtOnce) {
+  // Three axes of 10^4 entries: 10^12 shards, which a per-scenario sweep
+  // would take weeks to hash. No CampaignLedger is built — it would hold
+  // one slot per shard.
+  ScenarioGrid grid;
+  grid.emulated_rtts.clear();
+  grid.loss_rates.clear();
+  grid.cross_traffic.clear();
+  for (int i = 0; i < 10000; ++i) {
+    grid.emulated_rtts.push_back(sim::Duration::micros(1000 + i));
+    grid.loss_rates.push_back(0.0001 * i);
+    grid.cross_traffic.push_back(i % 3 == 0);
+  }
+  CampaignSpec spec = small_spec();
+  spec.grid = grid;
+  const auto start = std::chrono::steady_clock::now();
+  const Campaign campaign(spec);
+  ASSERT_EQ(campaign.scenario_count(), std::size_t{1000000000000});
+  const std::uint64_t identity = campaign.spec().spec_hash();
+  const std::size_t last = campaign.scenario_count() - 1;
+  const std::uint64_t last_hash = campaign.shard_hash(last);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 5.0);
+  EXPECT_EQ(last_hash, spec.shard_hash(grid.at(last)));
+  EXPECT_NE(last_hash, campaign.shard_hash(0));
+  CampaignSpec shifted = spec;
+  shifted.grid->loss_rates.back() = 0.5;
+  EXPECT_NE(shifted.spec_hash(), identity);
 }
 
 }  // namespace

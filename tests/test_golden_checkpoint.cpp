@@ -24,12 +24,28 @@
 // 4*compression pending threshold by merges alone, which the 16 shards
 // above never do, so this file pins the buffered merge's compaction points.
 //
-// All three were last regenerated when sim::Rng's engine became
-// xoshiro256** (every draw moved), by a program that called these steps on
-// golden_spec() and one_ping_spec() below. The same program, built against
-// the library before that change, reproduced the previous files byte for
-// byte. Regenerate any of these files only with a deliberate change to
-// output bits, by the same steps.
+// How cross_traffic.ckpt2 and cross_traffic.digests were generated:
+// cross_traffic_spec() below (8 shards: two and four phones, cross traffic
+// on, AcuteMon, ICMP ping, httping with both passive vantages, and Java
+// ping, 20 probes each) ran through the mixed_workloads steps above: once
+// through Campaign::run(1) with checkpoint_path set, then
+// compact_checkpoint(path), for the .ckpt2; once through Campaign::run(1)
+// with no checkpoint, dumped by write_report_digests, for the .digests.
+// The program that wrote them #included this file for its helpers, defined
+// cross_traffic_spec() as below, and was linked against the library as it
+// stood before CampaignSpec::spec_hash() became O(axes). So the grid shard
+// hashes in the checkpoint lines are the ones a fully materialized,
+// field-by-field hashed scenario gives. Its mixed_workloads output matched
+// the committed files byte for byte. These are the first pins where cross
+// traffic meets probes, on the shared channel and on the wired path, in a
+// deep_fleet-shaped grid.
+//
+// The mixed_workloads and one_ping_grid files were last regenerated when
+// sim::Rng's engine became xoshiro256** (every draw moved), by a program
+// that called these steps on golden_spec() and one_ping_spec() below. The
+// same program, built against the library before that change, reproduced
+// the previous files byte for byte. Regenerate any of these files only
+// with a deliberate change to output bits, by the same steps.
 //
 // The fabric coordinator's core is also replayed here over seeded fault
 // schedules (GoldenDigests.SeededFaultSchedules...), without sockets,
@@ -81,6 +97,10 @@ const std::string kGoldenDigestsPath =
     std::string(ACUTE_GOLDEN_DIR) + "/mixed_workloads.digests";
 const std::string kOnePingDigestsPath =
     std::string(ACUTE_GOLDEN_DIR) + "/one_ping_grid.digests";
+const std::string kCrossTrafficPath =
+    std::string(ACUTE_GOLDEN_DIR) + "/cross_traffic.ckpt2";
+const std::string kCrossTrafficDigestsPath =
+    std::string(ACUTE_GOLDEN_DIR) + "/cross_traffic.digests";
 
 struct TempFile {
   explicit TempFile(const std::string& name)
@@ -153,6 +173,25 @@ CampaignSpec one_ping_spec() {
   spec.probe_interval = Duration::millis(50);
   spec.probe_timeout = Duration::millis(400);
   spec.settle = Duration::millis(50);
+  return spec;
+}
+
+CampaignSpec cross_traffic_spec() {
+  ScenarioGrid grid;
+  grid.phone_counts = {2, 4};
+  grid.emulated_rtts = {Duration::millis(10)};
+  grid.cross_traffic = {true};
+  grid.workloads = {workload(ToolKind::acutemon, PassiveVantage::none),
+                    workload(ToolKind::icmp_ping, PassiveVantage::none),
+                    workload(ToolKind::httping, PassiveVantage::both),
+                    workload(ToolKind::java_ping, PassiveVantage::none)};
+  CampaignSpec spec;
+  spec.seed = 2018;
+  spec.grid = grid;
+  spec.probes_per_phone = 20;
+  spec.probe_interval = Duration::millis(100);
+  spec.probe_timeout = Duration::millis(1000);
+  spec.settle = Duration::millis(200);
   return spec;
 }
 
@@ -294,6 +333,35 @@ TEST(GoldenDigests, OnePingGridReproducesTheFile) {
   TempFile fabric_checkpoint("one_ping_fabric");
   spec.checkpoint_path = fabric_checkpoint.path;
   EXPECT_EQ(digest_dump(run_fabric(spec)), golden);
+}
+
+TEST(GoldenCrossTraffic, EveryWorkerCountReproducesTheDigests) {
+  const std::string golden = read_file(kCrossTrafficDigestsPath);
+  ASSERT_FALSE(golden.empty());
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    EXPECT_EQ(digest_dump(Campaign(cross_traffic_spec()).run(workers)),
+              golden);
+  }
+}
+
+TEST(GoldenCrossTraffic, TheCompactedCheckpointKeepsItsBytes) {
+  // The records' spec hashes pin the grid shard hashes on the
+  // cross-traffic axis; a 4-worker run appends out of order, so the
+  // compaction rewrite is exercised too.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    TempFile checkpoint("cross_traffic");
+    CampaignSpec spec = cross_traffic_spec();
+    spec.checkpoint_path = checkpoint.path;
+    ASSERT_EQ(Campaign(spec).run(workers).completed_shards(), 8u);
+    compact_checkpoint(checkpoint.path);
+    EXPECT_EQ(read_file(checkpoint.path), read_file(kCrossTrafficPath));
+    // Resuming on the pinned bytes restores every shard (each record's
+    // seed and spec hash validated) and folds the pinned digests.
+    EXPECT_EQ(digest_dump(Campaign(spec).run(workers)),
+              read_file(kCrossTrafficDigestsPath));
+  }
 }
 
 // ------------------------------------------------- seeded fault schedules
