@@ -57,7 +57,7 @@ enum class PassiveVantage : std::uint8_t {
          vantage == PassiveVantage::both;
 }
 
-/// Capture-point observer: wifi::Sniffer forwards every frame it logs —
+/// Capture-point observer: wifi::Sniffer forwards every frame it sees —
 /// `time` is the sniffer's capture timestamp (frame TX start plus the
 /// sniffer's radiotap clock noise), so an estimator inherits exactly the
 /// vantage-point error a real capture box would.

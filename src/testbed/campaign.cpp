@@ -163,7 +163,7 @@ std::uint64_t scenario_tail(SpecHash hash, const ScenarioSpec& scenario) {
   return hash.value();
 }
 
-/// Shared axis validation of expand() and at().
+/// Shared axis validation of expand(), at() and the Campaign constructor.
 void validate_grid(const ScenarioGrid& grid) {
   expects(!grid.phone_counts.empty() && !grid.profiles.empty() &&
               !grid.radios.empty() && !grid.emulated_rtts.empty() &&
@@ -400,6 +400,9 @@ Campaign::Campaign(CampaignSpec spec)
                                           : spec_.scenarios.size()) {
   expects(spec_.scenarios.empty() || !spec_.grid.has_value(),
           "Campaign takes scenarios OR a lazy grid, not both");
+  // Validated once here, so scenario_into() decodes a shard without the
+  // per-call checks ScenarioGrid::at_into keeps for outside callers.
+  if (spec_.grid.has_value()) validate_grid(*spec_.grid);
   expects(shard_count_ > 0, "Campaign requires at least one scenario");
   expects(spec_.probes_per_phone > 0,
           "Campaign requires probes_per_phone > 0");
@@ -464,7 +467,6 @@ struct ShardContext::Impl {
   };
   std::vector<ToolSlot> tools;
   std::vector<tools::MeasurementTool*> running;
-  std::vector<std::vector<report::ProbeEvent>> phone_events;
   /// Scenario scratch scenario_into() fills per shard (capacity-reusing).
   ScenarioSpec scenario;
   /// Built-in sink scratch, re-added to the chain by reference per shard;
@@ -490,7 +492,7 @@ std::size_t ShardContext::reuses() const { return impl_->reuses; }
 void Campaign::scenario_into(std::size_t index, ScenarioSpec& out) const {
   expects(index < scenario_count(), "Campaign scenario index out of range");
   if (spec_.grid.has_value()) {
-    spec_.grid->at_into(index, out);
+    scenario_from_axes_into(*spec_.grid, decode(*spec_.grid, index), out);
   } else {
     out = spec_.scenarios[index];  // copy-assign reuses out's capacity
   }
@@ -588,16 +590,7 @@ report::ShardCheckpoint Campaign::run_shard(
 
   // One tool per phone, selected by the phone's WorkloadSpec; workload
   // fields left at zero fall back to the campaign-wide schedule defaults.
-  // Each tool feeds its completed probes into a per-phone event list via
-  // the probe listener (no post-hoc result() scraping); the lists flush
-  // through the sink chain in canonical order below.
   const std::size_t phone_count = testbed.phone_count();
-  if (ctx.phone_events.size() < phone_count) {
-    ctx.phone_events.resize(phone_count);
-  }
-  for (std::vector<report::ProbeEvent>& events : ctx.phone_events) {
-    events.clear();
-  }
   if (ctx.tools.size() > phone_count) ctx.tools.resize(phone_count);
   ctx.running.clear();
   // Passive vantage points: rebuild()/reset() detached every observer and
@@ -634,28 +627,6 @@ report::ShardCheckpoint Campaign::run_shard(
       slot.kind = workload.tool;
       slot.phone = &testbed.phone(i);
     }
-    slot.tool->set_probe_listener(
-        [events = &ctx.phone_events[i], i, scenario_index,
-         tool = workload.tool](const tools::ProbeRecord& record) {
-          report::ProbeEvent event;
-          event.scenario_index = scenario_index;
-          event.phone_index = i;
-          event.probe_index = record.index;
-          event.tool = tool;
-          event.timed_out = record.timed_out;
-          event.reported_rtt_ms = record.reported_rtt_ms;
-          if (!record.timed_out && record.response.has_value()) {
-            // The reported (tool-level) RTT overrides the stamp-derived du,
-            // as in the paper's user-level vantage point.
-            const auto sample = core::LayerSample::from_response(
-                *record.response, record.reported_rtt_ms);
-            if (sample.has_value()) {
-              event.layers = report::LayerBreakdown{
-                  sample->du_ms, sample->dk_ms, sample->dv_ms, sample->dn_ms};
-            }
-          }
-          events->push_back(event);
-        });
     if (passive::wants_sniffer(workload.passive) &&
         testbed.sniffer_count() > 0) {
       ctx.pping.watch_flow(Testbed::phone_id(i), slot.tool->flow_id(), i,
@@ -673,10 +644,10 @@ report::ShardCheckpoint Campaign::run_shard(
   if (stage != nullptr) stage->simulate += stage_lap();
 
   // Canonical event delivery: phones in scenario order, probes in schedule
-  // order within each phone (probes can *complete* out of schedule order
-  // when a timeout outlives later responses) — the ordering contract
-  // report::ResultSink documents, and byte-for-byte the order the legacy
-  // buffered fold used.
+  // order within each phone — the ordering contract report::ResultSink
+  // documents. A finished tool's result() is already in schedule order
+  // (probes can *complete* out of it when a timeout outlives later
+  // responses).
   // Passive samples ride the same canonical sweep: after a phone's active
   // probes come its sniffer-vantage samples, then its per-app samples, each
   // in emission order. Passive events never count as probes (sent or lost).
@@ -696,12 +667,25 @@ report::ShardCheckpoint Campaign::run_shard(
     }
   };
   for (std::size_t i = 0; i < phone_count; ++i) {
-    std::vector<report::ProbeEvent>& events = ctx.phone_events[i];
-    std::sort(events.begin(), events.end(),
-              [](const report::ProbeEvent& a, const report::ProbeEvent& b) {
-                return a.probe_index < b.probe_index;
-              });
-    for (const report::ProbeEvent& event : events) {
+    const ShardContext::Impl::ToolSlot& slot = ctx.tools[i];
+    for (const tools::ProbeRecord& record : slot.tool->result().probes) {
+      report::ProbeEvent event;
+      event.scenario_index = scenario_index;
+      event.phone_index = i;
+      event.probe_index = record.index;
+      event.tool = slot.kind;
+      event.timed_out = record.timed_out;
+      event.reported_rtt_ms = record.reported_rtt_ms;
+      if (!record.timed_out && record.response.has_value()) {
+        // The reported (tool-level) RTT overrides the stamp-derived du, as
+        // in the paper's user-level vantage point.
+        const auto sample = core::LayerSample::from_response(
+            *record.response, record.reported_rtt_ms);
+        if (sample.has_value()) {
+          event.layers = report::LayerBreakdown{sample->du_ms, sample->dk_ms,
+                                                sample->dv_ms, sample->dn_ms};
+        }
+      }
       summary.probes_sent += 1;
       if (event.timed_out) summary.probes_lost += 1;
       chain.probe_completed(event);

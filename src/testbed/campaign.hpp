@@ -252,8 +252,9 @@ class Campaign {
  public:
   /// Requires at least one scenario (exactly one of CampaignSpec::scenarios
   /// / CampaignSpec::grid set), a positive probe count, and the retired
-  /// keep_samples / retain_shards flags left false. A grid's phones
-  /// prefixes (see shard_hash(std::size_t)) are hashed here.
+  /// keep_samples / retain_shards flags left false. A grid is validated
+  /// here, once (loss rates in [0, 1), positive phone counts, non-empty
+  /// axes), and its phones prefixes (see shard_hash(std::size_t)) hashed.
   explicit Campaign(CampaignSpec spec);
 
   [[nodiscard]] const CampaignSpec& spec() const { return spec_; }
@@ -262,8 +263,9 @@ class Campaign {
   [[nodiscard]] std::size_t scenario_count() const { return shard_count_; }
 
   /// The scenario shard `index` runs, filled into `out` in place
-  /// (capacity-reusing; the grid path delegates to ScenarioGrid::at_into,
-  /// the materialized path copy-assigns). Seed not yet assigned — the shard
+  /// (capacity-reusing; the grid path builds it as ScenarioGrid::at_into
+  /// does, without re-validating the grid the constructor validated; the
+  /// materialized path copy-assigns). Seed not yet assigned — the shard
   /// run does that.
   void scenario_into(std::size_t index, ScenarioSpec& out) const;
 

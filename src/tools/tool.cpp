@@ -59,19 +59,12 @@ void MeasurementTool::reinitialize(Config config) {
   run_.tool_name.clear();
   run_.probes.clear();
   done_ = nullptr;
-  probe_listener_ = nullptr;
 }
 
 void MeasurementTool::start(DoneFn done) {
   expects(!started_, "MeasurementTool::start may only be called once");
   started_ = true;
   launch(std::move(done));
-}
-
-void MeasurementTool::set_probe_listener(ProbeFn listener) {
-  expects(!started_,
-          "MeasurementTool::set_probe_listener must precede start()");
-  probe_listener_ = std::move(listener);
 }
 
 void MeasurementTool::launch(DoneFn done) { begin_probes(std::move(done)); }
@@ -179,7 +172,6 @@ void MeasurementTool::handle_timeout(std::uint64_t probe_id) {
 void MeasurementTool::complete_probe(int index, ProbeRecord record) {
   run_.probes.push_back(std::move(record));
   ++completed_;
-  if (probe_listener_) probe_listener_(run_.probes.back());
   if (config_.sequential && launched_ < config_.probe_count) {
     const int next = index + 1;
     if (config_.interval.is_zero()) {

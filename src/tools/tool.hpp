@@ -83,15 +83,9 @@ class MeasurementTool {
   MeasurementTool(const MeasurementTool&) = delete;
   MeasurementTool& operator=(const MeasurementTool&) = delete;
 
-  /// Completion callback, invoked once with the finished run.
+  /// Completion callback, invoked once with the finished run (AcuteMon
+  /// stops its background timer through it).
   using DoneFn = std::function<void(const ToolRun&)>;
-  /// Per-probe observer: invoked once per completed probe (response or
-  /// timeout) with the finalized record, at completion time — this is how
-  /// tool completion feeds the campaign's streaming results pipeline
-  /// (report::ResultSink) instead of being scraped from result() post-hoc.
-  /// Records arrive in completion order, which can differ from schedule
-  /// order (a timeout outlives later responses).
-  using ProbeFn = std::function<void(const ProbeRecord&)>;
 
   /// Returns the tool to the state a fresh construction on the same phone
   /// with `config` would produce: a new flow id is drawn from the phone's
@@ -108,12 +102,12 @@ class MeasurementTool {
   /// `done` (optional) fires on completion.
   void start(DoneFn done = nullptr);
 
-  /// Registers the per-probe observer; must be called before start().
-  void set_probe_listener(ProbeFn listener);
-
   /// True once every scheduled probe has completed or timed out.
   [[nodiscard]] bool finished() const { return finished_; }
-  /// The run so far; complete once finished() is true.
+  /// The run so far; once finished() is true, the tool's one outcome:
+  /// every probe's record, sorted into schedule order (probes can complete
+  /// out of order when a timeout outlives later responses). The campaign's
+  /// results pipeline reads its probe events from here.
   [[nodiscard]] const ToolRun& result() const { return run_; }
   /// Display name ("ping", "httping", ...), also stored in ToolRun.
   [[nodiscard]] virtual std::string name() const = 0;
@@ -196,7 +190,6 @@ class MeasurementTool {
   bool finished_ = false;
   ToolRun run_;
   DoneFn done_;
-  ProbeFn probe_listener_;
 };
 
 }  // namespace acute::tools

@@ -149,6 +149,18 @@ TEST(LazyCampaign, RejectsBothScenariosAndGrid) {
   EXPECT_THROW(Campaign{spec}, sim::ContractViolation);
 }
 
+TEST(LazyCampaign, ConstructorValidatesTheGrid) {
+  // Validated once, at construction, not as the first shard runs.
+  CampaignSpec lossy = small_spec();
+  lossy.grid = small_grid();
+  lossy.grid->loss_rates = {1.0};
+  EXPECT_THROW(Campaign{lossy}, sim::ContractViolation);
+  CampaignSpec no_phones = small_spec();
+  no_phones.grid = small_grid();
+  no_phones.grid->phone_counts = {0};
+  EXPECT_THROW(Campaign{no_phones}, sim::ContractViolation);
+}
+
 TEST(LazyCampaign, LazyGridResumesThroughCheckpoints) {
   TempFile checkpoint("grid_resume");
   const CampaignReport uninterrupted = [&] {

@@ -771,56 +771,75 @@ struct RecordingSink : ResultSink {
 TEST(CampaignSinks, DeliverEventsInCanonicalOrder) {
   // A 2-phone shard through the real engine: the custom sink must see
   // shard_started, then phone-major probe events in schedule order, then
-  // shard_finished with counters matching the campaign report.
-  testbed::ScenarioSpec scenario;
-  scenario.phones.assign(2, testbed::PhoneSpec{});
-  scenario.emulated_rtt = 10_ms;
-  testbed::CampaignSpec spec;
-  spec.scenarios = {scenario};
-  spec.probes_per_phone = 5;
-  spec.probe_interval = 100_ms;
-
-  std::vector<ShardInfo> started;
-  std::vector<ProbeEvent> events;
-  std::vector<ShardSummary> finished;
-  spec.sinks = [&](const ShardInfo&) {
-    std::vector<std::unique_ptr<ResultSink>> sinks;
-    auto sink = std::make_unique<RecordingSink>();
-    sink->started = &started;
-    sink->events = &events;
-    sink->finished = &finished;
-    sinks.push_back(std::move(sink));
-    return sinks;
+  // shard_finished with counters matching the campaign report. The lossy
+  // input completes probes out of schedule order (a 1 s timeout outlives
+  // the answers to the probes sent 100 ms apart after it).
+  struct Input {
+    double loss;
+    int probes;
   };
+  for (const Input input : {Input{0.0, 5}, Input{0.3, 20}}) {
+    SCOPED_TRACE(input.loss);
+    testbed::ScenarioSpec scenario;
+    scenario.phones.assign(2, testbed::PhoneSpec{});
+    scenario.emulated_rtt = 10_ms;
+    scenario.netem_loss = input.loss;
+    testbed::CampaignSpec spec;
+    spec.scenarios = {scenario};
+    spec.probes_per_phone = input.probes;
+    spec.probe_interval = 100_ms;
+    spec.probe_timeout = 1_s;
 
-  const testbed::CampaignReport report = testbed::Campaign(spec).run(1);
-  ASSERT_EQ(started.size(), 1u);
-  ASSERT_EQ(finished.size(), 1u);
-  EXPECT_EQ(started[0].scenario_index, 0u);
-  EXPECT_EQ(started[0].phone_count, 2u);
-  EXPECT_EQ(started[0].shard_seed, testbed::Campaign::shard_seed(spec.seed, 0));
+    std::vector<ShardInfo> started;
+    std::vector<ProbeEvent> events;
+    std::vector<ShardSummary> finished;
+    spec.sinks = [&](const ShardInfo&) {
+      std::vector<std::unique_ptr<ResultSink>> sinks;
+      auto sink = std::make_unique<RecordingSink>();
+      sink->started = &started;
+      sink->events = &events;
+      sink->finished = &finished;
+      sinks.push_back(std::move(sink));
+      return sinks;
+    };
 
-  ASSERT_EQ(events.size(), 10u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].phone_index, i / 5) << "event " << i;
-    EXPECT_EQ(events[i].probe_index, static_cast<int>(i % 5));
-    EXPECT_EQ(events[i].tool, ToolKind::icmp_ping);
+    const testbed::CampaignReport report = testbed::Campaign(spec).run(1);
+    ASSERT_EQ(started.size(), 1u);
+    ASSERT_EQ(finished.size(), 1u);
+    EXPECT_EQ(started[0].scenario_index, 0u);
+    EXPECT_EQ(started[0].phone_count, 2u);
+    EXPECT_EQ(started[0].shard_seed,
+              testbed::Campaign::shard_seed(spec.seed, 0));
+
+    const auto probes = static_cast<std::size_t>(input.probes);
+    ASSERT_EQ(events.size(), 2 * probes);
+    bool answered_after_timeout = false;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].phone_index, i / probes) << "event " << i;
+      EXPECT_EQ(events[i].probe_index, static_cast<int>(i % probes));
+      EXPECT_EQ(events[i].tool, ToolKind::icmp_ping);
+      if (i % probes != 0 && events[i - 1].timed_out &&
+          !events[i].timed_out) {
+        answered_after_timeout = true;
+      }
+    }
+    EXPECT_EQ(answered_after_timeout, input.loss > 0);
+    EXPECT_EQ(finished[0].probes_sent, report.total_probes());
+    EXPECT_EQ(finished[0].probes_lost, report.total_lost());
+    EXPECT_EQ(finished[0].frames_on_air, report.total_frames());
+    EXPECT_EQ(finished[0].events_fired, report.total_events());
+    EXPECT_EQ(finished[0].sim_seconds, report.total_sim_seconds());
+
+    // The report's digests fold exactly this event stream.
+    stats::MergingDigest event_rtts;
+    for (const ProbeEvent& event : events) {
+      if (!event.timed_out) event_rtts.add(event.reported_rtt_ms);
+    }
+    std::string expected, folded;
+    stats::append_digest(expected, event_rtts);
+    stats::append_digest(folded, report.rtt_digest());
+    EXPECT_EQ(folded, expected);
   }
-  EXPECT_EQ(finished[0].probes_sent, report.total_probes());
-  EXPECT_EQ(finished[0].probes_lost, report.total_lost());
-  EXPECT_EQ(finished[0].frames_on_air, report.total_frames());
-  EXPECT_EQ(finished[0].events_fired, report.total_events());
-  EXPECT_EQ(finished[0].sim_seconds, report.total_sim_seconds());
-
-  // The report's digests fold exactly this event stream.
-  stats::MergingDigest event_rtts;
-  for (const ProbeEvent& event : events) {
-    if (!event.timed_out) event_rtts.add(event.reported_rtt_ms);
-  }
-  std::string expected, folded;
-  stats::append_digest(expected, event_rtts);
-  stats::append_digest(folded, report.rtt_digest());
-  EXPECT_EQ(folded, expected);
 }
 
 TEST(JsonlExport, WritesOneRecordPerProbe) {

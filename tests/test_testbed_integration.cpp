@@ -3,11 +3,13 @@
 // last one pins Experiment::run's output bits to tests/golden/.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/acutemon.hpp"
@@ -180,11 +182,26 @@ TEST(Testbed, BackgroundTrafficDoesNotPerturbCongestedRuns) {
   EXPECT_NEAR(cdf_with.quantile(0.5), cdf_without.quantile(0.5), 1.5);
 }
 
+/// Records each clean capture a sniffer forwards (id and capture time).
+struct CaptureLog : passive::CaptureObserver {
+  std::vector<std::pair<std::uint64_t, sim::TimePoint>> clean;
+  std::size_t frames = 0;
+  void on_capture(const net::Packet& packet, net::NodeId, net::NodeId,
+                  sim::TimePoint time, bool collided) override {
+    ++frames;
+    if (!collided) clean.emplace_back(packet.id, time);
+  }
+};
+
 TEST(Testbed, SnifferDnAgreesWithStampDn) {
   // The sniffer-derived network RTT matches the channel ground truth.
   ScenarioSpec spec;
   spec.emulated_rtt = 30_ms;
   Testbed testbed(spec);
+  std::vector<CaptureLog> logs(testbed.sniffer_count());
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    testbed.sniffer(i).attach_capture_observer(&logs[i]);
+  }
   testbed.settle(800_ms);
   core::AcuteMon monitor(testbed.phone(), [] {
     tools::MeasurementTool::Config c;
@@ -196,22 +213,25 @@ TEST(Testbed, SnifferDnAgreesWithStampDn) {
   monitor.start();
   testbed.run_until_finished(monitor);
 
+  ASSERT_EQ(logs.size(), 3u);
   for (const auto& probe : monitor.result().probes) {
     ASSERT_TRUE(probe.response.has_value());
     const auto& response = *probe.response;
-    const auto rx_air = testbed.sniffer(0).air_time_of(response.id);
-    ASSERT_TRUE(rx_air.has_value());
+    const auto rx_air = std::find_if(
+        logs[0].clean.begin(), logs[0].clean.end(),
+        [&response](const auto& capture) {
+          return capture.first == response.id;
+        });
+    ASSERT_NE(rx_air, logs[0].clean.end());
     const auto truth = response.stamps.air;
     ASSERT_TRUE(truth.has_value());
-    const Duration error = *rx_air - *truth;
+    const Duration error = rx_air->second - *truth;
     EXPECT_LE(error, Duration::micros(3));   // capture noise only
     EXPECT_GE(error, -Duration::micros(3));
   }
   // All three sniffers saw the same frame count (0.5 m apart, §2.2).
-  EXPECT_EQ(testbed.sniffer(0).captures().size(),
-            testbed.sniffer(1).captures().size());
-  EXPECT_EQ(testbed.sniffer(1).captures().size(),
-            testbed.sniffer(2).captures().size());
+  EXPECT_EQ(logs[0].frames, logs[1].frames);
+  EXPECT_EQ(logs[1].frames, logs[2].frames);
 }
 
 TEST(Testbed, InferredTimeoutsMatchProfiles) {

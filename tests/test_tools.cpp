@@ -198,28 +198,6 @@ TEST(MeasurementTool, StartGuardCoversRichLaunchProtocols) {
   EXPECT_EQ(monitor.result().probes.size(), 2u);
 }
 
-TEST(MeasurementTool, ProbeListenerSeesEveryCompletedProbe) {
-  Testbed testbed;
-  testbed.settle(500_ms);
-  IcmpPing ping(testbed.phone(), tool_config(5, 10_ms));
-  std::vector<int> seen;
-  ping.set_probe_listener([&seen](const ProbeRecord& record) {
-    EXPECT_FALSE(record.timed_out);
-    EXPECT_GT(record.reported_rtt_ms, 0.0);
-    seen.push_back(record.index);
-  });
-  ping.start();
-  testbed.run_until_finished(ping);
-  EXPECT_EQ(seen.size(), 5u);
-
-  // Registration after start() violates the listener's contract.
-  IcmpPing late(testbed.phone(), tool_config(1, 10_ms));
-  late.start();
-  EXPECT_THROW(late.set_probe_listener([](const ProbeRecord&) {}),
-               sim::ContractViolation);
-  testbed.run_until_finished(late);
-}
-
 TEST(MeasurementTool, ConfigContracts) {
   Testbed testbed;
   auto config = tool_config(0, 10_ms);

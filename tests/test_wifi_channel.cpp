@@ -266,56 +266,77 @@ TEST(Channel, DuplicateOwnerRejected) {
   EXPECT_THROW(Radio(f.channel, 1), sim::ContractViolation);
 }
 
+/// Records what a sniffer forwards (the sniffer itself keeps no log).
+struct CaptureLog : passive::CaptureObserver {
+  struct Capture {
+    std::uint64_t packet_id;
+    PacketType type;
+    sim::TimePoint time;
+  };
+  std::vector<Capture> captures;
+  void on_capture(const Packet& packet, net::NodeId, net::NodeId,
+                  sim::TimePoint time, bool) override {
+    captures.push_back({packet.id, packet.type, time});
+  }
+};
+
 TEST(Sniffer, CapturesEveryFrameWithAirTime) {
   ChannelFixture f;
   Sniffer sniffer("test", sim::Rng(1));
+  CaptureLog log;
+  sniffer.attach_capture_observer(&log);
   f.channel.attach_observer(sniffer);
   Radio tx(f.channel, 1);
   Radio rx(f.channel, 2);
+  std::vector<sim::TimePoint> air;
+  rx.set_receiver([&](Packet pkt, const Frame&) {
+    air.push_back(*pkt.stamps.air);
+  });
   Packet pkt = data_packet(1, 2, 700);
   const std::uint64_t id = pkt.id;
   tx.enqueue(std::move(pkt), 2);
   f.sim.run_for(5_ms);
-  ASSERT_EQ(sniffer.captures().size(), 1u);
-  EXPECT_EQ(sniffer.captures()[0].packet_id, id);
-  EXPECT_EQ(sniffer.count_of(PacketType::udp_data), 1u);
-  ASSERT_TRUE(sniffer.air_time_of(id).has_value());
-  EXPECT_FALSE(sniffer.air_time_of(9999).has_value());
+  ASSERT_EQ(log.captures.size(), 1u);
+  EXPECT_EQ(log.captures[0].packet_id, id);
+  EXPECT_EQ(log.captures[0].type, PacketType::udp_data);
+  ASSERT_EQ(air.size(), 1u);
+  EXPECT_EQ(log.captures[0].time, air[0]);  // noiseless sniffer
 }
 
 TEST(Sniffer, TimestampNoiseBounded) {
+  // `late` is `noisy`'s twin (same seed) but observed only from frame 20
+  // on: its noise draws must not depend on when an observer attaches.
   Simulator sim;
   Channel channel(sim, sim::Rng(42), phy_802_11g());
   Sniffer noisy("noisy", sim::Rng(2), Duration::micros(5));
+  Sniffer late("late", sim::Rng(2), Duration::micros(5));
+  CaptureLog noisy_log, late_log;
+  noisy.attach_capture_observer(&noisy_log);
   channel.attach_observer(noisy);
+  channel.attach_observer(late);
   Radio tx(channel, 1);
   Radio rx(channel, 2);
   std::vector<sim::TimePoint> truth;
   rx.set_receiver([&](Packet pkt, const Frame&) {
     truth.push_back(*pkt.stamps.air);
   });
-  for (int i = 0; i < 50; ++i) tx.enqueue(data_packet(1, 2, 300), 2);
+  for (int i = 0; i < 20; ++i) tx.enqueue(data_packet(1, 2, 300), 2);
   sim.run_for(100_ms);
-  ASSERT_EQ(noisy.captures().size(), truth.size());
+  ASSERT_EQ(truth.size(), 20u);
+  late.attach_capture_observer(&late_log);
+  for (int i = 0; i < 30; ++i) tx.enqueue(data_packet(1, 2, 300), 2);
+  sim.run_for(100_ms);
+  ASSERT_EQ(noisy_log.captures.size(), truth.size());
   for (std::size_t i = 0; i < truth.size(); ++i) {
-    const auto error = noisy.captures()[i].time - truth[i];
+    const auto error = noisy_log.captures[i].time - truth[i];
     EXPECT_LE(error, Duration::micros(5));
     EXPECT_GE(error, -Duration::micros(5));
   }
-}
-
-TEST(Sniffer, ClearResetsState) {
-  ChannelFixture f;
-  Sniffer sniffer("test", sim::Rng(1));
-  f.channel.attach_observer(sniffer);
-  Radio tx(f.channel, 1);
-  Radio rx(f.channel, 2);
-  tx.enqueue(data_packet(1, 2, 100), 2);
-  f.sim.run_for(5_ms);
-  ASSERT_FALSE(sniffer.captures().empty());
-  sniffer.clear();
-  EXPECT_TRUE(sniffer.captures().empty());
-  EXPECT_EQ(sniffer.count_of(PacketType::udp_data), 0u);
+  ASSERT_EQ(late_log.captures.size(), 30u);
+  for (std::size_t i = 0; i < late_log.captures.size(); ++i) {
+    EXPECT_EQ(late_log.captures[i].time, noisy_log.captures[20 + i].time)
+        << "frame " << 20 + i;
+  }
 }
 
 }  // namespace
