@@ -8,8 +8,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -79,19 +79,23 @@ enum class PacketType : std::uint8_t {
 /// The send-path stamps are written as the packet descends the phone's stack;
 /// `air` is written by the wireless channel when the frame hits the medium;
 /// the receive-path stamps are written as the response ascends the stack.
+/// Each stamp is an 8-byte sim::OptionalTimePoint, so the nine take 72 bytes
+/// instead of std::optional's 144: cross-traffic datagrams, which never set
+/// one, carry them through every scheduled event, and a Packet must stay
+/// small enough to move cheaply (the static_asserts below Packet pin it).
 struct LayerStamps {
   // Send path (phone egress).
-  std::optional<sim::TimePoint> app_send;           // t_u^o
-  std::optional<sim::TimePoint> kernel_send;        // t_k^o (bpf/tcpdump tap)
-  std::optional<sim::TimePoint> driver_xmit_entry;  // dhd_start_xmit entry
-  std::optional<sim::TimePoint> driver_txpkt;       // dhdsdio_txpkt entry
+  sim::OptionalTimePoint app_send;           // t_u^o
+  sim::OptionalTimePoint kernel_send;        // t_k^o (bpf/tcpdump tap)
+  sim::OptionalTimePoint driver_xmit_entry;  // dhd_start_xmit entry
+  sim::OptionalTimePoint driver_txpkt;       // dhdsdio_txpkt entry
   // Wireless hop (one per direction in the Fig. 2 testbed).
-  std::optional<sim::TimePoint> air;  // t_n: frame TX start on the medium
+  sim::OptionalTimePoint air;  // t_n: frame TX start on the medium
   // Receive path (phone ingress).
-  std::optional<sim::TimePoint> driver_isr;          // dhdsdio_isr entry
-  std::optional<sim::TimePoint> driver_rxf_enqueue;  // dhd_rxf_enqueue
-  std::optional<sim::TimePoint> kernel_recv;         // t_k^i (bpf tap)
-  std::optional<sim::TimePoint> app_recv;            // t_u^i
+  sim::OptionalTimePoint driver_isr;          // dhdsdio_isr entry
+  sim::OptionalTimePoint driver_rxf_enqueue;  // dhd_rxf_enqueue
+  sim::OptionalTimePoint kernel_recv;         // t_k^i (bpf tap)
+  sim::OptionalTimePoint app_recv;            // t_u^i
 };
 
 /// TCP timestamp option (RFC 7323): senders stamp `tsval` from their own
@@ -115,7 +119,7 @@ struct WifiHeader {
   std::vector<NodeId> tim;
   /// Beacons carry their target beacon transmission time (the 802.11
   /// timestamp field); stations use it to synchronize their wake schedule.
-  std::optional<sim::TimePoint> tbtt;
+  sim::OptionalTimePoint tbtt;
 };
 
 struct Packet {
@@ -184,6 +188,12 @@ struct Packet {
 
   [[nodiscard]] std::string describe() const;
 };
+
+// Every Packet moves by value through the scheduled events of the wired and
+// wireless hops; these keep it from silently regrowing.
+static_assert(std::is_trivially_copyable_v<LayerStamps>);
+static_assert(sizeof(LayerStamps) == 72);
+static_assert(sizeof(Packet) <= 192);
 
 /// Canonical on-the-wire sizes used by the tools (bytes, L3 + payload).
 namespace packet_size {

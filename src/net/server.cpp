@@ -14,7 +14,7 @@ EchoServer::EchoServer(sim::Simulator& sim, sim::Rng rng, NodeId id)
       rng_(std::move(rng)),
       id_(id),
       netem_(sim, rng_.fork("netem"),
-             [this](Packet pkt) {
+             [this](Packet&& pkt) {
                expects(link_ != nullptr,
                        "EchoServer link not attached before traffic");
                link_->send(id_, std::move(pkt));
@@ -39,7 +39,10 @@ void EchoServer::attach_link(Link& link) {
 }
 
 void EchoServer::receive(Packet&& packet, Link* /*ingress*/) {
-  if (packet.dst != id_) return;  // not ours (switch flooding)
+  // Not ours: a first-contact flood (the switch has not yet learned the
+  // destination's port; the load sink's port is pinned, so cross traffic
+  // never floods here).
+  if (packet.dst != id_) return;
   if (observer_) observer_(packet);
   respond(packet);
 }

@@ -14,6 +14,18 @@ void Switch::attach_port(Link& link) {
   ports_.push_back(&link);
 }
 
+void Switch::pin(NodeId host, Link& link) {
+  expects(std::find(ports_.begin(), ports_.end(), &link) != ports_.end(),
+          "Switch::pin: link is not an attached port");
+  for (auto& [addr, port] : table_) {
+    if (addr == host) {
+      port = &link;
+      return;
+    }
+  }
+  table_.emplace_back(host, &link);
+}
+
 void Switch::receive(Packet&& packet, Link* ingress) {
   expects(ingress != nullptr, "Switch requires wired ingress");
   // Learn the sender's port.
@@ -34,14 +46,17 @@ void Switch::receive(Packet&& packet, Link* ingress) {
     dst_port->send(id_, std::move(packet));
     return;
   }
-  // Unknown destination or broadcast: flood all ports except ingress (each
-  // egress owns its copy; payload bytes stay shared).
+  // Unknown destination or broadcast: flood all ports except ingress. Each
+  // egress owns its packet (payload bytes stay shared): every port but the
+  // last gets a copy, and the last takes the original.
   ++flooded_count_;
+  Link* previous = nullptr;
   for (Link* port : ports_) {
     if (port == ingress) continue;
-    Packet copy = packet;
-    port->send(id_, std::move(copy));
+    if (previous != nullptr) previous->send(id_, Packet(packet));
+    previous = port;
   }
+  if (previous != nullptr) previous->send(id_, std::move(packet));
 }
 
 }  // namespace acute::net

@@ -29,11 +29,17 @@ class Switch : public Node {
   /// switch as one endpoint.
   void attach_port(Link& link);
 
+  /// Installs a forwarding entry for `host` on the attached port `link`, as
+  /// a static MAC entry does for a host that never sends (the load server's
+  /// UDP sink): without it every frame to `host` floods all ports. Learning
+  /// refreshes the entry like any other should `host` ever send.
+  void pin(NodeId host, Link& link);
+
   void receive(Packet&& packet, Link* ingress) override;
 
   [[nodiscard]] NodeId id() const override { return id_; }
 
-  /// Number of (address -> port) entries learned so far.
+  /// Number of (address -> port) entries learned or pinned so far.
   [[nodiscard]] std::size_t learned_count() const { return table_.size(); }
 
   [[nodiscard]] std::uint64_t forwarded_count() const {
@@ -44,9 +50,9 @@ class Switch : public Node {
  private:
   NodeId id_;
   std::vector<Link*> ports_;
-  // Learned (address -> port) entries. A handful of nodes sit behind this
-  // switch, so a flat vector beats a node-based map and re-learning after
-  // a reset allocates nothing once the capacity is warm.
+  // Learned and pinned (address -> port) entries. A handful of nodes sit
+  // behind this switch, so a flat vector beats a node-based map and
+  // re-learning after a reset allocates nothing once the capacity is warm.
   std::vector<std::pair<NodeId, Link*>> table_;
   std::uint64_t forwarded_count_ = 0;
   std::uint64_t flooded_count_ = 0;

@@ -47,4 +47,8 @@ std::ostream& operator<<(std::ostream& os, TimePoint t) {
   return os << t.to_string();
 }
 
+std::ostream& operator<<(std::ostream& os, OptionalTimePoint t) {
+  return t ? os << *t : os << "unset";
+}
+
 }  // namespace acute::sim

@@ -10,6 +10,8 @@
 #include <concepts>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
+#include <optional>
 #include <string>
 
 namespace acute::sim {
@@ -126,8 +128,49 @@ class TimePoint {
   std::int64_t ns_ = 0;
 };
 
+/// An instant that may be unset, in the 8 bytes of a TimePoint:
+/// TimePoint::from_nanos(INT64_MIN), ~292 years before the epoch and so
+/// never a simulated instant, means "unset".
+/// It offers the std::optional<TimePoint> subset that per-layer packet
+/// stamps use, at half of std::optional's 16 bytes and trivially copyable,
+/// so every Packet move through a scheduled event stays cheap.
+class OptionalTimePoint {
+ public:
+  constexpr OptionalTimePoint() = default;
+  // Implicit, as std::optional's: `stamps.air = now` and `= std::nullopt`.
+  constexpr OptionalTimePoint(std::nullopt_t) {}
+  constexpr OptionalTimePoint(TimePoint t) : t_(t) {}
+
+  [[nodiscard]] constexpr bool has_value() const { return t_ != kUnset; }
+  constexpr explicit operator bool() const { return has_value(); }
+
+  /// The instant; unchecked, like std::optional's operator*.
+  [[nodiscard]] constexpr const TimePoint& operator*() const { return t_; }
+  [[nodiscard]] constexpr const TimePoint* operator->() const { return &t_; }
+  /// The instant; throws std::bad_optional_access when unset.
+  [[nodiscard]] constexpr const TimePoint& value() const {
+    if (!has_value()) throw std::bad_optional_access{};
+    return t_;
+  }
+
+  constexpr void reset() { t_ = kUnset; }
+
+  /// Unset equals unset; set values compare by instant.
+  constexpr bool operator==(const OptionalTimePoint&) const = default;
+  constexpr bool operator==(TimePoint t) const {
+    return has_value() && t_ == t;
+  }
+
+ private:
+  static constexpr TimePoint kUnset =
+      TimePoint::from_nanos(std::numeric_limits<std::int64_t>::min());
+  TimePoint t_ = kUnset;
+};
+
 std::ostream& operator<<(std::ostream& os, Duration d);
 std::ostream& operator<<(std::ostream& os, TimePoint t);
+/// Prints the instant, or "unset".
+std::ostream& operator<<(std::ostream& os, OptionalTimePoint t);
 
 namespace literals {
 constexpr Duration operator""_ns(unsigned long long n) {

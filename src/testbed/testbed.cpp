@@ -228,6 +228,10 @@ void Testbed::build_graph() {
   switch_->attach_port(*ap_switch_link_);
   switch_->attach_port(*switch_server_link_);
   switch_->attach_port(*switch_sink_link_);
+  // The iPerf sink never sends, so the switch would never learn its port
+  // and would flood all cross traffic onto the echo server's link too. The
+  // paper's load server is a host of its own (Fig. 2): pin its port.
+  switch_->pin(kLoadSinkId, *switch_sink_link_);
   server_->attach_link(*switch_server_link_);
 
   server_->netem().set_delay(spec_.emulated_rtt);
@@ -355,15 +359,16 @@ void Testbed::build_graph() {
 
 void Testbed::ensure_iperf() {
   if (iperf_ready_) return;
+  const auto transmit = [this](Packet&& pkt) {
+    load_gen_->transmit(std::move(pkt));
+  };
   if (iperf_) {
     iperf_->reset(*sim_, rng_.fork("iperf"), kLoadGenId, kLoadSinkId,
-                  spec_.cross_connections, spec_.cross_flow_mbps,
-                  [this](Packet pkt) { load_gen_->transmit(std::move(pkt)); });
+                  spec_.cross_connections, spec_.cross_flow_mbps, transmit);
   } else {
     iperf_ = std::make_unique<net::IperfLoadGenerator>(
         *sim_, rng_.fork("iperf"), kLoadGenId, kLoadSinkId,
-        spec_.cross_connections, spec_.cross_flow_mbps,
-        [this](Packet pkt) { load_gen_->transmit(std::move(pkt)); });
+        spec_.cross_connections, spec_.cross_flow_mbps, transmit);
   }
   iperf_ready_ = true;
 }

@@ -264,6 +264,8 @@ class Testbed {
   [[nodiscard]] net::EchoServer& server() { return *server_; }
   /// The Fig. 2 access point.
   [[nodiscard]] wifi::AccessPoint& ap() { return *ap_; }
+  /// The wired switch between the AP, the echo server and the load server.
+  [[nodiscard]] const net::Switch& wired_switch() const { return *switch_; }
   /// The shared 802.11 channel every wireless device contends on.
   [[nodiscard]] wifi::Channel& channel() { return *channel_; }
   /// The `index`-th channel sniffer.

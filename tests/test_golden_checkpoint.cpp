@@ -47,6 +47,18 @@
 // the previous files byte for byte. Regenerate any of these files only
 // with a deliberate change to output bits, by the same steps.
 //
+// The cross_traffic files were last regenerated when the switch no longer
+// floods the load sink's traffic: Testbed::build_graph pins the silent UDP
+// sink's switch port, so cross-traffic datagrams stop reaching the echo
+// server's link, where they shared the link's busy time with probe
+// requests. The regenerating program ran the steps above on
+// cross_traffic_spec(); its mixed_workloads and one_ping_grid output
+// matched the committed files byte for byte. Built against the library
+// before that change, it reproduced the previous cross_traffic files byte
+// for byte, and so did a build with that change minus the pin (8-byte
+// packet stamps, no copy for the flood's last port), so the pin alone
+// moved them.
+//
 // The fabric coordinator's core is also replayed here over seeded fault
 // schedules (GoldenDigests.SeededFaultSchedules...), without sockets,
 // threads or a clock: whatever a schedule does to the fleet, the merged

@@ -112,6 +112,8 @@ TEST(Switch, FloodsUnknownThenForwardsLearned) {
   sw.attach_port(lc);
 
   // a -> b: b unknown, so the switch floods to b and c (not back to a).
+  // Two egress ports cost one copy: the last port takes the original.
+  Packet::reset_op_counters();
   la.send(1, make_udp(1, 2));
   sim.run();
   EXPECT_EQ(b.arrivals.size(), 1u);
@@ -119,6 +121,7 @@ TEST(Switch, FloodsUnknownThenForwardsLearned) {
   EXPECT_EQ(a.arrivals.size(), 0u);
   EXPECT_EQ(sw.flooded_count(), 1u);
   EXPECT_EQ(sw.learned_count(), 1u);  // learned a
+  EXPECT_EQ(Packet::op_counters().copies, 1u);
 
   // b -> a: a is known now, unicast forward; b gets learned too.
   lb.send(2, make_udp(2, 1));
@@ -134,6 +137,40 @@ TEST(Switch, FloodsUnknownThenForwardsLearned) {
   EXPECT_EQ(b.arrivals.size(), 2u);
   EXPECT_EQ(c.arrivals.size(), 1u);
   EXPECT_EQ(sw.forwarded_count(), 2u);
+}
+
+TEST(Switch, PinnedSilentHostIsForwardedNotFlooded) {
+  // A host that never sends (the load server's UDP sink) is never learned.
+  // Pinned, it gets every datagram by unicast from the first one on, and
+  // the other ports never see them.
+  Simulator sim;
+  Switch sw(100);
+  SinkNode a(sim, 1), b(sim, 2), sink(sim, 3);
+  Link la(sim, a, sw, Duration::micros(1), 1e9);
+  Link lb(sim, b, sw, Duration::micros(1), 1e9);
+  Link ls(sim, sink, sw, Duration::micros(1), 1e9);
+  sw.attach_port(la);
+  sw.attach_port(lb);
+  sw.attach_port(ls);
+  sw.pin(3, ls);
+
+  Packet::reset_op_counters();
+  for (int i = 0; i < 5; ++i) la.send(1, make_udp(1, 3));
+  sim.run();
+  EXPECT_EQ(sink.arrivals.size(), 5u);
+  EXPECT_TRUE(b.arrivals.empty());
+  EXPECT_TRUE(a.arrivals.empty());
+  EXPECT_EQ(sw.forwarded_count(), 5u);
+  EXPECT_EQ(sw.flooded_count(), 0u);
+  EXPECT_EQ(Packet::op_counters().copies, 0u);
+}
+
+TEST(Switch, PinRequiresAnAttachedPort) {
+  Simulator sim;
+  Switch sw(100);
+  SinkNode a(sim, 1);
+  Link la(sim, a, sw, Duration::micros(1), 1e9);
+  EXPECT_THROW(sw.pin(1, la), sim::ContractViolation);
 }
 
 TEST(Switch, RejectsDuplicatePort) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "sim/time.hpp"
 
@@ -93,6 +95,64 @@ TEST(TimePoint, StreamOutput) {
   std::ostringstream os;
   os << (TimePoint::epoch() + 1500_ms) << " " << 250_us;
   EXPECT_EQ(os.str(), "1.5s 250us");
+}
+
+static_assert(sizeof(OptionalTimePoint) == sizeof(TimePoint));
+static_assert(std::is_trivially_copyable_v<OptionalTimePoint>);
+
+TEST(OptionalTimePoint, DefaultAndNulloptAreUnset) {
+  const OptionalTimePoint unset;
+  EXPECT_FALSE(unset.has_value());
+  EXPECT_FALSE(unset);
+  EXPECT_FALSE(OptionalTimePoint(std::nullopt).has_value());
+}
+
+TEST(OptionalTimePoint, HoldsAnyInstantIncludingEpochAndNegative) {
+  for (const TimePoint t :
+       {TimePoint::epoch(), TimePoint::from_nanos(1500),
+        TimePoint::from_nanos(-7), TimePoint::epoch() + 3600_s}) {
+    const OptionalTimePoint set = t;
+    ASSERT_TRUE(set.has_value());
+    EXPECT_TRUE(set);
+    EXPECT_EQ(*set, t);
+    EXPECT_EQ(set.value(), t);
+    EXPECT_EQ(set->count_nanos(), t.count_nanos());
+  }
+}
+
+TEST(OptionalTimePoint, ResetAndNulloptAssignmentUnset) {
+  OptionalTimePoint stamp = TimePoint::from_nanos(42);
+  stamp.reset();
+  EXPECT_FALSE(stamp.has_value());
+  stamp = TimePoint::from_nanos(43);
+  EXPECT_TRUE(stamp.has_value());
+  stamp = std::nullopt;
+  EXPECT_FALSE(stamp.has_value());
+}
+
+TEST(OptionalTimePoint, ValueThrowsWhenUnset) {
+  const OptionalTimePoint unset;
+  EXPECT_THROW((void)unset.value(), std::bad_optional_access);
+}
+
+TEST(OptionalTimePoint, Equality) {
+  const TimePoint t = TimePoint::from_nanos(10);
+  const OptionalTimePoint a = t;
+  EXPECT_EQ(a, t);
+  EXPECT_EQ(t, a);
+  EXPECT_EQ(a, OptionalTimePoint(t));
+  EXPECT_NE(a, TimePoint::from_nanos(11));
+  EXPECT_NE(a, OptionalTimePoint());
+  EXPECT_EQ(OptionalTimePoint(), OptionalTimePoint(std::nullopt));
+  // Unset never equals an instant, not even the epoch.
+  EXPECT_NE(OptionalTimePoint(), TimePoint::epoch());
+}
+
+TEST(OptionalTimePoint, StreamOutput) {
+  std::ostringstream os;
+  os << OptionalTimePoint(TimePoint::epoch() + 1500_ms) << " "
+     << OptionalTimePoint();
+  EXPECT_EQ(os.str(), "1.5s unset");
 }
 
 }  // namespace

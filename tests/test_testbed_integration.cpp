@@ -148,6 +148,24 @@ TEST(Testbed, CrossTrafficSaturatesNearTenMbps) {
   EXPECT_LT(mbps, 15.0);
 }
 
+TEST(Testbed, SwitchFloodsOnlyFirstContactsNotCrossTraffic) {
+  // The load sink never sends, so only its pinned switch port keeps the
+  // iPerf load off the echo server's link. What may still flood is a
+  // host's first contact before the switch learns it: a count that does
+  // not grow with how long the load runs.
+  const auto floods_after = [](Duration load) {
+    ScenarioSpec spec;
+    spec.congested_phy = true;
+    Testbed testbed(spec);
+    testbed.settle(500_ms);
+    testbed.start_cross_traffic();
+    testbed.settle(load);
+    EXPECT_GT(testbed.cross_traffic_throughput_mbps(), 8.0);
+    return testbed.wired_switch().flooded_count();
+  };
+  EXPECT_EQ(floods_after(1_s), floods_after(3_s));
+}
+
 TEST(Testbed, CrossTrafficShiftsAllToolsRight) {
   // Fig. 8(b): congestion adds medium-access delay for every tool.
   const ScenarioSpec clear_spec =
