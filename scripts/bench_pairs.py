@@ -15,8 +15,10 @@ weighs on both sides alike. For every end-to-end metric BENCHMARK.json names
 (every per-layer one with `--trace 1`) it prints each side's median and [Q1, Q3], the change/parent ratio of the
 medians, how many pairs the change won (in the metric's "better" direction)
 and whether the medians differ by more than the parent's interquartile
-range. Each run's host steal (perfbench's own /proc/stat reading) and
-fingerprint are printed too. Exits 1 if any run fails its correctness gate.
+range. Each run's host steal (perfbench's own /proc/stat reading) is printed
+too, and each pair's two fingerprints (same seed) are compared: a workload
+reports `bits: equal on N/N pairs` or the seeds whose outputs differ. Exits 1
+if any run fails its correctness gate.
 """
 import argparse
 import json
@@ -55,15 +57,21 @@ def quartiles(values):
     return q1, q3
 
 
-def report(workload, metrics, runs):
-    """Prints one workload's table from runs[side] = [(result, steal, fp)]."""
+def report(workload, metrics, runs, seeds):
+    """Prints one workload's table from runs[side] = [(result, steal, fp)],
+    where pair i ran on seeds[i]."""
     pairs = len(runs["parent"])
     steals = [steal for side in runs.values() for _, steal, _ in side]
     print(f"\n{workload}: {pairs} pairs, host steal "
           f"{min(steals):.1f}-{max(steals):.1f} %")
-    for side in ("parent", "change"):
-        prints = sorted({fp for _, _, fp in runs[side]})
-        print(f"  {side} fingerprint {' '.join(prints)}")
+    differ = [seed for seed, (_, _, parent_fp), (_, _, change_fp)
+              in zip(seeds, runs["parent"], runs["change"])
+              if parent_fp != change_fp]
+    if differ:
+        print(f"  bits: differ on {len(differ)}/{pairs} pairs, seeds "
+              + " ".join(map(str, differ)))
+    else:
+        print(f"  bits: equal on {pairs}/{pairs} pairs")
     print(f"  {'metric':<18} {'parent median [Q1, Q3]':>34} "
           f"{'change median [Q1, Q3]':>34} {'ratio':>6} {'wins':>6} >IQR")
     for name, better in metrics:
@@ -124,7 +132,8 @@ def main():
                           f"steal {steal:.1f} % "
                           + " ".join(f"{name}={result['metrics'][name]['value']:.4g}"
                                      for name, _ in metrics[:3]), flush=True)
-            report(workload, metrics, runs)
+            report(workload, metrics, runs,
+                   [args.seed_base + pair for pair in range(args.pairs)])
             record[workload] = {side: [{"result": r, "steal_pct": s,
                                         "fingerprint": f} for r, s, f in rs]
                                 for side, rs in runs.items()}

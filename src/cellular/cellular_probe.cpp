@@ -27,10 +27,9 @@ CellularPath::CellularPath(sim::Simulator& sim, sim::Rng rng, RrcMachine& rrc,
     const auto it = pending_.find(pkt.probe_id);
     if (it == pending_.end()) return;  // keep-alive, no echo expected
     const Duration core = it->second.core;
-    sim_->schedule_in(core, sim::assert_fits_inline(
-                                [this, pkt = std::move(pkt)]() mutable {
-                                  radio_.deliver(std::move(pkt));
-                                }));
+    sim_->schedule_in(core, [this, pkt = std::move(pkt)]() mutable {
+      radio_.deliver(std::move(pkt));
+    });
   });
   pipeline_.set_app_handler([this](net::Packet pkt) {
     const auto it = pending_.find(pkt.probe_id);

@@ -18,21 +18,19 @@ void RrcRadioLayer::transmit(net::Packet&& packet) {
   const Duration promotion = rrc_->request_transmit(packet.size_bytes);
   const Duration uplink = rrc_->state_latency();
   sim_->schedule_in(promotion + uplink,
-                    sim::assert_fits_inline(
-                        [this, pkt = std::move(packet)]() mutable {
-                          ++uplink_;
-                          egress_(std::move(pkt));
-                        }));
+                    [this, pkt = std::move(packet)]() mutable {
+                      ++uplink_;
+                      egress_(std::move(pkt));
+                    });
 }
 
 void RrcRadioLayer::deliver(net::Packet&& packet) {
   rrc_->on_receive();
   const Duration downlink = rrc_->state_latency();
-  sim_->schedule_in(downlink, sim::assert_fits_inline(
-                                  [this, pkt = std::move(packet)]() mutable {
-                                    ++downlink_;
-                                    pass_up(std::move(pkt));
-                                  }));
+  sim_->schedule_in(downlink, [this, pkt = std::move(packet)]() mutable {
+    ++downlink_;
+    pass_up(std::move(pkt));
+  });
 }
 
 }  // namespace acute::cellular

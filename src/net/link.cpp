@@ -56,11 +56,10 @@ void Link::send(NodeId from, Packet&& packet) {
   dir.busy_until = tx_done;
   const TimePoint arrival = tx_done + propagation_;
   Node* to = dir.to;
-  sim_->schedule_at(arrival, sim::assert_fits_inline(
-                                 [this, to, pkt = std::move(packet)]() mutable {
-                                   ++delivered_count_;
-                                   to->receive(std::move(pkt), this);
-                                 }));
+  sim_->schedule_at(arrival, [this, to, pkt = std::move(packet)]() mutable {
+    ++delivered_count_;
+    to->receive(std::move(pkt), this);
+  });
 }
 
 Node& Link::peer_of(NodeId from) const {

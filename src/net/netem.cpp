@@ -37,10 +37,9 @@ void NetemQdisc::enqueue(Packet&& packet) {
     release = std::max(release, last_release_);
   }
   last_release_ = release;
-  sim_->schedule_at(release, sim::assert_fits_inline(
-                                 [this, pkt = std::move(packet)]() mutable {
-                                   forward_(std::move(pkt));
-                                 }));
+  sim_->schedule_at(release, [this, pkt = std::move(packet)]() mutable {
+    forward_(std::move(pkt));
+  });
 }
 
 }  // namespace acute::net

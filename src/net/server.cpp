@@ -78,10 +78,9 @@ void EchoServer::respond(const Packet& request) {
   // Kernel service time, then out through the netem-shaped egress.
   const Duration service =
       Duration::seconds(rng_.exponential(service_mean_.to_seconds()));
-  sim_->schedule_in(service, sim::assert_fits_inline(
-                                 [this, resp = std::move(*response)]() mutable {
-                                   netem_.enqueue(std::move(resp));
-                                 }));
+  sim_->schedule_in(service, [this, resp = std::move(*response)]() mutable {
+    netem_.enqueue(std::move(resp));
+  });
 }
 
 void UdpSink::receive(Packet&& packet, Link* /*ingress*/) {

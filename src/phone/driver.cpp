@@ -23,19 +23,19 @@ void WnicDriver::transmit(Packet&& packet) {
 
   sim_->schedule_in(
       dispatch + bus_ready,
-      sim::assert_fits_inline([this, pkt = std::move(packet)]() mutable {
+      [this, pkt = std::move(packet)]() mutable {
         // dhdsdio_txpkt: hand the frame to the bus layer for the write.
         stamp(pkt, StampPoint::driver_txpkt, sim_->now());
         dvsend_ms_.push_back(
             (sim_->now() - *pkt.stamps.driver_xmit_entry).to_ms());
         ++tx_packets_;
         pass_down(std::move(pkt));
-      }));
+      });
 }
 
 void WnicDriver::deliver(Packet&& packet) {
   // The chip raises the interrupt shortly after the frame ends on air.
-  sim_->schedule_in(profile_->irq_latency, sim::assert_fits_inline([this,
+  sim_->schedule_in(profile_->irq_latency, [this,
                                             pkt = std::move(packet)]() mutable {
     // dhdsdio_isr entry.
     stamp(pkt, StampPoint::driver_isr, sim_->now());
@@ -44,7 +44,7 @@ void WnicDriver::deliver(Packet&& packet) {
                                bus_->transfer_time(pkt.size_bytes);
     sim_->schedule_in(
         bus_ready + read_cost,
-        sim::assert_fits_inline([this, pkt = std::move(pkt)]() mutable {
+        [this, pkt = std::move(pkt)]() mutable {
           // dhd_rxf_enqueue.
           stamp(pkt, StampPoint::driver_rxf_enqueue, sim_->now());
           dvrecv_ms_.push_back(
@@ -54,13 +54,11 @@ void WnicDriver::deliver(Packet&& packet) {
           // rxf thread -> netif_rx_ni.
           const Duration netif = profile_->driver_netif.sample_scaled(
               rng_, profile_->cpu_scale);
-          sim_->schedule_in(
-              netif,
-              sim::assert_fits_inline([this, pkt = std::move(pkt)]() mutable {
-                pass_up(std::move(pkt));
-              }));
-        }));
-  }));
+          sim_->schedule_in(netif, [this, pkt = std::move(pkt)]() mutable {
+            pass_up(std::move(pkt));
+          });
+        });
+  });
 }
 
 void WnicDriver::clear_logs() {

@@ -16,13 +16,12 @@ void KernelStack::transmit(Packet&& packet) {
   // IP/transport processing down to the device queue.
   const Duration cost =
       profile_->kernel_tx.sample_scaled(rng_, profile_->cpu_scale);
-  sim_->schedule_in(
-      cost, sim::assert_fits_inline([this, pkt = std::move(packet)]() mutable {
-        // bpf tap right at dev_queue_xmit: t_k^o.
-        stamp(pkt, StampPoint::kernel_send, sim_->now());
-        ++tx_packets_;
-        pass_down(std::move(pkt));
-      }));
+  sim_->schedule_in(cost, [this, pkt = std::move(packet)]() mutable {
+    // bpf tap right at dev_queue_xmit: t_k^o.
+    stamp(pkt, StampPoint::kernel_send, sim_->now());
+    ++tx_packets_;
+    pass_down(std::move(pkt));
+  });
 }
 
 void KernelStack::deliver(Packet&& packet) {
@@ -38,20 +37,18 @@ void KernelStack::deliver(Packet&& packet) {
         packet, net::PacketType::icmp_echo_reply, packet.size_bytes);
     const Duration icmp_cost =
         profile_->kernel_rx.sample_scaled(rng_, profile_->cpu_scale);
-    sim_->schedule_in(icmp_cost, sim::assert_fits_inline(
-                                     [this, rep = std::move(reply)]() mutable {
-                                       transmit(std::move(rep));
-                                     }));
+    sim_->schedule_in(icmp_cost, [this, rep = std::move(reply)]() mutable {
+      transmit(std::move(rep));
+    });
     return;
   }
 
   // Protocol processing + socket demultiplexing up to the app.
   const Duration cost =
       profile_->kernel_rx.sample_scaled(rng_, profile_->cpu_scale);
-  sim_->schedule_in(cost, sim::assert_fits_inline(
-                              [this, pkt = std::move(packet)]() mutable {
-                                pass_up(std::move(pkt));
-                              }));
+  sim_->schedule_in(cost, [this, pkt = std::move(packet)]() mutable {
+    pass_up(std::move(pkt));
+  });
 }
 
 }  // namespace acute::phone

@@ -62,10 +62,9 @@ void ExecEnvLayer::send(Packet&& packet, ExecMode mode) {
   stamp(packet, StampPoint::app_send, sim_->now());  // t_u^o
   if (tap_ != nullptr) tap_->on_app_send(packet, sim_->now());
   const Duration overhead = env_.send_overhead(mode);
-  sim_->schedule_in(overhead, sim::assert_fits_inline(
-                                  [this, pkt = std::move(packet)]() mutable {
-                                    pass_down(std::move(pkt));
-                                  }));
+  sim_->schedule_in(overhead, [this, pkt = std::move(packet)]() mutable {
+    pass_down(std::move(pkt));
+  });
 }
 
 void ExecEnvLayer::deliver(Packet&& packet) {
@@ -73,7 +72,7 @@ void ExecEnvLayer::deliver(Packet&& packet) {
   if (entry == nullptr) return;  // no app bound to this flow
   const Duration overhead = env_.recv_overhead(entry->mode);
   const std::uint32_t flow_id = packet.flow_id;
-  sim_->schedule_in(overhead, sim::assert_fits_inline([this, flow_id,
+  sim_->schedule_in(overhead, [this, flow_id,
                                pkt = std::move(packet)]() mutable {
     stamp(pkt, StampPoint::app_recv, sim_->now());  // t_u^i
     // Re-look-up: the app may have unregistered while the packet climbed.
@@ -81,7 +80,7 @@ void ExecEnvLayer::deliver(Packet&& packet) {
     if (handler_entry == nullptr) return;
     if (tap_ != nullptr) tap_->on_app_deliver(pkt, sim_->now());
     handler_entry->handler(std::move(pkt));
-  }));
+  });
 }
 
 void ExecEnvLayer::register_flow(std::uint32_t flow_id, AppRxFn handler,

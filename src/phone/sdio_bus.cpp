@@ -60,11 +60,10 @@ void SdioBus::on_watchdog_tick() {
 
 void SdioBus::transmit(net::Packet&& packet) {
   const Duration transfer = transfer_time(packet.size_bytes);
-  sim_->schedule_in(transfer, sim::assert_fits_inline(
-                                  [this, pkt = std::move(packet)]() mutable {
-                                    activity();
-                                    pass_down(std::move(pkt));
-                                  }));
+  sim_->schedule_in(transfer, [this, pkt = std::move(packet)]() mutable {
+    activity();
+    pass_down(std::move(pkt));
+  });
 }
 
 void SdioBus::deliver(net::Packet&& packet) { pass_up(std::move(packet)); }

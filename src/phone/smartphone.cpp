@@ -171,7 +171,7 @@ void Smartphone::schedule_system_traffic() {
   // the way out — the source of Table 3's occasional already-awake probes.
   const Duration next = Duration::seconds(rng_.exponential(
       profile_.system_traffic_mean_interval.to_seconds()));
-  sim_->schedule_in(next, sim::assert_fits_inline([this] {
+  sim_->schedule_in(next, [this] {
     if (system_traffic_enabled_) {
       Packet chatter =
           Packet::make(net::PacketType::udp_data, net::Protocol::udp, id_,
@@ -182,7 +182,7 @@ void Smartphone::schedule_system_traffic() {
       send(std::move(chatter), ExecMode::dalvik);
     }
     schedule_system_traffic();
-  }));
+  });
 }
 
 void Smartphone::send(Packet&& packet, ExecMode mode) {

@@ -1,130 +1,38 @@
 // Allocation-free callable storage for the discrete-event core.
 //
 // EventClosure replaces std::function<void()> on the scheduling hot path.
-// It is a move-only type-erased callable with a large small-buffer
-// optimization: every closure the simulation layers schedule (including the
-// ones that capture a whole net::Packet or wifi::Frame by value) fits in the
-// inline buffer, so steady-state scheduling never touches the heap. Callables
-// that do overflow the buffer are carved out of a ClosureArena — a per-queue
-// size-class free list — so even oversized closures recycle memory instead of
-// hitting operator new once the arena is warm.
+// It is a move-only type-erased callable that lives entirely in an inline
+// buffer: every closure the simulation layers schedule (including the ones
+// that capture a whole net::Packet or wifi::Frame by value) fits, and a
+// capture that does not fails to compile at its schedule site, so
+// scheduling never touches the heap.
 #pragma once
 
-#include <array>
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace acute::sim {
 
-/// Size-class free list for closure overflow blocks (and any other
-/// fixed-lifetime scratch the event core needs). Blocks are rounded up to a
-/// power-of-two class and cached on free, so a steady-state workload that
-/// repeatedly schedules the same oversized closure allocates exactly once.
+/// Move-only type-erased `void()` callable stored in an inline buffer.
 ///
-/// Owned by one EventQueue (one simulator shard); not thread-safe, by design:
-/// each campaign shard recycles its own memory with no cross-shard contention.
-class ClosureArena {
- public:
-  ClosureArena() = default;
-  ClosureArena(const ClosureArena&) = delete;
-  ClosureArena& operator=(const ClosureArena&) = delete;
-
-  ~ClosureArena() {
-    for (FreeBlock*& head : free_) {
-      while (head != nullptr) {
-        FreeBlock* next = head->next;
-        ::operator delete(static_cast<void*>(head));
-        head = next;
-      }
-    }
-  }
-
-  /// Returns a block of at least `bytes` (max_align_t aligned), preferring a
-  /// recycled one.
-  [[nodiscard]] void* allocate(std::size_t bytes) {
-    const std::size_t cls = class_index(bytes);
-    if (cls >= kClasses) {
-      ++oversize_;
-      return ::operator new(bytes);
-    }
-    if (free_[cls] != nullptr) {
-      FreeBlock* block = free_[cls];
-      free_[cls] = block->next;
-      ++recycled_;
-      return block;
-    }
-    ++fresh_;
-    return ::operator new(class_bytes(cls));
-  }
-
-  /// Returns a block to its size-class free list. `bytes` must be the value
-  /// passed to allocate().
-  void deallocate(void* block, std::size_t bytes) noexcept {
-    const std::size_t cls = class_index(bytes);
-    if (cls >= kClasses) {
-      ::operator delete(block);
-      return;
-    }
-    auto* free_block = static_cast<FreeBlock*>(block);
-    free_block->next = free_[cls];
-    free_[cls] = free_block;
-  }
-
-  /// Blocks served by operator new (arena misses; flat once warm).
-  [[nodiscard]] std::uint64_t fresh_blocks() const { return fresh_; }
-  /// Blocks served from a free list (arena hits).
-  [[nodiscard]] std::uint64_t recycled_blocks() const { return recycled_; }
-  /// Requests too large for any size class (always heap round trips).
-  [[nodiscard]] std::uint64_t oversize_blocks() const { return oversize_; }
-
- private:
-  struct FreeBlock {
-    FreeBlock* next;
-  };
-
-  static constexpr std::size_t kMinBlockBytes = 64;
-  static constexpr std::size_t kClasses = 16;  // 64 B .. 2 MiB
-
-  static std::size_t class_index(std::size_t bytes) {
-    std::size_t cls = 0;
-    std::size_t cap = kMinBlockBytes;
-    while (cap < bytes) {
-      cap <<= 1;
-      ++cls;
-    }
-    return cls;
-  }
-  static std::size_t class_bytes(std::size_t cls) {
-    return kMinBlockBytes << cls;
-  }
-
-  std::array<FreeBlock*, kClasses> free_{};
-  std::uint64_t fresh_ = 0;
-  std::uint64_t recycled_ = 0;
-  std::uint64_t oversize_ = 0;
-};
-
-/// Move-only type-erased `void()` callable with a large inline buffer.
-///
-/// The buffer is sized so that the fattest closure any stack layer schedules
-/// — a lambda capturing `this` plus a full wifi::Frame (which embeds a
-/// net::Packet) — is stored inline; `assert_fits_inline` pins that at the
-/// call sites. Invoking is non-destructive, so timers can re-fire a stored
-/// closure. An empty closure must not be invoked (EventQueue::push rejects
-/// them up front).
+/// The buffer is sized for the fattest closure any stack layer schedules —
+/// a lambda capturing a full wifi::Frame (which embeds a net::Packet) plus
+/// two pointers. Only callables that fit are accepted: the constructor,
+/// emplace() and EventQueue::push are constrained on `fits_inline`. Invoking
+/// is non-destructive, so timers can re-fire a stored closure. An empty
+/// closure must not be invoked.
 class EventClosure {
  public:
-  /// Inline capacity. Must cover sizeof(wifi::Frame) + two pointers; the
-  /// event-core tests and the per-site assert_fits_inline checks keep this
-  /// honest as the capture lists evolve.
-  static constexpr std::size_t kInlineBytes = 352;
+  /// Inline capacity: sizeof(wifi::Frame) + two pointers, rounded up to
+  /// kInlineAlign. test_sim_alloc pins the equality, so the buffer follows
+  /// the Frame when it grows or shrinks.
+  static constexpr std::size_t kInlineBytes = 240;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
-  /// True when callables of type F are stored in the inline buffer (no
-  /// allocation on construction or destruction).
+  /// True when callables of type F can be stored (relocation is a noexcept
+  /// move, so moving a closure never throws).
   template <typename F>
   static constexpr bool fits_inline =
       sizeof(F) <= kInlineBytes && alignof(F) <= kInlineAlign &&
@@ -132,43 +40,28 @@ class EventClosure {
 
   EventClosure() noexcept {}
 
-  /// Wraps `fn`. Oversized callables overflow into `arena` when one is given
-  /// (the owning EventQueue passes its own), else onto the global heap.
   template <typename F, typename Fn = std::remove_cvref_t<F>>
-    requires(!std::is_same_v<Fn, EventClosure> && std::is_invocable_v<Fn&>)
-  EventClosure(F&& fn, ClosureArena* arena = nullptr) {  // NOLINT(google-explicit-constructor)
-    emplace(std::forward<F>(fn), arena);
+    requires(!std::is_same_v<Fn, EventClosure> && std::is_invocable_v<Fn&> &&
+             fits_inline<Fn>)
+  EventClosure(F&& fn) {  // NOLINT(google-explicit-constructor)
+    emplace(std::forward<F>(fn));
   }
 
   /// Replaces the wrapped callable, constructing the new one directly into
-  /// this closure's storage — the single move the scheduling hot path pays
+  /// this closure's buffer — the single move the scheduling hot path pays
   /// per event (EventQueue emplaces straight into the slot pool).
   template <typename F, typename Fn = std::remove_cvref_t<F>>
-    requires(!std::is_same_v<Fn, EventClosure> && std::is_invocable_v<Fn&>)
-  void emplace(F&& fn, ClosureArena* arena = nullptr) {
+    requires(!std::is_same_v<Fn, EventClosure> && std::is_invocable_v<Fn&> &&
+             fits_inline<Fn>)
+  void emplace(F&& fn) {
     reset();
-    if constexpr (fits_inline<Fn>) {
-      ::new (static_cast<void*>(store_.buf)) Fn(std::forward<F>(fn));
-      ops_ = &OpsFor<Fn, false>::table;
-    } else {
-      constexpr bool over_aligned = alignof(Fn) > kInlineAlign;
-      ClosureArena* used = over_aligned ? nullptr : arena;
-      void* block =
-          used != nullptr
-              ? used->allocate(sizeof(Fn))
-              : (over_aligned
-                     ? ::operator new(sizeof(Fn),
-                                      std::align_val_t{alignof(Fn)})
-                     : ::operator new(sizeof(Fn)));
-      ::new (block) Fn(std::forward<F>(fn));
-      store_.heap = HeapRef{block, used};
-      ops_ = &OpsFor<Fn, true>::table;
-    }
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+    ops_ = &OpsFor<Fn>::table;
   }
 
   EventClosure(EventClosure&& other) noexcept : ops_(other.ops_) {
     if (ops_ != nullptr) {
-      ops_->relocate(store_, other.store_);
+      ops_->relocate(buf_, other.buf_);
       other.ops_ = nullptr;
     }
   }
@@ -178,7 +71,7 @@ class EventClosure {
       reset();
       ops_ = other.ops_;
       if (ops_ != nullptr) {
-        ops_->relocate(store_, other.store_);
+        ops_->relocate(buf_, other.buf_);
         other.ops_ = nullptr;
       }
     }
@@ -191,95 +84,41 @@ class EventClosure {
   ~EventClosure() { reset(); }
 
   /// Invokes the wrapped callable. Precondition: !empty().
-  void operator()() { ops_->invoke(store_); }
+  void operator()() { ops_->invoke(buf_); }
 
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
-  /// Destroys the wrapped callable (returning any overflow block to its
-  /// arena) and leaves the closure empty. Idempotent.
+  /// Destroys the wrapped callable and leaves the closure empty. Idempotent.
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(store_);
+      ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }
 
-  /// True when the callable lives in the inline buffer (introspection for
-  /// the zero-allocation tests).
-  [[nodiscard]] bool stored_inline() const {
-    return ops_ != nullptr && !ops_->heap;
-  }
-
  private:
-  struct HeapRef {
-    void* block;
-    ClosureArena* arena;
-  };
-
-  union Store {
-    Store() {}
-    alignas(kInlineAlign) unsigned char buf[kInlineBytes];
-    HeapRef heap;
-  };
-
   struct Ops {
-    void (*invoke)(Store&);
-    void (*relocate)(Store& dst, Store& src) noexcept;
-    void (*destroy)(Store&) noexcept;
-    bool heap;
+    void (*invoke)(unsigned char*);
+    void (*relocate)(unsigned char* dst, unsigned char* src) noexcept;
+    void (*destroy)(unsigned char*) noexcept;
   };
 
-  template <typename Fn, bool Heap>
+  template <typename Fn>
   struct OpsFor {
-    static Fn* object(Store& store) {
-      if constexpr (Heap) {
-        return static_cast<Fn*>(store.heap.block);
-      } else {
-        return std::launder(reinterpret_cast<Fn*>(store.buf));
-      }
+    static Fn* object(unsigned char* buf) {
+      return std::launder(reinterpret_cast<Fn*>(buf));
     }
-    static void invoke(Store& store) { (*object(store))(); }
-    static void relocate(Store& dst, Store& src) noexcept {
-      if constexpr (Heap) {
-        dst.heap = src.heap;  // steal the block
-      } else {
-        ::new (static_cast<void*>(dst.buf)) Fn(std::move(*object(src)));
-        object(src)->~Fn();
-      }
+    static void invoke(unsigned char* buf) { (*object(buf))(); }
+    static void relocate(unsigned char* dst, unsigned char* src) noexcept {
+      ::new (static_cast<void*>(dst)) Fn(std::move(*object(src)));
+      object(src)->~Fn();
     }
-    static void destroy(Store& store) noexcept {
-      if constexpr (Heap) {
-        const HeapRef ref = store.heap;
-        object(store)->~Fn();
-        if constexpr (alignof(Fn) > kInlineAlign) {
-          ::operator delete(ref.block, std::align_val_t{alignof(Fn)});
-        } else if (ref.arena != nullptr) {
-          ref.arena->deallocate(ref.block, sizeof(Fn));
-        } else {
-          ::operator delete(ref.block);
-        }
-      } else {
-        object(store)->~Fn();
-      }
-    }
-    static constexpr Ops table{&invoke, &relocate, &destroy, Heap};
+    static void destroy(unsigned char* buf) noexcept { object(buf)->~Fn(); }
+    static constexpr Ops table{&invoke, &relocate, &destroy};
   };
 
-  Store store_;
+  alignas(kInlineAlign) unsigned char buf_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
-
-/// Pass-through compile-time guard: `schedule_in(d, assert_fits_inline(fn))`
-/// pins a scheduling site's closure inside EventClosure's inline buffer, so
-/// a capture-list change that would silently reintroduce per-event heap
-/// traffic fails to build instead.
-template <typename F>
-[[nodiscard]] constexpr F&& assert_fits_inline(F&& fn) noexcept {
-  static_assert(
-      EventClosure::fits_inline<std::remove_cvref_t<F>>,
-      "scheduled closure no longer fits EventClosure's inline buffer: "
-      "shrink the capture list or grow EventClosure::kInlineBytes");
-  return std::forward<F>(fn);
-}
 
 }  // namespace acute::sim

@@ -1,9 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <utility>
-
-#include "sim/contracts.hpp"
 
 namespace acute::sim {
 
@@ -31,36 +28,16 @@ std::uint32_t EventQueue::acquire_slot() {
   return index;
 }
 
-EventHandle EventQueue::push(TimePoint when, EventClosure fn) {
-  expects(static_cast<bool>(fn), "EventQueue::push requires a callable");
-  const std::uint32_t index = acquire_slot();
-  Slot& s = slot(index);
-  s.fn = std::move(fn);
-  s.live = true;
-  heap_.push_back(HeapItem{when, next_seq_++, index});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  ++live_count_;
-  maybe_compact();
-  return EventHandle{life_, index, s.generation};
-}
-
-EventQueue::Fired EventQueue::pop() {
-  expects(!empty(), "EventQueue::pop on empty queue");
-  drop_dead_prefix();
-  Fired fired;
-  pop_into(fired);
-  return fired;
-}
-
 void EventQueue::cancel_event(std::uint32_t index,
                               std::uint32_t generation) noexcept {
   Slot& s = slot(index);
   if (!s.live || s.generation != generation) return;  // fired/cancelled/reused
   s.live = false;
   ++s.generation;  // stale handles can never match this slot again
-  s.fn.reset();    // release captures (and any arena overflow) eagerly
+  s.fn.reset();    // release captures eagerly
   --live_count_;
-  // The heap item stays until popped or compacted (lazy deletion).
+  // Lazy deletion: the heap item stays until it reaches the top or is
+  // compacted away.
 }
 
 void EventQueue::drop_dead_prefix() {
@@ -69,19 +46,6 @@ void EventQueue::drop_dead_prefix() {
     release_slot(heap_.back().slot);
     heap_.pop_back();
   }
-}
-
-void EventQueue::pop_into(Fired& out) {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const HeapItem item = heap_.back();
-  heap_.pop_back();
-  Slot& s = slot(item.slot);
-  out.when = item.when;
-  out.fn = std::move(s.fn);
-  s.live = false;
-  ++s.generation;  // fired events can no longer be cancelled
-  release_slot(item.slot);
-  --live_count_;
 }
 
 void EventQueue::maybe_compact() {
@@ -101,12 +65,6 @@ void EventQueue::maybe_compact() {
   heap_.resize(write);
   std::make_heap(heap_.begin(), heap_.end(), Later{});
   ++compactions_;
-}
-
-TimePoint EventQueue::next_time() {
-  expects(!empty(), "EventQueue::next_time on empty queue");
-  drop_dead_prefix();
-  return heap_.front().when;
 }
 
 void EventQueue::clear() {

@@ -4,10 +4,10 @@
 //
 // Storage model
 //   * Closures live in a pool of fixed slots (stable chunked storage, LIFO
-//     free list) and are built in place via EventClosure's inline buffer;
-//     oversized captures overflow into the queue's ClosureArena. Once the
-//     pool, the heap vector and the arena are warm, push/cancel/pop perform
-//     no allocation at all — the event-core allocation test pins this.
+//     free list) and are built in place in EventClosure's inline buffer;
+//     push accepts only closures that fit it. Once the pool and the heap
+//     vector are warm, push/cancel/fire perform no allocation at all — the
+//     event-core allocation test pins this.
 //   * The binary heap orders small {when, seq, slot} items, so sift
 //     operations move 24 bytes per hop regardless of capture size.
 //   * An EventHandle is {slot index, generation}: cancel/pending are O(1)
@@ -20,12 +20,14 @@
 // every future change must preserve them):
 //   * Events fire in strict (time, insertion sequence) order; two events
 //     scheduled for the same instant fire in the order they were pushed.
+//     fire_one/fire_one_before are the only way an event leaves the queue
+//     other than cancel/clear, and the Simulator drives them.
 //   * Cancellation is lazy in the heap (the {when, seq, slot} item stays
-//     until popped or compacted) but eager in effect: the closure and its
-//     captures are destroyed at cancel() time, and the live count drops
-//     immediately.
+//     until it reaches the top or is compacted away) but eager in effect:
+//     the closure and its captures are destroyed at cancel() time, and the
+//     live count drops immediately.
 //   * Compaction only erases dead items and re-heapifies over the same
-//     (when, seq) comparator, so it never changes the pop order.
+//     (when, seq) comparator, so it never changes the fire order.
 //   * Slot indices and generations are bookkeeping only — nothing orders on
 //     them — so pool reuse patterns cannot perturb replay determinism.
 #pragma once
@@ -34,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/closure.hpp"
@@ -41,9 +44,6 @@
 #include "sim/time.hpp"
 
 namespace acute::sim {
-
-/// Callback type executed when an event fires (move-only; see closure.hpp).
-using EventFn = EventClosure;
 
 class EventQueue;
 
@@ -133,11 +133,12 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Inserts an event that fires at `when`. Returns a cancellation handle.
-  /// The callable is built directly into the slot pool (inline buffer or
-  /// this queue's arena) — one move of the callable, zero heap allocations
-  /// in steady state.
+  /// The callable is built directly into its slot's inline buffer — one
+  /// move of the callable, zero heap allocations in steady state. A
+  /// callable that does not fit the buffer does not compile.
   template <typename F, typename Fn = std::remove_cvref_t<F>>
-    requires(!std::is_same_v<Fn, EventClosure> && std::is_invocable_v<Fn&>)
+    requires(!std::is_same_v<Fn, EventClosure> && std::is_invocable_v<Fn&> &&
+             EventClosure::fits_inline<Fn>)
   EventHandle push(TimePoint when, F&& fn) {
     // Catch empty callables (null function pointers, empty std::function)
     // at schedule time, not as a crash at fire time. Lambdas skip this.
@@ -146,7 +147,7 @@ class EventQueue {
     }
     const std::uint32_t index = acquire_slot();
     Slot& s = slot(index);
-    s.fn.emplace(std::forward<F>(fn), &arena_);
+    s.fn.emplace(std::forward<F>(fn));
     s.live = true;
     heap_.push_back(HeapItem{when, next_seq_++, index});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
@@ -155,24 +156,11 @@ class EventQueue {
     return EventHandle{life_, index, s.generation};
   }
 
-  /// Inserts a pre-built closure (must be non-empty).
-  EventHandle push(TimePoint when, EventClosure fn);
-
   /// True when no live (non-cancelled) events remain.
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
 
   /// Number of live events currently queued.
   [[nodiscard]] std::size_t size() const { return live_count_; }
-
-  /// Fire time of the earliest live event. Requires !empty().
-  [[nodiscard]] TimePoint next_time();
-
-  /// Removes and returns the earliest live event. Requires !empty().
-  struct Fired {
-    TimePoint when;
-    EventFn fn;
-  };
-  [[nodiscard]] Fired pop();
 
   /// Pops and invokes the earliest live event *in place* — no closure move.
   /// `pre` runs with the fire time after the event is committed (detached
@@ -189,7 +177,7 @@ class EventQueue {
   /// As fire_one, but only when the earliest live event fires at or before
   /// `deadline`. One heap-top inspection decides "any event?" and "beats
   /// the deadline?" together, so batched run_until loops never pay a
-  /// separate empty()/next_time() pass per event.
+  /// separate emptiness check per event.
   template <typename PreFire>
   bool fire_one_before(TimePoint deadline, PreFire&& pre) {
     drop_dead_prefix();
@@ -202,7 +190,7 @@ class EventQueue {
   void clear();
 
   /// Restores the freshly-constructed observable state while keeping the
-  /// warm storage (slot chunks, free list, heap capacity, arena blocks).
+  /// warm storage (slot chunks, free list, heap capacity).
   /// Stale handles stay inert (clear() bumps every live generation), and
   /// the insertion-sequence counter restarts at zero so a reused queue
   /// breaks time ties exactly like a brand-new one — the property the
@@ -218,9 +206,6 @@ class EventQueue {
 
   /// Times the heap was compacted (cancelled entries physically removed).
   [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
-
-  /// Closure-overflow arena (allocation-accounting introspection).
-  [[nodiscard]] const ClosureArena& arena() const { return arena_; }
 
   /// Slot-pool chunks allocated so far (introspection; flat once warm).
   [[nodiscard]] std::size_t slot_chunks() const { return chunks_.size(); }
@@ -271,14 +256,14 @@ class EventQueue {
   }
 
   void drop_dead_prefix();
-  void pop_into(Fired& out);
   void maybe_compact();
 
   // Pops the heap top and runs its closure without moving it out of the
   // slot. Safe against reentrant push (slot chunks never move), against
-  // self-cancel (the generation is bumped before user code runs) and
-  // against clear() from inside the callback (the firing item is already
-  // off the heap, so only this frame releases its slot).
+  // self-cancel (the slot is marked dead and its generation bumped before
+  // user code runs) and against clear() from inside the callback (the
+  // firing item is already off the heap, so only this frame releases its
+  // slot). test_sim_event_queue's Callback* cases pin all three.
   template <typename PreFire>
   void fire_top(PreFire&& pre) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
@@ -311,7 +296,6 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
   std::uint64_t compactions_ = 0;
-  ClosureArena arena_;
   detail::QueueLife* life_ = nullptr;
 };
 

@@ -6,9 +6,11 @@
 // thread) are cooperating processes scheduled on this engine.
 //
 // Scheduling is allocation-free in steady state: schedule_at/schedule_in
-// build the closure directly into the event queue's slot pool (EventClosure
-// inline buffer, ClosureArena overflow), so each campaign shard recycles its
-// own memory instead of hammering the global allocator from many workers.
+// build the closure directly into an EventClosure inline buffer in the event
+// queue's slot pool (a closure too large for it does not compile), so each
+// campaign shard recycles its own memory instead of hammering the global
+// allocator from many workers. Events fire only through the queue's
+// fire_one/fire_one_before, which run(), run_until() and step() drive.
 #pragma once
 
 #include <cstdint>
@@ -65,11 +67,8 @@ class Simulator {
   /// campaign throughput benches).
   [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }
 
-  /// The underlying event queue (compaction / arena introspection).
+  /// The underlying event queue (compaction / slot-pool introspection).
   [[nodiscard]] const EventQueue& queue() const { return queue_; }
-
-  /// Drops all pending events without firing them.
-  void clear() { queue_.clear(); }
 
   /// Returns the simulator to its freshly-constructed observable state
   /// (time zero, zero events fired, default event limit) while keeping the

@@ -17,7 +17,7 @@ namespace acute::sim {
 /// the callback only fires if no restart happens for the full delay.
 class OneShotTimer {
  public:
-  OneShotTimer(Simulator& sim, EventFn on_fire)
+  OneShotTimer(Simulator& sim, EventClosure on_fire)
       : sim_(&sim), on_fire_(std::move(on_fire)) {}
 
   OneShotTimer(const OneShotTimer&) = delete;
@@ -27,8 +27,7 @@ class OneShotTimer {
   /// Arms (or re-arms) the timer to fire `delay` from now.
   void restart(Duration delay) {
     cancel();
-    handle_ =
-        sim_->schedule_in(delay, assert_fits_inline([this] { on_fire_(); }));
+    handle_ = sim_->schedule_in(delay, [this] { on_fire_(); });
   }
 
   /// Stops the timer if armed. Idempotent.
@@ -46,7 +45,7 @@ class OneShotTimer {
 
  private:
   Simulator* sim_;
-  EventFn on_fire_;
+  EventClosure on_fire_;
   EventHandle handle_;
 };
 
@@ -99,13 +98,13 @@ class PeriodicTimer {
 
  private:
   void schedule_next(TimePoint when) {
-    handle_ = sim_->schedule_at(when, assert_fits_inline([this, when] {
+    handle_ = sim_->schedule_at(when, [this, when] {
       const std::uint64_t index = tick_index_++;
       // Schedule the next tick before running user code so the callback can
       // call stop() and win.
       if (running_) schedule_next(when + period_);
       on_tick_(index);
-    }));
+    });
   }
 
   Simulator* sim_;

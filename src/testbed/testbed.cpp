@@ -57,10 +57,9 @@ void WirelessHost::transmit(Packet&& packet) {
   packet.src = id_;
   // Desktop host stack: tens of microseconds, no phone-style quirks.
   const Duration stack = Duration::micros(rng_.uniform(20.0, 60.0));
-  sim_->schedule_in(stack, sim::assert_fits_inline(
-                               [this, pkt = std::move(packet)]() mutable {
-                                 station_.send(std::move(pkt));
-                               }));
+  sim_->schedule_in(stack, [this, pkt = std::move(packet)]() mutable {
+    station_.send(std::move(pkt));
+  });
 }
 
 void CellularGateway::attach_link(net::Link& link) {

@@ -31,7 +31,7 @@ void Ping2Prober::start(DoneFn done) {
   });
   for (int i = 0; i < config_.pairs; ++i) {
     sim_->schedule_in(config_.pair_interval * i,
-                      sim::assert_fits_inline([this, i] { launch_pair(i); }));
+                      [this, i] { launch_pair(i); });
   }
 }
 
@@ -49,9 +49,9 @@ void Ping2Prober::send_ping(int index, bool is_second) {
   entry.sent_at = sim_->now();
   const std::uint64_t probe_id = ping.probe_id;
   entry.timeout =
-      sim_->schedule_in(config_.timeout, sim::assert_fits_inline([this, probe_id] {
+      sim_->schedule_in(config_.timeout, [this, probe_id] {
         on_timeout(probe_id);
-      }));
+      });
   outstanding_[probe_id] = std::move(entry);
   server_->originate(std::move(ping));
 }

@@ -82,8 +82,7 @@ void MeasurementTool::begin_probes(DoneFn done) {
   } else {
     // Periodic schedule: probe i leaves at i * interval, come what may.
     for (int i = 0; i < config_.probe_count; ++i) {
-      sim_->schedule_in(config_.interval * i, sim::assert_fits_inline(
-                                                  [this, i] { launch_probe(i); }));
+      sim_->schedule_in(config_.interval * i, [this, i] { launch_probe(i); });
     }
   }
 }
@@ -115,9 +114,9 @@ Packet MeasurementTool::new_probe(int index, net::PacketType type,
   entry.sent_at = sim_->now();
   const std::uint64_t probe_id = probe.probe_id;
   entry.timeout =
-      sim_->schedule_in(config_.timeout, sim::assert_fits_inline([this, probe_id] {
+      sim_->schedule_in(config_.timeout, [this, probe_id] {
         handle_timeout(probe_id);
-      }));
+      });
   outstanding_[probe_id] = std::move(entry);
   probe_of_index_[index] = probe_id;
   return probe;
@@ -177,8 +176,7 @@ void MeasurementTool::complete_probe(int index, ProbeRecord record) {
     if (config_.interval.is_zero()) {
       launch_probe(next);
     } else {
-      sim_->schedule_in(config_.interval, sim::assert_fits_inline(
-                                              [this, next] { launch_probe(next); }));
+      sim_->schedule_in(config_.interval, [this, next] { launch_probe(next); });
     }
   }
   maybe_finish();

@@ -161,10 +161,9 @@ void AccessPoint::route_from_wireless(Packet&& packet) {
       const Duration delay =
           config_.forward_delay +
           rng_.uniform_duration(Duration{}, config_.forward_jitter);
-      sim_->schedule_in(delay, sim::assert_fits_inline(
-                                   [this, ex = std::move(exceeded)]() mutable {
-                                     deliver_to_station(ex.dst, std::move(ex));
-                                   }));
+      sim_->schedule_in(delay, [this, ex = std::move(exceeded)]() mutable {
+        deliver_to_station(ex.dst, std::move(ex));
+      });
     }
     return;
   }
@@ -174,10 +173,9 @@ void AccessPoint::route_from_wireless(Packet&& packet) {
   const Duration delay =
       config_.forward_delay +
       rng_.uniform_duration(Duration{}, config_.forward_jitter);
-  sim_->schedule_in(delay, sim::assert_fits_inline(
-                               [this, pkt = std::move(packet)]() mutable {
-                                 wired_->send(config_.id, std::move(pkt));
-                               }));
+  sim_->schedule_in(delay, [this, pkt = std::move(packet)]() mutable {
+    wired_->send(config_.id, std::move(pkt));
+  });
 }
 
 void AccessPoint::receive(Packet&& packet, net::Link* /*ingress*/) {
@@ -192,10 +190,9 @@ void AccessPoint::receive(Packet&& packet, net::Link* /*ingress*/) {
   const Duration delay =
       config_.forward_delay +
       rng_.uniform_duration(Duration{}, config_.forward_jitter);
-  sim_->schedule_in(delay, sim::assert_fits_inline(
-                               [this, pkt = std::move(packet)]() mutable {
-                                 deliver_to_station(pkt.dst, std::move(pkt));
-                               }));
+  sim_->schedule_in(delay, [this, pkt = std::move(packet)]() mutable {
+    deliver_to_station(pkt.dst, std::move(pkt));
+  });
 }
 
 void AccessPoint::deliver_to_station(net::NodeId sta, Packet&& packet) {

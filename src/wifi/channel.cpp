@@ -136,14 +136,13 @@ void Channel::transmit(Radio& winner, TimePoint tx_start) {
   Radio* transmitter = &winner;
   sim_->schedule_at(
       frame.tx_end,
-      sim::assert_fits_inline(
-          [this, transmitter, f = std::move(frame)]() mutable {
-            notify_observers(f);
-            if (transmitter->on_tx_done_) {
-              transmitter->on_tx_done_(f);
-            }
-            deliver(std::move(f), transmitter);
-          }));
+      [this, transmitter, f = std::move(frame)]() mutable {
+        notify_observers(f);
+        if (transmitter->on_tx_done_) {
+          transmitter->on_tx_done_(f);
+        }
+        deliver(std::move(f), transmitter);
+      });
 
   // Medium goes idle at busy_until_: run the next round if backlog remains.
   sim_->schedule_at(busy_until_, [this] { schedule_round(); });

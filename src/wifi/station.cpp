@@ -168,9 +168,9 @@ void Station::schedule_beacon_wake() {
   const TimePoint wake_at =
       tbtt_anchor_ + interval * k - config_.wake_guard;
   beacon_wake_ = sim_->schedule_at(
-      std::max(wake_at, sim_->now()), sim::assert_fits_inline([this] {
+      std::max(wake_at, sim_->now()), [this] {
         if (state_ == PowerState::dozing) radio_.set_receiving(true);
-      }));
+      });
 }
 
 void Station::handle_beacon(const Packet& beacon) {

@@ -1,9 +1,8 @@
 // The allocation-free event core, pinned by a counting global allocator:
 // steady-state schedule_at/schedule_in/cancel/fire must perform ZERO heap
 // allocations per event — closures live in EventClosure's inline buffer
-// inside the pooled slots, cancel state is {slot, generation} (no
-// shared_ptr), and oversized closures recycle through the per-queue
-// ClosureArena. These tests replace operator new for the whole binary and
+// inside the pooled slots and cancel state is {slot, generation} (no
+// shared_ptr). These tests replace operator new for the whole binary and
 // diff the counter across a measured steady-state window.
 #include <gtest/gtest.h>
 
@@ -12,9 +11,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
+#include <utility>
 
 #include "net/packet.hpp"
 #include "sim/closure.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 #include "wifi/channel.hpp"
@@ -77,27 +79,39 @@ namespace {
 
 using namespace acute::sim::literals;
 
-// The inline buffer must cover the fattest closures the stack layers
-// schedule: a lambda owning a whole wifi::Frame (which embeds a
-// net::Packet) plus a couple of pointers. Compile-time, so a Packet growth
-// that would silently push scheduling onto the arena fails here first.
-static_assert(EventClosure::kInlineBytes >=
-                  sizeof(wifi::Frame) + 2 * sizeof(void*),
-              "EventClosure inline buffer no longer covers a Frame capture");
-static_assert(EventClosure::kInlineBytes >=
-                  sizeof(net::Packet) + 2 * sizeof(void*),
-              "EventClosure inline buffer no longer covers a Packet capture");
+// The inline buffer is exactly as large as the fattest closure the stack
+// layers schedule: a lambda owning a whole wifi::Frame (which embeds a
+// net::Packet) plus two pointers. Equality, not >=: a Frame that grows
+// would no longer compile at its schedule sites, and a Frame that shrinks
+// fails here until the buffer (and every event slot) shrinks with it.
+constexpr std::size_t round_up(std::size_t bytes, std::size_t align) {
+  return (bytes + align - 1) / align * align;
+}
+static_assert(EventClosure::kInlineBytes ==
+                  round_up(sizeof(wifi::Frame) + 2 * sizeof(void*),
+                           EventClosure::kInlineAlign),
+              "EventClosure inline buffer no longer matches a Frame capture");
+static_assert(sizeof(EventClosure) == 256);
 
 TEST(EventClosure, PacketAndFrameCapturesAreStoredInline) {
   net::Packet packet;
   wifi::Frame frame;
   auto packet_fn = [pkt = std::move(packet)]() mutable { (void)pkt; };
-  auto frame_fn = [f = std::move(frame), extra = static_cast<void*>(nullptr)]()
-      mutable { (void)f; (void)extra; };
+  auto frame_fn = [f = std::move(frame), extra = static_cast<void*>(nullptr),
+                   more = static_cast<void*>(nullptr)]() mutable {
+    (void)f;
+    (void)extra;
+    (void)more;
+  };
   static_assert(EventClosure::fits_inline<decltype(packet_fn)>);
   static_assert(EventClosure::fits_inline<decltype(frame_fn)>);
+  const std::size_t allocations_before = g_heap_allocations;
   EventClosure closure(std::move(frame_fn));
-  EXPECT_TRUE(closure.stored_inline());
+  EventClosure moved(std::move(closure));
+  moved();
+  EXPECT_EQ(g_heap_allocations, allocations_before);
+  EXPECT_FALSE(closure);
+  EXPECT_TRUE(moved);
 }
 
 // A probe-like event: carries a Packet-sized payload, re-arms a timeout
@@ -144,37 +158,21 @@ TEST(EventCoreAllocation, SteadyStateSchedulingIsAllocationFree) {
   EXPECT_EQ(g_heap_allocations, allocations_mid);
 }
 
-// A deliberately oversized capture: must overflow the inline buffer and
-// recycle through the per-queue ClosureArena instead of the global heap.
-struct OversizedChain {
-  Simulator* sim;
-  int* remaining;
-  std::array<unsigned char, EventClosure::kInlineBytes + 128> blob{};
-
-  void operator()() {
-    if (--*remaining <= 0) return;
-    sim->schedule_in(10_us, OversizedChain{sim, remaining, blob});
-  }
+// A capture one byte too large for the inline buffer: there is no
+// fallback storage, so it can be neither wrapped nor pushed.
+struct OversizedCapture {
+  std::array<unsigned char, EventClosure::kInlineBytes + 1> blob{};
+  void operator()() {}
 };
-static_assert(!EventClosure::fits_inline<OversizedChain>);
+static_assert(!EventClosure::fits_inline<OversizedCapture>);
+static_assert(!std::is_constructible_v<EventClosure, OversizedCapture>);
 
-TEST(EventCoreAllocation, OversizedClosuresRecycleThroughArena) {
-  Simulator sim;
-  int remaining = 2000;
-  sim.schedule_in(10_us, OversizedChain{&sim, &remaining, {}});
-  while (remaining > 1000 && sim.step()) {
-  }
-  ASSERT_GT(remaining, 0);
-
-  const std::size_t allocations_before = g_heap_allocations;
-  const std::uint64_t fresh_before = sim.queue().arena().fresh_blocks();
-  const std::uint64_t recycled_before = sim.queue().arena().recycled_blocks();
-  (void)sim.run();
-  EXPECT_EQ(g_heap_allocations, allocations_before)
-      << "oversized closures must recycle via the arena, not operator new";
-  EXPECT_EQ(sim.queue().arena().fresh_blocks(), fresh_before);
-  EXPECT_GT(sim.queue().arena().recycled_blocks(), recycled_before);
-}
+template <typename F>
+constexpr bool kPushable = requires(EventQueue& queue, F fn) {
+  queue.push(TimePoint{}, std::move(fn));
+};
+static_assert(kPushable<ProbeChain>);
+static_assert(!kPushable<OversizedCapture>);
 
 TEST(EventCoreAllocation, CancelIsAllocationFree) {
   Simulator sim;

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/contracts.hpp"
@@ -16,14 +17,25 @@ TimePoint at(std::int64_t ms) {
   return TimePoint::epoch() + Duration::millis(ms);
 }
 
-TEST(EventQueue, PopsInTimeOrder) {
+// Fires the earliest live event through the path Simulator::run takes.
+bool fire(EventQueue& queue) { return queue.fire_one([](TimePoint) {}); }
+
+void drain(EventQueue& queue) {
+  while (fire(queue)) {
+  }
+}
+
+TEST(EventQueue, FiresInTimeOrder) {
   EventQueue queue;
   std::vector<int> order;
+  std::vector<TimePoint> times;
   (void)queue.push(at(30), [&] { order.push_back(3); });
   (void)queue.push(at(10), [&] { order.push_back(1); });
   (void)queue.push(at(20), [&] { order.push_back(2); });
-  while (!queue.empty()) queue.pop().fn();
+  while (queue.fire_one([&](TimePoint when) { times.push_back(when); })) {
+  }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(times, (std::vector<TimePoint>{at(10), at(20), at(30)}));
 }
 
 TEST(EventQueue, TiesFireInInsertionOrder) {
@@ -32,7 +44,7 @@ TEST(EventQueue, TiesFireInInsertionOrder) {
   for (int i = 0; i < 8; ++i) {
     (void)queue.push(at(5), [&order, i] { order.push_back(i); });
   }
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
@@ -45,7 +57,7 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(queue.size(), 2u);
   h1.cancel();
   EXPECT_EQ(queue.size(), 1u);
-  (void)queue.pop();
+  EXPECT_TRUE(fire(queue));
   EXPECT_TRUE(queue.empty());
   (void)h2;
 }
@@ -56,7 +68,7 @@ TEST(EventQueue, CancelledEventsAreSkipped) {
   auto h1 = queue.push(at(1), [&] { order.push_back(1); });
   (void)queue.push(at(2), [&] { order.push_back(2); });
   h1.cancel();
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(order, (std::vector<int>{2}));
 }
 
@@ -79,7 +91,7 @@ TEST(EventQueue, HandlePendingReflectsState) {
 TEST(EventQueue, HandleOfFiredEventIsNotPending) {
   EventQueue queue;
   auto handle = queue.push(at(1), [] {});
-  (void)queue.pop();
+  EXPECT_TRUE(fire(queue));
   EXPECT_FALSE(handle.pending());
   handle.cancel();  // harmless after firing
   EXPECT_TRUE(queue.empty());
@@ -107,13 +119,13 @@ TEST(EventQueue, StaleHandleCannotCancelSlotReuse) {
   EventQueue queue;
   int fired = 0;
   auto h1 = queue.push(at(1), [&] { ++fired; });
-  queue.pop().fn();  // fires event 1 and frees its slot
+  EXPECT_TRUE(fire(queue));  // fires event 1 and frees its slot
   auto h2 = queue.push(at(2), [&] { ++fired; });
   h1.cancel();  // generation mismatch: must be a no-op
   EXPECT_FALSE(h1.pending());
   EXPECT_TRUE(h2.pending());
   ASSERT_EQ(queue.size(), 1u);
-  queue.pop().fn();
+  EXPECT_TRUE(fire(queue));
   EXPECT_EQ(fired, 2);
 }
 
@@ -127,7 +139,7 @@ TEST(EventQueue, StaleHandleAfterCancelCannotTouchReusedSlot) {
   auto h2 = queue.push(at(2), [&] { ++fired; });
   h1.cancel();  // double-stale: already cancelled AND the slot moved on
   EXPECT_TRUE(h2.pending());
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(fired, 1);
 }
 
@@ -142,7 +154,7 @@ TEST(EventQueue, HandleCopiesShareTheEvent) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(EventQueue, SizeIsPlainCountAcrossCancelPopAndCompaction) {
+TEST(EventQueue, SizeIsPlainCountAcrossCancelFireAndCompaction) {
   // empty()/size() read a plain member (no indirection); the count must
   // stay exact through every path that retires events.
   EventQueue queue;
@@ -153,7 +165,10 @@ TEST(EventQueue, SizeIsPlainCountAcrossCancelPopAndCompaction) {
   EXPECT_EQ(queue.size(), 200u);
   for (int i = 0; i < 200; i += 2) handles[i].cancel();
   EXPECT_EQ(queue.size(), 100u);
-  for (int i = 0; i < 50; ++i) (void)queue.pop();
+  // The live events before the deadline are exactly 1, 3, ..., 99.
+  int fired = 0;
+  while (queue.fire_one_before(at(99), [](TimePoint) {})) ++fired;
+  EXPECT_EQ(fired, 50);
   EXPECT_EQ(queue.size(), 50u);
   // Force the compaction threshold (cancelled >= live, >= 64 entries).
   for (int i = 1; i < 200; i += 2) handles[i].cancel();
@@ -164,13 +179,18 @@ TEST(EventQueue, SizeIsPlainCountAcrossCancelPopAndCompaction) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(EventQueue, NextTimeReportsEarliestLive) {
+TEST(EventQueue, FireOneBeforeSkipsCancelledHead) {
+  // A cancelled head must neither fire nor hide the live event behind it
+  // from the deadline check.
   EventQueue queue;
   auto h1 = queue.push(at(1), [] {});
   (void)queue.push(at(5), [] {});
-  EXPECT_EQ(queue.next_time(), at(1));
   h1.cancel();
-  EXPECT_EQ(queue.next_time(), at(5));
+  std::vector<TimePoint> times;
+  const auto record = [&](TimePoint when) { times.push_back(when); };
+  EXPECT_FALSE(queue.fire_one_before(at(4), record));
+  EXPECT_TRUE(queue.fire_one_before(at(5), record));
+  EXPECT_EQ(times, (std::vector<TimePoint>{at(5)}));
 }
 
 TEST(EventQueue, ClearDropsEverything) {
@@ -182,16 +202,25 @@ TEST(EventQueue, ClearDropsEverything) {
   EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(EventQueue, PopOnEmptyViolatesContract) {
+TEST(EventQueue, FireOnEmptyQueueReturnsFalse) {
   EventQueue queue;
-  EXPECT_THROW((void)queue.pop(), ContractViolation);
-  EXPECT_THROW((void)queue.next_time(), ContractViolation);
+  int hooks = 0;
+  const auto count = [&](TimePoint) { ++hooks; };
+  EXPECT_FALSE(queue.fire_one(count));
+  EXPECT_FALSE(queue.fire_one_before(at(1), count));
+  queue.push(at(1), [] {}).cancel();  // only dead entries left
+  EXPECT_FALSE(queue.fire_one(count));
+  EXPECT_EQ(hooks, 0);
 }
 
-TEST(EventQueue, PushRequiresCallable) {
-  EventQueue queue;
-  EXPECT_THROW((void)queue.push(at(1), EventFn{}), ContractViolation);
-}
+// A pre-built EventClosure (possibly empty) is not a push argument at all;
+// every other callable's emptiness is checked at push time below.
+template <typename F>
+constexpr bool kPushable = requires(EventQueue& queue, F fn) {
+  queue.push(at(1), std::move(fn));
+};
+static_assert(!kPushable<EventClosure>);
+static_assert(kPushable<void (*)()>);
 
 TEST(EventQueue, NullFunctionPointerRejectedAtPush) {
   EventQueue queue;
@@ -209,7 +238,7 @@ TEST(EventQueue, ThrowingCallbackDoesNotLeakSlots) {
   EventQueue queue;
   for (int i = 0; i < 1000; ++i) {
     (void)queue.push(at(i), [] { throw std::runtime_error("boom"); });
-    EXPECT_THROW((void)queue.fire_one([](TimePoint) {}), std::runtime_error);
+    EXPECT_THROW((void)fire(queue), std::runtime_error);
     EXPECT_TRUE(queue.empty());
   }
   EXPECT_EQ(queue.slot_chunks(), 1u);
@@ -233,17 +262,14 @@ TEST(EventQueue, CompactsWhenCancelledEventsDominate) {
   EXPECT_GE(queue.compactions(), 1u);
   EXPECT_LE(queue.heap_entries(), 2 * queue.size() + EventQueue::kCompactMinEntries);
 
-  // Behaviour is unchanged: survivors pop in time order.
-  std::int64_t last = -1;
-  std::size_t fired = 0;
-  while (!queue.empty()) {
-    const auto event = queue.pop();
-    const std::int64_t ms = (event.when - TimePoint::epoch()).count_nanos();
-    EXPECT_GE(ms, last);
-    last = ms;
-    ++fired;
+  // Behaviour is unchanged: exactly the survivors fire, in time order.
+  std::vector<TimePoint> expected;
+  for (int i = 0; i < kEvents; i += 16) expected.push_back(at(1000 + i));
+  expected.push_back(at(10'000));
+  std::vector<TimePoint> times;
+  while (queue.fire_one([&](TimePoint when) { times.push_back(when); })) {
   }
-  EXPECT_EQ(fired, kEvents / 16 + 1);
+  EXPECT_EQ(times, expected);
 }
 
 TEST(EventQueue, SmallQueuesNeverCompact) {
@@ -255,6 +281,93 @@ TEST(EventQueue, SmallQueuesNeverCompact) {
   for (auto& handle : handles) handle.cancel();
   (void)queue.push(at(100), [] {});
   EXPECT_EQ(queue.compactions(), 0u);
+}
+
+// The three reentrancy claims fire_top makes, one callback each: size()
+// and empty() stay exact, and the events left afterwards fire in order.
+
+TEST(EventQueue, CallbackMayGrowTheSlotPoolUnderItsOwnSlot) {
+  // The firing closure's slot stays in use while it pushes more than a
+  // chunk's worth of events: chunks_ grows (and its vector reallocates),
+  // but no chunk moves and the firing slot is not handed out again.
+  EventQueue queue;
+  constexpr int kPushes = 300;  // > 2 chunks of 128 slots
+  std::vector<int> order;
+  (void)queue.push(at(1), [&queue, &order, marker = 42] {
+    for (int i = 0; i < kPushes; ++i) {
+      (void)queue.push(at(10), [&order, i] { order.push_back(i); });
+    }
+    EXPECT_EQ(marker, 42);  // our captures were not overwritten
+    EXPECT_EQ(queue.size(), kPushes + 1u);
+    order.push_back(-1);
+  });
+  (void)queue.push(at(2), [&order] { order.push_back(-2); });
+  ASSERT_EQ(queue.slot_chunks(), 1u);
+  EXPECT_TRUE(fire(queue));
+  EXPECT_GE(queue.slot_chunks(), 3u);
+  EXPECT_EQ(queue.size(), kPushes + 1u);
+  drain(queue);
+  ASSERT_EQ(order.size(), kPushes + 2u);
+  EXPECT_EQ(order[0], -1);
+  EXPECT_EQ(order[1], -2);
+  for (int i = 0; i < kPushes; ++i) EXPECT_EQ(order[i + 2], i);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueue, CallbackMayCancelItsOwnHandle) {
+  // The slot is marked dead before user code runs, so cancelling the
+  // firing event is a no-op: its captures stay alive for the rest of the
+  // call and its slot is released exactly once.
+  EventQueue queue;
+  std::vector<int> order;
+  EventHandle self;
+  self = queue.push(at(1), [&, label = std::vector<int>{7, 8, 9}] {
+    EXPECT_FALSE(self.pending());
+    self.cancel();
+    EXPECT_EQ(queue.size(), 1u);
+    (void)queue.push(at(2), [&order] { order.push_back(2); });
+    order.push_back(label.back());  // reads the captures after cancel()
+  });
+  (void)queue.push(at(2), [&order] { order.push_back(1); });
+  EXPECT_TRUE(fire(queue));
+  EXPECT_EQ(queue.size(), 2u);
+  // A double release would hand these two pushes the same slot.
+  auto a = queue.push(at(3), [&order] { order.push_back(3); });
+  auto b = queue.push(at(3), [&order] { order.push_back(4); });
+  EXPECT_EQ(queue.size(), 4u);
+  EXPECT_TRUE(a.pending());
+  EXPECT_TRUE(b.pending());
+  drain(queue);
+  EXPECT_EQ(order, (std::vector<int>{9, 1, 2, 3, 4}));
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueue, CallbackMayClearTheQueue) {
+  // The firing item is already off the heap, so clear() drops only the
+  // other events and this frame alone releases the firing slot.
+  EventQueue queue;
+  std::vector<int> order;
+  (void)queue.push(at(1), [&queue, &order] {
+    queue.clear();
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.size(), 0u);
+    (void)queue.push(at(5), [&order] { order.push_back(5); });
+    EXPECT_EQ(queue.size(), 1u);
+  });
+  auto dropped = queue.push(at(2), [&order] { order.push_back(-2); });
+  (void)queue.push(at(3), [&order] { order.push_back(-3); });
+  EXPECT_TRUE(fire(queue));
+  EXPECT_FALSE(dropped.pending());
+  EXPECT_EQ(queue.size(), 1u);
+  // A double release would hand these two pushes the same slot.
+  auto a = queue.push(at(5), [&order] { order.push_back(6); });
+  auto b = queue.push(at(6), [&order] { order.push_back(7); });
+  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_TRUE(a.pending());
+  EXPECT_TRUE(b.pending());
+  drain(queue);
+  EXPECT_EQ(order, (std::vector<int>{5, 6, 7}));
+  EXPECT_TRUE(queue.empty());
 }
 
 }  // namespace
