@@ -20,11 +20,8 @@ const char* to_string(RrcState state) {
   return "?";
 }
 
-RrcMachine::RrcMachine(sim::Simulator& sim, sim::Rng rng, RrcConfig config)
-    : sim_(&sim),
-      rng_(std::move(rng)),
-      config_(config),
-      demotion_timer_(sim, [this] { demote(); }) {}
+RrcMachine::RrcMachine(sim::Simulator& sim)
+    : sim_(&sim), demotion_timer_(sim, [this] { demote(); }) {}
 
 Duration RrcMachine::sample_promotion(Duration mean) {
   const Duration jitter = rng_.uniform_duration(-config_.promotion_jitter,

@@ -61,13 +61,19 @@ struct RrcConfig {
 
 class RrcMachine {
  public:
-  RrcMachine(sim::Simulator& sim, sim::Rng rng, RrcConfig config);
+  /// Binds the machine to `sim`; reset() initializes it.
+  explicit RrcMachine(sim::Simulator& sim);
+  RrcMachine(sim::Simulator& sim, sim::Rng rng, RrcConfig config)
+      : RrcMachine(sim) {
+    reset(std::move(rng), config);
+  }
 
   RrcMachine(const RrcMachine&) = delete;
   RrcMachine& operator=(const RrcMachine&) = delete;
 
-  /// Returns the machine to the state the constructor would leave it in
-  /// with these arguments (shard-context reuse contract).
+  /// Initializes the per-scenario state: this rng stream and `config`,
+  /// RRC idle, no promotion in flight, demotion timer disarmed, zero
+  /// counters.
   void reset(sim::Rng rng, RrcConfig config) {
     rng_ = std::move(rng);
     config_ = config;
@@ -101,7 +107,7 @@ class RrcMachine {
   [[nodiscard]] sim::Duration sample_promotion(sim::Duration mean);
 
   sim::Simulator* sim_;
-  sim::Rng rng_;
+  sim::Rng rng_{0};
   RrcConfig config_;
   RrcState state_ = RrcState::idle;
   // A promotion in flight: the radio is usable at promotion_done_.

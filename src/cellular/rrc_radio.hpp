@@ -27,15 +27,14 @@ class RrcRadioLayer : public stack::StackLayer {
   /// plays for wifi::Station.
   using EgressFn = std::function<void(net::Packet&&)>;
 
+  /// Binds the layer to `sim` and the RRC machine that gates it.
   RrcRadioLayer(sim::Simulator& sim, RrcMachine& rrc);
 
   void set_egress(EgressFn egress) { egress_ = std::move(egress); }
 
-  /// Returns the layer to the state the constructor would leave it in with
-  /// this RRC machine; the egress hand-off is cleared — the gateway re-sets
-  /// it on attach (shard-context reuse contract).
-  void reset(RrcMachine& rrc) {
-    rrc_ = &rrc;
+  /// Initializes the per-scenario state: no egress hand-off (the gateway
+  /// sets it on attach), zero counters. The RRC machine resets on its own.
+  void reset() {
     egress_ = nullptr;
     uplink_ = 0;
     downlink_ = 0;

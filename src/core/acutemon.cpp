@@ -25,15 +25,15 @@ AcuteMon::AcuteMon(phone::Smartphone& phone, Config config)
     : AcuteMon(phone, config, Options{}) {}
 
 AcuteMon::AcuteMon(phone::Smartphone& phone, Config config, Options options)
-    : MeasurementTool(phone, sequential(config)),
+    : MeasurementTool(phone),
       options_(options),
-      background_timer_(phone.simulator(), options.background_interval,
+      background_timer_(phone.simulator(),
                         [this](std::uint64_t) { send_background(); }) {
   expects(options.warmup_lead > Duration{},
           "AcuteMon warm-up lead must be positive");
   expects(options.background_interval > Duration{},
           "AcuteMon background interval must be positive");
-  background_flow_ = phone.allocate_flow_id();
+  reinitialize(config);
 }
 
 void AcuteMon::reinitialize(Config config) {

@@ -19,7 +19,7 @@
 
 namespace acute::core {
 
-class AcuteMon : public tools::MeasurementTool {
+class AcuteMon final : public tools::MeasurementTool {
  public:
   enum class ProbeMethod { tcp_connect, http };
 
@@ -40,9 +40,9 @@ class AcuteMon : public tools::MeasurementTool {
 
   [[nodiscard]] std::string name() const override { return "AcuteMon"; }
 
-  /// Constructor-equivalent reset with the options kept: re-adapts the
-  /// schedule, re-allocates both flow ids in constructor order and clears
-  /// the BT state (shard-context reuse contract).
+  /// Initializes the per-run state, the options kept: adapts the schedule,
+  /// allocates the probe flow id and then the background one, and clears
+  /// the BT state.
   void reinitialize(Config config) override;
   [[nodiscard]] const Options& options() const { return options_; }
 

@@ -11,21 +11,6 @@ using sim::Duration;
 using sim::expects;
 using sim::TimePoint;
 
-Link::Link(sim::Simulator& sim, Node& a, Node& b, Duration propagation,
-           double bandwidth_bps)
-    : sim_(&sim),
-      a_(&a),
-      b_(&b),
-      propagation_(propagation),
-      bandwidth_bps_(bandwidth_bps) {
-  expects(!propagation.is_negative(),
-          "Link propagation delay must be non-negative");
-  expects(bandwidth_bps > 0, "Link bandwidth must be positive");
-  expects(a.id() != b.id(), "Link endpoints must differ");
-  a_to_b_.to = b_;
-  b_to_a_.to = a_;
-}
-
 void Link::reset(Node& a, Node& b, Duration propagation,
                  double bandwidth_bps) {
   expects(!propagation.is_negative(),

@@ -12,17 +12,20 @@ namespace acute::net {
 
 class Link {
  public:
-  /// Connects `a` and `b` with the given one-way propagation delay and line
-  /// rate in bits per second (e.g. 1e9 for gigabit Ethernet).
+  /// Binds the link to `sim`; reset() connects it.
+  explicit Link(sim::Simulator& sim) : sim_(&sim) {}
   Link(sim::Simulator& sim, Node& a, Node& b, sim::Duration propagation,
-       double bandwidth_bps);
+       double bandwidth_bps)
+      : Link(sim) {
+    reset(a, b, propagation, bandwidth_bps);
+  }
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Returns the link to the state the constructor would leave it in with
-  /// these arguments (shard-context reuse contract; endpoints or parameters
-  /// may differ from the original construction).
+  /// Connects `a` and `b` with the given one-way propagation delay and line
+  /// rate in bits per second (e.g. 1e9 for gigabit Ethernet), both
+  /// directions idle and no packet delivered yet.
   void reset(Node& a, Node& b, sim::Duration propagation,
              double bandwidth_bps);
 
@@ -49,10 +52,10 @@ class Link {
   Direction& direction_from(NodeId from);
 
   sim::Simulator* sim_;
-  Node* a_;
-  Node* b_;
+  Node* a_ = nullptr;
+  Node* b_ = nullptr;
   sim::Duration propagation_;
-  double bandwidth_bps_;
+  double bandwidth_bps_ = 0;
   Direction a_to_b_;
   Direction b_to_a_;
   std::uint64_t delivered_count_ = 0;

@@ -11,8 +11,8 @@ using sim::Duration;
 using sim::expects;
 using sim::TimePoint;
 
-NetemQdisc::NetemQdisc(sim::Simulator& sim, sim::Rng rng, ForwardFn forward)
-    : sim_(&sim), rng_(std::move(rng)), forward_(std::move(forward)) {
+NetemQdisc::NetemQdisc(sim::Simulator& sim, ForwardFn forward)
+    : sim_(&sim), forward_(std::move(forward)) {
   expects(static_cast<bool>(forward_), "NetemQdisc requires a forward hook");
 }
 

@@ -19,14 +19,19 @@ class NetemQdisc {
  public:
   using ForwardFn = std::function<void(Packet&&)>;
 
-  /// `forward` receives packets after the configured delay.
-  NetemQdisc(sim::Simulator& sim, sim::Rng rng, ForwardFn forward);
+  /// `forward` receives packets after the configured delay; reset()
+  /// initializes the qdisc.
+  NetemQdisc(sim::Simulator& sim, ForwardFn forward);
+  NetemQdisc(sim::Simulator& sim, sim::Rng rng, ForwardFn forward)
+      : NetemQdisc(sim, std::move(forward)) {
+    reset(std::move(rng));
+  }
 
   NetemQdisc(const NetemQdisc&) = delete;
   NetemQdisc& operator=(const NetemQdisc&) = delete;
 
-  /// Returns the qdisc to the state the constructor would leave it in with
-  /// this rng stream; the forward fn is kept (shard-context reuse contract).
+  /// Initializes the per-scenario state: this rng stream, no delay, no
+  /// jitter, no loss, reordering prevented, zero counters.
   void reset(sim::Rng rng) {
     rng_ = std::move(rng);
     base_ = sim::Duration{};
@@ -59,7 +64,7 @@ class NetemQdisc {
 
  private:
   sim::Simulator* sim_;
-  sim::Rng rng_;
+  sim::Rng rng_{0};
   ForwardFn forward_;
   sim::Duration base_;
   sim::Duration jitter_;

@@ -9,17 +9,12 @@ namespace acute::net {
 using sim::Duration;
 using sim::expects;
 
-EchoServer::EchoServer(sim::Simulator& sim, sim::Rng rng, NodeId id)
-    : sim_(&sim),
-      rng_(std::move(rng)),
-      id_(id),
-      netem_(sim, rng_.fork("netem"),
-             [this](Packet&& pkt) {
-               expects(link_ != nullptr,
-                       "EchoServer link not attached before traffic");
-               link_->send(id_, std::move(pkt));
-             }),
-      http_size_(packet_size::http_response) {}
+EchoServer::EchoServer(sim::Simulator& sim)
+    : sim_(&sim), netem_(sim, [this](Packet&& pkt) {
+        expects(link_ != nullptr,
+                "EchoServer link not attached before traffic");
+        link_->send(id_, std::move(pkt));
+      }) {}
 
 void EchoServer::reset(sim::Rng rng, NodeId id) {
   rng_ = std::move(rng);

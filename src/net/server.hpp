@@ -6,6 +6,7 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "net/link.hpp"
 #include "net/netem.hpp"
@@ -23,12 +24,17 @@ namespace acute::net {
 /// paper's `tc netem delay` on the server interface.
 class EchoServer : public Node {
  public:
-  EchoServer(sim::Simulator& sim, sim::Rng rng, NodeId id);
+  /// Binds the server to `sim`; reset() initializes it.
+  explicit EchoServer(sim::Simulator& sim);
+  EchoServer(sim::Simulator& sim, sim::Rng rng, NodeId id) : EchoServer(sim) {
+    reset(std::move(rng), id);
+  }
 
-  /// Returns the server to the state the constructor would leave it in
-  /// with these arguments (same "netem" rng sub-fork). The shared HTTP body
-  /// buffer is kept — it is rebuilt lazily only when the configured size
-  /// changes, exactly as on the fresh path (shard-context reuse contract).
+  /// Initializes the per-scenario state, the netem qdisc's included (its
+  /// rng is the "netem" fork of `rng`): no link, default service time and
+  /// HTTP size, open TCP port, no observer, zero counters. The shared HTTP
+  /// body buffer is kept: it is rebuilt lazily, only when the configured
+  /// size changes.
   void reset(sim::Rng rng, NodeId id);
 
   /// Connects the server's NIC. Must be called exactly once before traffic.
@@ -68,14 +74,14 @@ class EchoServer : public Node {
   void respond(const Packet& request);
 
   sim::Simulator* sim_;
-  sim::Rng rng_;
-  NodeId id_;
+  sim::Rng rng_{0};
+  NodeId id_ = 0;
   Link* link_ = nullptr;
   NetemQdisc netem_;
   sim::Duration service_mean_ = sim::Duration::micros(40);
   bool tcp_port_closed_ = false;
   ObserverFn observer_;
-  std::uint32_t http_size_;
+  std::uint32_t http_size_ = packet_size::http_response;
   /// Shared immutable HTTP body attached to every http_response.
   PayloadBuffer http_body_;
   std::uint64_t requests_served_ = 0;
@@ -85,10 +91,11 @@ class EchoServer : public Node {
 /// an iPerf server on it).
 class UdpSink : public Node {
  public:
-  UdpSink(sim::Simulator& sim, NodeId id) : sim_(&sim), id_(id) {}
+  /// Binds the sink to `sim`; reset() initializes it.
+  explicit UdpSink(sim::Simulator& sim) : sim_(&sim) {}
+  UdpSink(sim::Simulator& sim, NodeId id) : UdpSink(sim) { reset(id); }
 
-  /// Returns the sink to its freshly-constructed state (shard-context
-  /// reuse contract).
+  /// Initializes the per-scenario state: zero counters, window at zero.
   void reset(NodeId id) {
     id_ = id;
     packets_ = 0;
@@ -111,7 +118,7 @@ class UdpSink : public Node {
 
  private:
   sim::Simulator* sim_;
-  NodeId id_;
+  NodeId id_ = 0;
   std::uint64_t packets_ = 0;
   std::uint64_t bytes_ = 0;
   sim::TimePoint window_start_;

@@ -12,11 +12,12 @@ namespace acute::net {
 
 class Switch : public Node {
  public:
-  explicit Switch(NodeId id) : id_(id) {}
+  /// A switch binds nothing; reset() initializes it.
+  Switch() = default;
+  explicit Switch(NodeId id) { reset(id); }
 
-  /// Returns the switch to the state the constructor would leave it in:
-  /// no ports, empty learning table. Port and table storage stay warm
-  /// (shard-context reuse contract).
+  /// Initializes the per-scenario state: no ports, empty learning table,
+  /// zero counters. Port and table storage stay warm.
   void reset(NodeId id) {
     id_ = id;
     ports_.clear();
@@ -48,7 +49,7 @@ class Switch : public Node {
   [[nodiscard]] std::uint64_t flooded_count() const { return flooded_count_; }
 
  private:
-  NodeId id_;
+  NodeId id_ = 0;
   std::vector<Link*> ports_;
   // Learned and pinned (address -> port) entries. A handful of nodes sit
   // behind this switch, so a flat vector beats a node-based map and

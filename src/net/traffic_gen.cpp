@@ -1,6 +1,5 @@
 #include "net/traffic_gen.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/contracts.hpp"
@@ -10,25 +9,15 @@ namespace acute::net {
 using sim::Duration;
 using sim::expects;
 
-UdpCbrSource::UdpCbrSource(sim::Simulator& sim, sim::Rng rng, Config config,
-                           TransmitFn transmit)
-    : rng_(std::move(rng)),
-      config_(config),
-      transmit_(std::move(transmit)),
-      timer_(sim,
-             Duration::seconds(double(config.datagram_bytes) * 8.0 /
-                                    (config.rate_mbps * 1e6)),
-             [this](std::uint64_t) {
-               Packet pkt =
-                   Packet::make(PacketType::udp_data, Protocol::udp,
-                                config_.src, config_.dst,
-                                config_.datagram_bytes);
-               pkt.flow_id = config_.flow_id;
-               ++packets_sent_;
-               transmit_(std::move(pkt));
-             }) {
-  expects(config.rate_mbps > 0, "UdpCbrSource rate must be positive");
-  expects(config.datagram_bytes > 0, "UdpCbrSource datagram must be > 0B");
+UdpCbrSource::UdpCbrSource(sim::Simulator& sim, TransmitFn transmit)
+    : transmit_(std::move(transmit)), timer_(sim, [this](std::uint64_t) {
+        Packet pkt = Packet::make(PacketType::udp_data, Protocol::udp,
+                                  config_.src, config_.dst,
+                                  config_.datagram_bytes);
+        pkt.flow_id = config_.flow_id;
+        ++packets_sent_;
+        transmit_(std::move(pkt));
+      }) {
   expects(static_cast<bool>(transmit_), "UdpCbrSource requires a transmit fn");
 }
 
@@ -50,43 +39,21 @@ void UdpCbrSource::start() {
 
 void UdpCbrSource::stop() { timer_.stop(); }
 
-IperfLoadGenerator::IperfLoadGenerator(sim::Simulator& sim, sim::Rng rng,
-                                       NodeId src, NodeId dst,
-                                       std::size_t connections,
-                                       double per_flow_mbps,
-                                       UdpCbrSource::TransmitFn transmit) {
+void IperfLoadGenerator::reset(sim::Rng rng, NodeId src, NodeId dst,
+                               std::size_t connections,
+                               double per_flow_mbps) {
   expects(connections > 0, "IperfLoadGenerator requires >= 1 connection");
-  flows_.reserve(connections);
+  flows_.resize(connections);
   for (std::size_t i = 0; i < connections; ++i) {
-    UdpCbrSource::Config config;
-    config.src = src;
-    config.dst = dst;
-    config.flow_id = 1000 + static_cast<std::uint32_t>(i);
-    config.rate_mbps = per_flow_mbps;
-    flows_.push_back(std::make_unique<UdpCbrSource>(
-        sim, rng.fork(i), config, transmit));
-  }
-}
-
-void IperfLoadGenerator::reset(sim::Simulator& sim, sim::Rng rng, NodeId src,
-                               NodeId dst, std::size_t connections,
-                               double per_flow_mbps,
-                               const UdpCbrSource::TransmitFn& transmit) {
-  expects(connections > 0, "IperfLoadGenerator requires >= 1 connection");
-  flows_.resize(std::min(flows_.size(), connections));
-  flows_.reserve(connections);
-  for (std::size_t i = 0; i < connections; ++i) {
-    UdpCbrSource::Config config;
-    config.src = src;
-    config.dst = dst;
-    config.flow_id = 1000 + static_cast<std::uint32_t>(i);
-    config.rate_mbps = per_flow_mbps;
-    if (i < flows_.size()) {
-      flows_[i]->reset(rng.fork(i), config);
-    } else {
-      flows_.push_back(std::make_unique<UdpCbrSource>(
-          sim, rng.fork(i), config, transmit));
+    if (!flows_[i]) {
+      flows_[i] = std::make_unique<UdpCbrSource>(*sim_, transmit_);
     }
+    UdpCbrSource::Config config;
+    config.src = src;
+    config.dst = dst;
+    config.flow_id = 1000 + static_cast<std::uint32_t>(i);
+    config.rate_mbps = per_flow_mbps;
+    flows_[i]->reset(rng.fork(i), config);
   }
 }
 

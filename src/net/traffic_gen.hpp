@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -28,15 +29,20 @@ class UdpCbrSource {
     std::uint32_t datagram_bytes = packet_size::udp_iperf;
   };
 
+  /// Binds the source to `sim` and its `transmit` hand-off; reset()
+  /// initializes it.
+  UdpCbrSource(sim::Simulator& sim, TransmitFn transmit);
   UdpCbrSource(sim::Simulator& sim, sim::Rng rng, Config config,
-               TransmitFn transmit);
+               TransmitFn transmit)
+      : UdpCbrSource(sim, std::move(transmit)) {
+    reset(std::move(rng), config);
+  }
 
   UdpCbrSource(const UdpCbrSource&) = delete;
   UdpCbrSource& operator=(const UdpCbrSource&) = delete;
 
-  /// Returns the source to the state the constructor would leave it in with
-  /// these arguments; the transmit fn is kept (shard-context reuse
-  /// contract).
+  /// Initializes the per-scenario state: the flow, its rate (the timer
+  /// period), stopped, zero packets sent.
   void reset(sim::Rng rng, Config config);
 
   /// Starts emitting datagrams (first one within one inter-packet period).
@@ -48,7 +54,7 @@ class UdpCbrSource {
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
-  sim::Rng rng_;
+  sim::Rng rng_{0};
   Config config_;
   TransmitFn transmit_;
   sim::PeriodicTimer timer_;
@@ -58,16 +64,22 @@ class UdpCbrSource {
 /// The iPerf client of §4.3: N parallel CBR flows from one host.
 class IperfLoadGenerator {
  public:
+  /// Binds the generator to `sim` and the hand-off every flow transmits
+  /// through; reset() initializes it.
+  IperfLoadGenerator(sim::Simulator& sim, UdpCbrSource::TransmitFn transmit)
+      : sim_(&sim), transmit_(std::move(transmit)) {}
   IperfLoadGenerator(sim::Simulator& sim, sim::Rng rng, NodeId src, NodeId dst,
                      std::size_t connections, double per_flow_mbps,
-                     UdpCbrSource::TransmitFn transmit);
+                     UdpCbrSource::TransmitFn transmit)
+      : IperfLoadGenerator(sim, std::move(transmit)) {
+    reset(std::move(rng), src, dst, connections, per_flow_mbps);
+  }
 
-  /// Reconfigures the generator as the constructor would with these
-  /// arguments, reusing existing flow objects where the connection count
-  /// allows (shard-context reuse contract).
-  void reset(sim::Simulator& sim, sim::Rng rng, NodeId src, NodeId dst,
-             std::size_t connections, double per_flow_mbps,
-             const UdpCbrSource::TransmitFn& transmit);
+  /// Initializes `connections` stopped flows from `src` to `dst`, flow i
+  /// on rng fork i. Existing flow objects are reused; only missing ones
+  /// are built.
+  void reset(sim::Rng rng, NodeId src, NodeId dst, std::size_t connections,
+             double per_flow_mbps);
 
   void start();
   void stop();
@@ -77,6 +89,8 @@ class IperfLoadGenerator {
   [[nodiscard]] double offered_load_mbps() const;
 
  private:
+  sim::Simulator* sim_;
+  UdpCbrSource::TransmitFn transmit_;
   std::vector<std::unique_ptr<UdpCbrSource>> flows_;
 };
 

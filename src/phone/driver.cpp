@@ -9,10 +9,6 @@ using sim::Duration;
 using sim::TimePoint;
 using stack::StampPoint;
 
-WnicDriver::WnicDriver(sim::Simulator& sim, sim::Rng rng,
-                       const PhoneProfile& profile, SdioBus& bus)
-    : sim_(&sim), rng_(std::move(rng)), profile_(&profile), bus_(&bus) {}
-
 void WnicDriver::transmit(Packet&& packet) {
   const TimePoint xmit_entry = sim_->now();
   stamp(packet, StampPoint::driver_xmit_entry, xmit_entry);

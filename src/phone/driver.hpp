@@ -34,15 +34,21 @@ namespace acute::phone {
 
 class WnicDriver : public stack::StackLayer {
  public:
+  /// Binds the driver to `sim` and the `bus` below it; reset() initializes
+  /// it.
+  WnicDriver(sim::Simulator& sim, SdioBus& bus) : sim_(&sim), bus_(&bus) {}
   WnicDriver(sim::Simulator& sim, sim::Rng rng, const PhoneProfile& profile,
-             SdioBus& bus);
+             SdioBus& bus)
+      : WnicDriver(sim, bus) {
+    reset(std::move(rng), profile);
+  }
 
-  /// Returns the driver to the state the constructor would leave it in with
-  /// these arguments; log storage stays warm (shard-context reuse contract).
-  void reset(sim::Rng rng, const PhoneProfile& profile, SdioBus& bus) {
+  /// Initializes the per-scenario state: this rng stream, `profile`'s
+  /// costs (the profile must outlive the driver), empty logs (their
+  /// storage stays warm), zero counters.
+  void reset(sim::Rng rng, const PhoneProfile& profile) {
     rng_ = std::move(rng);
     profile_ = &profile;
-    bus_ = &bus;
     dvsend_ms_.clear();
     dvrecv_ms_.clear();
     tx_packets_ = 0;
@@ -71,8 +77,8 @@ class WnicDriver : public stack::StackLayer {
 
  private:
   sim::Simulator* sim_;
-  sim::Rng rng_;
-  const PhoneProfile* profile_;
+  sim::Rng rng_{0};
+  const PhoneProfile* profile_ = nullptr;
   SdioBus* bus_;
   std::vector<double> dvsend_ms_;
   std::vector<double> dvrecv_ms_;

@@ -8,10 +8,6 @@ using net::Packet;
 using sim::Duration;
 using stack::StampPoint;
 
-KernelStack::KernelStack(sim::Simulator& sim, sim::Rng rng,
-                         const PhoneProfile& profile)
-    : sim_(&sim), rng_(std::move(rng)), profile_(&profile) {}
-
 void KernelStack::transmit(Packet&& packet) {
   // IP/transport processing down to the device queue.
   const Duration cost =

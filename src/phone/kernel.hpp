@@ -17,10 +17,15 @@ namespace acute::phone {
 
 class KernelStack : public stack::StackLayer {
  public:
-  KernelStack(sim::Simulator& sim, sim::Rng rng, const PhoneProfile& profile);
+  /// Binds the layer to `sim`; reset() initializes it.
+  explicit KernelStack(sim::Simulator& sim) : sim_(&sim) {}
+  KernelStack(sim::Simulator& sim, sim::Rng rng, const PhoneProfile& profile)
+      : KernelStack(sim) {
+    reset(std::move(rng), profile);
+  }
 
-  /// Returns the layer to the state the constructor would leave it in with
-  /// these arguments (shard-context reuse contract).
+  /// Initializes the per-scenario state: this rng stream, `profile`'s
+  /// costs (the profile must outlive the layer), zero counters.
   void reset(sim::Rng rng, const PhoneProfile& profile) {
     rng_ = std::move(rng);
     profile_ = &profile;
@@ -48,8 +53,8 @@ class KernelStack : public stack::StackLayer {
 
  private:
   sim::Simulator* sim_;
-  sim::Rng rng_;
-  const PhoneProfile* profile_;
+  sim::Rng rng_{0};
+  const PhoneProfile* profile_ = nullptr;
   std::uint64_t tx_packets_ = 0;
   std::uint64_t rx_packets_ = 0;
   std::uint64_t icmp_echoes_served_ = 0;

@@ -21,9 +21,6 @@ const char* to_string(ExecMode mode) {
   return "?";
 }
 
-ExecEnv::ExecEnv(sim::Rng rng, const PhoneProfile& profile)
-    : rng_(std::move(rng)), profile_(&profile) {}
-
 void ExecEnv::reset(sim::Rng rng, const PhoneProfile& profile) {
   rng_ = std::move(rng);
   profile_ = &profile;
@@ -46,10 +43,6 @@ Duration ExecEnv::recv_overhead(ExecMode mode) {
   }
   return cost;
 }
-
-ExecEnvLayer::ExecEnvLayer(sim::Simulator& sim, sim::Rng rng,
-                           const PhoneProfile& profile)
-    : sim_(&sim), env_(std::move(rng), profile) {}
 
 void ExecEnvLayer::reset(sim::Rng rng, const PhoneProfile& profile) {
   env_.reset(std::move(rng), profile);

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/id_alloc.hpp"
@@ -33,10 +34,14 @@ enum class ExecMode { native_c, dalvik };
 
 class ExecEnv {
  public:
-  ExecEnv(sim::Rng rng, const PhoneProfile& profile);
+  /// The cost model binds nothing; reset() initializes it.
+  ExecEnv() = default;
+  ExecEnv(sim::Rng rng, const PhoneProfile& profile) {
+    reset(std::move(rng), profile);
+  }
 
-  /// Returns the cost model to the state the constructor would leave it in
-  /// with these arguments (shard-context reuse contract).
+  /// Initializes the per-scenario state: this rng stream and `profile`'s
+  /// costs (the profile must outlive the model).
   void reset(sim::Rng rng, const PhoneProfile& profile);
 
   /// Latency between the app taking its send timestamp and the packet
@@ -48,17 +53,22 @@ class ExecEnv {
   [[nodiscard]] sim::Duration recv_overhead(ExecMode mode);
 
  private:
-  sim::Rng rng_;
-  const PhoneProfile* profile_;
+  sim::Rng rng_{0};
+  const PhoneProfile* profile_ = nullptr;
 };
 
 class ExecEnvLayer : public stack::StackLayer {
  public:
-  ExecEnvLayer(sim::Simulator& sim, sim::Rng rng, const PhoneProfile& profile);
+  /// Binds the layer to `sim`; reset() initializes it.
+  explicit ExecEnvLayer(sim::Simulator& sim) : sim_(&sim) {}
+  ExecEnvLayer(sim::Simulator& sim, sim::Rng rng, const PhoneProfile& profile)
+      : ExecEnvLayer(sim) {
+    reset(std::move(rng), profile);
+  }
 
-  /// Returns the layer to the state the constructor would leave it in with
-  /// these arguments: no registered flows, flow ids restarting from 1. The
-  /// flow-table storage stays warm (shard-context reuse contract).
+  /// Initializes the per-scenario state: the cost model, no registered
+  /// flows, flow ids restarting from 1, no flow tap. The flow-table
+  /// storage stays warm.
   void reset(sim::Rng rng, const PhoneProfile& profile);
 
   // StackLayer.
@@ -94,8 +104,7 @@ class ExecEnvLayer : public stack::StackLayer {
   /// stamp instant (packets no app is bound to are invisible here, exactly
   /// as they are to the apps) — the attachment point of MopEye-style
   /// per-app monitors (passive::PerAppMonitor). One tap per layer; nullptr
-  /// detaches. reset() detaches, so shard-context reuse re-attaches per
-  /// shard.
+  /// detaches. reset() detaches, so a reused layer re-attaches per shard.
   void attach_flow_tap(passive::FlowTap* tap) { tap_ = tap; }
 
   [[nodiscard]] ExecEnv& env() { return env_; }

@@ -8,22 +8,9 @@ namespace acute::phone {
 using sim::Duration;
 using sim::TimePoint;
 
-SdioBus::SdioBus(sim::Simulator& sim, sim::Rng rng,
-                 const PhoneProfile& profile)
+SdioBus::SdioBus(sim::Simulator& sim)
     : sim_(&sim),
-      rng_(std::move(rng)),
-      wake_tx_(profile.bus_wake_tx),
-      wake_rx_(profile.bus_wake_rx),
-      clk_request_(profile.bus_clk_request),
-      clk_idle_threshold_(profile.bus_clk_idle_threshold),
-      transfer_mbps_(profile.bus_transfer_mbps),
-      idletime_ticks_(profile.bus_idletime_ticks),
-      watchdog_(sim, profile.bus_watchdog,
-                [this](std::uint64_t) { on_watchdog_tick(); }) {
-  last_activity_ = sim_->now();
-  // Random watchdog phase relative to traffic, as on a real phone.
-  watchdog_.start(rng_.uniform_duration(Duration{}, profile.bus_watchdog));
-}
+      watchdog_(sim, [this](std::uint64_t) { on_watchdog_tick(); }) {}
 
 void SdioBus::reset(sim::Rng rng, const PhoneProfile& profile) {
   rng_ = std::move(rng);

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "phone/profile.hpp"
 #include "sim/random.hpp"
@@ -32,11 +33,16 @@ class SdioBus : public stack::StackLayer {
   enum class State { awake, sleeping };
   enum class Direction { transmit, receive };
 
-  SdioBus(sim::Simulator& sim, sim::Rng rng, const PhoneProfile& profile);
+  /// Binds the bus to `sim`; reset() initializes it.
+  explicit SdioBus(sim::Simulator& sim);
+  SdioBus(sim::Simulator& sim, sim::Rng rng, const PhoneProfile& profile)
+      : SdioBus(sim) {
+    reset(std::move(rng), profile);
+  }
 
-  /// Returns the bus to the state the constructor would leave it in with
-  /// these arguments, including the randomized watchdog phase draw and
-  /// restart (shard-context reuse contract).
+  /// Initializes the per-scenario state from `profile`: awake, sleep
+  /// enabled, zero counters, and the watchdog started at a random phase
+  /// (one rng draw, one scheduled event).
   void reset(sim::Rng rng, const PhoneProfile& profile);
 
   // StackLayer.
@@ -73,13 +79,13 @@ class SdioBus : public stack::StackLayer {
   void on_watchdog_tick();
 
   sim::Simulator* sim_;
-  sim::Rng rng_;
+  sim::Rng rng_{0};
   LatencyDist wake_tx_;
   LatencyDist wake_rx_;
   LatencyDist clk_request_;
   sim::Duration clk_idle_threshold_;
-  double transfer_mbps_;
-  int idletime_ticks_;
+  double transfer_mbps_ = 0;
+  int idletime_ticks_ = 0;
   bool sleep_enabled_ = true;
   State state_ = State::awake;
   int idle_ticks_ = 0;

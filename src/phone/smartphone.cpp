@@ -35,84 +35,40 @@ const char* to_string(RadioKind kind) {
   return "?";
 }
 
-Smartphone::Smartphone(sim::Simulator& sim, wifi::Channel& channel,
-                       sim::Rng rng, PhoneProfile profile, net::NodeId id,
-                       net::NodeId ap_id)
+Smartphone::Smartphone(sim::Simulator& sim, wifi::Channel& channel)
     : sim_(&sim),
-      profile_(std::move(profile)),
-      id_(id),
       radio_kind_(RadioKind::wifi),
-      rng_(rng.fork("smartphone")),
-      station_(std::make_unique<wifi::Station>(
-          sim, channel, rng.fork("station"),
-          station_config(profile_, id, ap_id))),
-      bus_(std::make_unique<SdioBus>(sim, rng.fork("bus"), profile_)),
-      driver_(std::make_unique<WnicDriver>(sim, rng.fork("driver"), profile_,
-                                           *bus_)),
-      kernel_(sim, rng.fork("kernel"), profile_),
-      exec_(sim, rng.fork("env"), profile_),
-      pipeline_(sim),
-      ap_id_(ap_id) {
+      station_(std::make_unique<wifi::Station>(sim, channel)),
+      bus_(std::make_unique<SdioBus>(sim)),
+      driver_(std::make_unique<WnicDriver>(sim, *bus_)),
+      kernel_(sim),
+      exec_(sim),
+      pipeline_(sim) {
   pipeline_.append(exec_);
   pipeline_.append(kernel_);
   pipeline_.append(*driver_);
   pipeline_.append(*bus_);
   pipeline_.append(*station_);
-  if (profile_.system_traffic_mean_interval > Duration{}) {
-    schedule_system_traffic();
-  }
 }
 
-Smartphone::Smartphone(sim::Simulator& sim, sim::Rng rng, PhoneProfile profile,
-                       net::NodeId id, net::NodeId gateway_id,
-                       const cellular::RrcConfig& rrc_config)
+Smartphone::Smartphone(sim::Simulator& sim)
     : sim_(&sim),
-      profile_(std::move(profile)),
-      id_(id),
       radio_kind_(RadioKind::cellular),
-      rng_(rng.fork("smartphone")),
-      rrc_(std::make_unique<cellular::RrcMachine>(sim, rng.fork("rrc"),
-                                                  rrc_config)),
+      rrc_(std::make_unique<cellular::RrcMachine>(sim)),
       rrc_radio_(std::make_unique<cellular::RrcRadioLayer>(sim, *rrc_)),
-      kernel_(sim, rng.fork("kernel"), profile_),
-      exec_(sim, rng.fork("env"), profile_),
-      pipeline_(sim),
-      ap_id_(gateway_id) {
+      kernel_(sim),
+      exec_(sim),
+      pipeline_(sim) {
   pipeline_.append(exec_);
   pipeline_.append(kernel_);
   pipeline_.append(*rrc_radio_);
-  if (profile_.system_traffic_mean_interval > Duration{}) {
-    schedule_system_traffic();
-  }
 }
 
 void Smartphone::reset(sim::Rng rng, PhoneProfile profile, net::NodeId id,
                        net::NodeId ap_id) {
   expects(radio_kind_ == RadioKind::wifi,
           "Smartphone::reset(wifi) on a cellular phone");
-  profile_ = std::move(profile);
-  id_ = id;
-  rng_ = rng.fork("smartphone");
-  // Subsystems reset in the constructor's member order so each event the
-  // construction schedules (doze timer, bus watchdog, system chatter) lands
-  // with the same sequence number as in a fresh build.
-  station_->reset(rng.fork("station"), station_config(profile_, id, ap_id));
-  bus_->reset(rng.fork("bus"), profile_);
-  driver_->reset(rng.fork("driver"), profile_, *bus_);
-  kernel_.reset(rng.fork("kernel"), profile_);
-  exec_.reset(rng.fork("env"), profile_);
-  pipeline_.reset();
-  pipeline_.append(exec_);
-  pipeline_.append(kernel_);
-  pipeline_.append(*driver_);
-  pipeline_.append(*bus_);
-  pipeline_.append(*station_);
-  ap_id_ = ap_id;
-  system_traffic_enabled_ = true;
-  system_packets_ = 0;
-  if (profile_.system_traffic_mean_interval > Duration{}) {
-    schedule_system_traffic();
-  }
+  reset_stack(std::move(rng), std::move(profile), id, ap_id, nullptr);
 }
 
 void Smartphone::reset(sim::Rng rng, PhoneProfile profile, net::NodeId id,
@@ -120,18 +76,28 @@ void Smartphone::reset(sim::Rng rng, PhoneProfile profile, net::NodeId id,
                        const cellular::RrcConfig& rrc_config) {
   expects(radio_kind_ == RadioKind::cellular,
           "Smartphone::reset(cellular) on a WiFi phone");
+  reset_stack(std::move(rng), std::move(profile), id, gateway_id, &rrc_config);
+}
+
+void Smartphone::reset_stack(sim::Rng rng, PhoneProfile&& profile,
+                             net::NodeId id, net::NodeId peer_id,
+                             const cellular::RrcConfig* rrc_config) {
   profile_ = std::move(profile);
   id_ = id;
+  ap_id_ = peer_id;
   rng_ = rng.fork("smartphone");
-  rrc_->reset(rng.fork("rrc"), rrc_config);
-  rrc_radio_->reset(*rrc_);
+  if (radio_kind_ == RadioKind::wifi) {
+    station_->reset(rng.fork("station"), station_config(profile_, id, peer_id));
+    bus_->reset(rng.fork("bus"), profile_);
+    driver_->reset(rng.fork("driver"), profile_);
+  } else {
+    rrc_->reset(rng.fork("rrc"), *rrc_config);
+    rrc_radio_->reset();
+  }
   kernel_.reset(rng.fork("kernel"), profile_);
   exec_.reset(rng.fork("env"), profile_);
-  pipeline_.reset();
-  pipeline_.append(exec_);
-  pipeline_.append(kernel_);
-  pipeline_.append(*rrc_radio_);
-  ap_id_ = gateway_id;
+  pipeline_.set_app_handler(nullptr);
+  pipeline_.set_stamp_observer(nullptr);
   system_traffic_enabled_ = true;
   system_packets_ = 0;
   if (profile_.system_traffic_mean_interval > Duration{}) {

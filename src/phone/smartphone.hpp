@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "cellular/rrc.hpp"
 #include "cellular/rrc_radio.hpp"
@@ -44,32 +45,43 @@ enum class RadioKind { wifi, cellular };
 
 class Smartphone {
  public:
+  /// Binds a WiFi phone to `sim` and `channel`: exec-env -> kernel ->
+  /// driver -> sdio-bus -> station. reset() initializes it.
+  Smartphone(sim::Simulator& sim, wifi::Channel& channel);
   /// Builds a WiFi phone with the given profile, attached to `channel` and
   /// associated with the AP at `ap_id`.
   Smartphone(sim::Simulator& sim, wifi::Channel& channel, sim::Rng rng,
-             PhoneProfile profile, net::NodeId id, net::NodeId ap_id);
+             PhoneProfile profile, net::NodeId id, net::NodeId ap_id)
+      : Smartphone(sim, channel) {
+    reset(std::move(rng), std::move(profile), id, ap_id);
+  }
 
-  /// Builds a cellular phone: exec-env -> kernel -> rrc-radio. The radio's
-  /// egress must be wired to the serving gateway (testbed::CellularGateway
-  /// does this on attach); `gateway_id` is where system chatter is aimed.
+  /// Binds a cellular phone to `sim`: exec-env -> kernel -> rrc-radio.
+  /// reset() initializes it.
+  explicit Smartphone(sim::Simulator& sim);
+  /// Builds a cellular phone. The radio's egress must be wired to the
+  /// serving gateway (testbed::CellularGateway does this on attach);
+  /// `gateway_id` is where system chatter is aimed.
   Smartphone(sim::Simulator& sim, sim::Rng rng, PhoneProfile profile,
              net::NodeId id, net::NodeId gateway_id,
-             const cellular::RrcConfig& rrc_config);
+             const cellular::RrcConfig& rrc_config)
+      : Smartphone(sim) {
+    reset(std::move(rng), std::move(profile), id, gateway_id, rrc_config);
+  }
 
   Smartphone(const Smartphone&) = delete;
   Smartphone& operator=(const Smartphone&) = delete;
 
-  /// Returns a WiFi phone to the state the WiFi constructor would leave it
-  /// in with these arguments. The phone stays attached to the channel it
-  /// was built on; every subsystem resets in construction order so the
-  /// event schedule matches a fresh build bit-for-bit (shard-context reuse
-  /// contract). Contract violation on a cellular phone.
+  /// Initializes a WiFi phone: every subsystem resets in build order
+  /// (station, bus, driver, kernel, exec-env), so the events they schedule
+  /// (doze timer, bus watchdog) precede the first system chatter. The
+  /// pipeline keeps its layers and drops its handlers. Contract violation
+  /// on a cellular phone.
   void reset(sim::Rng rng, PhoneProfile profile, net::NodeId id,
              net::NodeId ap_id);
 
-  /// Cellular counterpart: returns the phone to the state the cellular
-  /// constructor would leave it in. The radio egress is cleared — the
-  /// gateway re-wires it on attach. Contract violation on a WiFi phone.
+  /// Cellular counterpart. The radio egress is cleared: the gateway
+  /// re-wires it on attach. Contract violation on a WiFi phone.
   void reset(sim::Rng rng, PhoneProfile profile, net::NodeId id,
              net::NodeId gateway_id, const cellular::RrcConfig& rrc_config);
 
@@ -118,13 +130,17 @@ class Smartphone {
   }
 
  private:
+  /// The one reset body behind both public overloads; `rrc_config` is
+  /// null on a WiFi phone.
+  void reset_stack(sim::Rng rng, PhoneProfile&& profile, net::NodeId id,
+                   net::NodeId peer_id, const cellular::RrcConfig* rrc_config);
   void schedule_system_traffic();
 
   sim::Simulator* sim_;
   PhoneProfile profile_;
-  net::NodeId id_;
+  net::NodeId id_ = 0;
   RadioKind radio_kind_;
-  sim::Rng rng_;
+  sim::Rng rng_{0};
   // WiFi bottom (null on cellular phones).
   std::unique_ptr<wifi::Station> station_;
   std::unique_ptr<SdioBus> bus_;

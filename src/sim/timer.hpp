@@ -56,9 +56,12 @@ class PeriodicTimer {
   /// The callback receives the tick index (0-based).
   using TickFn = std::function<void(std::uint64_t)>;
 
+  /// Binds the callback; reset(period) sets the period before start().
+  PeriodicTimer(Simulator& sim, TickFn on_tick)
+      : sim_(&sim), on_tick_(std::move(on_tick)) {}
   PeriodicTimer(Simulator& sim, Duration period, TickFn on_tick)
-      : sim_(&sim), period_(period), on_tick_(std::move(on_tick)) {
-    expects(period > Duration{}, "PeriodicTimer period must be positive");
+      : PeriodicTimer(sim, std::move(on_tick)) {
+    reset(period);
   }
 
   PeriodicTimer(const PeriodicTimer&) = delete;
@@ -69,6 +72,7 @@ class PeriodicTimer {
   void start(Duration initial_delay = Duration{}) {
     expects(!initial_delay.is_negative(),
             "PeriodicTimer initial delay must be non-negative");
+    expects(period_ > Duration{}, "PeriodicTimer started before reset(period)");
     stop();
     running_ = true;
     tick_index_ = 0;
@@ -81,10 +85,10 @@ class PeriodicTimer {
     handle_.cancel();
   }
 
-  /// Returns the timer to its freshly-constructed state with a (possibly
-  /// new) period. Used by the shard-context pool, where the owning
-  /// component's period can change with the scenario (e.g. the SDIO bus
-  /// watchdog follows the phone profile).
+  /// Stops the timer and sets its period: the state a construction with
+  /// `period` leaves behind. Owners call it from their own reset(), since
+  /// the period can change with the scenario (e.g. the SDIO bus watchdog
+  /// follows the phone profile).
   void reset(Duration period) {
     expects(period > Duration{}, "PeriodicTimer period must be positive");
     stop();
@@ -108,7 +112,7 @@ class PeriodicTimer {
   }
 
   Simulator* sim_;
-  Duration period_;
+  Duration period_;  // zero until reset(period)
   TickFn on_tick_;
   EventHandle handle_;
   bool running_ = false;

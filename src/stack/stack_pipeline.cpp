@@ -18,17 +18,6 @@ StackPipeline::~StackPipeline() {
   }
 }
 
-void StackPipeline::reset() {
-  for (StackLayer* layer : layers_) {
-    layer->above_ = nullptr;
-    layer->below_ = nullptr;
-    layer->pipeline_ = nullptr;
-  }
-  layers_.clear();
-  app_handler_ = nullptr;
-  stamp_observer_ = nullptr;
-}
-
 void StackPipeline::append(StackLayer& layer) {
   expects(layer.pipeline_ == nullptr,
           "StackLayer is already composed into a pipeline");

@@ -41,12 +41,6 @@ class StackPipeline {
   /// bottom; a layer can belong to at most one pipeline at a time.
   void append(StackLayer& layer);
 
-  /// Detaches every layer and clears the handlers, returning the pipeline
-  /// to its freshly-constructed state (layer-list capacity is kept). The
-  /// detached layers can then be re-appended — the shard-context pool
-  /// rebuilds a phone's stack this way on every reset.
-  void reset();
-
   /// Sends a packet down from the app side (enters the top layer).
   void transmit(net::Packet&& packet);
 

@@ -219,15 +219,11 @@ std::size_t phones_slot(const ScenarioGrid& grid, const AxisDigits& at) {
 /// phones-prefix tuple determines) and the scalar fields. Sharing it is
 /// what makes at(i) == expand()[i] hold element for element, and
 /// Campaign::shard_hash(i) == shard_hash(at(i)) hold bit for bit, by
-/// construction. Fills in place — every field is overwritten (the non-axis
-/// ones from a default-constructed ScenarioSpec), and the phones vector
-/// plus the strings inside reuse out's capacity, so a shape-stable grid
-/// iteration is allocation-free (the shard-context pool's build path).
-///
-/// NOTE: a new ScenarioSpec/PhoneSpec field must be added to the explicit
-/// reset list below, or a reused `out` would leak the previous shard's
-/// value into the next scenario. The context-reuse bit-identity tests catch
-/// any behavior-determining omission.
+/// construction. Fills in place: each half first assigns a default spec
+/// wholesale, so every field, present or future, is overwritten, then sets
+/// its axes. The phones vector plus the strings inside reuse out's
+/// capacity, so a shape-stable grid iteration is allocation-free (the
+/// shard-context pool's build path).
 void phones_from_axes(const ScenarioGrid& grid, const AxisDigits& at,
                       std::vector<PhoneSpec>& out) {
   static const PhoneSpec default_phone;
@@ -242,17 +238,14 @@ void phones_from_axes(const ScenarioGrid& grid, const AxisDigits& at,
 
 void fields_from_axes(const ScenarioGrid& grid, const AxisDigits& at,
                       ScenarioSpec& out) {
-  static const ScenarioSpec defaults;
-  out.seed = defaults.seed;
+  // Phone-less, so the assignment copies no phone; out's own phones move
+  // out and back in to keep their capacity.
+  static const ScenarioSpec defaults{.phones = {}};
+  std::vector<PhoneSpec> phones = std::move(out.phones);
+  out = defaults;
+  out.phones = std::move(phones);
   out.emulated_rtt = grid.emulated_rtts[at.rtt];
-  out.netem_jitter = defaults.netem_jitter;
   out.congested_phy = grid.cross_traffic[at.cross];
-  out.cross_connections = defaults.cross_connections;
-  out.cross_flow_mbps = defaults.cross_flow_mbps;
-  out.send_ttl_exceeded = defaults.send_ttl_exceeded;
-  out.sniffer_noise = defaults.sniffer_noise;
-  out.sniffer_count = defaults.sniffer_count;
-  out.cellular_core_rtt = defaults.cellular_core_rtt;
   out.netem_loss = grid.loss_rates[at.loss];
   out.netem_reorder = grid.reorder[at.reorder];
 }
@@ -458,8 +451,8 @@ struct ShardContext::Impl {
   /// rebuild()-reset into each subsequent scenario.
   std::optional<Testbed> testbed;
   /// One measurement tool per phone index, reused while both the tool kind
-  /// and the phone object still match (reinitialize() restores constructor
-  /// state); replaced wholesale otherwise.
+  /// and the phone object still match (reinitialize() is the tool's one
+  /// init body); replaced wholesale otherwise.
   struct ToolSlot {
     tools::ToolKind kind = tools::ToolKind::icmp_ping;
     phone::Smartphone* phone = nullptr;
@@ -619,8 +612,8 @@ report::ShardCheckpoint Campaign::run_shard(
     ShardContext::Impl::ToolSlot& slot = ctx.tools[i];
     if (slot.tool != nullptr && slot.kind == workload.tool &&
         slot.phone == &testbed.phone(i)) {
-      // Same tool kind bound to the same (reset) phone object:
-      // reinitialize() restores the state the constructor would build.
+      // Same tool kind bound to the same (reset) phone object: run the
+      // reinitialize() every tool constructor ends with.
       slot.tool->reinitialize(config);
     } else {
       slot.tool = tools::make_tool(workload.tool, testbed.phone(i), config);

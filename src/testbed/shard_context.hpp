@@ -12,11 +12,13 @@
 // The hard constraint is bit-identity: a shard executed on a reused context
 // produces byte-identical digests, JSONL exports and checkpoint records to
 // one executed on a fresh context, for any worker count and across
-// kill/resume. Every reset() in the chain is specified as "the state the
-// constructor would leave behind", and Testbed::rebuild replays the
-// construction order exactly so the event schedule (and thus every rng
-// draw) matches a fresh build. docs/campaigns.md § "The shard-context pool"
-// documents the full contract and what is / is not reused.
+// kill/resume. It holds by construction: the constructor binds, reset()
+// initializes. Each component's constructor stores only its fixed bindings
+// and reset() is its one initialization body, so a fresh build and a reuse
+// run the same code; Testbed's constructor and rebuild() share one
+// build_graph(), so the event schedule (and thus every rng draw) matches.
+// docs/campaigns.md § "The shard-context pool" documents the full contract
+// and what is / is not reused.
 #pragma once
 
 #include <cstddef>

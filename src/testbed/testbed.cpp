@@ -39,14 +39,6 @@ std::string sniffer_label(std::size_t index) {
 }
 }  // namespace
 
-WirelessHost::WirelessHost(sim::Simulator& sim, wifi::Channel& channel,
-                           sim::Rng rng, net::NodeId id, net::NodeId ap_id)
-    : sim_(&sim),
-      rng_(std::move(rng)),
-      id_(id),
-      station_(sim, channel, rng_.fork("station"),
-               load_gen_station_config(id, ap_id)) {}
-
 void WirelessHost::reset(sim::Rng rng, net::NodeId id, net::NodeId ap_id) {
   rng_ = std::move(rng);
   id_ = id;
@@ -132,13 +124,12 @@ std::size_t ScenarioSpec::count_radio(phone::RadioKind kind) const {
 Testbed::Testbed(ScenarioSpec spec)
     : owned_sim_(std::make_unique<sim::Simulator>()),
       sim_(owned_sim_.get()),
-      spec_(std::move(spec)),
-      rng_(spec_.seed) {
+      spec_(std::move(spec)) {
   build_graph();
 }
 
 Testbed::Testbed(ScenarioSpec spec, sim::Simulator& sim)
-    : sim_(&sim), spec_(std::move(spec)), rng_(spec_.seed) {
+    : sim_(&sim), spec_(std::move(spec)) {
   build_graph();
 }
 
@@ -148,81 +139,49 @@ void Testbed::rebuild(const ScenarioSpec& spec) {
   // profile strings inside) copy into the buffers the previous scenario
   // left behind, so a shape-stable rebuild touches the heap zero times.
   spec_ = spec;
-  rng_ = sim::Rng(spec_.seed);
-  iperf_ready_ = false;
-  cross_running_ = false;
   build_graph();
 }
 
 void Testbed::build_graph() {
   expects(!spec_.phones.empty(), "ScenarioSpec requires at least one phone");
+  rng_ = sim::Rng(spec_.seed);
+  iperf_ready_ = false;
+  cross_running_ = false;
 
-  // Every component below is reset in place when it already exists and
-  // constructed otherwise, in the exact order the original constructor
-  // used. Order matters twice over: rng fork tags must pair with the same
-  // components, and construction-time events (doze timers, bus watchdogs,
-  // system chatter, beacons) must claim the same event-queue sequence
-  // numbers as in a fresh build — that is what makes a reused testbed
-  // bit-identical to a fresh one.
-  const wifi::PhyParams phy = spec_.congested_phy ? wifi::phy_802_11g_mixed()
-                                                  : wifi::phy_802_11g();
-  if (channel_) {
-    channel_->reset(rng_.fork("channel"), phy);
-  } else {
-    channel_ =
-        std::make_unique<wifi::Channel>(*sim_, rng_.fork("channel"), phy);
-  }
+  // A node is built (bindings only) when its slot is empty; every node
+  // then takes its one reset() path, in a fixed order. Order matters twice
+  // over: rng fork tags must pair with the same components, and the events
+  // resets schedule (doze timers, bus watchdogs, system chatter, beacons)
+  // must claim the same event-queue sequence numbers on every build — that
+  // is what makes a reused testbed bit-identical to a fresh one.
+  if (!channel_) channel_ = std::make_unique<wifi::Channel>(*sim_);
+  channel_->reset(rng_.fork("channel"), spec_.congested_phy
+                                            ? wifi::phy_802_11g_mixed()
+                                            : wifi::phy_802_11g());
 
   wifi::AccessPoint::Config ap_config;
   ap_config.id = kApId;
   ap_config.send_ttl_exceeded = spec_.send_ttl_exceeded;
-  if (ap_) {
-    ap_->reset(rng_.fork("ap"), ap_config);
-  } else {
-    ap_ = std::make_unique<wifi::AccessPoint>(*sim_, *channel_,
-                                              rng_.fork("ap"), ap_config);
-  }
+  if (!ap_) ap_ = std::make_unique<wifi::AccessPoint>(*sim_, *channel_);
+  ap_->reset(rng_.fork("ap"), ap_config);
 
-  if (switch_) {
-    switch_->reset(kSwitchId);
-  } else {
-    switch_ = std::make_unique<net::Switch>(kSwitchId);
-  }
-  if (server_) {
-    server_->reset(rng_.fork("server"), kServerId);
-  } else {
-    server_ = std::make_unique<net::EchoServer>(*sim_, rng_.fork("server"),
-                                                kServerId);
-  }
-  if (load_sink_) {
-    load_sink_->reset(kLoadSinkId);
-  } else {
-    load_sink_ = std::make_unique<net::UdpSink>(*sim_, kLoadSinkId);
-  }
+  if (!switch_) switch_ = std::make_unique<net::Switch>();
+  switch_->reset(kSwitchId);
+  if (!server_) server_ = std::make_unique<net::EchoServer>(*sim_);
+  server_->reset(rng_.fork("server"), kServerId);
+  if (!load_sink_) load_sink_ = std::make_unique<net::UdpSink>(*sim_);
+  load_sink_->reset(kLoadSinkId);
 
   // Gigabit wired fabric with ~5 us propagation per hop.
   const Duration wire_prop = Duration::micros(5.0);
   const double gigabit = 1e9;
-  if (ap_switch_link_) {
-    ap_switch_link_->reset(*ap_, *switch_, wire_prop, gigabit);
-  } else {
-    ap_switch_link_ =
-        std::make_unique<net::Link>(*sim_, *ap_, *switch_, wire_prop, gigabit);
+  for (auto* link :
+       {&ap_switch_link_, &switch_server_link_, &switch_sink_link_}) {
+    if (!*link) *link = std::make_unique<net::Link>(*sim_);
   }
-  if (switch_server_link_) {
-    switch_server_link_->reset(*switch_, *server_, wire_prop, gigabit);
-  } else {
-    switch_server_link_ = std::make_unique<net::Link>(*sim_, *switch_,
-                                                      *server_, wire_prop,
-                                                      gigabit);
-  }
-  if (switch_sink_link_) {
-    switch_sink_link_->reset(*switch_, *load_sink_, wire_prop, gigabit);
-  } else {
-    switch_sink_link_ = std::make_unique<net::Link>(*sim_, *switch_,
-                                                    *load_sink_, wire_prop,
-                                                    gigabit);
-  }
+  ap_switch_link_->reset(*ap_, *switch_, wire_prop, gigabit);
+  switch_server_link_->reset(*switch_, *server_, wire_prop, gigabit);
+  switch_sink_link_->reset(*switch_, *load_sink_, wire_prop, gigabit);
   ap_->attach_wired(*ap_switch_link_);
   switch_->attach_port(*ap_switch_link_);
   switch_->attach_port(*switch_server_link_);
@@ -244,18 +203,11 @@ void Testbed::build_graph() {
   if (spec_.count_radio(phone::RadioKind::cellular) > 0) {
     expects(!spec_.cellular_core_rtt.is_negative(),
             "ScenarioSpec cellular core RTT must be non-negative");
-    if (gateway_) {
-      gateway_->reset(kCellGatewayId);
-    } else {
-      gateway_ = std::make_unique<CellularGateway>(*sim_, kCellGatewayId);
-    }
-    if (gateway_link_) {
-      gateway_link_->reset(*gateway_, *switch_, spec_.cellular_core_rtt / 2,
-                           gigabit);
-    } else {
-      gateway_link_ = std::make_unique<net::Link>(
-          *sim_, *gateway_, *switch_, spec_.cellular_core_rtt / 2, gigabit);
-    }
+    if (!gateway_) gateway_ = std::make_unique<CellularGateway>();
+    gateway_->reset(kCellGatewayId);
+    if (!gateway_link_) gateway_link_ = std::make_unique<net::Link>(*sim_);
+    gateway_link_->reset(*gateway_, *switch_, spec_.cellular_core_rtt / 2,
+                         gigabit);
     switch_->attach_port(*gateway_link_);
     gateway_->attach_link(*gateway_link_);
   } else {
@@ -271,10 +223,7 @@ void Testbed::build_graph() {
       "channel", "ap",        "server",    "loadgen",  "iperf",
       "tbtt",    "sniffer-A", "sniffer-B", "sniffer-C"};
   used_labels_.clear();
-  if (phones_.size() > spec_.phones.size()) {
-    phones_.resize(spec_.phones.size());
-  }
-  phones_.reserve(spec_.phones.size());
+  phones_.resize(spec_.phones.size());
   for (std::size_t i = 0; i < spec_.phones.size(); ++i) {
     const PhoneSpec& phone_spec = spec_.phones[i];
     const std::string label = phone_label(phone_spec, i);
@@ -288,45 +237,23 @@ void Testbed::build_graph() {
             "ScenarioSpec phone labels must be unique");
     used_labels_.push_back(label);
     const net::NodeId id = phone_id(i);
-    const bool have_slot = i < phones_.size();
-    if (phone_spec.radio == phone::RadioKind::cellular) {
-      if (have_slot &&
-          phones_[i]->radio_kind() == phone::RadioKind::cellular) {
-        phones_[i]->reset(rng_.fork(label), phone_spec.profile, id,
-                          kCellGatewayId, phone_spec.rrc);
-      } else {
-        auto fresh = std::make_unique<phone::Smartphone>(
-            *sim_, rng_.fork(label), phone_spec.profile, id, kCellGatewayId,
-            phone_spec.rrc);
-        if (have_slot) {
-          phones_[i] = std::move(fresh);
-        } else {
-          phones_.push_back(std::move(fresh));
-        }
-      }
-      gateway_->attach_phone(*phones_[i]);
+    const bool cellular = phone_spec.radio == phone::RadioKind::cellular;
+    std::unique_ptr<phone::Smartphone>& phone = phones_[i];
+    if (!phone || phone->radio_kind() != phone_spec.radio) {
+      phone = cellular ? std::make_unique<phone::Smartphone>(*sim_)
+                       : std::make_unique<phone::Smartphone>(*sim_, *channel_);
+    }
+    if (cellular) {
+      phone->reset(rng_.fork(label), phone_spec.profile, id, kCellGatewayId,
+                   phone_spec.rrc);
+      gateway_->attach_phone(*phone);
     } else {
-      if (have_slot && phones_[i]->radio_kind() == phone::RadioKind::wifi) {
-        phones_[i]->reset(rng_.fork(label), phone_spec.profile, id, kApId);
-      } else {
-        auto fresh = std::make_unique<phone::Smartphone>(
-            *sim_, *channel_, rng_.fork(label), phone_spec.profile, id,
-            kApId);
-        if (have_slot) {
-          phones_[i] = std::move(fresh);
-        } else {
-          phones_.push_back(std::move(fresh));
-        }
-      }
+      phone->reset(rng_.fork(label), phone_spec.profile, id, kApId);
       ap_->associate(id, phone_spec.profile.associated_listen_interval);
     }
   }
-  if (load_gen_) {
-    load_gen_->reset(rng_.fork("loadgen"), kLoadGenId, kApId);
-  } else {
-    load_gen_ = std::make_unique<WirelessHost>(
-        *sim_, *channel_, rng_.fork("loadgen"), kLoadGenId, kApId);
-  }
+  if (!load_gen_) load_gen_ = std::make_unique<WirelessHost>(*sim_, *channel_);
+  load_gen_->reset(rng_.fork("loadgen"), kLoadGenId, kApId);
   ap_->associate(kLoadGenId, 1);
 
   // The iPerf generator is built lazily in ensure_iperf(): its flows draw
@@ -336,18 +263,11 @@ void Testbed::build_graph() {
 
   // Sniffers within 0.5 m of the phones (§2.2): they all see every frame;
   // each has an independent timestamp-noise stream.
-  if (sniffers_.size() > spec_.sniffer_count) {
-    sniffers_.resize(spec_.sniffer_count);
-  }
-  sniffers_.reserve(spec_.sniffer_count);
+  sniffers_.resize(spec_.sniffer_count);
   for (std::size_t i = 0; i < spec_.sniffer_count; ++i) {
     const std::string name = sniffer_label(i);
-    if (i < sniffers_.size()) {
-      sniffers_[i]->reset(name, rng_.fork(name), spec_.sniffer_noise);
-    } else {
-      sniffers_.push_back(std::make_unique<wifi::Sniffer>(
-          name, rng_.fork(name), spec_.sniffer_noise));
-    }
+    if (!sniffers_[i]) sniffers_[i] = std::make_unique<wifi::Sniffer>();
+    sniffers_[i]->reset(name, rng_.fork(name), spec_.sniffer_noise);
     channel_->attach_observer(*sniffers_[i]);
   }
 
@@ -358,17 +278,12 @@ void Testbed::build_graph() {
 
 void Testbed::ensure_iperf() {
   if (iperf_ready_) return;
-  const auto transmit = [this](Packet&& pkt) {
-    load_gen_->transmit(std::move(pkt));
-  };
-  if (iperf_) {
-    iperf_->reset(*sim_, rng_.fork("iperf"), kLoadGenId, kLoadSinkId,
-                  spec_.cross_connections, spec_.cross_flow_mbps, transmit);
-  } else {
+  if (!iperf_) {
     iperf_ = std::make_unique<net::IperfLoadGenerator>(
-        *sim_, rng_.fork("iperf"), kLoadGenId, kLoadSinkId,
-        spec_.cross_connections, spec_.cross_flow_mbps, transmit);
+        *sim_, [this](Packet&& pkt) { load_gen_->transmit(std::move(pkt)); });
   }
+  iperf_->reset(rng_.fork("iperf"), kLoadGenId, kLoadSinkId,
+                spec_.cross_connections, spec_.cross_flow_mbps);
   iperf_ready_ = true;
 }
 

@@ -47,13 +47,11 @@ namespace acute::testbed {
 /// save disabled, unlike the phones under test).
 class WirelessHost {
  public:
-  /// Joins `channel` as station `id`, associated with the AP `ap_id`.
-  WirelessHost(sim::Simulator& sim, wifi::Channel& channel, sim::Rng rng,
-               net::NodeId id, net::NodeId ap_id);
+  /// Binds the host to `sim` and `channel`; reset() initializes it.
+  WirelessHost(sim::Simulator& sim, wifi::Channel& channel)
+      : sim_(&sim), station_(sim, channel) {}
 
-  /// Returns the host to the state the constructor would leave it in with
-  /// these arguments; the host stays on the channel it was built on
-  /// (shard-context reuse contract).
+  /// Joins the channel as station `id`, associated with the AP `ap_id`.
   void reset(sim::Rng rng, net::NodeId id, net::NodeId ap_id);
 
   /// Sends a packet toward the AP after a small host-stack delay.
@@ -66,8 +64,8 @@ class WirelessHost {
 
  private:
   sim::Simulator* sim_;
-  sim::Rng rng_;
-  net::NodeId id_;
+  sim::Rng rng_{0};
+  net::NodeId id_ = 0;
   wifi::Station station_;
 };
 
@@ -124,11 +122,11 @@ struct PhoneSpec {
 /// of that phone's pipeline.
 class CellularGateway : public net::Node {
  public:
-  CellularGateway(sim::Simulator& sim, net::NodeId id)
-      : sim_(&sim), id_(id) {}
+  /// A gateway binds nothing; reset() initializes it.
+  CellularGateway() = default;
 
-  /// Returns the gateway to the state the constructor would leave it in;
-  /// the phone registry storage stays warm (shard-context reuse contract).
+  /// Initializes the per-scenario state: no link, no phones (the registry
+  /// storage stays warm), zero counters.
   void reset(net::NodeId id) {
     id_ = id;
     link_ = nullptr;
@@ -155,8 +153,7 @@ class CellularGateway : public net::Node {
  private:
   void uplink(net::Packet&& packet);
 
-  sim::Simulator* sim_;
-  net::NodeId id_;
+  net::NodeId id_ = 0;
   net::Link* link_ = nullptr;
   // A scenario registers a handful of cellular phones; a flat vector keeps
   // lookups cheap and (re)attachment allocation-free in steady state.
@@ -242,12 +239,12 @@ class Testbed {
 
   /// Tears the previous scenario down logically (simulator reset, all
   /// pending events cancelled) and builds `spec` in place, reusing every
-  /// node, link and stack object whose shape still fits. The result is
-  /// indistinguishable from a freshly-constructed Testbed{spec}: the same
-  /// rng streams, the same event schedule, the same node graph — but with
-  /// near-zero heap allocations when the scenario shape repeats
-  /// (shard-context reuse contract). Takes the spec by const reference so
-  /// the internal copy reuses the previous scenario's buffer capacity.
+  /// node, link and stack object whose shape still fits. A fresh Testbed
+  /// and a rebuilt one run the same build_graph(), so they are
+  /// indistinguishable: the same rng streams, the same event schedule, the
+  /// same node graph — but a rebuild allocates next to nothing when the
+  /// scenario shape repeats. Takes the spec by const reference so the
+  /// internal copy reuses the previous scenario's buffer capacity.
   void rebuild(const ScenarioSpec& spec);
 
   /// The scenario's simulator (all devices schedule on it).
@@ -306,21 +303,22 @@ class Testbed {
       const tools::ToolRun& run) const;
 
  private:
-  /// First build and every rebuild: constructs/resets the whole node graph
-  /// from spec_ in the exact order the original constructor used, so the
-  /// event schedule (and therefore every simulation output) is bit-identical
-  /// between a fresh Testbed and a reused one.
+  /// The one build path, for the first build and every rebuild: builds
+  /// each missing node with its bindings, then resets every node from
+  /// spec_ in one fixed order, so the event schedule (and therefore every
+  /// simulation output) is bit-identical between a fresh Testbed and a
+  /// reused one.
   void build_graph();
   /// Builds or reconfigures the iPerf generator for the current spec. The
   /// generator is lazy: scenarios that never start cross traffic (most
   /// campaign shards) never pay for its ten flows.
   void ensure_iperf();
 
-  // owned_sim_ before sim_ before spec_/rng_: constructor member-init order.
+  // owned_sim_ before sim_: constructor member-init order.
   std::unique_ptr<sim::Simulator> owned_sim_;
   sim::Simulator* sim_;
   ScenarioSpec spec_;
-  sim::Rng rng_;
+  sim::Rng rng_{0};
   std::unique_ptr<wifi::Channel> channel_;
   std::unique_ptr<wifi::AccessPoint> ap_;
   std::unique_ptr<net::Switch> switch_;

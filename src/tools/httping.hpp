@@ -9,10 +9,12 @@
 
 namespace acute::tools {
 
-class HttPing : public MeasurementTool {
+class HttPing final : public MeasurementTool {
  public:
   HttPing(phone::Smartphone& phone, Config config)
-      : MeasurementTool(phone, make_sequential(config)) {}
+      : MeasurementTool(phone) {
+    reinitialize(config);
+  }
 
   [[nodiscard]] std::string name() const override { return "httping"; }
 

@@ -12,10 +12,12 @@
 
 namespace acute::tools {
 
-class JavaPing : public MeasurementTool {
+class JavaPing final : public MeasurementTool {
  public:
   JavaPing(phone::Smartphone& phone, Config config)
-      : MeasurementTool(phone, make_sequential(config)) {}
+      : MeasurementTool(phone) {
+    reinitialize(config);
+  }
 
   [[nodiscard]] std::string name() const override { return "Java ping"; }
 

@@ -33,13 +33,8 @@ std::size_t ToolRun::success_count() const {
   return probes.size() - loss_count();
 }
 
-MeasurementTool::MeasurementTool(phone::Smartphone& phone, Config config)
-    : phone_(&phone), sim_(&phone.simulator()), config_(config) {
-  expects(config.probe_count > 0, "MeasurementTool requires probe_count > 0");
-  expects(config.timeout > Duration{},
-          "MeasurementTool requires a positive timeout");
-  flow_id_ = phone_->allocate_flow_id();
-}
+MeasurementTool::MeasurementTool(phone::Smartphone& phone)
+    : phone_(&phone), sim_(&phone.simulator()) {}
 
 MeasurementTool::~MeasurementTool() { phone_->unregister_flow(flow_id_); }
 
@@ -47,7 +42,9 @@ void MeasurementTool::reinitialize(Config config) {
   expects(config.probe_count > 0, "MeasurementTool requires probe_count > 0");
   expects(config.timeout > Duration{},
           "MeasurementTool requires a positive timeout");
-  phone_->unregister_flow(flow_id_);  // no-op when the last run finished
+  // No-op on the first call (flow 0 is never registered) and when the
+  // last run finished.
+  phone_->unregister_flow(flow_id_);
   config_ = config;
   flow_id_ = phone_->allocate_flow_id();
   outstanding_.clear();

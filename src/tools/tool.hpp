@@ -75,9 +75,6 @@ class MeasurementTool {
     bool sequential = false;
   };
 
-  /// Binds the tool to `phone`'s stack; requires probe_count > 0 and a
-  /// positive timeout. The tool must not outlive the phone.
-  MeasurementTool(phone::Smartphone& phone, Config config);
   virtual ~MeasurementTool();
 
   MeasurementTool(const MeasurementTool&) = delete;
@@ -87,12 +84,13 @@ class MeasurementTool {
   /// stops its background timer through it).
   using DoneFn = std::function<void(const ToolRun&)>;
 
-  /// Returns the tool to the state a fresh construction on the same phone
-  /// with `config` would produce: a new flow id is drawn from the phone's
-  /// (reset) allocator, all matching and schedule state clears in place
-  /// with storage kept warm, and start() may be called again. Overrides
-  /// adapt `config` exactly as the corresponding constructor does, then
-  /// reset their own state (shard-context reuse contract).
+  /// Initializes the per-run state; every tool's constructor ends with
+  /// it, and a reused tool runs it again. Requires probe_count > 0 and a
+  /// positive timeout. A new flow id is drawn from the phone's allocator,
+  /// all matching and schedule state clears in place with storage kept
+  /// warm, and start() may be called again. Overrides adapt `config`
+  /// (e.g. sequential tools set `sequential`), call this base version,
+  /// then initialize their own state.
   virtual void reinitialize(Config config);
 
   /// Launches the probe schedule; calling it a second time is a contract
@@ -111,15 +109,20 @@ class MeasurementTool {
   [[nodiscard]] const ToolRun& result() const { return run_; }
   /// Display name ("ping", "httping", ...), also stored in ToolRun.
   [[nodiscard]] virtual std::string name() const = 0;
-  /// The schedule the tool was constructed with (after any constructor
-  /// adaptation, e.g. sequential tools setting `sequential`).
+  /// The schedule of the current run (after any adaptation, e.g.
+  /// sequential tools setting `sequential`).
   [[nodiscard]] const Config& config() const { return config_; }
   /// The flow id this tool's probes travel on (drawn from the phone's
-  /// allocator at construction/reinitialize time). Passive observers use it
-  /// to attribute the flow's traffic back to the tool (MopEye-style).
+  /// allocator by reinitialize()). Passive observers use it to attribute
+  /// the flow's traffic back to the tool (MopEye-style).
   [[nodiscard]] std::uint32_t flow_id() const { return flow_id_; }
 
  protected:
+  /// Binds the tool to `phone`'s stack; the tool must not outlive the
+  /// phone. The most-derived (final) tool's constructor then calls
+  /// reinitialize(), so each override runs exactly once.
+  explicit MeasurementTool(phone::Smartphone& phone);
+
   /// Launch hook behind start()'s once-only guard. The default arms the
   /// base probe schedule immediately; tools with a lead-in protocol
   /// (AcuteMon) override it and call begin_probes() when the lead elapses.

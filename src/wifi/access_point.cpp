@@ -13,14 +13,10 @@ using net::Protocol;
 using sim::Duration;
 using sim::expects;
 
-AccessPoint::AccessPoint(sim::Simulator& sim, Channel& channel, sim::Rng rng,
-                         Config config)
+AccessPoint::AccessPoint(sim::Simulator& sim, Channel& channel)
     : sim_(&sim),
-      rng_(std::move(rng)),
-      config_(config),
-      radio_(channel, config.id),
-      beacon_timer_(sim, beacon_interval(),
-                    [this](std::uint64_t) { send_beacon(); }) {
+      radio_(channel),
+      beacon_timer_(sim, [this](std::uint64_t) { send_beacon(); }) {
   radio_.set_receiver([this](Packet&& pkt, const Frame& frame) {
     on_radio_receive(std::move(pkt), frame);
   });
@@ -33,14 +29,7 @@ AccessPoint::AccessPoint(sim::Simulator& sim, Channel& channel, sim::Rng rng,
 void AccessPoint::reset(sim::Rng rng, Config config) {
   rng_ = std::move(rng);
   config_ = config;
-  radio_.reset();
-  radio_.set_receiver([this](Packet&& pkt, const Frame& frame) {
-    on_radio_receive(std::move(pkt), frame);
-  });
-  radio_.set_delivery_fail_handler(
-      [this](Packet&& pkt, net::NodeId receiver) {
-        on_delivery_failed(std::move(pkt), receiver);
-      });
+  radio_.reset(config.id);
   wired_ = nullptr;
   beacon_timer_.reset(beacon_interval());
   stations_in_use_ = 0;  // associate() recycles the parked slots

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "net/link.hpp"
@@ -35,12 +36,17 @@ class AccessPoint : public net::Node {
     bool send_ttl_exceeded = false;
   };
 
+  /// Binds the AP to `sim` and `channel`; reset() initializes it.
+  AccessPoint(sim::Simulator& sim, Channel& channel);
   AccessPoint(sim::Simulator& sim, Channel& channel, sim::Rng rng,
-              Config config);
+              Config config)
+      : AccessPoint(sim, channel) {
+    reset(std::move(rng), config);
+  }
 
-  /// Returns the AP to the state the constructor would leave it in with
-  /// these arguments. The association table and per-station power-save
-  /// buffers keep their warm storage (shard-context reuse contract).
+  /// Initializes the per-scenario state: joins the channel, no wired port,
+  /// no associations, beacons stopped, zero counters. The association
+  /// table and per-station power-save buffers keep their storage.
   void reset(sim::Rng rng, Config config);
 
   /// Connects the Ethernet port. Must be called before wired traffic.
@@ -90,7 +96,7 @@ class AccessPoint : public net::Node {
   [[nodiscard]] const StationState* station_state(net::NodeId sta) const;
 
   sim::Simulator* sim_;
-  sim::Rng rng_;
+  sim::Rng rng_{0};
   Config config_;
   Radio radio_;
   net::Link* wired_ = nullptr;

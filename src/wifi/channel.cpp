@@ -14,9 +14,6 @@ using sim::Duration;
 using sim::expects;
 using sim::TimePoint;
 
-Channel::Channel(sim::Simulator& sim, sim::Rng rng, PhyParams phy)
-    : sim_(&sim), rng_(std::move(rng)), phy_(phy) {}
-
 void Channel::reset(sim::Rng rng, PhyParams phy) {
   rng_ = std::move(rng);
   phy_ = phy;
@@ -41,8 +38,8 @@ void Channel::attach_radio(Radio& radio) {
 }
 
 void Channel::detach_radio(Radio& radio) {
-  // No-op when the channel was reset since the attach (radios_ cleared):
-  // shard-context reuse destroys nodes after their channel rewound.
+  // No-op when the radio is not attached: a radio's first reset, or any
+  // radio once its channel was reset (radios_ cleared).
   const auto it = std::find(radios_.begin(), radios_.end(), &radio);
   if (it != radios_.end()) radios_.erase(it);
 }

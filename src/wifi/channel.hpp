@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -42,7 +43,11 @@ class MediumObserver {
 
 class Channel {
  public:
-  Channel(sim::Simulator& sim, sim::Rng rng, PhyParams phy);
+  /// Binds the channel to `sim`; reset() sets the per-scenario state.
+  explicit Channel(sim::Simulator& sim) : sim_(&sim) {}
+  Channel(sim::Simulator& sim, sim::Rng rng, PhyParams phy) : Channel(sim) {
+    reset(std::move(rng), phy);
+  }
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -50,18 +55,17 @@ class Channel {
   [[nodiscard]] const PhyParams& phy() const { return phy_; }
   [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
 
-  /// Radios self-register on construction.
+  /// Radios register themselves in Radio::reset.
   void attach_radio(Radio& radio);
-  /// Removes a dying radio's registration; no-op if not attached (the
-  /// channel may have been reset since). Called from ~Radio.
+  /// Removes a radio's registration; no-op if not attached (the channel
+  /// may have been reset since). Called from Radio::reset and ~Radio.
   void detach_radio(Radio& radio);
   void attach_observer(MediumObserver& observer);
 
-  /// Returns the channel to its freshly-constructed state (new rng stream,
-  /// new PHY, no radios or observers) while keeping the warm scratch and
-  /// list capacities. Radios must re-attach afterwards — Radio::reset does
-  /// — in the same order they were first constructed, so contention-round
-  /// iteration order matches a fresh build exactly.
+  /// Initializes the per-scenario state: rng stream, PHY, no radios or
+  /// observers, zero counters. Scratch and list capacities stay warm.
+  /// Radios attach afterwards through Radio::reset, in build order: the
+  /// radio list's order is the contention-round iteration order.
   void reset(sim::Rng rng, PhyParams phy);
 
   /// A radio signals that its queue became non-empty.
@@ -86,7 +90,7 @@ class Channel {
   void notify_observers(const Frame& frame);
 
   sim::Simulator* sim_;
-  sim::Rng rng_;
+  sim::Rng rng_{0};
   PhyParams phy_;
   std::vector<Radio*> radios_;
   std::vector<MediumObserver*> observers_;

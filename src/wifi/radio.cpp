@@ -6,14 +6,11 @@
 
 namespace acute::wifi {
 
-Radio::Radio(Channel& channel, net::NodeId owner)
-    : channel_(&channel), owner_(owner) {
-  channel.attach_radio(*this);
-}
-
 Radio::~Radio() { channel_->detach_radio(*this); }
 
-void Radio::reset() {
+void Radio::reset(net::NodeId owner) {
+  channel_->detach_radio(*this);
+  owner_ = owner;
   queue_.clear();
   queue_limit_ = 1000;
   receiving_ = true;
@@ -21,7 +18,7 @@ void Radio::reset() {
   tx_count_ = 0;
   rx_count_ = 0;
   dropped_count_ = 0;
-  channel_->attach_radio(*this);  // re-registers and re-seeds cw_ from phy
+  channel_->attach_radio(*this);  // registers and seeds cw_ from phy
 }
 
 void Radio::enqueue(net::Packet&& packet, net::NodeId receiver) {

@@ -26,8 +26,10 @@ class Radio {
   /// exhausted. The AP uses this to fall back to power-save buffering.
   using DeliveryFailFn = std::function<void(net::Packet&&, net::NodeId)>;
 
-  /// `owner` is the address frames are delivered to.
-  Radio(Channel& channel, net::NodeId owner);
+  /// Binds the radio to `channel`. It joins the channel in reset(owner),
+  /// which its owning node's reset() calls.
+  explicit Radio(Channel& channel) : channel_(&channel) {}
+  Radio(Channel& channel, net::NodeId owner) : Radio(channel) { reset(owner); }
 
   /// Detaches from the channel: a Radio destroyed before its channel (a
   /// node constructor that throws after building its radio member) must
@@ -67,11 +69,13 @@ class Radio {
   /// (saturated sources must not grow memory without bound).
   void set_queue_limit(std::size_t limit) { queue_limit_ = limit; }
 
-  /// Returns the radio to its freshly-constructed state and re-registers
-  /// it with its channel (which must have been reset first, emptying its
-  /// radio list). The queue keeps its warm storage; callbacks are kept —
-  /// the owner re-assigns them in its own reset, mirroring its ctor.
-  void reset();
+  /// Initializes the per-scenario state: `owner` is the address frames
+  /// are delivered to; the queue, counters and receiver power start over;
+  /// the radio (re)joins the end of its channel's radio list. The channel
+  /// must have been reset first. `std::deque::clear` frees every queue
+  /// node but one, so a refilled queue allocates again. The callbacks are
+  /// bindings and stay.
+  void reset(net::NodeId owner);
 
  private:
   friend class Channel;
@@ -88,7 +92,7 @@ class Radio {
   void pop_head() { queue_.pop_front(); }
 
   Channel* channel_;
-  net::NodeId owner_;
+  net::NodeId owner_ = 0;
   RxFn on_receive_;
   TxDoneFn on_tx_done_;
   DeliveryFailFn on_delivery_fail_;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 
 #include "passive/observer.hpp"
 #include "sim/random.hpp"
@@ -18,13 +19,16 @@ namespace acute::wifi {
 
 class Sniffer : public MediumObserver {
  public:
-  /// `timestamp_noise` models radiotap clock error: each capture time is
-  /// perturbed by U(-noise, +noise). Zero by default.
-  Sniffer(std::string name, sim::Rng rng,
-          sim::Duration timestamp_noise = sim::Duration{});
+  /// A sniffer binds nothing; reset() initializes it.
+  Sniffer() = default;
+  Sniffer(const std::string& name, sim::Rng rng,
+          sim::Duration timestamp_noise = sim::Duration{}) {
+    reset(name, std::move(rng), timestamp_noise);
+  }
 
-  /// Returns the sniffer to the state the constructor would leave it in
-  /// with these arguments (shard-context reuse contract).
+  /// Initializes the per-scenario state. `timestamp_noise` models radiotap
+  /// clock error: each capture time is perturbed by U(-noise, +noise).
+  /// Detaches the capture observer.
   void reset(const std::string& name, sim::Rng rng,
              sim::Duration timestamp_noise);
 
@@ -45,7 +49,7 @@ class Sniffer : public MediumObserver {
 
  private:
   std::string name_;
-  sim::Rng rng_;
+  sim::Rng rng_{0};
   sim::Duration noise_;
   passive::CaptureObserver* observer_ = nullptr;
 };

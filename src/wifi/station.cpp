@@ -20,22 +20,8 @@ constexpr std::uint32_t kPsPollBytes = 20;
 constexpr std::uint32_t kNullFrameBytes = 28;
 }  // namespace
 
-Station::Station(sim::Simulator& sim, Channel& channel, sim::Rng rng,
-                 Config config)
-    : sim_(&sim),
-      rng_(std::move(rng)),
-      config_(config),
-      radio_(channel, config.id),
-      doze_timer_(sim, [this] { enter_doze(); }) {
-  expects(config.psm_timeout > Duration{},
-          "Station PSM timeout must be positive");
-  expects(config.psm_tick > Duration{}, "Station PSM tick must be positive");
-  expects(config.actual_listen_interval >= 0,
-          "Station listen interval must be >= 0");
-  expects(config.beacon_miss_probability >= 0.0 &&
-              config.beacon_miss_probability <= 1.0,
-          "Station beacon miss probability must be in [0, 1]");
-
+Station::Station(sim::Simulator& sim, Channel& channel)
+    : sim_(&sim), radio_(channel), doze_timer_(sim, [this] { enter_doze(); }) {
   radio_.set_receiver([this](Packet&& pkt, const Frame& frame) {
     on_radio_receive(std::move(pkt), frame);
   });
@@ -48,9 +34,6 @@ Station::Station(sim::Simulator& sim, Channel& channel, sim::Rng rng,
       schedule_beacon_wake();
     }
   });
-
-  last_activity_ = sim_->now();
-  if (config_.psm_enabled) arm_doze_timer();
 }
 
 void Station::reset(sim::Rng rng, Config config) {
@@ -65,19 +48,7 @@ void Station::reset(sim::Rng rng, Config config) {
 
   rng_ = std::move(rng);
   config_ = config;
-  radio_.reset();
-  radio_.set_receiver([this](Packet&& pkt, const Frame& frame) {
-    on_radio_receive(std::move(pkt), frame);
-  });
-  radio_.set_tx_done([this](const Frame& frame) {
-    if (doze_pending_ && frame.packet.id == pending_null_id_) {
-      doze_pending_ = false;
-      state_ = PowerState::dozing;
-      radio_.set_receiving(false);
-      ++doze_count_;
-      schedule_beacon_wake();
-    }
-  });
+  radio_.reset(config.id);
   on_receive_ = nullptr;
   state_ = PowerState::cam;
   doze_timer_.reset();
@@ -92,10 +63,6 @@ void Station::reset(sim::Rng rng, Config config) {
   wake_count_ = 0;
   ps_polls_sent_ = 0;
   beacons_heard_ = 0;
-
-  // Same tail as the constructor: the doze-timer arming draw (and its
-  // scheduled event) happens at exactly the same point in the rng stream
-  // and event sequence as on a fresh build.
   last_activity_ = sim_->now();
   if (config_.psm_enabled) arm_doze_timer();
 }

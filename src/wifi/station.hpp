@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "net/packet.hpp"
 #include "sim/random.hpp"
@@ -55,13 +56,17 @@ class Station : public stack::StackLayer {
     sim::Duration wake_guard = sim::Duration::micros(200);
   };
 
-  Station(sim::Simulator& sim, Channel& channel, sim::Rng rng, Config config);
+  /// Binds the station to `sim` and `channel`; reset() initializes it.
+  Station(sim::Simulator& sim, Channel& channel);
+  Station(sim::Simulator& sim, Channel& channel, sim::Rng rng, Config config)
+      : Station(sim, channel) {
+    reset(std::move(rng), config);
+  }
 
-  /// Returns the station to the state the constructor would leave it in
-  /// with these arguments (same rng stream, same doze-timer arming draw and
-  /// schedule). Requires the owning simulator and channel to have been
-  /// reset first. Part of the shard-context reuse contract: a reset station
-  /// is bit-identical to a freshly constructed one.
+  /// Initializes the per-scenario state: validates `config`, joins the
+  /// channel, clears the power-save state and counters, and arms the doze
+  /// timer (one rng draw, one scheduled event). Requires the simulator and
+  /// channel to have been reset first.
   void reset(sim::Rng rng, Config config);
 
   /// Upward delivery (to the WNIC driver): payload + air metadata. Used when
@@ -103,7 +108,7 @@ class Station : public stack::StackLayer {
   void send_ps_poll();
 
   sim::Simulator* sim_;
-  sim::Rng rng_;
+  sim::Rng rng_{0};
   Config config_;
   Radio radio_;
   RxFn on_receive_;

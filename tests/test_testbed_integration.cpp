@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include "stats/cdf.hpp"
 #include "stats/summary.hpp"
 #include "testbed/experiment.hpp"
+#include "tools/ping.hpp"
 
 namespace acute::testbed {
 namespace {
@@ -292,6 +294,105 @@ TEST(Testbed, ToolKindNames) {
   EXPECT_STREQ(to_string(ToolKind::icmp_ping), "ping");
   EXPECT_STREQ(to_string(ToolKind::httping), "httping");
   EXPECT_STREQ(to_string(ToolKind::java_ping), "Java ping");
+}
+
+/// Three phones: two WiFi handsets (Nexus 5, Nexus 4) and a cellular one,
+/// on a congested PHY so ping_once() runs cross traffic.
+ScenarioSpec three_phone_shape() {
+  ScenarioSpec spec;
+  spec.phones.resize(3);
+  spec.phones[1].profile = PhoneProfile::nexus4();
+  spec.phones[2].radio = phone::RadioKind::cellular;
+  spec.congested_phy = true;
+  spec.emulated_rtt = 20_ms;
+  spec.seed = 11;
+  return spec;
+}
+
+/// What one run must reproduce bit for bit: the event and frame counts and
+/// every probe's RTT at every layer, as IEEE-754 bit patterns.
+struct RunBits {
+  std::uint64_t events = 0;
+  std::uint64_t frames = 0;
+  std::vector<std::uint64_t> rtts;
+};
+
+/// Runs one IcmpPing from phone 0, with the cross traffic on when the
+/// scenario's PHY is congested.
+RunBits ping_once(Testbed& testbed) {
+  if (testbed.spec().congested_phy) testbed.start_cross_traffic();
+  testbed.settle(300_ms);
+  tools::IcmpPing ping(testbed.phone(), {.probe_count = 8,
+                                         .interval = 250_ms,
+                                         .timeout = 1_s,
+                                         .target = Testbed::kServerId});
+  ping.start();
+  testbed.run_until_finished(ping);
+  RunBits bits{testbed.simulator().events_fired(),
+               testbed.channel().frames_transmitted(),
+               {}};
+  for (const LayerSample& s : testbed.layer_samples(ping.result())) {
+    for (const double ms : {s.du_ms, s.dk_ms, s.dv_ms, s.dn_ms}) {
+      bits.rtts.push_back(std::bit_cast<std::uint64_t>(ms));
+    }
+  }
+  return bits;
+}
+
+/// Counters of every WiFi phone that a build must start from zero. Read
+/// straight after a build, they pin the resets of state that a settle
+/// would mask (a stale bus idle count only brings the first bus sleep
+/// forward) or that no event reads (the station's doze count).
+std::vector<std::uint64_t> phone_counters(Testbed& testbed) {
+  std::vector<std::uint64_t> counters;
+  for (std::size_t i = 0; i < testbed.phone_count(); ++i) {
+    phone::Smartphone& phone = testbed.phone(i);
+    if (phone.radio_kind() != phone::RadioKind::wifi) continue;
+    counters.insert(counters.end(),
+                    {phone.station().doze_count(), phone.station().wake_count(),
+                     static_cast<std::uint64_t>(phone.bus().idle_ticks()),
+                     phone.bus().sleep_count()});
+  }
+  return counters;
+}
+
+/// Leaves phone 0 with counters a rebuild must clear: at least one doze
+/// and a bus idle count in progress.
+void dirty_phone_counters(Testbed& testbed) {
+  testbed.phone().bus().activity();
+  testbed.settle(25_ms);
+  ASSERT_GT(testbed.phone().station().doze_count(), 0u);
+  ASSERT_GT(testbed.phone().bus().idle_ticks(), 0);
+}
+
+TEST(Testbed, RebuildFromThreePhonesMatchesFreshDefault) {
+  Testbed testbed(three_phone_shape());
+  (void)ping_once(testbed);
+  dirty_phone_counters(testbed);
+  testbed.rebuild(ScenarioSpec{});
+  Testbed fresh;
+  EXPECT_EQ(phone_counters(testbed), phone_counters(fresh));
+  const RunBits rebuilt = ping_once(testbed);
+  const RunBits expected = ping_once(fresh);
+  EXPECT_EQ(rebuilt.events, expected.events);
+  EXPECT_EQ(rebuilt.frames, expected.frames);
+  EXPECT_EQ(rebuilt.rtts, expected.rtts);
+  EXPECT_FALSE(expected.rtts.empty());
+}
+
+TEST(Testbed, RebuildFromOnePhoneMatchesFreshThreePhones) {
+  Testbed testbed;
+  (void)ping_once(testbed);
+  dirty_phone_counters(testbed);
+  testbed.rebuild(three_phone_shape());
+  Testbed fresh(three_phone_shape());
+  EXPECT_EQ(phone_counters(testbed), phone_counters(fresh));
+  const RunBits rebuilt = ping_once(testbed);
+  const RunBits expected = ping_once(fresh);
+  EXPECT_EQ(rebuilt.events, expected.events);
+  EXPECT_EQ(rebuilt.frames, expected.frames);
+  EXPECT_EQ(rebuilt.rtts, expected.rtts);
+  EXPECT_FALSE(expected.rtts.empty());
 }
 
 // Committed output bytes: tests/golden/experiments.txt pins Experiment::run
