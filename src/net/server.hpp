@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "net/link.hpp"

@@ -48,7 +48,6 @@ void MeasurementTool::reinitialize(Config config) {
   config_ = config;
   flow_id_ = phone_->allocate_flow_id();
   outstanding_.clear();
-  probe_of_index_.clear();
   launched_ = 0;
   completed_ = 0;
   started_ = false;
@@ -106,16 +105,11 @@ Packet MeasurementTool::new_probe(int index, net::PacketType type,
         (sim_->now() - TimePoint::epoch()).count_nanos() / 1000 + 1);
   }
 
-  Outstanding entry;
-  entry.index = index;
-  entry.sent_at = sim_->now();
   const std::uint64_t probe_id = probe.probe_id;
-  entry.timeout =
-      sim_->schedule_in(config_.timeout, [this, probe_id] {
-        handle_timeout(probe_id);
-      });
-  outstanding_[probe_id] = std::move(entry);
-  probe_of_index_[index] = probe_id;
+  outstanding_.push_back(Outstanding{
+      probe_id, index, sim_->now(),
+      sim_->schedule_in(config_.timeout,
+                        [this, probe_id] { handle_timeout(probe_id); })});
   return probe;
 }
 
@@ -123,22 +117,23 @@ void MeasurementTool::send_packet(Packet&& packet) {
   phone_->send(std::move(packet), exec_mode());
 }
 
-void MeasurementTool::restamp_probe_clock(int index) {
-  const auto id_it = probe_of_index_.find(index);
-  if (id_it == probe_of_index_.end()) return;
-  const auto it = outstanding_.find(id_it->second);
-  if (it != outstanding_.end()) it->second.sent_at = sim_->now();
-}
-
 std::optional<double> MeasurementTool::on_probe_response(
     int /*index*/, const Packet& /*response*/, double raw_rtt_ms) {
   return raw_rtt_ms;
 }
 
+std::vector<MeasurementTool::Outstanding>::iterator
+MeasurementTool::find_outstanding(std::uint64_t probe_id) {
+  return std::find_if(outstanding_.begin(), outstanding_.end(),
+                      [probe_id](const Outstanding& entry) {
+                        return entry.probe_id == probe_id;
+                      });
+}
+
 void MeasurementTool::handle_response(Packet&& response) {
-  const auto it = outstanding_.find(response.probe_id);
+  const auto it = find_outstanding(response.probe_id);
   if (it == outstanding_.end()) return;  // late (already timed out) or alien
-  Outstanding entry = std::move(it->second);
+  Outstanding entry = std::move(*it);
   entry.timeout.cancel();
   outstanding_.erase(it);
 
@@ -155,9 +150,9 @@ void MeasurementTool::handle_response(Packet&& response) {
 }
 
 void MeasurementTool::handle_timeout(std::uint64_t probe_id) {
-  const auto it = outstanding_.find(probe_id);
+  const auto it = find_outstanding(probe_id);
   if (it == outstanding_.end()) return;
-  const int index = it->second.index;
+  const int index = it->index;
   outstanding_.erase(it);
   ProbeRecord record;
   record.index = index;

@@ -14,7 +14,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -159,10 +158,6 @@ class MeasurementTool {
   /// Sends a packet through the phone in this tool's exec mode.
   void send_packet(net::Packet&& packet);
 
-  /// Restarts probe `index`'s send clock (httping uses this so the reported
-  /// RTT covers only the HTTP exchange, not the preceding connect).
-  void restamp_probe_clock(int index);
-
   /// The phone this tool runs on.
   [[nodiscard]] phone::Smartphone& phone() { return *phone_; }
   /// The phone's simulator (every schedule lands here).
@@ -170,6 +165,7 @@ class MeasurementTool {
 
  private:
   struct Outstanding {
+    std::uint64_t probe_id = 0;
     int index = 0;
     sim::TimePoint sent_at;
     sim::EventHandle timeout;
@@ -178,6 +174,8 @@ class MeasurementTool {
   void launch_probe(int index);
   void handle_response(net::Packet&& response);
   void handle_timeout(std::uint64_t probe_id);
+  [[nodiscard]] std::vector<Outstanding>::iterator find_outstanding(
+      std::uint64_t probe_id);
   void complete_probe(int index, ProbeRecord record);
   void maybe_finish();
 
@@ -185,8 +183,10 @@ class MeasurementTool {
   sim::Simulator* sim_;
   Config config_;
   std::uint32_t flow_id_ = 0;
-  std::unordered_map<std::uint64_t, Outstanding> outstanding_;  // by probe_id
-  std::unordered_map<int, std::uint64_t> probe_of_index_;
+  // Probes awaiting a response or their timeout, in send order. At most
+  // about timeout / interval of them are live, so lookups scan; clear()
+  // keeps the storage warm across reinitialize().
+  std::vector<Outstanding> outstanding_;
   int launched_ = 0;
   int completed_ = 0;
   bool started_ = false;

@@ -53,7 +53,7 @@ void AccessPoint::associate(net::NodeId sta, int listen_interval) {
           "AccessPoint::associate listen interval must be >= 0");
   StationState* state = station_state(sta);
   if (state == nullptr) {
-    // Recycle a parked slot (its deque keeps warm storage) before growing.
+    // Recycle a parked slot (its ring keeps warm storage) before growing.
     if (stations_in_use_ == stations_.size()) stations_.emplace_back();
     state = &stations_[stations_in_use_++];
   }

@@ -10,13 +10,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 #include "wifi/channel.hpp"
@@ -83,7 +83,7 @@ class AccessPoint : public net::Node {
     net::NodeId sta = 0;
     bool dozing = false;
     int listen_interval = 0;
-    std::deque<net::Packet> ps_buffer;
+    sim::Ring<net::Packet> ps_buffer;
   };
 
   void on_radio_receive(net::Packet&& packet, const Frame& frame);
@@ -103,7 +103,7 @@ class AccessPoint : public net::Node {
   sim::PeriodicTimer beacon_timer_;
   // Association table in association order. Slots are recycled across
   // shard-context resets (stations_in_use_ marks the live prefix) so the
-  // per-station power-save deques keep their warm storage; with a handful
+  // per-station power-save rings keep their warm storage; with a handful
   // of stations per BSS, linear scans beat a node-based map and allocate
   // nothing in steady state.
   std::vector<StationState> stations_;

@@ -3,10 +3,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "wifi/channel.hpp"
 
@@ -72,9 +72,9 @@ class Radio {
   /// Initializes the per-scenario state: `owner` is the address frames
   /// are delivered to; the queue, counters and receiver power start over;
   /// the radio (re)joins the end of its channel's radio list. The channel
-  /// must have been reset first. `std::deque::clear` frees every queue
-  /// node but one, so a refilled queue allocates again. The callbacks are
-  /// bindings and stay.
+  /// must have been reset first. The queue keeps its ring storage, so a
+  /// warm radio refills it without allocating. The callbacks are bindings
+  /// and stay.
   void reset(net::NodeId owner);
 
  private:
@@ -96,7 +96,7 @@ class Radio {
   RxFn on_receive_;
   TxDoneFn on_tx_done_;
   DeliveryFailFn on_delivery_fail_;
-  std::deque<QueuedFrame> queue_;
+  sim::Ring<QueuedFrame> queue_;
   std::size_t queue_limit_ = 1000;
   bool receiving_ = true;
   int cw_ = 0;  // current contention window (slots); set from phy on attach

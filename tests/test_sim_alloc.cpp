@@ -3,7 +3,10 @@
 // allocations per event — closures live in EventClosure's inline buffer
 // inside the pooled slots and cancel state is {slot, generation} (no
 // shared_ptr). These tests replace operator new for the whole binary and
-// diff the counter across a measured steady-state window.
+// diff the counter across a measured steady-state window. Two gates carry
+// the rule up to whole testbeds: a saturated channel's queues allocate
+// nothing once warm, and a deep campaign shard (four phones, the Fig. 8
+// tool zoo, cross traffic) has a bounded marginal allocation count.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,18 +14,26 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "net/packet.hpp"
+#include "passive/observer.hpp"
+#include "phone/profile.hpp"
 #include "sim/closure.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "testbed/campaign.hpp"
+#include "testbed/testbed.hpp"
+#include "tools/factory.hpp"
 #include "wifi/channel.hpp"
 
 namespace {
-// Plain (non-atomic) counter: the tests are single-threaded.
+// Plain (non-atomic) counter: one thread allocates at a time (a one-worker
+// campaign's thread runs while the caller waits in join()).
 std::size_t g_heap_allocations = 0;
 }  // namespace
 
@@ -192,6 +203,86 @@ TEST(EventCoreAllocation, CancelIsAllocationFree) {
   for (EventHandle& handle : handles) handle.cancel();
   (void)sim.run_for(2_ms);
   EXPECT_EQ(g_heap_allocations, allocations_before);
+}
+
+// A saturated 802.11g channel (ten UDP flows into the load host's
+// 1000-frame radio queue, which tail-drops about half of them) drains and
+// refills its queues forever. Once the rings have grown to their peak,
+// further simulated seconds must not touch the heap for the traffic
+// itself. The one allocation source left is a log, not a queue: the idle
+// phone's driver appends one dvsend entry per packet it sends (about one
+// a second), so its fresh log's capacity doubles twice in the window,
+// 1 -> 4 (two allocations; a warm shard context keeps that capacity).
+TEST(TestbedAllocation, WarmCongestedChannelSecondsAreAllocationFree) {
+  testbed::ScenarioSpec spec;
+  spec.congested_phy = true;
+  testbed::Testbed testbed(spec);
+  testbed.settle(Duration::millis(100));
+  testbed.start_cross_traffic();
+  testbed.settle(Duration::seconds(1));
+
+  const std::size_t allocations_before = g_heap_allocations;
+  const std::uint64_t events_before = testbed.simulator().events_fired();
+  testbed.settle(Duration::seconds(3));
+  EXPECT_LE(g_heap_allocations - allocations_before, 2u)
+      << "three warm seconds of cross traffic";
+  EXPECT_GT(testbed.simulator().events_fired() - events_before, 15000u);
+  EXPECT_GT(testbed.cross_traffic_throughput_mbps(), 1.0);
+}
+
+// `shards` copies of a deep_fleet-shaped scenario: four phones (Nexus 5 /
+// Nexus 4 alternating) running the Fig. 8 tool zoo on one congested
+// channel, at 10/30 ms emulated RTT.
+testbed::CampaignSpec deep_shape_spec(std::size_t shards) {
+  testbed::WorkloadSpec httping{tools::ToolKind::httping};
+  httping.passive = passive::PassiveVantage::both;
+  const std::vector<testbed::WorkloadSpec> zoo{
+      testbed::WorkloadSpec{tools::ToolKind::acutemon},
+      testbed::WorkloadSpec{tools::ToolKind::icmp_ping}, httping,
+      testbed::WorkloadSpec{tools::ToolKind::java_ping}};
+  testbed::CampaignSpec spec;
+  for (std::size_t i = 0; i < shards; ++i) {
+    testbed::ScenarioSpec scenario;
+    scenario.phones.assign(4, testbed::PhoneSpec{});
+    for (std::size_t p = 0; p < scenario.phones.size(); ++p) {
+      scenario.phones[p].profile = p % 2 == 0 ? phone::PhoneProfile::nexus5()
+                                              : phone::PhoneProfile::nexus4();
+    }
+    scenario.emulated_rtt = Duration::millis(i % 2 == 0 ? 10 : 30);
+    scenario.congested_phy = true;
+    scenario.assign_workloads(zoo);
+    spec.scenarios.push_back(std::move(scenario));
+  }
+  spec.seed = 2026;
+  spec.probes_per_phone = 30;
+  spec.probe_interval = Duration::millis(200);
+  return spec;
+}
+
+// Heap allocations of one single-worker run of deep_shape_spec(shards),
+// spec construction excluded.
+std::size_t deep_shape_run_allocations(std::size_t shards) {
+  testbed::Campaign campaign(deep_shape_spec(shards));
+  const std::size_t allocations_before = g_heap_allocations;
+  const testbed::CampaignReport report = campaign.run(/*workers=*/1);
+  const std::size_t allocations = g_heap_allocations - allocations_before;
+  EXPECT_EQ(report.completed_shards(), shards);
+  return allocations;
+}
+
+// The marginal cost of a deep shard on a warm worker: both runs share the
+// same spec seed, so their first four shards are identical, and the
+// difference is eight further shards with every per-run cost (the pool,
+// the shard context's first build, the report) cancelled out.
+TEST(TestbedAllocation, DeepShardMarginalAllocationsStayBounded) {
+  const std::size_t four = deep_shape_run_allocations(4);
+  const std::size_t twelve = deep_shape_run_allocations(12);
+  ASSERT_GT(twelve, four);
+  const double per_shard = double(twelve - four) / 8.0;
+  RecordProperty("marginal_allocations_per_shard",
+                 std::to_string(per_shard));
+  EXPECT_LE(per_shard, 600.0) << "4 shards: " << four
+                              << " allocations, 12 shards: " << twelve;
 }
 
 }  // namespace
