@@ -23,14 +23,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "fabric/coordinator.hpp"
@@ -80,7 +83,8 @@ int usage(const char* argv0) {
       "    --socket PATH         also accept workers on a unix socket\n"
       "    --checkpoint PATH     coordinator checkpoint (resume on rerun)\n"
       "    --batch N             scenario indices per lease (default 16)\n"
-      "    --lease-timeout-ms N  heartbeat deadline (default 10000)\n"
+      "    --lease-timeout-ms N  lease deadline; workers send at least every\n"
+      "                          N/4 ms (default 10000)\n"
       "    --max-shards N        cap pending shards this run (default all)\n"
       "  work:\n"
       "    --socket PATH         coordinator socket to join\n"
@@ -91,6 +95,22 @@ int usage(const char* argv0) {
       "    --digest-out PATH     write the merged-digest dump here\n",
       argv0);
   return 1;
+}
+
+/// Parses all of `text` as a non-negative decimal that fits `T`. Rejects an
+/// empty value, a sign, a unit suffix ("10s") and a word ("two"), each of
+/// which strtoull reads as some other number.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end ||
+      value > std::uint64_t{std::numeric_limits<T>::max()}) {
+    return false;
+  }
+  out = static_cast<T>(value);
+  return true;
 }
 
 /// The shared demo campaign: the frontier scaling sweep, sized by --shards
@@ -236,12 +256,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](auto& out) {
+      const char* text = value();
+      if (!parse_number(text, out)) {
+        std::fprintf(stderr, "%s: %s needs a non-negative integer, not '%s'\n",
+                     argv[0], flag.c_str(), text);
+        std::exit(usage(argv[0]));
+      }
+    };
     if (flag == "--shards") {
-      options.shards = std::strtoull(value(), nullptr, 10);
+      number(options.shards);
     } else if (flag == "--probes") {
-      options.probes = std::atoi(value());
+      number(options.probes);
     } else if (flag == "--seed") {
-      options.seed = std::strtoull(value(), nullptr, 10);
+      number(options.seed);
     } else if (flag == "--socket") {
       options.socket_path = value();
     } else if (flag == "--checkpoint") {
@@ -249,15 +277,15 @@ int main(int argc, char** argv) {
     } else if (flag == "--digest-out") {
       options.digest_out = value();
     } else if (flag == "--spawn") {
-      options.spawn = std::strtoull(value(), nullptr, 10);
+      number(options.spawn);
     } else if (flag == "--batch") {
-      options.batch = std::strtoull(value(), nullptr, 10);
+      number(options.batch);
     } else if (flag == "--lease-timeout-ms") {
-      options.lease_timeout_ms = std::strtoull(value(), nullptr, 10);
+      number(options.lease_timeout_ms);
     } else if (flag == "--max-shards") {
-      options.max_shards = std::strtoull(value(), nullptr, 10);
+      number(options.max_shards);
     } else if (flag == "--workers") {
-      options.workers = std::strtoull(value(), nullptr, 10);
+      number(options.workers);
     } else {
       std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], flag.c_str());
       return usage(argv[0]);

@@ -13,7 +13,10 @@
 # campaign to one forked worker plus two external joiners on a unix socket
 # (`acute_fabric work --socket`), the listener/accept/connect path: both
 # joiners must exit cleanly, at least two workers must have joined, and the
-# digest dump and checkpoint must cmp equal to the reference.
+# digest dump and checkpoint must cmp equal to the reference. Neither the
+# tick + resume log nor the socket run's log may show a lease expiring: a
+# worker that keeps a lease queued and sends at least every quarter of the
+# lease timeout keeps every lease it holds alive.
 #
 # Usage: scripts/fabric_smoke.sh [path/to/acute_fabric] [output-dir]
 set -euo pipefail
@@ -28,8 +31,9 @@ PROBES=60
 mkdir -p "$OUT"
 rm -f "$OUT"/reference.txt "$OUT"/reference.ckpt "$OUT"/fabric.txt \
       "$OUT"/coordinator.ckpt "$OUT"/coordinator.log "$OUT"/coordinator.stdout \
-      "$OUT"/tick.txt "$OUT"/tick.ckpt "$OUT"/socket.txt "$OUT"/socket.ckpt \
-      "$OUT"/socket.log "$OUT"/socket.stdout "$OUT"/joiners.log
+      "$OUT"/tick.txt "$OUT"/tick.ckpt "$OUT"/tick.log "$OUT"/socket.txt \
+      "$OUT"/socket.ckpt "$OUT"/socket.log "$OUT"/socket.stdout \
+      "$OUT"/joiners.log
 
 echo "== single-process single-thread reference =="
 "$BIN" local --shards $SHARDS --probes $PROBES \
@@ -103,10 +107,11 @@ echo "OK: compacted checkpoint is byte-identical to the reference"
 
 echo "== 1-worker coordinator tick, then resume =="
 "$BIN" coordinate --spawn 1 --shards $SHARDS --probes $PROBES --max-shards 500 \
-  --checkpoint "$OUT/tick.ckpt"
+  --checkpoint "$OUT/tick.ckpt" 2>"$OUT/tick.log"
 TICK_INODE=$(stat -c %i "$OUT/tick.ckpt")
 "$BIN" coordinate --spawn 1 --shards $SHARDS --probes $PROBES \
-  --checkpoint "$OUT/tick.ckpt" --digest-out "$OUT/tick.txt"
+  --checkpoint "$OUT/tick.ckpt" --digest-out "$OUT/tick.txt" 2>>"$OUT/tick.log"
+cat "$OUT/tick.log"
 if [ "$(stat -c %i "$OUT/tick.ckpt")" != "$TICK_INODE" ]; then
   echo "FAIL: the resume rewrote an already canonical checkpoint" >&2
   exit 1
@@ -149,5 +154,14 @@ cmp "$OUT/reference.txt" "$OUT/socket.txt"
 echo "OK: socket-fleet digest dump is byte-identical to the reference"
 cmp "$OUT/reference.ckpt" "$OUT/socket.ckpt"
 echo "OK: socket-fleet checkpoint is byte-identical to the reference"
+
+# The send cadence: no lease of a live worker may expire.
+for log in "$OUT/tick.log" "$OUT/socket.log"; do
+  if grep -q "expired without heartbeat" "$log"; then
+    echo "FAIL: a lease expired in $log" >&2
+    exit 1
+  fi
+done
+echo "OK: no lease expired in the tick + resume or the socket-fleet run"
 
 echo "fabric smoke: PASS"

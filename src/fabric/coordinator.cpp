@@ -94,17 +94,19 @@ void CoordinatorCore::receive(std::size_t id, const FrameView& frame,
     return;
   }
 
+  // Any frame proves its sender alive: it heartbeats every lease the sender
+  // holds, so the lease queued behind a running one cannot expire while the
+  // worker streams the first. Only the sender's own leases: one it lost to
+  // an expiry was re-leased, and its completions now arrive as harmless
+  // duplicates. A heartbeat frame asks for nothing more.
+  for (const std::uint64_t held : conn.leases) table_.heartbeat(held, now_ms);
   if (hello) {
     accept(id, body);
   } else if (frame.type == FrameType::lease_request) {
     grant(id);
-  } else if (frame.type == FrameType::heartbeat) {
-    // Only the sender's own leases: one it lost to an expiry was re-leased,
-    // and its completions now arrive as harmless duplicates.
-    if (conn.leases.count(lease_id) > 0) table_.heartbeat(lease_id, now_ms);
   } else if (frame.type == FrameType::lease_done) {
     if (conn.leases.erase(lease_id) > 0) table_.finish(lease_id);
-  } else {
+  } else if (frame.type == FrameType::shard_done) {
     const std::size_t index = record.summary.info.scenario_index;
     // Checkpoint first (matching the single-process order: durable before
     // merged), every arrival — compaction keeps the last record per index,
@@ -206,7 +208,8 @@ void CoordinatorCore::accept(std::size_t id, const HelloBody& hello) {
   }
   ++stats_.workers_joined;
   log("worker " + std::to_string(id) + " joined");
-  send(id, FrameType::hello_ok);
+  send(id, FrameType::hello_ok,
+       encode_hello_ok(HelloOkBody{config_.lease.lease_timeout_ms}));
   conns_[id].state = Conn::State::active;
 }
 
@@ -306,6 +309,7 @@ struct Link {
 
   std::unique_ptr<Transport> transport;
   FrameReader reader;
+  bool writable = true;  // false once a send to the peer failed
 };
 
 /// The poll loop: serves `core` until it is done.
@@ -324,22 +328,21 @@ void drive(CoordinatorCore& core,
   }
 
   // Carries out the core's outputs in order, one frame per write_frame. A
-  // send that fails is that worker's death.
+  // send fails once the peer is gone, but the frames it sent before it went
+  // are still buffered on the read side: the link stops sending and stays
+  // polled, so every shard a dying worker finished is served, and the end
+  // of its stream buries it.
   const auto flush = [&] {
-    for (std::vector<Outbound> out = core.take_outbox(); !out.empty();
-         out = core.take_outbox()) {
-      for (const Outbound& action : out) {
-        std::unique_ptr<Link>& link = links[action.conn];
-        if (link == nullptr) continue;
-        if (action.kind == Outbound::Kind::close) {
-          link.reset();
-          continue;
-        }
+    for (const Outbound& action : core.take_outbox()) {
+      std::unique_ptr<Link>& link = links[action.conn];
+      if (link == nullptr) continue;
+      if (action.kind == Outbound::Kind::close) {
+        link.reset();
+      } else if (link->writable) {
         try {
           write_frame(*link->transport, action.type, action.payload);
         } catch (const sim::ContractViolation&) {
-          link.reset();
-          core.disconnect(action.conn, "could not be sent a frame");
+          link->writable = false;
         }
       }
     }

@@ -25,15 +25,17 @@
 //   Coordinator::run — the driver: one poll loop that accepts, fills each
 //     connection's FrameReader, feeds frames in, writes each outbound
 //     frame with one write_frame, closes what the core closes, and turns a
-//     clean EOF or a failed send into disconnect().
+//     clean EOF into disconnect(). A failed send only stops sends to that
+//     peer: what it sent before it died is still served, and its EOF
+//     follows.
 //
 // Failure matrix (docs/fabric.md):
-//   worker death (EOF / failed send) → revoke its leases, log, re-lease
+//   worker death (EOF)               → revoke its leases, log, re-lease
 //   torn or invalid frame            → the same, loudly: only decoding,
 //                                      parsing or validating a worker's
 //                                      bytes buries that worker
-//   heartbeat expiry (stalled)       → expire the lease, re-lease with
-//                                      backoff; the stalled worker's late
+//   lease expiry (a worker silent    → expire its leases, re-lease with
+//     past the deadline: stalled)      backoff; the stalled worker's late
 //                                      completions become duplicates
 //   duplicate completion             → first merge wins (bytes identical by
 //                                      determinism); the checkpoint keeps

@@ -24,9 +24,9 @@
 // the last).
 //
 // grant() hands out the lowest contiguous run of pending indices (capped at
-// batch), so under ascending completion the coordinator's merge frontier
-// holds O(workers × batch) out-of-order shards — the same skew bound as the
-// in-process thread pool's batched claim cursor.
+// batch). A worker holds at most two leases, the one it runs and the one
+// queued behind it, so under ascending completion the coordinator's merge
+// frontier holds O(2 × workers × batch) out-of-order shards.
 #pragma once
 
 #include <cstddef>
@@ -41,8 +41,10 @@ namespace acute::fabric {
 struct LeaseConfig {
   /// Max scenario indices per lease.
   std::size_t batch = 16;
-  /// Deadline extension granted by grant() and each heartbeat. Must exceed
-  /// one shard's wall time (workers heartbeat before every shard).
+  /// Deadline extension granted by grant() and each heartbeat. Any frame
+  /// from a worker heartbeats every lease it holds, and a worker is silent
+  /// for at most lease_timeout_ms / 4 plus one shard, so this must exceed
+  /// 4/3 of one shard's wall time.
   std::uint64_t lease_timeout_ms = 10'000;
   /// Timeout multiplier per prior expiry of an index (a range that keeps
   /// timing out is probably slow, not cursed — give it longer).

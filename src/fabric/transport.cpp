@@ -39,6 +39,10 @@ std::size_t FdTransport::recv_some(void* data, std::size_t size) {
   while (true) {
     const ssize_t got = ::recv(fd_, data, size, 0);
     if (got < 0 && errno == EINTR) continue;
+    // A peer that closes with bytes unread (a worker killed with the next
+    // grant queued) resets the stream once everything it sent has been
+    // read: that is its end-of-stream, not a failure of ours.
+    if (got < 0 && errno == ECONNRESET) return 0;
     expects(got >= 0, "fabric transport: recv failed");
     return static_cast<std::size_t>(got);
   }

@@ -10,9 +10,10 @@
 //
 // Failure surface: send/recv on a peer that died report through the normal
 // return/throw paths (sends use MSG_NOSIGNAL, so a dead peer can never
-// SIGPIPE-kill the process). A clean close shows up as recv_some() == 0 at
-// a frame boundary; the frame layer decides whether that EOF is graceful
-// (between frames) or torn (inside one).
+// SIGPIPE-kill the process). A close shows up as recv_some() == 0, also
+// when the peer closed with bytes unread (a connection reset); the frame
+// layer decides whether that EOF is graceful (between frames) or torn
+// (inside one).
 #pragma once
 
 #include <cstddef>
@@ -37,7 +38,7 @@ class Transport {
   virtual void send_all(const void* data, std::size_t size) = 0;
 
   /// Reads up to `size` bytes, blocking until at least one arrives; returns
-  /// the count read, 0 on end-of-stream (peer closed).
+  /// the count read, 0 on end-of-stream (peer closed or reset).
   virtual std::size_t recv_some(void* data, std::size_t size) = 0;
 
   /// The pollable descriptor (coordinator multiplexing); -1 when the

@@ -188,6 +188,20 @@ HelloBody decode_hello(std::string_view payload) {
   return body;
 }
 
+std::string encode_hello_ok(const HelloOkBody& body) {
+  std::string payload;
+  put_u64(payload, body.lease_timeout_ms);
+  return payload;
+}
+
+HelloOkBody decode_hello_ok(std::string_view payload) {
+  Cursor cursor{payload};
+  HelloOkBody body;
+  body.lease_timeout_ms = cursor.u64();
+  cursor.done();
+  return body;
+}
+
 std::string encode_lease_grant(const LeaseGrantBody& body) {
   std::string payload;
   put_u64(payload, body.lease_id);

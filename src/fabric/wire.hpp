@@ -13,12 +13,12 @@
 // is a torn frame — a loud sim::ContractViolation, never a silent skip.
 //
 // Frames are a byte stream, not datagrams: a sender may coalesce several
-// into one send (the worker queues its shard_done, heartbeat, lease_done
-// and lease_request frames and sends them together before it blocks or
-// starts a shard), and a receiver must not assume one frame per recv. The
-// coordinator reads through a FrameReader, which makes one recv per wakeup
-// and decodes every complete frame that recv buffered. The coordinator's
-// own sends stay one frame per send_all, with the type at byte 4.
+// into one send (the worker queues a lease's shard_done frames and its
+// lease_done and sends them together when it is about to block on a read),
+// and a receiver must not assume one frame per recv. The coordinator reads
+// through a FrameReader, which makes one recv per wakeup and decodes every
+// complete frame that recv buffered. The coordinator's own sends stay one
+// frame per send_all, with the type at byte 4.
 //
 // The shard payload is deliberately the checkpoint format itself: a
 // shard_done frame carries the exact ckpt2 line render_checkpoint_record()
@@ -31,15 +31,24 @@
 //
 // Conversation (worker drives; coordinator replies or pushes):
 //   worker → hello{protocol, spec_hash, seed, shard_count}
-//   coord  → hello_ok | reject{message}            (reject: loud, close)
+//   coord  → hello_ok{lease_timeout_ms} | reject{message}  (reject: loud,
+//                                                  close)
 //   worker → lease_request
 //   coord  → lease_grant{lease_id, begin, end} | idle | shutdown
-//   worker → heartbeat{lease_id}                   (before every shard)
-//   worker → shard_done{lease_id, ckpt2 line}      (one per shard; sent
-//                                                  with the next heartbeat)
-//   worker → lease_done{lease_id}, then lease_request again
+//   worker → lease_request                         (at once, on every
+//                                                  grant: the next grant
+//                                                  queues behind this lease)
+//   worker → heartbeat{lease_id}                   (before a shard, only if
+//                                                  lease_timeout_ms / 4 has
+//                                                  passed since its last
+//                                                  send)
+//   worker → shard_done{lease_id, ckpt2 line}      (one per shard)
+//   worker → lease_done{lease_id}                  (with the lease's
+//                                                  shard_dones, in one send)
 //   parked worker (after idle): blocks; coordinator pushes lease_grant
 //   (re-leased work) or shutdown when the campaign completes.
+// Any frame from a joined worker refreshes every lease it holds, so a
+// worker is never silent for more than lease_timeout_ms / 4 plus one shard.
 #pragma once
 
 #include <cstddef>
@@ -54,7 +63,7 @@ namespace acute::fabric {
 
 /// Bumped on any frame/payload layout change; hello carries it so mixed
 /// builds reject each other loudly instead of mis-parsing.
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Upper bound on (type byte + payload); a ckpt2 record is a few KiB, so
 /// anything near this is garbage, not data.
@@ -137,6 +146,13 @@ struct HelloBody {
   std::uint64_t shard_count = 0;
 };
 
+/// hello_ok payload: the coordinator's base lease timeout. The worker sends
+/// at least every lease_timeout_ms / 4 while it runs shards, which keeps
+/// its leases alive.
+struct HelloOkBody {
+  std::uint64_t lease_timeout_ms = 0;
+};
+
 /// lease_grant payload: half-open scenario-index range [begin, end).
 struct LeaseGrantBody {
   std::uint64_t lease_id = 0;
@@ -159,6 +175,8 @@ struct ShardDoneView {
 
 [[nodiscard]] std::string encode_hello(const HelloBody& body);
 [[nodiscard]] HelloBody decode_hello(std::string_view payload);
+[[nodiscard]] std::string encode_hello_ok(const HelloOkBody& body);
+[[nodiscard]] HelloOkBody decode_hello_ok(std::string_view payload);
 [[nodiscard]] std::string encode_lease_grant(const LeaseGrantBody& body);
 [[nodiscard]] LeaseGrantBody decode_lease_grant(std::string_view payload);
 [[nodiscard]] std::string encode_shard_done(const ShardDoneBody& body);

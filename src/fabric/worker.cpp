@@ -1,5 +1,6 @@
 #include "fabric/worker.hpp"
 
+#include <chrono>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -41,30 +42,43 @@ std::size_t Worker::run(Transport& transport) {
   if (frame.type == FrameType::shutdown) return 0;  // nothing to do
   expects(frame.type == FrameType::hello_ok,
           "fabric worker: unexpected frame during handshake");
+  // Any frame of ours heartbeats every lease we hold, so sending at least
+  // every quarter of the coordinator's lease timeout (plus one shard) keeps
+  // them all alive.
+  const std::chrono::milliseconds cadence(
+      decode_hello_ok(frame.payload).lease_timeout_ms / 4);
 
-  // Frames queue in `outbox` and leave in one send right before the worker
-  // blocks on a read or starts a shard: heartbeat(i) rides with
-  // shard_done(i-1), and a lease's last shard_done with its lease_done and
-  // the next lease_request.
+  // Frames queue in `outbox` and leave in one send:
+  //   - the next lease_request, at once when a grant arrives, so the next
+  //     grant is already buffered when this lease ends;
+  //   - a heartbeat before a shard, only once `cadence` has passed since
+  //     the last send, with the shard_dones queued so far;
+  //   - the rest right before the worker blocks on a read, so a lease's
+  //     shard_dones and its lease_done leave together.
   //
   // Campaign completion is the coordinator's call, made the instant the
-  // last shard_done arrives — which may be ours, with more frames (our
-  // lease_done, our next lease_request) still in flight when it sends
-  // shutdown and closes. A failed send therefore checks the read side
-  // first: a buffered shutdown turns the failure into a graceful exit;
-  // anything else (the coordinator actually died) stays loud.
+  // last shard_done arrives — which may be ours, with more frames still in
+  // flight when it sends shutdown and closes. A failed send therefore reads
+  // what is buffered first, past the replies to our requests (a grant or
+  // idle): a shutdown turns the failure into a graceful exit; anything
+  // else (the coordinator actually died) stays loud.
   std::string outbox;
-  auto flush_or_finished = [&transport, &outbox] {
+  auto last_send = std::chrono::steady_clock::now();
+  auto flush_or_finished = [&transport, &outbox, &last_send] {
     if (outbox.empty()) return false;
     try {
       transport.send_all(outbox.data(), outbox.size());
       outbox.clear();
+      last_send = std::chrono::steady_clock::now();
       return false;
     } catch (const sim::ContractViolation&) {
       Frame pending;
-      if (read_frame(transport, pending) &&
-          pending.type == FrameType::shutdown) {
-        return true;
+      while (read_frame(transport, pending)) {
+        if (pending.type == FrameType::shutdown) return true;
+        if (pending.type != FrameType::lease_grant &&
+            pending.type != FrameType::idle) {
+          break;
+        }
       }
       throw;
     }
@@ -74,10 +88,8 @@ std::size_t Worker::run(Transport& transport) {
   // reuse (and the same bits) as an in-process pool worker's claim stream.
   testbed::ShardContext context;
   std::size_t shards_run = 0;
-  bool request_next = true;
+  append_frame(outbox, FrameType::lease_request);
   while (true) {
-    if (request_next) append_frame(outbox, FrameType::lease_request);
-    request_next = true;
     if (flush_or_finished()) return shards_run;
     if (!read_frame(transport, frame)) {
       // Coordinator vanished without shutdown: loud, a worker must not
@@ -91,12 +103,13 @@ std::size_t Worker::run(Transport& transport) {
         // Nothing pending right now, but outstanding leases elsewhere may
         // still expire back to us: park and wait for a pushed grant (or
         // shutdown) instead of spamming lease_request.
-        request_next = false;
         continue;
       case FrameType::lease_grant: {
         const LeaseGrantBody lease = decode_lease_grant(frame.payload);
         expects(lease.end <= campaign_.scenario_count(),
                 "fabric worker: lease range beyond the campaign");
+        append_frame(outbox, FrameType::lease_request);
+        if (flush_or_finished()) return shards_run;
         for (std::uint64_t index = lease.begin; index < lease.end; ++index) {
           if (config_.max_shards > 0 && shards_run >= config_.max_shards) {
             // Simulated mid-lease death: the shards already run reach the
@@ -106,11 +119,11 @@ std::size_t Worker::run(Transport& transport) {
             (void)flush_or_finished();
             return shards_run;
           }
-          // Heartbeat before each shard, so lease_timeout_ms only has to
-          // outlive ONE shard, not a whole lease.
-          append_frame(outbox, FrameType::heartbeat,
-                       encode_lease_id(lease.lease_id));
-          if (flush_or_finished()) return shards_run;
+          if (std::chrono::steady_clock::now() - last_send >= cadence) {
+            append_frame(outbox, FrameType::heartbeat,
+                         encode_lease_id(lease.lease_id));
+            if (flush_or_finished()) return shards_run;
+          }
           const report::ShardCheckpoint record = campaign_.run_shard_record(
               static_cast<std::size_t>(index), context);
           const ShardDoneBody done{lease.lease_id,

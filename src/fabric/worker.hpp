@@ -5,7 +5,10 @@
 // all match, or the coordinator rejects loudly), runs whatever scenario
 // ranges it is leased through Campaign::run_shard_record on one warm
 // ShardContext, and streams each shard back as its ckpt2 record line. It
-// never touches a checkpoint file and never merges — persistence and the
+// asks for its next lease as soon as a grant arrives, so one lease stays
+// queued behind the one it runs, and a lease's records leave in one send
+// unless the coordinator's lease timeout calls for heartbeats. It never
+// touches a checkpoint file and never merges — persistence and the
 // in-order fold belong to the coordinator, so any number of workers can
 // come and go without owning campaign state.
 //

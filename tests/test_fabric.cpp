@@ -2,8 +2,9 @@
 // coordinator over real pipe transports (a worker killed mid-lease by
 // WorkerConfig::max_shards, which closes the transport exactly like
 // SIGKILL; mismatched workers rejected at the hello; a checkpoint write
-// failure; a resume from the coordinator's own checkpoint) and its
-// CoordinatorCore driven frame by frame. The seeded fault-schedule
+// failure; a resume from the coordinator's own checkpoint), a Worker
+// against a scripted coordinator (its lease prefetch and send cadence),
+// and the CoordinatorCore driven frame by frame. The seeded fault-schedule
 // explorer over the core lives beside the golden files, in
 // test_golden_checkpoint.cpp.
 #include <gtest/gtest.h>
@@ -359,6 +360,9 @@ TEST(Wire, BodiesAndFramesRoundTripOverThePipeTransport) {
   EXPECT_EQ(hello2.seed, hello.seed);
   EXPECT_EQ(hello2.shard_count, hello.shard_count);
 
+  EXPECT_EQ(decode_hello_ok(encode_hello_ok(HelloOkBody{2500}))
+                .lease_timeout_ms,
+            2500u);
   const LeaseGrantBody grant2 =
       decode_lease_grant(encode_lease_grant(LeaseGrantBody{42, 16, 32}));
   EXPECT_EQ(grant2.lease_id, 42u);
@@ -525,7 +529,8 @@ std::string mixed_stream() {
   hello.shard_count = 8;
   std::string stream;
   append_frame(stream, FrameType::hello, encode_hello(hello));
-  append_frame(stream, FrameType::hello_ok);
+  append_frame(stream, FrameType::hello_ok,
+               encode_hello_ok(HelloOkBody{10'000}));
   append_frame(stream, FrameType::reject, "campaign seed mismatch");
   append_frame(stream, FrameType::lease_request);
   append_frame(stream, FrameType::lease_grant,
@@ -615,6 +620,9 @@ TEST(Wire, MutatedStreamsDecodeToFramesOrLoudTornFrames) {
             case FrameType::hello:
               (void)decode_hello(payload);
               break;
+            case FrameType::hello_ok:
+              (void)decode_hello_ok(payload);
+              break;
             case FrameType::lease_grant:
               (void)decode_lease_grant(payload);
               break;
@@ -677,23 +685,44 @@ TEST(Fabric, MatchesSingleProcessRunBitIdenticalIncludingCheckpointBytes) {
 TEST(Fabric, KilledWorkerMidLeaseIsReLeasedBitIdentical) {
   const CampaignReport reference = Campaign(scaled_spec(200)).run(1);
 
-  // Worker 0 dies after 5 shards — mid-lease (batch 4 means it is 1 shard
-  // into its second lease), no lease_done, transport closed: SIGKILL as the
-  // coordinator sees it. The survivors absorb the re-leased range.
-  LeaseConfig lease;
-  lease.batch = 4;
+  // Worker 0 serves the campaign alone and dies after 5 shards — mid-lease
+  // (batch 4 means it is 1 shard into its second lease, with a third queued
+  // behind it), no lease_done, transport closed: SIGKILL as the
+  // coordinator sees it. Only then does a survivor join on the
+  // coordinator's unix socket and absorb the re-leased ranges, so what the
+  // dead worker held depends on no thread's scheduling.
+  TempFile socket("killed.sock");
+  UnixListener listener(socket.path);
+  CoordinatorConfig config;
+  config.lease.batch = 4;
   std::ostringstream log;
+  config.log = &log;
+  Coordinator coordinator(scaled_spec(200), config);
+  auto [coordinator_end, worker_end] = transport_pair();
+  std::vector<std::unique_ptr<Transport>> ends;
+  ends.push_back(std::move(coordinator_end));
+  CampaignReport report;
+  std::thread serve([&] {
+    report = coordinator.run(std::move(ends), &listener);
+  });
   WorkerConfig killed;
   killed.max_shards = 5;
-  const FabricRun fabric = run_fabric(
-      scaled_spec(200), {killed, WorkerConfig{}, WorkerConfig{}}, lease, &log);
+  EXPECT_EQ(Worker(scaled_spec(200), killed).run(*worker_end), 5u);
+  worker_end.reset();
+  std::unique_ptr<Transport> survivor = unix_connect(socket.path);
+  EXPECT_EQ(Worker(scaled_spec(200)).run(*survivor), 195u);
+  serve.join();
 
-  expect_reports_bit_identical(fabric.report, reference);
-  EXPECT_EQ(fabric.stats.workers_joined, 3u);
-  EXPECT_EQ(fabric.stats.workers_died, 1u);
+  expect_reports_bit_identical(report, reference);
+  EXPECT_EQ(coordinator.stats().workers_joined, 2u);
+  EXPECT_EQ(coordinator.stats().workers_died, 1u);
   // The fifth shard_done left with the worker's last send before it died,
-  // so only the other 3 shards of its second lease return.
-  EXPECT_NE(log.str().find("closed its connection; re-leasing 3 shards"),
+  // so the other 3 shards of its second lease return, and so do the 4 of
+  // the lease it asked for when the second one arrived. Every frame it
+  // sent is served before its death is, even when the coordinator's grant
+  // of that third lease reaches a closed socket.
+  EXPECT_NE(log.str().find("worker 0 closed its connection; re-leasing 7 "
+                           "shards"),
             std::string::npos)
       << log.str();
 }
@@ -846,6 +875,106 @@ TEST(Fabric, CoordinatorResumesFromItsCheckpoint) {
   EXPECT_EQ(fabric.report.completed_shards(), fabric.report.shard_count());
   expect_reports_bit_identical(fabric.report, reference);
   EXPECT_EQ(read_file(interleaved.path), read_file(reference_ckpt.path));
+}
+
+// -------------------------------------------------------------------- worker
+//
+// fabric::Worker against a scripted coordinator on the other end of a
+// transport_pair: the test reads the worker's frames and writes the
+// coordinator's.
+
+/// A Worker serving the campaign `spec` on its own thread, and the
+/// coordinator's end of its transport.
+struct ScriptedCoordinator {
+  explicit ScriptedCoordinator(const CampaignSpec& spec)
+      : ends(transport_pair()),
+        thread([this, spec] {
+          try {
+            (void)Worker(spec).run(*ends.second);
+          } catch (const sim::ContractViolation& violation) {
+            error = violation.what();
+          }
+          ends.second.reset();  // the coordinator sees EOF
+        }) {}
+  ~ScriptedCoordinator() {
+    ends.first.reset();  // a worker still waiting for a frame sees EOF
+    if (thread.joinable()) thread.join();
+  }
+
+  /// The type of the worker's next frame.
+  FrameType next() {
+    Frame frame;
+    EXPECT_TRUE(read_frame(*ends.first, frame));
+    return frame.type;
+  }
+  void send(FrameType type, const std::string& payload = {}) {
+    write_frame(*ends.first, type, payload);
+  }
+  /// Answers the hello and the first lease_request.
+  void start(std::uint64_t lease_timeout_ms) {
+    EXPECT_EQ(next(), FrameType::hello);
+    send(FrameType::hello_ok, encode_hello_ok(HelloOkBody{lease_timeout_ms}));
+    EXPECT_EQ(next(), FrameType::lease_request);
+  }
+
+  std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>> ends;
+  std::string error;
+  std::thread thread;
+};
+
+/// What a Worker sends after its first lease_request when it is granted
+/// shards [0, 4), told `lease_timeout_ms` in its hello_ok, and shut down as
+/// soon as it asks for its next lease.
+std::vector<FrameType> frames_of_one_lease(std::uint64_t lease_timeout_ms) {
+  ScriptedCoordinator coordinator(scaled_spec(100));
+  coordinator.start(lease_timeout_ms);
+  coordinator.send(FrameType::lease_grant,
+                   encode_lease_grant(LeaseGrantBody{1, 0, 4}));
+  std::vector<FrameType> frames{coordinator.next()};
+  coordinator.send(FrameType::shutdown);
+  Frame frame;
+  while (read_frame(*coordinator.ends.first, frame)) {
+    frames.push_back(frame.type);
+  }
+  coordinator.thread.join();
+  EXPECT_EQ(coordinator.error, "");
+  return frames;
+}
+
+TEST(Worker, AsksForTheNextLeaseAtOnceAndHeartbeatsAtTheCoordinatorsCadence) {
+  // The next lease_request leaves as the grant arrives, before the lease's
+  // first shard_done, so the next grant queues behind the running lease.
+  // A worker heartbeats before a shard only once a quarter of the lease
+  // timeout has passed since its last send: with 1 ms (a cadence of 0)
+  // before every shard, with 10 s never in a 4-shard lease, whose frames
+  // leave in one send with its lease_done.
+  using enum FrameType;
+  EXPECT_EQ(frames_of_one_lease(1),
+            (std::vector<FrameType>{lease_request, heartbeat, shard_done,
+                                    heartbeat, shard_done, heartbeat,
+                                    shard_done, heartbeat, shard_done,
+                                    lease_done}));
+  EXPECT_EQ(frames_of_one_lease(10'000),
+            (std::vector<FrameType>{lease_request, shard_done, shard_done,
+                                    shard_done, shard_done, lease_done}));
+}
+
+TEST(Worker, AFailedSendReadsPastQueuedRepliesToTheShutdown) {
+  // The coordinator answers the worker's early lease_request with a second
+  // grant, then completes the campaign (shutdown) and closes before the
+  // first lease's frames leave. The worker's failed send must read past
+  // that grant to the shutdown and exit quietly.
+  ScriptedCoordinator coordinator(scaled_spec(100));
+  coordinator.start(10'000);
+  coordinator.send(FrameType::lease_grant,
+                   encode_lease_grant(LeaseGrantBody{1, 0, 4}));
+  EXPECT_EQ(coordinator.next(), FrameType::lease_request);
+  coordinator.send(FrameType::lease_grant,
+                   encode_lease_grant(LeaseGrantBody{2, 4, 8}));
+  coordinator.send(FrameType::shutdown);
+  coordinator.ends.first.reset();
+  coordinator.thread.join();
+  EXPECT_EQ(coordinator.error, "");
 }
 
 // ------------------------------------------------------------------- core
@@ -1083,6 +1212,49 @@ TEST(CoordinatorCore, ACompletionOfARestoredShardIsADuplicate) {
   ASSERT_TRUE(harness.core.done());
   expect_reports_bit_identical(harness.core.finish(),
                                Campaign(small_spec()).run(1));
+}
+
+TEST(CoordinatorCore, AnyFrameKeepsEveryLeaseOfItsSenderAlive) {
+  // A worker holds a running lease and the one queued behind it, and for
+  // longer than the lease timeout sends only shard_done frames of the
+  // first: each refreshes both leases, so neither expires. A second worker
+  // holding two leases goes silent and loses both at their deadline.
+  std::ostringstream log;
+  CoordinatorConfig config;
+  config.lease.batch = 2;
+  config.lease.lease_timeout_ms = 100;
+  config.log = &log;
+  CoreHarness harness(small_spec(), config);
+  CoordinatorCore& core = harness.core;
+  const std::size_t busy = harness.join();
+  const LeaseGrantBody running = harness.lease(busy);
+  const LeaseGrantBody queued = harness.lease(busy);
+  const std::size_t silent = harness.join();
+  (void)harness.lease(silent);
+  ASSERT_EQ(harness.lease(silent).end, 8u);
+
+  harness.send(busy, FrameType::shard_done,
+               encode_shard_done({running.lease_id, harness.line(0)}), 90);
+  core.tick(100);  // the silent worker's deadline
+  EXPECT_EQ(core.stats().leases_expired, 2u);
+  EXPECT_NE(log.str().find("[4, 6) expired without heartbeat"),
+            std::string::npos);
+  EXPECT_NE(log.str().find("[6, 8) expired without heartbeat"),
+            std::string::npos);
+  harness.send(busy, FrameType::shard_done,
+               encode_shard_done({running.lease_id, harness.line(1)}), 180);
+  core.tick(279);  // 279 ms after both of the busy worker's grants
+  EXPECT_EQ(core.stats().leases_expired, 2u);
+
+  harness.send(busy, FrameType::lease_done, encode_lease_id(running.lease_id),
+               279);
+  harness.run_lease(busy, queued, 279);
+  for (int leases = 0; leases < 2 && !core.complete(); ++leases) {
+    harness.run_lease(busy, harness.lease(busy), 279);
+  }
+  ASSERT_TRUE(core.done());
+  EXPECT_EQ(core.stats().leases_expired, 2u);
+  expect_reports_bit_identical(core.finish(), Campaign(small_spec()).run(1));
 }
 
 }  // namespace

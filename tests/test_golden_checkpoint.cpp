@@ -485,7 +485,9 @@ std::string replay_fault_schedule(const Campaign& campaign,
                                        fabric::encode_hello(hello));
     ++joins;
   };
-  // Each worker answers the core's frames as fabric::Worker does.
+  // Each worker answers the core's frames as fabric::Worker does when the
+  // lease timeout is under 4 ms: a grant's reply is the next lease_request
+  // at once, then a heartbeat before every shard.
   const auto route = [&] {
     for (const fabric::Outbound& out : core->take_outbox()) {
       ScriptedWorker& worker = workers[out.conn];
@@ -501,6 +503,7 @@ std::string replay_fault_schedule(const Campaign& campaign,
         const fabric::LeaseGrantBody lease =
             fabric::decode_lease_grant(out.payload);
         const std::string id = fabric::encode_lease_id(lease.lease_id);
+        outbox.emplace_back(fabric::FrameType::lease_request, "");
         for (std::size_t index = lease.begin; index < lease.end; ++index) {
           outbox.emplace_back(fabric::FrameType::heartbeat, id);
           outbox.emplace_back(
@@ -508,7 +511,6 @@ std::string replay_fault_schedule(const Campaign& campaign,
               fabric::encode_shard_done({lease.lease_id, lines[index]}));
         }
         outbox.emplace_back(fabric::FrameType::lease_done, id);
-        outbox.emplace_back(fabric::FrameType::lease_request, "");
       }
     }
   };
