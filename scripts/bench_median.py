@@ -14,6 +14,11 @@ A top-level "repetitions" object records the run count, the host steal
 during each run (percent of all CPU time, from /proc/stat) and the
 [min, max] of every scenarios_per_sec field, so a reader can tell a change
 from noise on a shared host.
+
+A run whose host steal exceeds MAX_STEAL_PCT (ROADMAP's bound) measured its
+neighbours as much as the bench, so it is run again, at most MAX_RERUNS
+times per run. If a run still exceeds the bound, the script exits 1 and
+writes nothing to --out.
 """
 import argparse
 import json
@@ -22,6 +27,9 @@ import statistics
 import subprocess
 import sys
 import tempfile
+
+MAX_STEAL_PCT = 5.0
+MAX_RERUNS = 3
 
 
 def cpu_times():
@@ -59,23 +67,34 @@ def main():
                         help="bench command; --json <file> is appended")
     args = parser.parse_args()
 
-    reports, steal_pct = [], []
+    reports, steal_pct, reruns = [], [], 0
     with tempfile.TemporaryDirectory() as scratch:
         for i in range(args.runs):
             path = os.path.join(scratch, f"run{i}.json")
-            steal_before, total_before = cpu_times()
-            subprocess.run([*args.bench, "--json", path], check=True,
-                           stdout=subprocess.DEVNULL)
-            steal_after, total_after = cpu_times()
-            elapsed = max(total_after - total_before, 1)
-            steal_pct.append(round(100 * (steal_after - steal_before) / elapsed,
-                                   2))
+            for attempt in range(1 + MAX_RERUNS):
+                steal_before, total_before = cpu_times()
+                subprocess.run([*args.bench, "--json", path], check=True,
+                               stdout=subprocess.DEVNULL)
+                steal_after, total_after = cpu_times()
+                elapsed = max(total_after - total_before, 1)
+                steal = round(100 * (steal_after - steal_before) / elapsed, 2)
+                if steal <= MAX_STEAL_PCT:
+                    break
+                print(f"bench_median: run {i} saw {steal} % host steal",
+                      file=sys.stderr)
+            else:
+                sys.exit(f"bench_median: run {i} exceeded {MAX_STEAL_PCT} % "
+                         f"host steal {1 + MAX_RERUNS} times; "
+                         f"{args.out} not written")
+            reruns += attempt
+            steal_pct.append(steal)
             with open(path) as handle:
                 reports.append(json.load(handle))
 
     spread = {}
     merged = median_tree(reports, "", spread)
     merged["repetitions"] = {"runs": args.runs, "steal_pct": steal_pct,
+                             "reruns_for_steal": reruns,
                              "scenarios_per_sec_min_max": spread}
     with open(args.out, "w") as handle:
         json.dump(merged, handle, indent=2)

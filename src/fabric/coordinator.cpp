@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <utility>
 
 #include "report/checkpoint.hpp"
@@ -293,14 +292,32 @@ void CoordinatorCore::log(const std::string& line) const {
 
 // ----------------------------------------------------------------- driver
 
-namespace {
-
-std::uint64_t now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+void serve(CoordinatorCore& core, std::size_t conn, FrameReader& reader,
+           std::uint64_t now_ms) {
+  // Only the reader's calls are caught: a torn frame is the worker's fault,
+  // while whatever receive() throws is the coordinator's own and
+  // propagates. Each payload stays valid until the next fill.
+  std::string torn;
+  const auto read = [&torn](auto&& call) {
+    try {
+      return call();
+    } catch (const sim::ContractViolation& violation) {
+      torn = std::string("sent a torn or invalid frame: ") + violation.what();
+      return false;
+    }
+  };
+  if (!read([&reader] { return reader.fill(); })) {
+    return core.disconnect(conn,
+                           torn.empty() ? "closed its connection" : torn);
+  }
+  FrameView frame;
+  while (read([&reader, &frame] { return reader.next(frame); })) {
+    core.receive(conn, frame, now_ms);
+  }
+  if (!torn.empty()) core.disconnect(conn, torn);
 }
+
+namespace {
 
 /// The driver's end of one connection: its transport and frame buffer.
 struct Link {
@@ -348,32 +365,12 @@ void drive(CoordinatorCore& core,
     }
   };
 
-  // One wakeup of a worker: one recv, then every complete frame it
-  // buffered (each payload stays valid until the next fill). Only the
-  // reader's calls are caught: a torn frame is the worker's fault, while
-  // whatever receive() throws is the coordinator's own and propagates.
-  std::vector<FrameView> frames;
-  const auto serve = [&](std::size_t id) {
-    FrameReader& reader = links[id]->reader;
-    frames.clear();
-    std::string torn;
-    try {
-      if (!reader.fill()) return core.disconnect(id, "closed its connection");
-      for (FrameView frame; reader.next(frame);) frames.push_back(frame);
-    } catch (const sim::ContractViolation& violation) {
-      torn = std::string("sent a torn or invalid frame: ") + violation.what();
-    }
-    const std::uint64_t now = now_ms();
-    for (const FrameView& frame : frames) core.receive(id, frame, now);
-    if (!torn.empty()) core.disconnect(id, torn);
-  };
-
   constexpr std::size_t kListener = static_cast<std::size_t>(-1);
   // Reused across iterations: the poll set is rebuilt, not reallocated.
   std::vector<pollfd> fds;
   std::vector<std::size_t> fd_conns;
   while (true) {
-    core.tick(now_ms());
+    core.tick(monotonic_ms());
     flush();
     if (core.done()) return;
 
@@ -394,7 +391,7 @@ void drive(CoordinatorCore& core,
             "remains) with shards still pending");
     int timeout = -1;
     if (const auto deadline = core.next_deadline_ms(); deadline.has_value()) {
-      const std::uint64_t now = now_ms();
+      const std::uint64_t now = monotonic_ms();
       timeout = *deadline <= now
                     ? 0
                     : static_cast<int>(std::min<std::uint64_t>(
@@ -409,7 +406,7 @@ void drive(CoordinatorCore& core,
       if (fd_conns[i] == kListener) {
         add(listener->accept());
       } else if (links[fd_conns[i]] != nullptr) {
-        serve(fd_conns[i]);
+        serve(core, fd_conns[i], links[fd_conns[i]]->reader, monotonic_ms());
       }
     }
   }

@@ -22,12 +22,12 @@
 //     CampaignLedger (and so the checkpoint file), every connection's
 //     handshake and lease state, and CoordinatorStats. Tests drive it
 //     directly, with scripted workers and a fake clock.
-//   Coordinator::run — the driver: one poll loop that accepts, fills each
-//     connection's FrameReader, feeds frames in, writes each outbound
-//     frame with one write_frame, closes what the core closes, and turns a
-//     clean EOF into disconnect(). A failed send only stops sends to that
-//     peer: what it sent before it died is still served, and its EOF
-//     follows.
+//   Coordinator::run — the driver: one poll loop that accepts, serves
+//     each readable connection (serve(): fill its FrameReader, feed the
+//     frames in, turn a clean EOF or a torn frame into disconnect()),
+//     writes each outbound frame with one write_frame and closes what the
+//     core closes. A failed send only stops sends to that peer: what it
+//     sent before it died is still served, and its EOF follows.
 //
 // Failure matrix (docs/fabric.md):
 //   worker death (EOF)               → revoke its leases, log, re-lease
@@ -173,6 +173,15 @@ class CoordinatorCore {
   // Set once the campaign completes: when still-silent handshakes drop.
   std::optional<std::uint64_t> drain_deadline_ms_;
 };
+
+/// One wakeup of the driver on connection `conn`: one fill() of its
+/// reader, then every complete frame that fill buffered into `core`. A
+/// clean end-of-stream or a torn frame buries the worker through
+/// disconnect(), after the frames before it; whatever receive() throws is
+/// the coordinator's own and propagates. Coordinator::run serves each
+/// readable connection with it, and tests serve in-memory ones.
+void serve(CoordinatorCore& core, std::size_t conn, FrameReader& reader,
+           std::uint64_t now_ms);
 
 class Coordinator {
  public:

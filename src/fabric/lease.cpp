@@ -35,8 +35,11 @@ std::uint64_t LeaseTable::timeout_for(const Lease& lease) const {
   }
   const double grown = static_cast<double>(config_.lease_timeout_ms) *
                        std::pow(config_.expiry_backoff, worst);
-  const double capped =
-      std::min(grown, static_cast<double>(config_.max_timeout_ms));
+  // The cap never undercuts the base timeout, which hello_ok announces and
+  // workers pace their sends by.
+  const double capped = std::min(
+      grown, static_cast<double>(
+                 std::max(config_.max_timeout_ms, config_.lease_timeout_ms)));
   return static_cast<std::uint64_t>(capped);
 }
 

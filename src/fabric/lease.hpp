@@ -49,7 +49,7 @@ struct LeaseConfig {
   /// Timeout multiplier per prior expiry of an index (a range that keeps
   /// timing out is probably slow, not cursed — give it longer).
   double expiry_backoff = 2.0;
-  /// Cap on the backoff-grown timeout.
+  /// Cap on the backoff-grown timeout; never below lease_timeout_ms.
   std::uint64_t max_timeout_ms = 120'000;
 };
 
@@ -117,7 +117,8 @@ class LeaseTable {
 
  private:
   /// Timeout for a range whose worst index has been re-queued `retries`
-  /// times: lease_timeout_ms × backoff^retries, capped at max_timeout_ms.
+  /// times: lease_timeout_ms × backoff^retries, capped at max_timeout_ms
+  /// (or at lease_timeout_ms, if that is larger).
   [[nodiscard]] std::uint64_t timeout_for(const Lease& lease) const;
 
   LeaseConfig config_;

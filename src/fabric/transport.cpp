@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -107,6 +108,13 @@ std::unique_ptr<Transport> unix_connect(const std::string& path) {
     expects(attempt < 100, "fabric connect: coordinator socket never came up");
     ::usleep(100 * 1000);
   }
+}
+
+std::uint64_t monotonic_ms() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 }  // namespace acute::fabric

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -94,5 +95,9 @@ class UnixListener {
 /// Connects to a UnixListener's path; retries briefly while the coordinator
 /// is still binding (worker processes often start first in scripts).
 [[nodiscard]] std::unique_ptr<Transport> unix_connect(const std::string& path);
+
+/// The drivers' clock: steady milliseconds, for lease deadlines and the
+/// worker's send cadence.
+[[nodiscard]] std::uint64_t monotonic_ms();
 
 }  // namespace acute::fabric

@@ -1,12 +1,12 @@
 // The distributed campaign fabric: the lease table, the wire codec, the
-// coordinator over real pipe transports (a worker killed mid-lease by
-// WorkerConfig::max_shards, which closes the transport exactly like
-// SIGKILL; mismatched workers rejected at the hello; a checkpoint write
-// failure; a resume from the coordinator's own checkpoint), a Worker
-// against a scripted coordinator (its lease prefetch and send cadence),
-// and the CoordinatorCore driven frame by frame. The seeded fault-schedule
-// explorer over the core lives beside the golden files, in
-// test_golden_checkpoint.cpp.
+// coordinator over real pipe transports (a worker whose transport dies
+// under it mid-lease, as SIGKILL would close it; mismatched workers
+// rejected at the hello; a checkpoint write failure; a resume from the
+// coordinator's own checkpoint), and both sans-I/O cores driven frame by
+// frame on a fake clock: the WorkerCore (its lease prefetch, send cadence,
+// failed-send rule and what any coordinator bytes can do to it) and the
+// CoordinatorCore. The seeded fault-schedule explorer over both cores lives
+// beside the golden files, in test_golden_checkpoint.cpp.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
@@ -23,6 +23,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -182,29 +183,26 @@ struct FabricRun {
   std::vector<std::string> worker_errors;  ///< what each Worker::run threw
 };
 
-/// Coordinator on this thread, one fabric::Worker per config on its own
+/// Coordinator on this thread, `workers` fabric::Workers each on its own
 /// thread, connected by transport_pair — the in-process model of the
-/// forked-worker topology (a worker whose max_shards fires returns
-/// mid-lease and its transport closes, exactly what SIGKILL looks like).
-/// Worker i holds worker_specs[i] when given, `spec` otherwise.
-FabricRun run_fabric(const CampaignSpec& spec,
-                     const std::vector<WorkerConfig>& worker_configs,
+/// forked-worker topology. Worker i holds worker_specs[i] when given, `spec`
+/// otherwise.
+FabricRun run_fabric(const CampaignSpec& spec, std::size_t workers,
                      LeaseConfig lease = {}, std::ostream* log = nullptr,
                      std::vector<CampaignSpec> worker_specs = {}) {
-  worker_specs.resize(worker_configs.size(), spec);
+  worker_specs.resize(workers, spec);
   FabricRun run;
-  run.worker_errors.resize(worker_configs.size());
+  run.worker_errors.resize(workers);
   std::vector<std::unique_ptr<Transport>> coordinator_ends;
   std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < worker_configs.size(); ++i) {
+  for (std::size_t i = 0; i < workers; ++i) {
     auto ends = transport_pair();
     coordinator_ends.push_back(std::move(ends.first));
     threads.emplace_back([end = std::move(ends.second),
                           worker_spec = worker_specs[i],
-                          worker_config = worker_configs[i],
                           &error = run.worker_errors[i]]() mutable {
       try {
-        Worker worker(worker_spec, worker_config);
+        Worker worker(worker_spec);
         (void)worker.run(*end);
       } catch (const sim::ContractViolation& violation) {
         error = violation.what();
@@ -323,6 +321,23 @@ TEST(LeaseTable, ExpiryBackoffIsCappedAtMaxTimeout) {
   ASSERT_TRUE(capped.has_value());
   // 100ms * 2^6 would be 6400; the config caps the timeout at 1000.
   EXPECT_EQ(capped->deadline_ms - now, 1000u);
+}
+
+TEST(LeaseTable, TheCapNeverUndercutsTheBaseTimeout) {
+  // hello_ok announces lease_timeout_ms and workers pace their sends by a
+  // quarter of it, so no lease may expire sooner, whatever max_timeout_ms
+  // says.
+  LeaseConfig config = fast_lease();
+  config.lease_timeout_ms = 1000;
+  config.max_timeout_ms = 500;
+  LeaseTable table(std::vector<bool>(2, true), config);
+  const auto lease = table.grant(0);
+  ASSERT_TRUE(lease.has_value());
+  EXPECT_EQ(lease->deadline_ms, 1000u);
+  ASSERT_EQ(table.expire(1000).size(), 1u);
+  const auto retried = table.grant(1000);
+  ASSERT_TRUE(retried.has_value());
+  EXPECT_EQ(retried->deadline_ms, 2000u);  // backoff capped at the base
 }
 
 TEST(LeaseTable, CompleteIsIdempotentAndRevokeReQueuesTheRest) {
@@ -670,8 +685,7 @@ TEST(Fabric, MatchesSingleProcessRunBitIdenticalIncludingCheckpointBytes) {
   LeaseConfig lease;
   lease.batch = 2;  // 8 shards over 3 workers: real lease interleaving
   const FabricRun fabric =
-      run_fabric(fabric_spec, {WorkerConfig{}, WorkerConfig{}, WorkerConfig{}},
-                 lease);
+      run_fabric(fabric_spec, 3, lease);
 
   expect_reports_bit_identical(fabric.report, reference);
   EXPECT_EQ(fabric.stats.workers_joined, 3u);
@@ -682,13 +696,47 @@ TEST(Fabric, MatchesSingleProcessRunBitIdenticalIncludingCheckpointBytes) {
   EXPECT_EQ(read_file(fabric_ckpt.path), reference_bytes);
 }
 
+/// A worker's end that dies after its `shards`-th shard_done: the frames up
+/// to that one reach the coordinator, then the transport closes, as SIGKILL
+/// closes a worker's socket. Every later send fails and every read sees
+/// end-of-stream.
+class DyingTransport final : public Transport {
+ public:
+  DyingTransport(std::unique_ptr<Transport> inner, std::size_t shards)
+      : inner_(std::move(inner)), shards_left_(shards) {}
+
+  void send_all(const void* data, std::size_t size) override {
+    sim::expects(inner_ != nullptr, "dying transport: already dead");
+    std::size_t keep = 0;
+    const std::string bytes(static_cast<const char*>(data), size);
+    for (const auto& [type, payload] : decode_per_frame(bytes).frames) {
+      if (shards_left_ == 0) break;
+      keep += 5 + payload.size();  // length, type, payload
+      if (type == FrameType::shard_done) --shards_left_;
+    }
+    inner_->send_all(data, keep);
+    if (shards_left_ == 0) {
+      inner_.reset();
+      sim::expects(false, "dying transport: killed");
+    }
+  }
+  std::size_t recv_some(void* data, std::size_t size) override {
+    return inner_ == nullptr ? 0 : inner_->recv_some(data, size);
+  }
+  [[nodiscard]] int fd() const override { return -1; }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::size_t shards_left_;
+};
+
 TEST(Fabric, KilledWorkerMidLeaseIsReLeasedBitIdentical) {
   const CampaignReport reference = Campaign(scaled_spec(200)).run(1);
 
-  // Worker 0 serves the campaign alone and dies after 5 shards — mid-lease
-  // (batch 4 means it is 1 shard into its second lease, with a third queued
-  // behind it), no lease_done, transport closed: SIGKILL as the
-  // coordinator sees it. Only then does a survivor join on the
+  // Worker 0 serves the campaign alone and its transport dies right after
+  // its fifth shard_done — mid-lease (batch 4 means it is 1 shard into its
+  // second lease, with a third queued behind it), no lease_done: SIGKILL
+  // as the coordinator sees it. Only then does a survivor join on the
   // coordinator's unix socket and absorb the re-leased ranges, so what the
   // dead worker held depends on no thread's scheduling.
   TempFile socket("killed.sock");
@@ -705,10 +753,9 @@ TEST(Fabric, KilledWorkerMidLeaseIsReLeasedBitIdentical) {
   std::thread serve([&] {
     report = coordinator.run(std::move(ends), &listener);
   });
-  WorkerConfig killed;
-  killed.max_shards = 5;
-  EXPECT_EQ(Worker(scaled_spec(200), killed).run(*worker_end), 5u);
-  worker_end.reset();
+  DyingTransport dying(std::move(worker_end), 5);
+  EXPECT_THROW((void)Worker(scaled_spec(200)).run(dying),
+               sim::ContractViolation);
   std::unique_ptr<Transport> survivor = unix_connect(socket.path);
   EXPECT_EQ(Worker(scaled_spec(200)).run(*survivor), 195u);
   serve.join();
@@ -716,7 +763,7 @@ TEST(Fabric, KilledWorkerMidLeaseIsReLeasedBitIdentical) {
   expect_reports_bit_identical(report, reference);
   EXPECT_EQ(coordinator.stats().workers_joined, 2u);
   EXPECT_EQ(coordinator.stats().workers_died, 1u);
-  // The fifth shard_done left with the worker's last send before it died,
+  // The fifth shard_done reached the coordinator before the worker died,
   // so the other 3 shards of its second lease return, and so do the 4 of
   // the lease it asked for when the second one arrived. Every frame it
   // sent is served before its death is, even when the coordinator's grant
@@ -734,8 +781,8 @@ TEST(Fabric, RejectsMismatchedWorkersLoudlyWhileTheRestFinish) {
   CampaignSpec wrong_shape = spec;
   wrong_shape.grid->loss_rates.push_back(0.3);  // different grid, hash moves
   std::ostringstream log;
-  const FabricRun run = run_fabric(spec, std::vector<WorkerConfig>(3), {},
-                                   &log, {spec, wrong_seed, wrong_shape});
+  const FabricRun run =
+      run_fabric(spec, 3, {}, &log, {spec, wrong_seed, wrong_shape});
 
   // Both mismatches die loudly on their own side AND in the coordinator's
   // log; the healthy worker completes the campaign alone, bit-identical.
@@ -814,7 +861,7 @@ TEST(Fabric, CheckpointWriteFailureIsTheCoordinatorsOwnNotTheWorkers) {
   FabricRun run;
   {
     const FileSizeLimit limit(64);
-    run = run_fabric(spec, {WorkerConfig{}, WorkerConfig{}});
+    run = run_fabric(spec, 2);
   }
   EXPECT_NE(run.error.find("short write"), std::string::npos) << run.error;
   EXPECT_EQ(run.stats.workers_died, 0u);
@@ -848,7 +895,7 @@ TEST(Fabric, CoordinatorResumesFromItsCheckpoint) {
   for (const std::size_t cap : {std::size_t{2}, std::size_t{0}}) {
     tick.max_shards = cap;
     std::ostringstream log;
-    run = run_fabric(tick, {WorkerConfig{}}, lease, &log);
+    run = run_fabric(tick, 1, lease, &log);
     EXPECT_NE(log.str().find("restored " + std::to_string(cap == 0 ? 5 : 3) +
                              " shards"),
               std::string::npos);
@@ -868,8 +915,7 @@ TEST(Fabric, CoordinatorResumesFromItsCheckpoint) {
   (void)Campaign(partial).run(1);
   partial.max_shards = 0;
   std::ostringstream log;
-  const FabricRun fabric =
-      run_fabric(partial, {WorkerConfig{}, WorkerConfig{}}, lease, &log);
+  const FabricRun fabric = run_fabric(partial, 2, lease, &log);
   EXPECT_NE(log.str().find("restored 3 shards"), std::string::npos);
   EXPECT_EQ(fabric.stats.shards_merged, 5u);
   EXPECT_EQ(fabric.report.completed_shards(), fabric.report.shard_count());
@@ -877,104 +923,220 @@ TEST(Fabric, CoordinatorResumesFromItsCheckpoint) {
   EXPECT_EQ(read_file(interleaved.path), read_file(reference_ckpt.path));
 }
 
-// -------------------------------------------------------------------- worker
+// --------------------------------------------------------------- worker core
 //
-// fabric::Worker against a scripted coordinator on the other end of a
-// transport_pair: the test reads the worker's frames and writes the
-// coordinator's.
+// fabric::WorkerCore driven step by step on a fake clock: no socket, thread
+// or shard execution. A shard's record is a stand-in line, which the core
+// forwards without reading.
 
-/// A Worker serving the campaign `spec` on its own thread, and the
-/// coordinator's end of its transport.
-struct ScriptedCoordinator {
-  explicit ScriptedCoordinator(const CampaignSpec& spec)
-      : ends(transport_pair()),
-        thread([this, spec] {
-          try {
-            (void)Worker(spec).run(*ends.second);
-          } catch (const sim::ContractViolation& violation) {
-            error = violation.what();
-          }
-          ends.second.reset();  // the coordinator sees EOF
-        }) {}
-  ~ScriptedCoordinator() {
-    ends.first.reset();  // a worker still waiting for a frame sees EOF
-    if (thread.joinable()) thread.join();
-  }
-
-  /// The type of the worker's next frame.
-  FrameType next() {
-    Frame frame;
-    EXPECT_TRUE(read_frame(*ends.first, frame));
-    return frame.type;
-  }
-  void send(FrameType type, const std::string& payload = {}) {
-    write_frame(*ends.first, type, payload);
-  }
-  /// Answers the hello and the first lease_request.
-  void start(std::uint64_t lease_timeout_ms) {
-    EXPECT_EQ(next(), FrameType::hello);
-    send(FrameType::hello_ok, encode_hello_ok(HelloOkBody{lease_timeout_ms}));
-    EXPECT_EQ(next(), FrameType::lease_request);
-  }
-
-  std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>> ends;
-  std::string error;
-  std::thread thread;
-};
-
-/// What a Worker sends after its first lease_request when it is granted
-/// shards [0, 4), told `lease_timeout_ms` in its hello_ok, and shut down as
-/// soon as it asks for its next lease.
-std::vector<FrameType> frames_of_one_lease(std::uint64_t lease_timeout_ms) {
-  ScriptedCoordinator coordinator(scaled_spec(100));
-  coordinator.start(lease_timeout_ms);
-  coordinator.send(FrameType::lease_grant,
-                   encode_lease_grant(LeaseGrantBody{1, 0, 4}));
-  std::vector<FrameType> frames{coordinator.next()};
-  coordinator.send(FrameType::shutdown);
-  Frame frame;
-  while (read_frame(*coordinator.ends.first, frame)) {
-    frames.push_back(frame.type);
-  }
-  coordinator.thread.join();
-  EXPECT_EQ(coordinator.error, "");
-  return frames;
+/// The hello of a 100-shard campaign (the core checks grants against the
+/// shard count only).
+HelloBody hello_of_100() {
+  HelloBody hello;
+  hello.shard_count = 100;
+  return hello;
 }
 
-TEST(Worker, AsksForTheNextLeaseAtOnceAndHeartbeatsAtTheCoordinatorsCadence) {
+/// Each send's frame types.
+using Sends = std::vector<std::vector<FrameType>>;
+
+/// Steps `core` until it reads or exits, answering each shard with a
+/// stand-in line, the clock `ms_per_shard` later after each; its sends.
+Sends sends_until_read(WorkerCore& core, std::uint64_t ms_per_shard = 0) {
+  Sends sends;
+  std::uint64_t now = 0;
+  for (WorkerStep step = core.step(now); step.kind == WorkerStep::Kind::send ||
+                                         step.kind == WorkerStep::Kind::run;
+       step = core.step(now)) {
+    if (step.kind == WorkerStep::Kind::run) {
+      core.shard_done("line " + std::to_string(step.shard) + "\n");
+      now += ms_per_shard;
+      continue;
+    }
+    sends.emplace_back();
+    for (const auto& frame : decode_per_frame(std::string(step.bytes)).frames) {
+      sends.back().push_back(frame.first);
+    }
+    core.sent(now);
+  }
+  return sends;
+}
+
+/// A core past its handshake at `lease_timeout_ms`, its first
+/// lease_request sent: it waits to read.
+WorkerCore joined_core(std::uint64_t lease_timeout_ms) {
+  WorkerCore core(hello_of_100());
+  EXPECT_EQ(sends_until_read(core), Sends{{FrameType::hello}});
+  core.receive(FrameView{FrameType::hello_ok,
+                         encode_hello_ok(HelloOkBody{lease_timeout_ms})});
+  EXPECT_EQ(sends_until_read(core), Sends{{FrameType::lease_request}});
+  return core;
+}
+
+/// Feeds `core` a grant of shards [begin, end).
+void grant(WorkerCore& core, std::uint64_t begin, std::uint64_t end) {
+  core.receive(FrameView{FrameType::lease_grant,
+                         encode_lease_grant(LeaseGrantBody{1, begin, end})});
+}
+
+TEST(WorkerCore, AsksForTheNextLeaseAtOnceAndHeartbeatsAtTheCoordinatorsCadence) {
   // The next lease_request leaves as the grant arrives, before the lease's
   // first shard_done, so the next grant queues behind the running lease.
   // A worker heartbeats before a shard only once a quarter of the lease
   // timeout has passed since its last send: with 1 ms (a cadence of 0)
-  // before every shard, with 10 s never in a 4-shard lease, whose frames
-  // leave in one send with its lease_done.
+  // before every shard, with 10 s never in a 4-shard lease of fast shards,
+  // whose frames leave in one send with its lease_done. Shards of 1 s each
+  // pass the 2.5 s cadence before the fourth one.
   using enum FrameType;
-  EXPECT_EQ(frames_of_one_lease(1),
-            (std::vector<FrameType>{lease_request, heartbeat, shard_done,
-                                    heartbeat, shard_done, heartbeat,
-                                    shard_done, heartbeat, shard_done,
-                                    lease_done}));
-  EXPECT_EQ(frames_of_one_lease(10'000),
-            (std::vector<FrameType>{lease_request, shard_done, shard_done,
-                                    shard_done, shard_done, lease_done}));
+  const auto one_lease = [](std::uint64_t lease_timeout_ms,
+                            std::uint64_t ms_per_shard) {
+    WorkerCore core = joined_core(lease_timeout_ms);
+    grant(core, 0, 4);
+    return sends_until_read(core, ms_per_shard);
+  };
+  EXPECT_EQ(one_lease(1, 0), (Sends{{lease_request},
+                                    {heartbeat},
+                                    {shard_done, heartbeat},
+                                    {shard_done, heartbeat},
+                                    {shard_done, heartbeat},
+                                    {shard_done, lease_done}}));
+  EXPECT_EQ(one_lease(10'000, 0),
+            (Sends{{lease_request},
+                   {shard_done, shard_done, shard_done, shard_done,
+                    lease_done}}));
+  EXPECT_EQ(one_lease(10'000, 1'000),
+            (Sends{{lease_request},
+                   {shard_done, shard_done, shard_done, heartbeat},
+                   {shard_done, lease_done}}));
 }
 
-TEST(Worker, AFailedSendReadsPastQueuedRepliesToTheShutdown) {
+TEST(WorkerCore, AFailedSendReadsPastQueuedRepliesToTheShutdown) {
   // The coordinator answers the worker's early lease_request with a second
   // grant, then completes the campaign (shutdown) and closes before the
-  // first lease's frames leave. The worker's failed send must read past
-  // that grant to the shutdown and exit quietly.
-  ScriptedCoordinator coordinator(scaled_spec(100));
-  coordinator.start(10'000);
-  coordinator.send(FrameType::lease_grant,
-                   encode_lease_grant(LeaseGrantBody{1, 0, 4}));
-  EXPECT_EQ(coordinator.next(), FrameType::lease_request);
-  coordinator.send(FrameType::lease_grant,
-                   encode_lease_grant(LeaseGrantBody{2, 4, 8}));
-  coordinator.send(FrameType::shutdown);
-  coordinator.ends.first.reset();
-  coordinator.thread.join();
-  EXPECT_EQ(coordinator.error, "");
+  // first lease's frames leave. The failed send must read past that grant
+  // (and an idle) to the shutdown and exit quietly. A stream that ends
+  // instead, or any other frame, stays loud.
+  using enum FrameType;
+  const std::string second = encode_lease_grant(LeaseGrantBody{2, 4, 8});
+  const auto failed = [] {
+    WorkerCore core = joined_core(10'000);
+    grant(core, 0, 4);
+    EXPECT_EQ(core.step(0).kind, WorkerStep::Kind::send);
+    core.sent(0);  // the next lease_request
+    while (core.step(0).kind == WorkerStep::Kind::run) {
+      core.shard_done("line\n");
+    }
+    core.send_failed();  // the lease's shard_dones and lease_done
+    EXPECT_EQ(core.step(0).kind, WorkerStep::Kind::read);
+    return core;
+  };
+  WorkerCore core = failed();
+  core.receive(FrameView{lease_grant, second});
+  core.receive(FrameView{idle, {}});
+  EXPECT_EQ(core.step(0).kind, WorkerStep::Kind::read);
+  core.receive(FrameView{shutdown, {}});
+  EXPECT_EQ(core.step(0).kind, WorkerStep::Kind::exit);
+
+  WorkerCore closed = failed();
+  closed.receive(FrameView{lease_grant, second});
+  EXPECT_THROW(closed.closed(), sim::ContractViolation);
+  WorkerCore confused = failed();
+  EXPECT_THROW(confused.receive(FrameView{hello_ok, encode_hello_ok({1})}),
+               sim::ContractViolation);
+}
+
+TEST(WorkerCore, CoordinatorFramesFailItOnlyThroughItsContract) {
+  // Every coordinator frame type with its valid payload, an empty one, a
+  // truncated and an extended one, plus empty, inverted and out-of-range
+  // grants, fed to the core in every state: before its hello leaves, in
+  // its handshake, parked, mid-lease, after a failed send and after
+  // shutdown. Only a ContractViolation may escape, also while the core is
+  // stepped on afterwards (runs answered with a line, a read with
+  // shutdown).
+  using enum FrameType;
+  std::vector<std::pair<FrameType, std::string>> frames;
+  const std::vector<std::pair<FrameType, std::string>> valid = {
+      {hello, encode_hello(hello_of_100())},
+      {hello_ok, encode_hello_ok(HelloOkBody{1000})},
+      {reject, "campaign seed mismatch"},
+      {lease_request, ""},
+      {lease_grant, encode_lease_grant(LeaseGrantBody{2, 4, 8})},
+      {shard_done, encode_shard_done(ShardDoneBody{2, "line\n"})},
+      {lease_done, encode_lease_id(2)},
+      {heartbeat, encode_lease_id(2)},
+      {idle, ""},
+      {shutdown, ""}};
+  for (const auto& [type, payload] : valid) {
+    frames.emplace_back(type, payload);
+    frames.emplace_back(type, "");
+    if (!payload.empty()) {
+      frames.emplace_back(type, payload.substr(0, payload.size() - 1));
+    }
+    frames.emplace_back(type, payload + 'x');
+  }
+  // encode_lease_grant checks nothing, so it also writes the bad ranges.
+  const std::vector<LeaseGrantBody> bad_grants = {
+      {3, 5, 5}, {3, 6, 5}, {3, 99, 101}, {3, 0, ~std::uint64_t{0}}};
+  for (const LeaseGrantBody& bad : bad_grants) {
+    frames.emplace_back(lease_grant, encode_lease_grant(bad));
+  }
+
+  std::vector<std::pair<std::string, WorkerCore>> states;
+  states.emplace_back("hello unsent", WorkerCore(hello_of_100()));
+  states.emplace_back("handshake", WorkerCore(hello_of_100()));
+  (void)states.back().second.step(0);
+  states.back().second.sent(0);
+  states.emplace_back("parked", joined_core(1000));
+  states.back().second.receive(FrameView{idle, {}});
+  states.emplace_back("mid-lease", joined_core(1000));
+  grant(states.back().second, 0, 4);
+  (void)states.back().second.step(0);
+  states.back().second.sent(0);
+  ASSERT_EQ(states.back().second.step(0).kind, WorkerStep::Kind::run);
+  states.back().second.shard_done("line\n");
+  states.emplace_back("draining", joined_core(1000));
+  grant(states.back().second, 0, 4);
+  states.back().second.send_failed();
+  states.emplace_back("finished", joined_core(1000));
+  states.back().second.receive(FrameView{shutdown, {}});
+
+  std::size_t refused = 0;
+  std::size_t taken = 0;
+  for (const auto& [name, start] : states) {
+    for (const auto& [type, payload] : frames) {
+      SCOPED_TRACE(name + ", frame type " + std::to_string(int(type)) +
+                   ", payload of " + std::to_string(payload.size()));
+      WorkerCore core = start;
+      try {
+        core.receive(FrameView{type, payload});
+        ++taken;
+        (void)sends_until_read(core);
+        if (core.step(0).kind == WorkerStep::Kind::read) {
+          core.receive(FrameView{shutdown, {}});
+        }
+        EXPECT_EQ(core.step(0).kind, WorkerStep::Kind::exit);
+      } catch (const sim::ContractViolation&) {
+        ++refused;
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << "escaped the worker's contract: " << error.what();
+      }
+    }
+  }
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(taken, 0u);
+
+  // The named cases are refused, and a good grant runs.
+  WorkerCore early = states[1].second;
+  EXPECT_THROW(grant(early, 0, 4), sim::ContractViolation);
+  for (const LeaseGrantBody& bad : bad_grants) {
+    WorkerCore parked = states[2].second;
+    const std::string payload = encode_lease_grant(bad);
+    EXPECT_THROW(parked.receive(FrameView{lease_grant, payload}),
+                 sim::ContractViolation);
+  }
+  WorkerCore parked = states[2].second;
+  grant(parked, 96, 100);
+  EXPECT_EQ(sends_until_read(parked).size(), 2u);  // lease_request, records
 }
 
 // ------------------------------------------------------------------- core

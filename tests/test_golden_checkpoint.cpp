@@ -59,10 +59,11 @@
 // packet stamps, no copy for the flood's last port), so the pin alone
 // moved them.
 //
-// The fabric coordinator's core is also replayed here over seeded fault
-// schedules (GoldenDigests.SeededFaultSchedules...), without sockets,
-// threads or a clock: whatever a schedule does to the fleet, the merged
-// digests and the compacted checkpoint must still be these files.
+// The fabric coordinator's core and real worker cores are also replayed
+// here over seeded fault schedules (GoldenDigests.SeededFaultSchedules...),
+// without sockets, threads or a clock: whatever a schedule does to the
+// fleet, the merged digests and the compacted checkpoint must still be
+// these files.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -78,6 +79,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -87,6 +89,7 @@
 #include "fabric/wire.hpp"
 #include "fabric/worker.hpp"
 #include "report/checkpoint.hpp"
+#include "sim/contracts.hpp"
 #include "sim/random.hpp"
 #include "testbed/campaign.hpp"
 
@@ -378,23 +381,53 @@ TEST(GoldenCrossTraffic, TheCompactedCheckpointKeepsItsBytes) {
 
 // ------------------------------------------------- seeded fault schedules
 //
-// Scripted in-memory workers answer the coordinator core's frames as
-// fabric::Worker would, sending the golden lines as their shard_done
-// records. Each seed draws the interleaving of their frames, duplicate
-// completions, mutated records, stalls (the clock jumped to the next lease
+// Real fabric::WorkerCores serve a coordinator core in memory, on the
+// explorer's fake clock, and answer "run shard i" with golden line i. Their
+// bytes reach the core through fabric::serve() and a FrameReader, as in
+// Coordinator::run, and the core's sends reach them in order. Each seed
+// draws the interleaving of worker steps and frame deliveries, duplicate
+// completions, mutated frames, stalls (the clock jumped to the next lease
 // deadline), disconnects mid-lease (half with no tick() after them, as
 // when the driver's send fails), late joiners (a quarter of them with a
 // mismatched hello) and one coordinator torn down and rebuilt on its
 // checkpoint. A model beside the core predicts its counters: a processed
-// shard_done merges unless its index merged (or was restored) before, and a
-// mutated one buries its worker.
+// shard_done merges unless its index merged (or was restored) before, and
+// a mutated frame buries its worker, through the core's checks or the
+// reader's verdict. A worker may fail only where its connection closed
+// without a shutdown.
 
-struct ScriptedWorker {
-  std::size_t conn = 0;
-  bool rogue = false;   // says hello with the wrong seed
-  bool open = true;     // the core has not closed it
-  bool joined = false;  // its hello was accepted
-  std::deque<std::pair<fabric::FrameType, std::string>> outbox;
+/// The coordinator's end of one worker's connection: what the worker sent
+/// that the driver has not read yet. Empty reads as end-of-stream.
+class Inbound final : public fabric::Transport {
+ public:
+  void send_all(const void*, std::size_t) override {}
+  std::size_t recv_some(void* data, std::size_t size) override {
+    const std::size_t got = std::min(size, bytes.size());
+    std::copy_n(bytes.data(), got, static_cast<char*>(data));
+    bytes.erase(0, got);
+    return got;
+  }
+  [[nodiscard]] int fd() const override { return -1; }
+
+  std::string bytes;
+};
+
+/// One worker of a fault schedule, and both directions of its connection.
+struct Peer {
+  Peer(std::size_t conn_in, const fabric::HelloBody& hello, bool rogue_in)
+      : conn(conn_in), rogue(rogue_in), core(hello), reader(inbound) {}
+
+  std::size_t conn;
+  bool rogue;  // says hello with the wrong seed
+  fabric::WorkerCore core;
+  bool alive = true;       // has neither exited nor died
+  bool open = true;        // the coordinator has not closed it
+  bool joined = false;     // its hello was accepted
+  bool shut_down = false;  // the coordinator sent it shutdown
+  std::deque<fabric::Frame> inbox;    // coordinator → worker, unread
+  std::deque<std::string> in_flight;  // worker → coordinator, one per frame
+  Inbound inbound;
+  fabric::FrameReader reader;
 };
 
 /// The counters the model predicts, as one comparable line.
@@ -421,33 +454,62 @@ std::size_t pick(sim::Rng& rng, std::size_t lo, std::size_t hi) {
       static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
 }
 
-/// Corrupts a shard_done (payload: u64 lease id, then the line) so the core
-/// must reject it: another frame type, a byte of the line's "ckpt2 <index>
-/// <seed> <spec hash> " head or of its "end\n" tail, or a cut past the
-/// tail. (A flipped digest bit would pass: the wire trusts a validated
-/// worker's arithmetic.)
-void mutate(fabric::FrameType& type, std::string& payload, sim::Rng& rng) {
+/// Corrupts one frame a worker sent so that the coordinator must bury the
+/// worker. Half of the shard_done frames lose their record instead of their
+/// header: another frame type, a byte of the line's "ckpt2 <index> <seed>
+/// <spec hash> " head or of its "end\n" tail, or a cut past the tail. (A
+/// flipped digest bit would pass: the wire trusts a validated worker's
+/// arithmetic.) A header gets a zero or oversize length or an unknown type,
+/// which the driver's FrameReader refuses, or the frame is cut short: true
+/// for that torn tail, which only the end of the worker's stream exposes.
+bool mutate(std::string& frame, sim::Rng& rng) {
   const auto flip = [&rng] { return static_cast<char>(pick(rng, 1, 255)); };
-  switch (pick(rng, 0, 3)) {
+  const auto put_length = [&frame](std::size_t length) {
+    for (std::size_t byte = 0; byte < 4; ++byte) {
+      frame[byte] = static_cast<char>(length >> (8 * byte));
+    }
+  };
+  constexpr std::size_t kLine = 4 + 1 + 8;  // header, type, lease id
+  const bool record =
+      frame[4] == static_cast<char>(fabric::FrameType::shard_done) &&
+      rng.bernoulli(0.5);
+  switch (pick(rng, 0, 3) + (record ? 0 : 4)) {
     case 0: {
       const std::size_t other = pick(rng, 1, 9);  // all but shard_done (6)
-      type = static_cast<fabric::FrameType>(other < 6 ? other : other + 1);
+      frame[4] = static_cast<char>(other < 6 ? other : other + 1);
       break;
     }
     case 1: {
-      std::size_t head_end = 8;
+      std::size_t head_end = kLine;
       for (int spaces = 0; spaces < 4; ++head_end) {
-        spaces += payload[head_end] == ' ' ? 1 : 0;
+        spaces += frame[head_end] == ' ' ? 1 : 0;
       }
-      payload[pick(rng, 8, head_end - 1)] ^= flip();
+      frame[pick(rng, kLine, head_end - 1)] ^= flip();
       break;
     }
     case 2:
-      payload[payload.size() - 1 - pick(rng, 0, 3)] ^= flip();
+      frame[frame.size() - 1 - pick(rng, 0, 3)] ^= flip();
       break;
+    case 3:
+      frame.resize(frame.size() - pick(rng, 2, frame.size() - kLine));
+      put_length(frame.size() - 4);
+      break;
+    case 4:
+      put_length(0);
+      break;
+    case 5:
+      put_length(fabric::kMaxFrameBytes + pick(rng, 1, 1000));
+      break;
+    case 6: {
+      const std::size_t type = pick(rng, 10, 255);  // 10 stands for 0
+      frame[4] = static_cast<char>(type == 10 ? 0 : type);
+      break;
+    }
     default:
-      payload.resize(payload.size() - pick(rng, 2, payload.size() - 8));
+      frame.resize(pick(rng, 1, frame.size() - 1));
+      return true;
   }
+  return false;
 }
 
 /// Replays fault schedule `seed` over a CoordinatorCore serving `campaign`
@@ -456,6 +518,7 @@ std::string replay_fault_schedule(const Campaign& campaign,
                                   const std::vector<std::string>& lines,
                                   std::uint64_t seed) {
   constexpr std::size_t kMaxSteps = 4000;
+  using Kind = fabric::WorkerStep::Kind;
   sim::Rng rng(seed);
   const std::string& path = campaign.spec().checkpoint_path;
   std::remove(path.c_str());
@@ -465,81 +528,113 @@ std::string replay_fault_schedule(const Campaign& campaign,
   config.lease.lease_timeout_ms = 1000;
   config.log = &log;
   std::optional<fabric::CoordinatorCore> core(std::in_place, campaign, config);
-  std::vector<ScriptedWorker> workers;  // by connection number
+  std::deque<Peer> workers;  // by connection number
   fabric::CoordinatorStats model;
   std::set<std::size_t> merged;  // indices merged or restored
-  std::size_t torn = 0;          // mutated records processed
+  std::size_t torn = 0;          // mutated frames processed
   std::size_t stalls = 0;        // deadline jumps with leases outstanding
   std::size_t joins = 0;
   std::size_t faults = pick(rng, 0, 6);
   const std::size_t restart_at = pick(rng, 0, 150);
   std::uint64_t now = 0;
+  std::string failure;  // a worker that failed where it must not
 
   const auto join = [&](bool rogue) {
     fabric::HelloBody hello;
     hello.spec_hash = campaign.spec().spec_hash();
     hello.seed = campaign.spec().seed + (rogue ? 1 : 0);
     hello.shard_count = campaign.scenario_count();
-    workers.push_back(ScriptedWorker{core->connect(), rogue});
-    workers.back().outbox.emplace_back(fabric::FrameType::hello,
-                                       fabric::encode_hello(hello));
+    workers.emplace_back(core->connect(), hello, rogue);
     ++joins;
   };
-  // Each worker answers the core's frames as fabric::Worker does when the
-  // lease timeout is under 4 ms: a grant's reply is the next lease_request
-  // at once, then a heartbeat before every shard.
+  // The core's sends reach their workers in order. A close ends the
+  // worker's stream after them and drops what the driver has not read.
   const auto route = [&] {
-    for (const fabric::Outbound& out : core->take_outbox()) {
-      ScriptedWorker& worker = workers[out.conn];
-      auto& outbox = worker.outbox;
-      if (out.kind == fabric::Outbound::Kind::close) worker.open = false;
-      if (out.kind == fabric::Outbound::Kind::close ||
-          out.type == fabric::FrameType::shutdown) {
-        outbox.clear();
-      } else if (out.type == fabric::FrameType::hello_ok) {
-        worker.joined = true;
-        outbox.emplace_back(fabric::FrameType::lease_request, "");
-      } else if (out.type == fabric::FrameType::lease_grant) {
-        const fabric::LeaseGrantBody lease =
-            fabric::decode_lease_grant(out.payload);
-        const std::string id = fabric::encode_lease_id(lease.lease_id);
-        outbox.emplace_back(fabric::FrameType::lease_request, "");
-        for (std::size_t index = lease.begin; index < lease.end; ++index) {
-          outbox.emplace_back(fabric::FrameType::heartbeat, id);
-          outbox.emplace_back(
-              fabric::FrameType::shard_done,
-              fabric::encode_shard_done({lease.lease_id, lines[index]}));
+    for (fabric::Outbound& out : core->take_outbox()) {
+      Peer& peer = workers[out.conn];
+      if (out.kind == fabric::Outbound::Kind::close) {
+        peer.open = false;
+        peer.in_flight.clear();
+        continue;
+      }
+      peer.joined |= out.type == fabric::FrameType::hello_ok;
+      peer.shut_down |= out.type == fabric::FrameType::shutdown;
+      peer.inbox.push_back(fabric::Frame{out.type, std::move(out.payload)});
+    }
+  };
+  // Whether `peer`'s worker can move: all but a read with nothing to read.
+  const auto can_step = [&](Peer& peer) {
+    return peer.alive && (peer.core.step(now).kind != Kind::read ||
+                          !peer.inbox.empty() || !peer.open);
+  };
+  // One step of `peer`'s worker, as Worker::run takes it.
+  const auto act = [&](Peer& peer) {
+    try {
+      const fabric::WorkerStep step = peer.core.step(now);
+      if (step.kind == Kind::send && peer.open) {
+        for (std::string_view bytes = step.bytes; !bytes.empty();) {
+          std::size_t length = 4;
+          for (std::size_t byte = 0; byte < 4; ++byte) {
+            length += std::size_t{static_cast<unsigned char>(bytes[byte])}
+                      << (8 * byte);
+          }
+          peer.in_flight.emplace_back(bytes.substr(0, length));
+          bytes.remove_prefix(length);
         }
-        outbox.emplace_back(fabric::FrameType::lease_done, id);
+        peer.core.sent(now);
+      } else if (step.kind == Kind::send) {
+        peer.core.send_failed();
+      } else if (step.kind == Kind::run) {
+        peer.core.shard_done(lines[step.shard]);
+      } else if (step.kind == Kind::exit) {
+        peer.alive = false;
+      } else if (peer.inbox.empty()) {
+        peer.core.closed();
+      } else {
+        const fabric::Frame frame = std::move(peer.inbox.front());
+        peer.inbox.pop_front();
+        peer.core.receive(fabric::FrameView{frame.type, frame.payload});
+      }
+    } catch (const sim::ContractViolation& violation) {
+      peer.alive = false;
+      if ((peer.open || peer.shut_down) && failure.empty()) {
+        failure = "worker " + std::to_string(peer.conn) +
+                  " failed: " + violation.what();
       }
     }
   };
-  // Sends `worker`'s next frame, mutated or twice as the seed says, and
-  // tells the model.
-  const auto deliver = [&](ScriptedWorker& worker) {
-    auto [type, payload] = std::move(worker.outbox.front());
-    worker.outbox.pop_front();
-    int sends = 1;
+  // Serves `peer`'s next frame in flight, mutated or twice as the seed
+  // says, and tells the model.
+  const auto deliver = [&](Peer& peer) {
+    std::string frame = std::move(peer.in_flight.front());
+    peer.in_flight.pop_front();
+    const auto type = static_cast<fabric::FrameType>(frame[4]);
+    const bool record = type == fabric::FrameType::shard_done;
+    bool torn_tail = false;
     if (type == fabric::FrameType::hello) {
-      ++(worker.rogue ? model.workers_rejected : model.workers_joined);
-    } else if (type == fabric::FrameType::shard_done && !core->complete()) {
-      if (faults > 0 && rng.bernoulli(0.08)) {
-        --faults;
-        ++torn;
-        ++model.workers_died;
-        mutate(type, payload, rng);
-      } else {
-        // After the u64 lease id and "ckpt2 ", the scenario index.
-        ++(merged.insert(std::stoull(payload.substr(14))).second
-               ? model.shards_merged
-               : model.duplicate_shards);
-        sends = rng.bernoulli(0.1) ? 2 : 1;
+      ++(peer.rogue ? model.workers_rejected : model.workers_joined);
+    } else if (faults > 0 && !core->complete() &&
+               rng.bernoulli(record ? 0.08 : 0.02)) {
+      --faults;
+      ++torn;
+      ++model.workers_died;  // past its hello, so joined
+      torn_tail = mutate(frame, rng);
+    } else if (record && !core->complete()) {
+      // After the header, the u64 lease id and "ckpt2 ", the scenario index.
+      ++(merged.insert(std::stoull(frame.substr(19))).second
+             ? model.shards_merged
+             : model.duplicate_shards);
+      if (rng.bernoulli(0.1)) {
+        frame += frame;
+        // The repeat of a completing copy is dropped unseen.
+        if (merged.size() < lines.size()) ++model.duplicate_shards;
       }
     }
-    for (int send = 0; send < sends; ++send) {
-      // A repeat of the completing copy is dropped unseen.
-      if (send == 1 && !core->complete()) ++model.duplicate_shards;
-      core->receive(worker.conn, fabric::FrameView{type, payload}, now);
+    peer.inbound.bytes += frame;
+    fabric::serve(*core, peer.conn, peer.reader, now);
+    if (torn_tail) {
+      peer.alive = false;  // killed mid-frame: its stream ends here
+      fabric::serve(*core, peer.conn, peer.reader, now);
     }
   };
   // The core's counters and log against the model; empty when they agree.
@@ -561,8 +656,8 @@ std::string replay_fault_schedule(const Campaign& campaign,
   };
 
   for (std::size_t i = pick(rng, 1, 4); i > 0; --i) join(false);
-  route();
   for (std::size_t step = 0; !core->done(); ++step) {
+    if (!failure.empty()) return failure;
     if (step == kMaxSteps) {
       return "not done after " + std::to_string(kMaxSteps) + " steps";
     }
@@ -579,17 +674,20 @@ std::string replay_fault_schedule(const Campaign& campaign,
       core.emplace(campaign, config);
       join(false);
     }
-    std::vector<ScriptedWorker*> open;
-    std::vector<ScriptedWorker*> sending;
-    for (ScriptedWorker& worker : workers) {
-      if (!worker.open) continue;
-      open.push_back(&worker);
-      if (!worker.outbox.empty()) sending.push_back(&worker);
+    std::vector<Peer*> open;
+    std::vector<Peer*> movers;  // workers that can step, then senders
+    for (Peer& peer : workers) {
+      if (peer.open) open.push_back(&peer);
+      if (can_step(peer)) movers.push_back(&peer);
+    }
+    const std::size_t actors = movers.size();
+    for (Peer* peer : open) {
+      if (!peer->in_flight.empty()) movers.push_back(peer);
     }
     // A correct core leaves no worker idle while work is pending: a dead
     // worker's leases return to pending and reach the parked at once, and
     // tick() pushes expired ones to them.
-    if (sending.empty() && !core->complete()) {
+    if (movers.empty() && !core->complete()) {
       return "stuck at step " + std::to_string(step) +
              ": every worker waits while shards are pending; log:\n" +
              log.str();
@@ -603,8 +701,9 @@ std::string replay_fault_schedule(const Campaign& campaign,
       now = std::max(now, *deadline);
     } else if (draw < 10 && faults > 0 && !open.empty()) {
       --faults;  // a disconnect, mid-lease or not
-      ScriptedWorker& victim = *open[pick(rng, 0, open.size() - 1)];
+      Peer& victim = *open[pick(rng, 0, open.size() - 1)];
       if (victim.joined) ++model.workers_died;
+      victim.alive = false;
       core->disconnect(victim.conn, "closed its connection");
       // Half land as a failed send does, after the driver's tick: nothing
       // ticks again before the next input.
@@ -613,18 +712,29 @@ std::string replay_fault_schedule(const Campaign& campaign,
       join(rng.bernoulli(0.25));
     } else if (draw < 30) {
       now += pick(rng, 0, 200);
-    } else if (!sending.empty()) {
-      deliver(*sending[pick(rng, 0, sending.size() - 1)]);
+    } else if (!movers.empty()) {
+      const std::size_t which = pick(rng, 0, movers.size() - 1);
+      if (which < actors) {
+        act(*movers[which]);
+      } else {
+        deliver(*movers[which]);
+      }
     }
     if (tick) core->tick(now);
     route();
-    const bool anyone = std::any_of(workers.begin(), workers.end(),
-                                    std::mem_fn(&ScriptedWorker::open));
-    if (!anyone && !core->complete()) {
+    if (std::none_of(workers.begin(), workers.end(),
+                     std::mem_fn(&Peer::open)) &&
+        !core->complete()) {
       join(false);  // nobody is left to serve the campaign
-      route();
     }
   }
+  // Every worker left must end quietly on its shutdown, or loudly where
+  // the coordinator buried or rejected it.
+  for (Peer& peer : workers) {
+    for (int steps = 0; peer.alive && steps < 1000; ++steps) act(peer);
+    if (peer.alive) return "worker " + std::to_string(peer.conn) + " hangs";
+  }
+  if (!failure.empty()) return failure;
 
   const CampaignReport report = core->finish();
   if (digest_dump(report) != read_file(kGoldenDigestsPath)) {
