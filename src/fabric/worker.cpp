@@ -52,6 +52,10 @@ void WorkerCore::send_failed() {
 void WorkerCore::receive(const FrameView& frame) {
   expects(state_ != State::finished && outbox_.empty() && !lease_.has_value(),
           "fabric worker: a frame arrived where no read was due");
+  // As the coordinator refuses a lease_request with a payload.
+  expects(frame.payload.empty() || (frame.type != FrameType::idle &&
+                                    frame.type != FrameType::shutdown),
+          "fabric worker: idle or shutdown carries a payload");
   switch (state_) {
     case State::handshake:
       if (frame.type == FrameType::reject) {

@@ -6,7 +6,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
+#include <iterator>
+#include <limits>
 #include <utility>
 
 #include "sim/contracts.hpp"
@@ -202,21 +203,14 @@ CompactionResult compact_checkpoint(const std::string& path,
                                     const CheckpointVisitor& visit) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return {};  // nothing to compact
-  // Pass 1: byte offset of each scenario's winning (last complete) record —
-  // O(shards) offsets, not digests — and whether the file is canonical
-  // already. Offsets are summed line lengths, not tellg() (a seek per line).
-  // This is the one duplicate-record rule of the results pipeline: among
-  // records claiming the same scenario index, the LAST complete one wins (a
-  // checkpoint appended across kill/resume ticks, or a shard the fabric
-  // coordinator received from both a stalled lease holder and its
-  // re-lease). Every claimant carries bit-identical bytes, a shard being a
-  // pure function of (spec, seed, index), so the tiebreak is arbitrary but
-  // fixed, and the campaign ledger's restore inherits it by reading this
-  // function's output. The map yields the winners in ascending order.
-  std::map<std::size_t, std::streamoff> latest;
+  // Pass 1: the byte offset of every complete record, in file order —
+  // O(shards) (index, offset) pairs, not digests — and whether the file is
+  // canonical already. Offsets are summed line lengths, not tellg() (a seek
+  // per line). The visitor may consume the record, so its index is read
+  // first.
+  std::vector<std::pair<std::size_t, std::streamoff>> offsets;
   ShardCheckpoint record;
   std::string line;
-  std::size_t records = 0;
   std::optional<std::size_t> last_index;
   bool canonical = true;
   {
@@ -225,13 +219,12 @@ CompactionResult compact_checkpoint(const std::string& path,
       // A line read up to EOF lacks its '\n'.
       canonical = canonical && !in.eof();
       if (parse_checkpoint_record(line, record)) {
-        if (visit) visit(record);
         const std::size_t index = record.summary.info.scenario_index;
+        if (visit) visit(record);
         canonical =
             canonical && (!last_index.has_value() || index > *last_index);
         last_index = index;
-        ++records;
-        latest.insert_or_assign(index, pos);
+        offsets.emplace_back(index, pos);
       } else {
         canonical = false;  // a torn fragment or a blank line
       }
@@ -239,7 +232,25 @@ CompactionResult compact_checkpoint(const std::string& path,
     }
     in.clear();  // getline hit EOF; clear so pass 2 can seek
   }
-  if (canonical) return {records, last_index};
+  if (canonical) return {offsets.size(), last_index};
+  // This is the one duplicate-record rule of the results pipeline: among
+  // records claiming the same scenario index, the LAST complete one wins (a
+  // checkpoint appended across kill/resume ticks, or a shard the fabric
+  // coordinator received from both a stalled lease holder and its
+  // re-lease). Every claimant carries bit-identical bytes, a shard being a
+  // pure function of (spec, seed, index), so the tiebreak is arbitrary but
+  // fixed, and the campaign ledger's restore inherits it by reading this
+  // function's output. Only a non-canonical file pays for ordering: sorted
+  // (index, offset) pairs keep each index's records in file order, so the
+  // last of each equal-index run is the winner, and the winners come out
+  // in ascending order, in place.
+  std::sort(offsets.begin(), offsets.end());
+  auto winner = offsets.begin();
+  for (auto it = offsets.begin(); it != offsets.end(); ++it) {
+    const auto next = std::next(it);
+    if (next == offsets.end() || next->first != it->first) *winner++ = *it;
+  }
+  offsets.erase(winner, offsets.end());
   CompactionResult result;
   const std::string temp = path + ".compact";
   {
@@ -250,7 +261,7 @@ CompactionResult compact_checkpoint(const std::string& path,
     // and since a parsed line is canonical, its bytes are what rendering
     // the record again would produce: they are copied, not re-rendered.
     std::streamoff next = -1;  // the offset `in` is positioned at, if known
-    for (const auto& [index, pos] : latest) {
+    for (const auto& [index, pos] : offsets) {
       if (pos != next) {
         in.clear();
         in.seekg(pos);
@@ -275,7 +286,13 @@ CompactionResult compact_checkpoint(const std::string& path,
   return result;
 }
 
-CheckpointReader::CheckpointReader(const std::string& path) : in_(path) {}
+CheckpointReader::CheckpointReader(const std::string& path,
+                                   std::size_t skip_lines)
+    : in_(path) {
+  for (std::size_t i = 0; i < skip_lines && in_; ++i) {
+    in_.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+}
 
 bool CheckpointReader::next(ShardCheckpoint& out) {
   while (std::getline(in_, line_)) {

@@ -128,7 +128,10 @@ class CheckpointWriter {
 /// that must not see them (resume) stop after a known record count.
 class CheckpointReader {
  public:
-  explicit CheckpointReader(const std::string& path);
+  /// Starts after the first `skip_lines` lines, which it never parses (the
+  /// restore has folded a compacted file's leading records already).
+  explicit CheckpointReader(const std::string& path,
+                            std::size_t skip_lines = 0);
 
   /// Parses the next complete record into `out`; false once the file is
   /// exhausted. Malformed lines — the torn last line of a killed writer —
@@ -172,27 +175,32 @@ void for_each_checkpoint(const std::string& path,
 [[nodiscard]] bool parse_checkpoint_record(std::string_view line,
                                            ShardCheckpoint& out);
 
-/// Sees each complete record of a compaction's first pass, in file order.
-using CheckpointVisitor = std::function<void(const ShardCheckpoint&)>;
+/// Sees each complete record of a compaction's first pass, in file order,
+/// while it is still in memory. It may consume the record (move its digests
+/// out): pass 1 keeps only the record's scenario index and byte offset.
+using CheckpointVisitor = std::function<void(ShardCheckpoint&)>;
 
 /// Rewrites `path` to one record per shard: records are deduplicated by
-/// scenario index — the last complete record wins (the one duplicate rule)
-/// — and written in ascending scenario order, without ever materializing
-/// the file. Pass 1 parses every line, hands each complete record to
-/// `visit` (when given) and records the byte offset of the last complete
-/// record per scenario index (O(shards) offsets, not digests). A file pass 1
-/// finds canonical (see CompactionResult) is already what compaction would
-/// write and is left as it is: no temp file, no rename, no fsync. Otherwise
-/// pass 2 visits the winners in ascending order, reading forward and
-/// seeking only past lines that lost, re-parses each and copies its
-/// validated bytes into the temp file. The rewrite is crash-safe: the temp
-/// file is flushed and fsync'd before being renamed over `path` (with a
-/// best-effort directory fsync after), so a power cut mid-compaction leaves
-/// either the old complete file or the new complete file, never a truncated
-/// hybrid. An exception from `visit` (or a loud parse failure) leaves the
-/// file untouched, since pass 1 writes nothing. Call before opening an
-/// append-mode CheckpointWriter on the same path. A missing file is a
-/// no-op.
+/// scenario index — the last complete record wins (the one duplicate rule) —
+/// and written in ascending scenario order, without ever materializing the
+/// file. Pass 1 parses every line once, hands each complete record to `visit`
+/// (when given) and keeps a flat (scenario index, byte offset) vector in file
+/// order (O(shards) offsets, not digests). A file pass 1 finds canonical (see
+/// CompactionResult) is already what compaction would write and is left as it
+/// is: no temp file, no rename, no fsync, and no sort. Otherwise the offsets
+/// are sorted in place and reduced to the last-wins winners by index, and pass
+/// 2 visits them in ascending order, reading forward and seeking only past
+/// lines that lost, re-parses each and copies its validated bytes into the temp
+/// file. Either way the result holds the winners in ascending index order, so
+/// when shards 0..k-1 all have records its first k lines are their winners: the
+/// campaign restore folds that run as `visit` sees it and later skips those
+/// lines unparsed. The rewrite is crash-safe: the temp file is flushed and
+/// fsync'd before being renamed over `path` (with a best-effort directory fsync
+/// after), so a power cut mid-compaction leaves either the old complete file or
+/// the new complete file, never a truncated hybrid. An exception from `visit`
+/// (or a loud parse failure) leaves the file untouched, since pass 1 writes
+/// nothing. Call before opening an append-mode CheckpointWriter on the same
+/// path. A missing file is a no-op.
 CompactionResult compact_checkpoint(const std::string& path,
                                     const CheckpointVisitor& visit = {});
 

@@ -15,26 +15,45 @@ CampaignLedger::CampaignLedger(const Campaign& campaign)
     : campaign_(campaign) {
   const CampaignSpec& spec = campaign_.spec();
   const std::size_t shard_count = campaign_.scenario_count();
-  report_.frontier.shard_count = shard_count;
   slots_.assign(shard_count, MergeFrontier::Slot::skipped);
 
   // Restore: one pass over the file validates and classifies every record
   // on disk (streaming, one record in memory) before any byte is
   // rewritten; compaction then drops torn fragments and duplicate re-runs
   // (so a many-times-resumed sweep's checkpoint stays O(completed shards))
-  // unless the file is one ascending line per shard already. The fold
-  // re-reads the compacted file as it reaches each restored index.
+  // unless the file is one ascending line per shard already. The same pass
+  // folds the leading restored run 0..P-1 while each record is in memory,
+  // so those records are parsed once; the frontier's feed re-reads only
+  // restored records past the first hole.
   if (!spec.checkpoint_path.empty()) {
     const auto restore_start = std::chrono::steady_clock::now();
+    bool prefix_exact = true;
     const report::CompactionResult compacted = report::compact_checkpoint(
-        spec.checkpoint_path, [this](const report::ShardCheckpoint& record) {
+        spec.checkpoint_path, [&](report::ShardCheckpoint& record) {
           validate(record, "checkpoint");
-          slots_[record.summary.info.scenario_index] =
-              MergeFrontier::Slot::restored;
+          const std::size_t index = record.summary.info.scenario_index;
+          slots_[index] = MergeFrontier::Slot::restored;
+          // Exactness: a later record of a folded shard wins under
+          // last-wins, and it may not be the line that was folded, so the
+          // fold starts over in the frontier, from the compacted file.
+          // Torn fragments never reach the visitor.
+          if (prefix_exact && index < folded_prefix_) {
+            prefix_exact = false;
+            report_.frontier = {};
+            folded_prefix_ = 0;
+          }
+          if (prefix_exact && index == folded_prefix_) {
+            fold_record(report_.frontier, std::move(record));
+            ++folded_prefix_;
+          }
         });
     restored_count_ = compacted.records;
-    restored_ =
-        std::make_unique<report::CheckpointReader>(spec.checkpoint_path);
+    // Shards 0..P-1 are restored and their folded records won, so the
+    // compacted file starts with the folded lines: the feed skips them.
+    if (restored_count_ > folded_prefix_) {
+      restored_ = std::make_unique<report::CheckpointReader>(
+          spec.checkpoint_path, folded_prefix_);
+    }
     checkpoint_ = std::make_unique<report::CheckpointWriter>(
         spec.checkpoint_path, compacted);
     report_.stage.restore = std::chrono::duration<double>(
@@ -42,6 +61,7 @@ CampaignLedger::CampaignLedger(const Campaign& campaign)
                                 restore_start)
                                 .count();
   }
+  report_.frontier.shard_count = shard_count;
 
   // Classify: the scenario-order prefix of the non-restored shards runs
   // (capped by max_shards, so resumes walk the campaign front to back).
@@ -86,7 +106,7 @@ void CampaignLedger::start(std::size_t park_bound) {
     return record;
   };
   frontier_.emplace(std::move(slots_), std::move(feed), report_.frontier,
-                    park_bound);
+                    park_bound, folded_prefix_);
 }
 
 CampaignReport CampaignLedger::finish(bool compact) {

@@ -8,15 +8,32 @@
 //     range, Rng(S).fork(i) seed, Campaign::shard_hash(i), which for a grid
 //     costs O(1) and builds no scenario), one record in memory at a time,
 //     inside compaction's first pass;
+//   * prefix fold — in that same pass, each record of the leading restored
+//     run (indices 0, 1, …, P-1) is folded into the report while it is in
+//     memory, so it is parsed once, not again when the frontier reaches
+//     it. Exactness rule: record i is folded only when i == P, i.e. when
+//     shards 0..i-1 are folded already. A later complete record of a
+//     folded shard (index < P: a duplicate) would win under last-wins and
+//     may not be the line that was folded, so it voids the fold (fresh
+//     totals, P = 0) and every restored shard is folded from the
+//     compacted file instead. Nothing else voids it: a record past P
+//     (after a hole, or ahead of its turn) is simply left to the
+//     frontier, and torn fragments and blank lines never reach the
+//     visitor. The folded records are then the winners of shards
+//     0..P-1, so the compacted file starts with exactly those P lines;
 //   * compact — unless it is one ascending line per shard already, the
 //     file is rewritten to that (report::compact_checkpoint's shared
 //     last-wins rule), and it is reopened for appending;
-//   * classify — each scenario index becomes restored (folded from the
-//     compacted file), pending (this invocation runs it; the first
-//     max_shards non-restored indices) or skipped (the capped tail).
-// start() then opens the merge frontier over that classification, and the
-// producers submit() each completed shard's record or abandon() a failed
-// one. finish() drains the fold and hands back the report.
+//   * classify — each scenario index becomes restored (below P: folded
+//     already; past P: read back from the compacted file, whose first P
+//     lines are skipped unparsed, when the fold reaches it), pending (this
+//     invocation runs it; the first max_shards non-restored indices) or
+//     skipped (the capped tail).
+// start() then opens the merge frontier over that classification, its
+// cursor at P, and the producers submit() each completed shard's record or
+// abandon() a failed one. finish() drains the fold and hands back the
+// report. The restore's wall time (StageSeconds::restore) includes the
+// prefix fold, which the merge time no longer does.
 //
 // The ledger never executes a shard and never writes a record: the caller
 // appends to checkpoint() — Campaign::run_shard renders the record it
@@ -88,6 +105,8 @@ class CampaignLedger {
   std::vector<MergeFrontier::Slot> slots_;
   std::vector<std::size_t> pending_;
   std::size_t restored_count_ = 0;
+  // Restored shards 0..folded_prefix_-1, folded during the restore.
+  std::size_t folded_prefix_ = 0;
   std::unique_ptr<report::CheckpointReader> restored_;
   std::unique_ptr<report::CheckpointWriter> checkpoint_;
   std::optional<MergeFrontier> frontier_;

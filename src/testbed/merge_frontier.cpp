@@ -12,14 +12,22 @@ using sim::expects;
 
 MergeFrontier::MergeFrontier(std::vector<Slot> slots, Feed feed,
                              CampaignReport::FoldedTotals& totals,
-                             std::size_t park_bound)
+                             std::size_t park_bound,
+                             std::size_t folded_prefix)
     : slots_(std::move(slots)),
       feed_(std::move(feed)),
       totals_(totals),
-      park_bound_(park_bound) {
-  // Fold any leading restored/skipped run right away: the cursor must
+      park_bound_(park_bound),
+      cursor_(folded_prefix) {
+  expects(folded_prefix <= slots_.size() &&
+              std::none_of(slots_.begin(), slots_.begin() + folded_prefix,
+                           [](Slot slot) { return slot == Slot::fresh; }),
+          "MergeFrontier: a pending shard inside the folded prefix");
+  // Fold any restored/skipped run at the cursor right away: the cursor must
   // always rest on a fresh slot (or the end), or a resumed tick's fresh
-  // results would all park behind a restored prefix no submit can match.
+  // results would all park behind a restored run no submit can match. The
+  // restore folded the checkpoint's leading run already, so this reaches
+  // the feed only for restored shards that lie past a hole.
   std::unique_lock<std::mutex> lock(mu_);
   fold_ready(lock);
 }
@@ -107,19 +115,21 @@ void MergeFrontier::fold_ready(std::unique_lock<std::mutex>& lock) {
   room_.notify_all();
 }
 
-// The one fold step: counters in ascending scenario order (so double sums
-// are the same bits for any producer count), then the consuming digest
-// merge that frees the shard's buffers.
+void fold_record(CampaignReport::FoldedTotals& totals,
+                 report::ShardCheckpoint&& record) {
+  const report::ShardSummary& summary = record.summary;
+  ++totals.completed;
+  totals.probes += summary.probes_sent;
+  totals.lost += summary.probes_lost;
+  totals.frames += summary.frames_on_air;
+  totals.events += summary.events_fired;
+  totals.sim_seconds += summary.sim_seconds;
+  totals.workloads.fold_shard(std::move(record.digests));
+}
+
 void MergeFrontier::fold(report::ShardCheckpoint&& record) {
   const auto start = std::chrono::steady_clock::now();
-  const report::ShardSummary& summary = record.summary;
-  ++totals_.completed;
-  totals_.probes += summary.probes_sent;
-  totals_.lost += summary.probes_lost;
-  totals_.frames += summary.frames_on_air;
-  totals_.events += summary.events_fired;
-  totals_.sim_seconds += summary.sim_seconds;
-  totals_.workloads.fold_shard(std::move(record.digests));
+  fold_record(totals_, std::move(record));
   fold_seconds_ += std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count();

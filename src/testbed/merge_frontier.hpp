@@ -12,7 +12,10 @@
 // Order proof: the cursor visits indices strictly ascending and folds
 // exactly the completed shards (fresh submissions, checkpoint-restored
 // records, nothing for skipped/abandoned ones), so the fold sequence is the
-// ascending scenario order for any producer count and across kill/resume —
+// ascending scenario order for any producer count and across kill/resume.
+// A resume's leading restored run 0..P-1 is folded by the restore itself,
+// in the same order and through the same fold_record(), and the cursor
+// starts at P, so the sequence is the same —
 // bit-identical digests and double sums, pinned by
 // tests/golden/mixed_workloads.digests. That holds whether the producers
 // are Campaign::run's worker threads or fabric worker *processes* streaming
@@ -54,6 +57,14 @@
 
 namespace acute::testbed {
 
+/// The one fold step of a campaign: `record`'s counters in ascending
+/// scenario order (so double sums are the same bits for any producer
+/// count), then the consuming digest merge that frees the shard's buffers.
+/// MergeFrontier folds every shard through it, and so does the restore of a
+/// checkpoint's leading run (CampaignLedger).
+void fold_record(CampaignReport::FoldedTotals& totals,
+                 report::ShardCheckpoint&& record);
+
 /// See the file comment. Thread-safe; a reference to the FoldedTotals the
 /// fold writes into must outlive the frontier.
 class MergeFrontier {
@@ -68,13 +79,17 @@ class MergeFrontier {
   using Feed = std::function<report::ShardCheckpoint(std::size_t)>;
 
   /// `feed` returns the next restored shard from the (ascending, unique)
-  /// compacted checkpoint; called exactly once per `restored` slot, in
-  /// ascending index order, by the active folder only (never concurrently,
-  /// outside the frontier lock). `park_bound` caps the held map while
-  /// another thread folds (see the file comment); 0 never waits.
+  /// compacted checkpoint; called exactly once per `restored` slot at or
+  /// past `folded_prefix`, in ascending index order, by the active folder
+  /// only (never concurrently, outside the frontier lock). `park_bound` caps
+  /// the held map while another thread folds (see the file comment); 0
+  /// never waits. The cursor starts at `folded_prefix`: indices below it
+  /// are restored shards the caller already folded into `totals` with
+  /// fold_record(), in ascending order (the ledger does so while it
+  /// validates the checkpoint), so none of them may be fresh.
   MergeFrontier(std::vector<Slot> slots, Feed feed,
                 CampaignReport::FoldedTotals& totals,
-                std::size_t park_bound = 0);
+                std::size_t park_bound = 0, std::size_t folded_prefix = 0);
 
   /// Parks a freshly-completed shard, then folds every ready shard if no
   /// other thread is folding. Waits only while another thread folds and

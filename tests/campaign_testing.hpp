@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -97,6 +98,63 @@ class SampleRecorder {
   std::mutex mu_;
   std::map<std::size_t, RecordedShard> shards_;
 };
+
+/// A checkpoint file for the one-pass restore's equivalence tests, built
+/// from the canonical lines of an uninterrupted run.
+struct RestoreCase {
+  std::string name;
+  std::string bytes;
+  /// Distinct complete records in `bytes`: what restored() reports.
+  std::size_t restored = 0;
+  /// A complete record in `bytes` is malformed: the restore must throw.
+  bool malformed = false;
+};
+
+/// The restore shapes around the ledger's folded prefix, from an
+/// uninterrupted run's canonical checkpoint of at least 7 shards (one
+/// '\n'-terminated line each): (a) canonical, with a prefix, a hole and a
+/// restored tail; (b) a duplicate of a prefix index appended after the
+/// prefix, whose first copy differs; (c) a torn final fragment; (d)
+/// out-of-order records. Resuming from any of them must reproduce the
+/// uninterrupted run bit for bit. The last case, (e), is malformed (see
+/// there).
+inline std::vector<RestoreCase> restore_cases(const std::string& canonical) {
+  std::vector<std::string> lines;
+  std::istringstream in(canonical);
+  for (std::string line; std::getline(in, line);) lines.push_back(line + '\n');
+  const auto join = [&lines](std::initializer_list<std::size_t> indices) {
+    std::string bytes;
+    for (const std::size_t index : indices) bytes += lines.at(index);
+    return bytes;
+  };
+  // Line 1 with its frames counter off by one: still a canonical record
+  // of shard 1, but one whose fold shows in the totals.
+  std::string stale = lines.at(1);
+  std::size_t frames = 0;
+  for (int token = 0; token < 7; ++token) frames = stale.find(' ', frames) + 1;
+  const std::size_t frames_end = stale.find(' ', frames);
+  stale.replace(frames, frames_end - frames,
+                std::to_string(std::stoull(stale.substr(frames)) + 1));
+  const std::string& torn = lines.at(6);
+  return {
+      {"canonical_prefix_hole_tail", join({0, 1, 2, 5, 6}), 5},
+      // The stale copy comes first, so only last-wins (which the restore
+      // must follow, not the first copy it folded) gives the right merge.
+      {"duplicate_of_a_prefix_index",
+       join({0}) + stale + join({2, 5, 1}), 4},
+      {"torn_final_fragment",
+       join({0, 1, 2, 5}) + torn.substr(0, torn.size() / 2), 4},
+      // 2 arrives ahead of its turn, 1 in its turn: the prefix stops at 2.
+      {"out_of_order_records", join({0, 2, 1, 5, 3}), 5},
+      // Not a restore: a complete but malformed record after the prefix,
+      // then a torn fragment so the file would otherwise be rewritten.
+      // Resuming must throw before any byte moves.
+      {"malformed_after_prefix",
+       join({0, 1, 2}) + "ckpt2 3 not-a-seed 1 end\n" +
+           torn.substr(0, torn.size() / 2),
+       0, /*malformed=*/true},
+  };
+}
 
 /// testbed::write_report_digests as a string.
 inline std::string digest_dump(const testbed::CampaignReport& report) {

@@ -373,5 +373,36 @@ TEST(MergeFrontierUnit, ThrowingFeedReachesTheFolderAndNothingHangs) {
   EXPECT_THROW(frontier.finalize(), sim::ContractViolation);
 }
 
+TEST(MergeFrontierUnit, TheCursorStartsPastTheFoldedPrefix) {
+  // The restore folded shards 0 and 1 already: the feed sees only 3, and
+  // the fold continues the same totals in ascending order.
+  CampaignReport::FoldedTotals totals;
+  fold_record(totals, numbered_shard(0));
+  fold_record(totals, numbered_shard(1));
+  std::vector<std::size_t> fed;
+  MergeFrontier frontier(
+      {Slot::restored, Slot::restored, Slot::fresh, Slot::restored},
+      [&fed](std::size_t index) {
+        fed.push_back(index);
+        return numbered_shard(index);
+      },
+      totals, /*park_bound=*/0, /*folded_prefix=*/2);
+  EXPECT_TRUE(fed.empty());
+  frontier.submit(2, numbered_shard(2));
+  frontier.finalize();
+  EXPECT_EQ(fed, std::vector<std::size_t>{3});
+  EXPECT_EQ(totals.completed, 4u);
+  EXPECT_EQ(totals.probes, 0u + 1 + 2 + 3);
+
+  // A pending shard cannot lie inside the folded prefix.
+  CampaignReport::FoldedTotals other;
+  EXPECT_THROW(MergeFrontier({Slot::restored, Slot::fresh},
+                             [](std::size_t index) {
+                               return numbered_shard(index);
+                             },
+                             other, /*park_bound=*/0, /*folded_prefix=*/2),
+               sim::ContractViolation);
+}
+
 }  // namespace
 }  // namespace acute::testbed

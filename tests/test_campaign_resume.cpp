@@ -19,6 +19,7 @@
 #include "campaign_testing.hpp"
 #include "sim/contracts.hpp"
 #include "testbed/campaign.hpp"
+#include "testbed/campaign_ledger.hpp"
 
 namespace acute::testbed {
 namespace {
@@ -326,6 +327,57 @@ TEST(CampaignResume, ResumeCompactsTheCheckpointToOneLinePerShard) {
   const CampaignReport rerun = Campaign(rest).run(1);
   EXPECT_EQ(raw_line_count(checkpoint.path), rerun.shard_count());
   expect_digests_bit_identical(rerun, uninterrupted);
+}
+
+TEST(CampaignResume, OnePassRestoreMatchesAnUninterruptedRun) {
+  // The ledger folds the checkpoint's leading restored run while it
+  // validates it, and the frontier reads back only what lies past a hole
+  // or arrived ahead of its turn (or everything, once a duplicate of a
+  // folded shard voids the prefix).
+  // Every shape must restore the same shards and merge, and compact to,
+  // exactly what an uninterrupted single-thread run writes.
+  TempFile reference("one_pass_reference");
+  CampaignSpec full = resume_campaign();
+  full.checkpoint_path = reference.path;
+  const CampaignReport uninterrupted = Campaign(full).run(1);
+  const std::string reference_bytes = file_bytes(reference.path);
+
+  for (const testing::RestoreCase& c :
+       testing::restore_cases(reference_bytes)) {
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(c.name + ", " + std::to_string(workers) + " workers");
+      TempFile checkpoint("one_pass_" + c.name);
+      std::ofstream(checkpoint.path, std::ios::binary) << c.bytes;
+      CampaignSpec spec = resume_campaign();
+      spec.checkpoint_path = checkpoint.path;
+      if (c.malformed) {
+        const ino_t inode = file_inode(checkpoint.path);
+        EXPECT_THROW((void)Campaign(spec).run(workers),
+                     sim::ContractViolation);
+        EXPECT_EQ(file_bytes(checkpoint.path), c.bytes);
+        EXPECT_EQ(file_inode(checkpoint.path), inode);
+        continue;
+      }
+      {
+        // restored() as the ledger reports it, on a copy (the ledger
+        // compacts the file it restores).
+        TempFile copy("one_pass_copy_" + c.name);
+        std::ofstream(copy.path, std::ios::binary) << c.bytes;
+        CampaignSpec probe = resume_campaign();
+        probe.checkpoint_path = copy.path;
+        const Campaign campaign(probe);
+        const CampaignLedger ledger(campaign);
+        EXPECT_EQ(ledger.restored(), c.restored);
+        EXPECT_EQ(ledger.pending().size(),
+                  campaign.scenario_count() - c.restored);
+      }
+      const CampaignReport resumed = Campaign(spec).run(workers);
+      EXPECT_EQ(resumed.completed_shards(), resumed.shard_count());
+      expect_digests_bit_identical(resumed, uninterrupted);
+      report::compact_checkpoint(checkpoint.path);
+      EXPECT_EQ(file_bytes(checkpoint.path), reference_bytes);
+    }
+  }
 }
 
 }  // namespace

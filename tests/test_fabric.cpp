@@ -923,6 +923,49 @@ TEST(Fabric, CoordinatorResumesFromItsCheckpoint) {
   EXPECT_EQ(read_file(interleaved.path), read_file(reference_ckpt.path));
 }
 
+TEST(Fabric, CoordinatorOnePassRestoreMatchesAnUninterruptedRun) {
+  // The coordinator restores through the same ledger as Campaign::run: its
+  // restored prefix folds during validation, the rest from the compacted
+  // file. Every checkpoint shape must restore the same shards and end in
+  // the merge and the compacted bytes of an uninterrupted run.
+  TempFile reference_ckpt("one_pass_reference");
+  CampaignSpec full = small_spec();
+  full.checkpoint_path = reference_ckpt.path;
+  const CampaignReport reference = Campaign(full).run(1);
+  const std::string reference_bytes = read_file(reference_ckpt.path);
+
+  LeaseConfig lease;
+  lease.batch = 2;
+  for (const testing::RestoreCase& c :
+       testing::restore_cases(reference_bytes)) {
+    SCOPED_TRACE(c.name);
+    TempFile checkpoint("one_pass_" + c.name);
+    std::ofstream(checkpoint.path, std::ios::binary) << c.bytes;
+    CampaignSpec spec = small_spec();
+    spec.checkpoint_path = checkpoint.path;
+    if (c.malformed) {
+      struct stat before {};
+      ASSERT_EQ(::stat(checkpoint.path.c_str(), &before), 0);
+      EXPECT_THROW((void)CoordinatorCore(Campaign(spec), CoordinatorConfig{}),
+                   sim::ContractViolation);
+      struct stat after {};
+      ASSERT_EQ(::stat(checkpoint.path.c_str(), &after), 0);
+      EXPECT_EQ(after.st_ino, before.st_ino);
+      EXPECT_EQ(read_file(checkpoint.path), c.bytes);
+      continue;
+    }
+    std::ostringstream log;
+    const FabricRun run = run_fabric(spec, 2, lease, &log);
+    EXPECT_NE(log.str().find("restored " + std::to_string(c.restored) +
+                             " shards"),
+              std::string::npos)
+        << log.str();
+    EXPECT_EQ(run.stats.shards_merged, reference.shard_count() - c.restored);
+    expect_reports_bit_identical(run.report, reference);
+    EXPECT_EQ(read_file(checkpoint.path), reference_bytes);
+  }
+}
+
 // --------------------------------------------------------------- worker core
 //
 // fabric::WorkerCore driven step by step on a fake clock: no socket, thread
@@ -1107,9 +1150,14 @@ TEST(WorkerCore, CoordinatorFramesFailItOnlyThroughItsContract) {
       SCOPED_TRACE(name + ", frame type " + std::to_string(int(type)) +
                    ", payload of " + std::to_string(payload.size()));
       WorkerCore core = start;
+      // idle and shutdown carry nothing, as a lease_request carries
+      // nothing to the coordinator, which buries a worker whose does.
+      const bool bare_frame_with_payload =
+          (type == idle || type == shutdown) && !payload.empty();
       try {
         core.receive(FrameView{type, payload});
         ++taken;
+        EXPECT_FALSE(bare_frame_with_payload) << "took the payload";
         (void)sends_until_read(core);
         if (core.step(0).kind == WorkerStep::Kind::read) {
           core.receive(FrameView{shutdown, {}});

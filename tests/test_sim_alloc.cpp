@@ -6,13 +6,17 @@
 // diff the counter across a measured steady-state window. Two gates carry
 // the rule up to whole testbeds: a saturated channel's queues allocate
 // nothing once warm, and a deep campaign shard (four phones, the Fig. 8
-// tool zoo, cross traffic) has a bounded marginal allocation count.
+// tool zoo, cross traffic) has a bounded marginal allocation count. A
+// third pins the resume: each record of a checkpoint's restored prefix
+// costs one parse and one fold, not a second parse.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <new>
 #include <string>
 #include <type_traits>
@@ -22,11 +26,14 @@
 #include "net/packet.hpp"
 #include "passive/observer.hpp"
 #include "phone/profile.hpp"
+#include "report/checkpoint.hpp"
 #include "sim/closure.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 #include "testbed/campaign.hpp"
+#include "testbed/campaign_ledger.hpp"
+#include "testbed/merge_frontier.hpp"
 #include "testbed/testbed.hpp"
 #include "tools/factory.hpp"
 #include "wifi/channel.hpp"
@@ -283,6 +290,107 @@ TEST(TestbedAllocation, DeepShardMarginalAllocationsStayBounded) {
                  std::to_string(per_shard));
   EXPECT_LE(per_shard, 600.0) << "4 shards: " << four
                               << " allocations, 12 shards: " << twelve;
+}
+
+// ----------------------------------------------------------- restore
+
+// 2,048 one-ping shards on a lazy rtt x reorder x loss grid: the
+// tiny_pool shape whose checkpoint a resumed fabric restores.
+testbed::CampaignSpec one_ping_spec() {
+  testbed::ScenarioGrid grid;
+  grid.emulated_rtts.clear();
+  grid.loss_rates.clear();
+  for (int i = 0; i < 64; ++i) {
+    grid.emulated_rtts.push_back(Duration::millis(2 + i));
+  }
+  for (int i = 0; i < 16; ++i) grid.loss_rates.push_back(0.05 * i);
+  grid.reorder = {false, true};
+  testbed::CampaignSpec spec;
+  spec.seed = 2016;
+  spec.grid = grid;
+  spec.probes_per_phone = 1;
+  spec.probe_interval = Duration::millis(50);
+  spec.probe_timeout = Duration::millis(400);
+  spec.settle = Duration::millis(50);
+  return spec;
+}
+
+std::vector<std::string> file_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// Heap allocations of a full restore — ledger construction, start() and
+// finish() — from the checkpoint at `path`, which holds shards
+// 0..prefix-1: the one pending shard (max_shards = 1) is abandoned.
+std::size_t restore_allocations(const std::string& path, std::size_t prefix) {
+  testbed::CampaignSpec spec = one_ping_spec();
+  spec.checkpoint_path = path;
+  spec.max_shards = 1;
+  const testbed::Campaign campaign(spec);
+  const std::size_t allocations_before = g_heap_allocations;
+  testbed::CampaignLedger ledger(campaign);
+  EXPECT_EQ(ledger.restored(), prefix);
+  ledger.start();
+  for (const std::size_t index : ledger.pending()) ledger.abandon(index);
+  const testbed::CampaignReport report = ledger.finish();
+  const std::size_t allocations = g_heap_allocations - allocations_before;
+  EXPECT_EQ(report.completed_shards(), prefix);
+  return allocations;
+}
+
+// The restore parses each record of a checkpoint's leading restored run
+// once: validation and the fold share the parse, so the marginal record of
+// a 2,000-record canonical prefix over a 1,000-record one costs one
+// parse_checkpoint_record and one fold_record, plus a sliver of
+// bookkeeping (the flat offset vector doubles once between the two). A
+// restore that parses the records again when the fold reaches them pays a
+// second parse per record.
+TEST(RestoreAllocation, TheRestoredPrefixIsParsedOnce) {
+  const std::string full = "alloc_test_restore_2000.ckpt2";
+  const std::string half = "alloc_test_restore_1000.ckpt2";
+  std::remove(full.c_str());
+  {
+    testbed::CampaignSpec spec = one_ping_spec();
+    spec.checkpoint_path = full;
+    spec.max_shards = 2000;
+    (void)testbed::Campaign(spec).run(/*workers=*/1);
+  }
+  const std::vector<std::string> lines = file_lines(full);
+  ASSERT_EQ(lines.size(), 2000u);
+  {
+    std::ofstream out(half, std::ios::trunc);
+    for (std::size_t i = 0; i < 1000; ++i) out << lines[i] << '\n';
+  }
+
+  // The bound: one parse and one fold of each record 1000..1999, on totals
+  // that hold records 0..999 already, as the restore's fold does.
+  testbed::CampaignReport::FoldedTotals totals;
+  report::ShardCheckpoint record;
+  std::size_t bound_allocations = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::size_t before = g_heap_allocations;
+    ASSERT_TRUE(report::parse_checkpoint_record(lines[i], record));
+    testbed::fold_record(totals, std::move(record));
+    if (i >= 1000) bound_allocations += g_heap_allocations - before;
+  }
+  const double bound = double(bound_allocations) / 1000.0;
+
+  const std::size_t one_thousand = restore_allocations(half, 1000);
+  const std::size_t two_thousand = restore_allocations(full, 2000);
+  std::remove(full.c_str());
+  std::remove(half.c_str());
+  ASSERT_GT(two_thousand, one_thousand);
+  const double per_record = double(two_thousand - one_thousand) / 1000.0;
+  RecordProperty("marginal_allocations_per_restored_record",
+                 std::to_string(per_record));
+  RecordProperty("parse_and_fold_allocations_per_record",
+                 std::to_string(bound));
+  EXPECT_LE(per_record, bound + 0.01)
+      << "1000 records: " << one_thousand << " allocations, 2000 records: "
+      << two_thousand << "; one parse + one fold: " << bound;
 }
 
 }  // namespace
